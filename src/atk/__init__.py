@@ -42,7 +42,6 @@ from .oracles import (
 from .approx import (
     ApproximateKernel,
     NTPartition,
-    augment_triangle_packing,
     clique_cover_trivial,
     connectify_vertex_cover,
     cvc_2approx,

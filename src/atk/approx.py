@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import KernelRefusal
 from .graph import Graph
 from .oracles import Oracle
-from .problems import CVC, ETP, VC, Solution, contains_pattern, is_feasible
+from .problems import CVC, FVS, VC, Solution, contains_pattern, h_packing, is_feasible
 from .treedecomp import TreeDecomposition
-
-H_PACKING_PATTERN_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -232,78 +230,17 @@ def degeneracy_is(g: Graph, within: frozenset[int] | None = None) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
-    for u, v in g.edges():
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w > v:
-                yield (u, v, w)
-
-
 def greedy_triangle_packing(g: Graph) -> Solution:
     """A maximal edge-disjoint triangle packing (ratio 3)."""
     used: set[frozenset[int]] = set()
     fam: list[frozenset[int]] = []
-    for a, b, c in _triangles(g):
+    for a, b, c in g.triangles():
         e1, e2, e3 = frozenset((a, b)), frozenset((a, c)), frozenset((b, c))
         if e1 in used or e2 in used or e3 in used:
             continue
         used.update((e1, e2, e3))
         fam.append(frozenset((a, b, c)))
     return Solution.of_family(fam)
-
-
-def augment_triangle_packing(g: Graph, start: Solution) -> Solution:
-    """Grow a packing to a fixpoint of two augmentation rules.
-
-    Rule 1 adds any triangle whose edges are all free. Rule 2 trades one
-    packed triangle for two: if uncovered vertices x != y span two of its
-    edges, replace {u,v,w} by {x,u,v} and {y,v,w}. Both rules gain one
-    triangle, so the loop ends within |E| iterations.
-    """
-    if not is_feasible(ETP, g, start):
-        raise ValueError("starting family is not an edge-disjoint triangle packing")
-    packing: set[frozenset[int]] = set(start.payload)
-    while True:
-        used_edges = {
-            frozenset(p) for tri in packing for p in combinations(sorted(tri), 2)
-        }
-        covered = {v for tri in packing for v in tri}
-        grown = False
-        for a, b, c in _triangles(g):
-            e1, e2, e3 = frozenset((a, b)), frozenset((a, c)), frozenset((b, c))
-            if e1 not in used_edges and e2 not in used_edges and e3 not in used_edges:
-                packing.add(frozenset((a, b, c)))
-                grown = True
-                break
-        if grown:
-            continue
-        for tri in sorted(packing, key=lambda t: tuple(sorted(t))):
-            for v_mid in sorted(tri):
-                u, w = sorted(tri - {v_mid})
-                xs = sorted(
-                    x
-                    for x in (g.neighbors(u) & g.neighbors(v_mid))
-                    if x not in covered
-                )
-                ys = sorted(
-                    y
-                    for y in (g.neighbors(v_mid) & g.neighbors(w))
-                    if y not in covered
-                )
-                pick = next(
-                    ((x, y) for x in xs for y in ys if x != y), None
-                )
-                if pick is not None:
-                    x, y = pick
-                    packing.discard(tri)
-                    packing.add(frozenset((x, u, v_mid)))
-                    packing.add(frozenset((y, v_mid, w)))
-                    grown = True
-                    break
-            if grown:
-                break
-        if not grown:
-            return Solution.of_family(packing)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +368,9 @@ def fvs_2approx(g: Graph) -> Solution:
         clean()
     chosen = set(picked_order)
     for v in reversed(picked_order):
-        if _acyclic_without(g, frozenset(chosen - {v})):
+        if is_feasible(FVS, g, Solution.of_vertices(chosen - {v})):
             chosen.discard(v)
     return Solution.of_vertices(chosen)
-
-
-def _acyclic_without(g: Graph, removed: frozenset[int]) -> bool:
-    sub = g.remove_vertices(removed)
-    return sub.m == sub.n - len(sub.connected_components())
 
 
 def maximal_h_packing(g: Graph, h: Graph) -> Solution:
@@ -447,10 +379,7 @@ def maximal_h_packing(g: Graph, h: Graph) -> Solution:
     Copies are found by exhaustive subgraph-isomorphism over vertex tuples;
     the pattern is capped at 4 vertices and must be connected.
     """
-    if h.n == 0 or h.n > H_PACKING_PATTERN_CAP:
-        raise ValueError(f"pattern must have 1..{H_PACKING_PATTERN_CAP} vertices")
-    if not h.is_connected():
-        raise ValueError("pattern must be connected")
+    h_packing(h)  # rejects patterns that are empty, too large or disconnected
     used: set[int] = set()
     fam: list[frozenset[int]] = []
     for combo in combinations(g.vertices, h.n):

@@ -35,7 +35,7 @@ from .oracles import (
     trianglefree_ecc_oracle,
 )
 from .pace import ParseError, parse_gr, parse_td, write_gr, write_td
-from .problems import CVC, ECC, ETP, IS, VC, ProblemKind
+from .problems import KINDS, ProblemKind
 from .treedecomp import (
     TreeDecomposition,
     heuristic_td,
@@ -54,13 +54,10 @@ DIRECT_ENGINES = {
 
 AUDIT_ASSERTED = {"vc", "is", "ecc"}
 
-MIN_PROBLEMS = {"vc", "ecc", "cvc", "fvs", "eds", "cc"}
-
 
 def _kind_by_name(name: str) -> ProblemKind:
-    table = {"vc": VC, "is": IS, "ecc": ECC, "etp": ETP, "cvc": CVC}
-    if name in table:
-        return table[name]
+    if name in KINDS:
+        return KINDS[name]
     reg = builtin_instances()
     if name in reg:
         return reg[name].kind

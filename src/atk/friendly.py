@@ -5,6 +5,12 @@ separator-splitting Turing kernel work: disjoint-union additivity with
 split/merge, a bounded deletion effect f with an extend algorithm, a
 reduce-and-lift kernel with size function h, and a phi-approximation.
 Six built-in instances are provided; the engine itself is problem-blind.
+
+The engine is one more step on the engine loop in ``kernels``: each level
+is a piece on the loop's stack, so the Python stack stays flat however
+deep the split chain goes. A problem's kernel slot is its own reduction
+when that is real, and otherwise a pass-through capped at the oracle's
+size cap.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .approx import (
 )
 from .errors import InternalInvariantViolation, KernelRefusal
 from .graph import Graph
-from .kernels import RunReport
-from .oracles import Oracle, audited
+from .kernels import KernelConfig, RunReport, _drive, _kernel_query, _solve
+from .oracles import Oracle
 from .problems import (
     CLIQUE_COVER,
     EDS,
@@ -48,7 +54,6 @@ from .treedecomp import (
     TreeDecomposition,
     make_nice,
     prune_subtree,
-    validate,
 )
 
 
@@ -243,19 +248,11 @@ def _psaks_solve(
     """Reduce, query the oracle, lift; kernel refusal within the oracle's
     reach degrades to a flagged direct query."""
     try:
-        red = slot.reduce(sub_g, budget)
+        return _kernel_query(problem.kind, sub_g, budget, slot, oracle, td), ()
     except KernelRefusal:
-        if sub_g.n <= oracle.size_cap:
-            sol = oracle.solve(problem.kind, sub_g, td)
-            if not problem.feasible(sub_g, sol):
-                raise InternalInvariantViolation("oracle answer infeasible")
-            return sol, ("kernel-refusal-direct-oracle",)
-        raise
-    raw = oracle.solve(problem.kind, red.graph, td if red.graph is sub_g else None)
-    lifted = red.lift(raw)
-    if not problem.feasible(sub_g, lifted):
-        raise InternalInvariantViolation("lifted oracle answer infeasible")
-    return lifted, ()
+        if sub_g.n > oracle.size_cap:
+            raise
+    return _solve(oracle, problem.kind, sub_g, td), ("kernel-refusal-direct-oracle",)
 
 
 def _best(problem: FriendlyProblem, a: Solution, b: Solution) -> Solution:
@@ -351,58 +348,39 @@ def approx_friendly_turing(
 ) -> RunReport:
     """(1+eps)-approximate Turing kernel for any friendly problem.
 
-    Splits at the node the find-node subroutine returns, recurses on G - V_t,
-    and reassembles with the problem's extend algorithm (minimization) or
-    plain union (maximization).
+    Each step splits at the node the find-node subroutine returns and
+    pushes G - V_t, so the levels form a chain on the engine loop's stack.
+    The solution is then folded back innermost first: plain union for
+    maximization, and the problem's extend algorithm over each level's bag
+    for minimization.
     """
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    report = validate(g, td)
-    if not report.valid:
-        raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
-    wrapped, audit = audited(oracle)
+    cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
-    flags: set[str] = set()
-    if threshold_scale != 1.0:
-        flags.add("threshold-scale-override")
-    depth = 0
 
-    def recurse(cur_g: Graph, cur_td: TreeDecomposition) -> Solution:
-        nonlocal depth
+    def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
-        outcome = find_split_node(cur_g, ntd, delta, problem, wrapped, threshold_scale)
+        outcome = find_split_node(cur_g, ntd, delta, problem, cfg.oracle, threshold_scale)
         flags.update(outcome.flags)
         if outcome.direct is not None:
-            return outcome.direct
-        depth += 1
+            return (None, None, outcome.direct), (), False
         rest_g = cur_g.remove_vertices(outcome.v_set)
         rest_td = prune_subtree(ntd, outcome.node, keep_t=False, drop_from_bags=outcome.bag)
-        rest_sol = recurse(rest_g, rest_td)
-        merged = problem.merge(rest_sol, outcome.solution)
-        if problem.direction == "min":
-            return problem.extend(cur_g, outcome.bag, merged)
-        return merged
+        return (cur_g, outcome.bag, outcome.solution), [(rest_g, rest_td)], True
 
-    solution = recurse(g, td)
-    if not problem.feasible(g, solution):
-        raise InternalInvariantViolation("friendly kernel produced an infeasible solution")
-    width = td.width
-    declared = None
-    if problem.psaks_real:
-        k0 = 6.0 * problem.f(width + 1) / eps + problem.f(1)
-        declared = problem.psaks.size_fn(delta, problem.phi(k0, width) + width)
-    return RunReport(
-        problem=problem.name,
-        epsilon=eps,
-        threshold_scale=threshold_scale,
-        width=width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=audit.call_count,
-        max_query_vertices=audit.max_query_vertices,
-        declared_query_bound=declared,
-        thresholds={
-            "budget_k": (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale,
-        },
-        flags=tuple(sorted(flags)),
-    )
+    def assemble(parts):
+        *levels, (_, _, solution) = parts
+        for cur_g, bag, part in reversed(levels):
+            solution = problem.merge(solution, part)
+            if problem.direction == "min":
+                solution = problem.extend(cur_g, bag, solution)
+        return solution
+
+    def bounds(width):
+        declared = None
+        if problem.psaks_real:
+            k0 = 6.0 * problem.f(width + 1) / eps + problem.f(1)
+            declared = problem.psaks.size_fn(delta, problem.phi(k0, width) + width)
+        budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
+        return declared, {"budget_k": budget_k}
+
+    return _drive(problem.name, problem.kind, g, td, cfg, step, assemble, bounds)

@@ -22,6 +22,20 @@ def gen_partial_ktree(n: int, k: int, p: float, seed: int) -> tuple[Graph, TreeD
     exactly k); every later attachment edge survives independently with
     probability p. Deterministic under the seed.
     """
+    return _partial_ktree(n, k, p, seed, connected=False)
+
+
+def gen_connected_partial_ktree(
+    n: int, k: int, p: float, seed: int
+) -> tuple[Graph, TreeDecomposition]:
+    """Connected variant: one attachment edge per added vertex always
+    survives, so the sample stays connected at any p."""
+    return _partial_ktree(n, k, p, seed, connected=True)
+
+
+def _partial_ktree(
+    n: int, k: int, p: float, seed: int, connected: bool
+) -> tuple[Graph, TreeDecomposition]:
     if n < k + 1:
         raise ValueError("need n >= k + 1")
     if not 0 <= p <= 1:
@@ -37,56 +51,23 @@ def gen_partial_ktree(n: int, k: int, p: float, seed: int) -> tuple[Graph, TreeD
     pool: list[tuple[frozenset[int], int]] = [
         (frozenset(c), 0) for c in combinations(seed_vertices, k)
     ]
-    attachments: list[tuple[int, int]] = []
-    for v in range(k + 2, n + 1):
-        clique, home = pool[rng.randrange(len(pool))]
-        node = v - k - 1
-        bags[node] = clique | {v}
-        tree_edges.append((home, node))
-        for u in sorted(clique):
-            attachments.append((u, v))
-        for sub in combinations(sorted(clique), k - 1):
-            pool.append((frozenset(sub) | {v}, node))
-    kept = [e for e in attachments if rng.random() < p]
-    g = Graph(range(1, n + 1), seed_edges + kept)
-    td = TreeDecomposition(bags, tree_edges, root=0)
-    return g, td
-
-
-def gen_connected_partial_ktree(
-    n: int, k: int, p: float, seed: int
-) -> tuple[Graph, TreeDecomposition]:
-    """Connected variant: one attachment edge per added vertex always
-    survives, so the sample stays connected at any p."""
-    if n < k + 1:
-        raise ValueError("need n >= k + 1")
-    if not 0 <= p <= 1:
-        raise ValueError("edge-keep probability must be in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = random.Random(seed)
-    seed_vertices = list(range(1, k + 2))
-    seed_edges = [(u, v) for u, v in combinations(seed_vertices, 2)]
-    bags: dict[int, frozenset[int]] = {0: frozenset(seed_vertices)}
-    tree_edges: list[tuple[int, int]] = []
-    pool: list[tuple[frozenset[int], int]] = [
-        (frozenset(c), 0) for c in combinations(seed_vertices, k)
-    ]
-    kept: list[tuple[int, int]] = []
+    anchors: list[tuple[int, int]] = []
     optional: list[tuple[int, int]] = []
     for v in range(k + 2, n + 1):
         clique, home = pool[rng.randrange(len(pool))]
         node = v - k - 1
         bags[node] = clique | {v}
         tree_edges.append((home, node))
-        anchor = sorted(clique)[rng.randrange(k)]
-        kept.append((anchor, v))
-        for u in sorted(clique):
-            if u != anchor:
-                optional.append((u, v))
-        for sub in combinations(sorted(clique), k - 1):
+        members = sorted(clique)
+        # the anchor is drawn here, between the pool draws, for either kind of
+        # sample to stay reproducible under its seed
+        anchor = members[rng.randrange(k)] if connected else None
+        if connected:
+            anchors.append((anchor, v))
+        optional.extend((u, v) for u in members if u != anchor)
+        for sub in combinations(members, k - 1):
             pool.append((frozenset(sub) | {v}, node))
-    kept.extend(e for e in optional if rng.random() < p)
+    kept = anchors + [e for e in optional if rng.random() < p]
     g = Graph(range(1, n + 1), seed_edges + kept)
     td = TreeDecomposition(bags, tree_edges, root=0)
     return g, td

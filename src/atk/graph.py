@@ -7,7 +7,7 @@ computed on a subgraph can be reused verbatim on the parent graph.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 
 class Graph:
@@ -38,13 +38,6 @@ class Graph:
         g._m = sum(len(ns) for ns in adj.values()) // 2
         g._sorted = tuple(sorted(adj))
         return g
-
-    @classmethod
-    def from_edge_list(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph whose vertex set is exactly the edge endpoints."""
-        edges = list(edges)
-        verts = {u for e in edges for u in e}
-        return cls(verts, edges)
 
     # -- basic queries ------------------------------------------------
 
@@ -83,6 +76,13 @@ class Graph:
             for v in sorted(self._adj[u]):
                 if u < v:
                     yield (u, v)
+
+    def triangles(self) -> Iterator[tuple[int, int, int]]:
+        """All triangles as (u, v, w) with u < v < w, in sorted order."""
+        for u, v in self.edges():
+            for w in sorted(self._adj[u] & self._adj[v]):
+                if w > v:
+                    yield (u, v, w)
 
     def __eq__(self, other: object):
         if isinstance(other, Graph):
@@ -145,48 +145,36 @@ class Graph:
 
     def connected_components(self) -> list[frozenset[int]]:
         """Maximal connected vertex sets, ordered by smallest member."""
-        seen: set[int] = set()
-        out: list[frozenset[int]] = []
-        for start in self._sorted:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        return _components(self._adj.__getitem__, self._adj.keys())
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        start = self._sorted[0]
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        return len(comp) == self.n
+        return self.n <= 1 or len(_reach(self._adj.__getitem__, self._sorted[0])) == self.n
 
-    def component_of(self, v: int, within: frozenset[int] | None = None) -> frozenset[int]:
-        """Connected component of ``v`` in the subgraph induced by ``within``."""
-        allowed = self._adj.keys() if within is None else within
-        if v not in allowed:
-            raise ValueError(f"vertex {v} not in the restriction set")
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w in allowed and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        return frozenset(comp)
+
+def _reach(
+    neighbors: Callable[[int], Iterable[int]], start: int, within: Collection[int] | None = None
+) -> set[int]:
+    """Breadth-first closure of ``start`` (inside ``within`` if given)."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in neighbors(u):
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _components(
+    neighbors: Callable[[int], Iterable[int]], pool: Collection[int]
+) -> list[frozenset[int]]:
+    """Connected parts of the subgraph induced by ``pool``, ordered by smallest member."""
+    seen: set[int] = set()
+    out: list[frozenset[int]] = []
+    for start in sorted(pool):
+        if start not in seen:
+            comp = _reach(neighbors, start, pool)
+            seen |= comp
+            out.append(frozenset(comp))
+    return out

@@ -1,16 +1,26 @@
-"""The problem-specific approximate Turing kernels.
+"""The approximate Turing kernels and the engine loop they all run on.
 
-Each engine walks a (nice) tree decomposition to a node whose local
-optimum sits in a bounded window, solves that piece through the oracle
-(possibly behind a reduce-and-lift kernel), recurses on the remainder,
-and assembles the answer. With threshold_scale = 1 every internal
-threshold equals its analysis-given formula, which is what the query-size
-audit is checked against.
+Every engine, the generic one in ``friendly`` included, runs on ``_drive``.
+The driver checks the inputs, keeps a stack of (graph, decomposition)
+pieces, counts the splits, checks the final solution and builds the
+report. An engine supplies one step and one assembly hook. The step walks
+the (nice) decomposition of a piece to a node whose local optimum sits in
+a bounded window, solves that node's piece through the oracle (possibly
+behind a reduce-and-lift kernel) and returns the remainder. The hook
+combines the solved parts into a solution of the input graph. With
+threshold_scale = 1 every internal threshold equals its analysis-given
+formula, which is what the query-size audit is checked against.
+
+A kernel slot with no real reduction behind it is a pass-through capped
+at the oracle's size cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable
 
 from .approx import (
     ApproximateKernel,
@@ -23,13 +33,14 @@ from .approx import (
 )
 from .errors import InternalInvariantViolation, KernelRefusal
 from .graph import Graph
-from .oracles import Oracle, audited
-from .problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
+from .oracles import Oracle, _canon, audited
+from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
     FORGET,
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
+    _preorder,
     find_node_by_local_size,
     make_nice,
     make_subconnected,
@@ -44,30 +55,14 @@ class KernelConfig:
 
     threshold_scale exists so tests can trigger the descent paths on
     desk-scale graphs; the approximation guarantee is only claimed at
-    scale 1 and runs at other scales are flagged.
+    scale 1 and runs at other scales are flagged. Both values are checked
+    when an engine runs.
     """
 
-    def __init__(
-        self,
-        epsilon: float,
-        oracle: Oracle,
-        threshold_scale: float = 1.0,
-        kernel: ApproximateKernel | None = None,
-    ):
-        if not 0 < epsilon <= 1:
-            raise ValueError("epsilon must be in (0, 1]")
-        if threshold_scale <= 0:
-            raise ValueError("threshold_scale must be positive")
+    def __init__(self, epsilon: float, oracle: Oracle, threshold_scale: float = 1.0):
         self.epsilon = epsilon
         self.threshold_scale = threshold_scale
-        self.raw_oracle = oracle
         self.oracle, self.audit = audited(oracle)
-        self.kernel = kernel
-
-    def psaks_slot(self) -> ApproximateKernel:
-        if self.kernel is not None:
-            return self.kernel
-        return passthrough_kernel(self.raw_oracle.size_cap)
 
 
 @dataclass
@@ -87,10 +82,7 @@ class RunReport:
     flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        payload = sorted(
-            self.solution.payload,
-            key=lambda x: tuple(sorted(x)) if isinstance(x, frozenset) else (x,),
-        )
+        payload = sorted(self.solution.payload, key=_canon)
         return {
             "problem": self.problem,
             "epsilon": self.epsilon,
@@ -107,22 +99,73 @@ class RunReport:
         }
 
 
-def vc_query_bound(width: int, eps: float) -> float:
-    return 16.0 * (width + 1) / eps
+# ---------------------------------------------------------------------------
+# The engine loop
+# ---------------------------------------------------------------------------
 
 
-def is_query_bound(width: int, eps: float) -> float:
-    return 10.0 * (width + 1) ** 2 / eps
+def _drive(
+    problem: str,
+    kind: ProblemKind,
+    g: Graph,
+    td: TreeDecomposition,
+    cfg: KernelConfig,
+    step: Callable[[Graph, TreeDecomposition, set[str]], tuple],
+    assemble: Callable[[list], Solution],
+    bounds: Callable[[int], tuple[float | None, dict[str, float]]],
+) -> RunReport:
+    """Run ``step`` over a stack of pieces, starting from (g, td).
+
+    ``step(graph, td, flags)`` solves part of its piece and returns (the
+    solved part, the remainders to push, whether it split): none, one, or
+    one per component are pushed, and a split counts one level of
+    recursion depth. ``assemble`` gets the solved parts in solving order,
+    and ``bounds(width)`` gives the declared query bound and the reported
+    thresholds.
+    """
+    eps, scale = cfg.epsilon, cfg.threshold_scale
+    if not 0 < eps <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("threshold_scale must be finite and positive")
+    _require_valid(g, td, ValueError)
+    cfg.audit.reset()
+    flags: set[str] = {"threshold-scale-override"} if scale != 1.0 else set()
+    parts: list = []
+    depth = 0
+    work = [(g, td)]
+    while work:
+        part, rest, split = step(*work.pop(), flags)
+        parts.append(part)
+        work.extend(reversed(rest))
+        if split:
+            depth += 1
+    solution = assemble(parts)
+    _assert_feasible(kind, g, solution, f"{problem} turing kernel")
+    declared, thresholds = bounds(td.width)
+    return RunReport(
+        problem=problem,
+        epsilon=eps,
+        threshold_scale=scale,
+        width=td.width,
+        solution=solution,
+        recursion_depth=depth,
+        oracle_calls=cfg.audit.call_count,
+        max_query_vertices=cfg.audit.max_query_vertices,
+        declared_query_bound=declared,
+        thresholds=thresholds,
+        flags=tuple(sorted(flags)),
+    )
 
 
-def ecc_query_bound(width: int, eps: float) -> float:
-    return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1)
+def _union(parts) -> frozenset:
+    return frozenset().union(*parts)
 
 
-def _check_valid(g: Graph, td: TreeDecomposition) -> None:
+def _require_valid(g: Graph, td: TreeDecomposition, error: type[Exception]) -> None:
     report = validate(g, td)
     if not report.valid:
-        raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
+        raise error("invalid tree decomposition: " + "; ".join(report.violations()))
 
 
 def _assert_feasible(kind, g: Graph, sol: Solution, context: str) -> None:
@@ -130,36 +173,76 @@ def _assert_feasible(kind, g: Graph, sol: Solution, context: str) -> None:
         raise InternalInvariantViolation(f"{context}: infeasible solution produced")
 
 
-class _Descender:
-    """Maintains the local vertex set V_t \\ X_t along a downward walk."""
+def _solve(oracle: Oracle, kind: ProblemKind, g: Graph, td: TreeDecomposition) -> Solution:
+    """Query the oracle directly and check its answer."""
+    sol = oracle.solve(kind, g, td)
+    _assert_feasible(kind, g, sol, f"{kind.name} oracle answer")
+    return sol
 
-    def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
-        self.g = g
-        self.ntd = ntd
-        self.node = ntd.root
-        self.local: set[int] = set(g.vertex_set)
 
-    def children(self) -> tuple[int, ...]:
-        return self.ntd.children[self.node]
+def _kernel_query(
+    kind: ProblemKind,
+    g: Graph,
+    budget: float,
+    kernel: ApproximateKernel,
+    oracle: Oracle,
+    td: TreeDecomposition | None,
+) -> Solution:
+    """Reduce g through the kernel slot, query the oracle on the reduced
+    graph and lift the answer back to a checked solution of g.
 
-    def descend_unary(self) -> None:
-        t = self.node
-        child = self.ntd.children[t][0]
-        if self.ntd.kinds[t] == FORGET:
-            self.local.discard(self.ntd.pivots[t])
-        self.node = child
+    Raises KernelRefusal when the slot refuses g; each caller has its own
+    fallback for that.
+    """
+    red = kernel.reduce(g, budget)
+    raw = oracle.solve(kind, red.graph, td if red.graph is g else None)
+    lifted = red.lift(raw)
+    _assert_feasible(kind, g, lifted, f"{kind.name} oracle/lift answer")
+    return lifted
 
-    def join_split(self) -> tuple[frozenset[int], frozenset[int]]:
-        c1, _c2 = self.ntd.children[self.node]
+
+def _descend(g: Graph, ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.0):
+    """Walk down from the root to the first node whose measured local piece
+    V_t \\ X_t is at most ``limit``.
+
+    ``measure(local, bag, stop_above)`` returns (value, data) for the piece
+    with local vertices ``local`` below ``bag``. At the node itself
+    ``stop_above`` is ``limit``, so the measure may give up once the value
+    is over it; the two children of a join are measured in full. A join
+    follows the child with the larger value, ties to the lower node id, and
+    that value must stay at least ``floor``. Returns (node, local, value,
+    data).
+    """
+    node, local = ntd.root, set(g.vertex_set)
+    pending = None
+    while True:
+        frozen = frozenset(local)
+        value, data = pending if pending is not None else measure(frozen, ntd.bags[node], limit)
+        pending = None
+        if value <= limit:
+            return node, frozen, value, data
+        kids = ntd.children[node]
+        if not kids:
+            raise InternalInvariantViolation("leaf reached above the window")
+        if len(kids) == 1:
+            if ntd.kinds[node] == FORGET:
+                local.discard(ntd.pivots[node])
+            node = kids[0]
+            continue
+        # the first child's local set is V_c1 \ X_c1; the second gets the rest
         acc: set[int] = set()
-        for s in self.ntd.subtree_nodes(c1):
-            acc |= self.ntd.bags[s]
-        s1 = frozenset(acc - self.ntd.bags[c1])
-        return s1, frozenset(self.local - s1)
-
-    def descend_join(self, index: int, child_local: frozenset[int]) -> None:
-        self.node = self.ntd.children[self.node][index]
-        self.local = set(child_local)
+        for s in ntd.subtree_nodes(kids[0]):
+            acc |= ntd.bags[s]
+        s1 = frozenset(acc - ntd.bags[kids[0]])
+        s2 = frozenset(local - s1)
+        m1 = measure(s1, ntd.bags[kids[0]], None)
+        m2 = measure(s2, ntd.bags[kids[1]], None)
+        if (m1[0], -kids[0]) >= (m2[0], -kids[1]):
+            pending, node, local = m1, kids[0], set(s1)
+        else:
+            pending, node, local = m2, kids[1], set(s2)
+        if pending[0] < floor:
+            raise InternalInvariantViolation("join split lost the window (both children too small)")
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +270,14 @@ def find_vc_split_node(
     most 8(width+1)/eps; one-child steps go down unconditionally, and a
     join follows the child with the larger measured cover.
     """
+
+    def measure(within, _bag, stop_above):
+        value, cover, _ = greedy_matching(g, within, stop_above=stop_above)
+        return value, cover
+
     thr = 8.0 * (ntd.width + 1) / eps * threshold_scale
-    walk = _Descender(g, ntd)
-    pending: tuple[int, frozenset[int] | None] | None = None
-    while True:
-        within = frozenset(walk.local)
-        if pending is None:
-            value, cover, _ = greedy_matching(g, within, stop_above=thr)
-        else:
-            value, cover = pending
-            pending = None
-        if cover is not None and value <= thr:
-            return VcSplitChoice(walk.node, within, value, cover)
-        kids = walk.children()
-        if not kids:
-            raise InternalInvariantViolation("leaf reached with an uncovered window")
-        if len(kids) == 1:
-            walk.descend_unary()
-            continue
-        s1, s2 = walk.join_split()
-        v1, c1, _ = greedy_matching(g, s1)
-        v2, c2, _ = greedy_matching(g, s2)
-        if (v1, -kids[0]) >= (v2, -kids[1]):
-            pending = (v1, c1)
-            walk.descend_join(0, s1)
-        else:
-            pending = (v2, c2)
-            walk.descend_join(1, s2)
+    node, local, value, cover = _descend(g, ntd, measure, thr)
+    return VcSplitChoice(node, local, value, cover)
 
 
 def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -222,46 +286,27 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     Queries go through the half-integral LP reduction, so each oracle call
     has at most 16(width+1)/eps vertices at threshold_scale 1.
     """
-    _check_valid(g, td)
-    cfg.audit.reset()
     eps, scale = cfg.epsilon, cfg.threshold_scale
-    flags: set[str] = set()
-    if scale != 1.0:
-        flags.add("threshold-scale-override")
-    cover: set[int] = set()
-    depth = 0
-    top_width = td.width
-    cur_g, cur_td = g, td
-    while True:
+
+    def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
         thr = 8.0 * (ntd.width + 1) / eps * scale
         value, _, _ = greedy_matching(cur_g, stop_above=thr)
         if value <= thr:
-            sol = solve_vc_small(cur_g, cfg.oracle, ntd.as_td())
-            cover |= sol.payload
-            break
+            return solve_vc_small(cur_g, cfg.oracle, ntd.as_td()).payload, (), False
         choice = find_vc_split_node(cur_g, ntd, eps, scale)
         sub = cur_g.induced_subgraph(choice.local_vertices)
         sol_t = solve_vc_small(sub, cfg.oracle, ntd.as_td().restrict(choice.local_vertices))
         x_t = ntd.bags[choice.node]
-        cover |= sol_t.payload | x_t
-        cur_g = cur_g.remove_vertices(choice.local_vertices | x_t)
-        cur_td = prune_subtree(ntd, choice.node, keep_t=False, drop_from_bags=x_t)
-        depth += 1
-    solution = Solution.of_vertices(cover)
-    _assert_feasible(VC, g, solution, "vc turing kernel")
-    return RunReport(
-        problem="vc",
-        epsilon=eps,
-        threshold_scale=scale,
-        width=top_width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=cfg.audit.call_count,
-        max_query_vertices=cfg.audit.max_query_vertices,
-        declared_query_bound=vc_query_bound(top_width, eps),
-        thresholds={"easy_guard": 8.0 * (top_width + 1) / eps * scale},
-        flags=tuple(sorted(flags)),
+        rest_g = cur_g.remove_vertices(choice.local_vertices | x_t)
+        rest_td = prune_subtree(ntd, choice.node, keep_t=False, drop_from_bags=x_t)
+        return sol_t.payload | x_t, [(rest_g, rest_td)], True
+
+    def bounds(width):
+        return 16.0 * (width + 1) / eps, {"easy_guard": 8.0 * (width + 1) / eps * scale}
+
+    return _drive(
+        "vc", VC, g, td, cfg, step, lambda parts: Solution.of_vertices(_union(parts)), bounds
     )
 
 
@@ -277,26 +322,16 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     [(width+1)^2/eps, 10(width+1)^2/eps] local vertices loses at most a
     (width+1)-fraction of the optimum at the separator.
     """
-    _check_valid(g, td)
-    cfg.audit.reset()
     eps, scale = cfg.epsilon, cfg.threshold_scale
-    flags: set[str] = set()
-    if scale != 1.0:
-        flags.add("threshold-scale-override")
-    picked: set[int] = set()
-    depth = 0
-    top_width = td.width
-    cur_g, cur_td = g, td
-    while True:
+
+    def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
         lo = (ntd.width + 1) ** 2 / eps * scale
         hi = 10.0 * lo
         if cur_g.n <= hi:
-            if cur_g.n > 0:
-                sol = cfg.oracle.solve(IS, cur_g, ntd.as_td())
-                _assert_feasible(IS, cur_g, sol, "is oracle answer")
-                picked |= sol.payload
-            break
+            if cur_g.n == 0:
+                return frozenset(), (), False
+            return _solve(cfg.oracle, IS, cur_g, ntd.as_td()).payload, (), False
         lo_eff = max(lo, 1.0)
         hi_eff = max(hi, 2.0 * lo_eff)
         if lo_eff != lo or hi_eff != hi:
@@ -304,30 +339,19 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo_eff, hi_eff)
         local = idx.local_vertices(t)
-        sub = cur_g.induced_subgraph(local)
-        sol_t = cfg.oracle.solve(IS, sub, ntd.as_td().restrict(local))
-        _assert_feasible(IS, sub, sol_t, "is oracle answer")
-        picked |= sol_t.payload
-        cur_g = cur_g.remove_vertices(idx.v_set(t))
-        cur_td = prune_subtree(ntd, t, keep_t=False, drop_from_bags=ntd.bags[t])
-        depth += 1
-    solution = Solution.of_vertices(picked)
-    _assert_feasible(IS, g, solution, "is turing kernel")
-    return RunReport(
-        problem="is",
-        epsilon=eps,
-        threshold_scale=scale,
-        width=top_width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=cfg.audit.call_count,
-        max_query_vertices=cfg.audit.max_query_vertices,
-        declared_query_bound=is_query_bound(top_width, eps),
-        thresholds={
-            "window_lo": (top_width + 1) ** 2 / eps * scale,
-            "window_hi": 10.0 * (top_width + 1) ** 2 / eps * scale,
-        },
-        flags=tuple(sorted(flags)),
+        sol_t = _solve(cfg.oracle, IS, cur_g.induced_subgraph(local), ntd.as_td().restrict(local))
+        rest_g = cur_g.remove_vertices(idx.v_set(t))
+        rest_td = prune_subtree(ntd, t, keep_t=False, drop_from_bags=ntd.bags[t])
+        return sol_t.payload, [(rest_g, rest_td)], True
+
+    def bounds(width):
+        return 10.0 * (width + 1) ** 2 / eps, {
+            "window_lo": (width + 1) ** 2 / eps * scale,
+            "window_hi": 10.0 * (width + 1) ** 2 / eps * scale,
+        }
+
+    return _drive(
+        "is", IS, g, td, cfg, step, lambda parts: Solution.of_vertices(_union(parts)), bounds
     )
 
 
@@ -343,63 +367,37 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     both sides (the oracle sees G[V_t], the remainder keeps X_t), so
     queries have at most 4(1+eps)/eps*(width+1)^4 + width+1 vertices.
     """
-    _check_valid(g, td)
-    cfg.audit.reset()
     eps, scale = cfg.epsilon, cfg.threshold_scale
-    flags: set[str] = set()
-    if scale != 1.0:
-        flags.add("threshold-scale-override")
-    family: set[frozenset[int]] = set()
-    depth = 0
-    top_width = td.width
-    work: list[tuple[Graph, TreeDecomposition]] = [(g, td)]
-    while work:
-        cur_g, cur_td = work.pop()
+
+    def step(cur_g, cur_td, flags):
         if cur_g.m == 0:
-            continue  # isolated vertices carry no edges to cover
+            return frozenset(), (), False  # isolated vertices carry no edges to cover
         comps = cur_g.connected_components()
         if len(comps) > 1:
-            for comp in reversed(comps):
-                work.append((cur_g.induced_subgraph(comp), cur_td.restrict(comp)))
-            continue
+            pieces = [(cur_g.induced_subgraph(c), cur_td.restrict(c)) for c in comps]
+            return frozenset(), pieces, False
         ntd = make_nice(cur_g, cur_td)
         base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
         if cur_g.n <= base:
-            sol = cfg.oracle.solve(ECC, cur_g, ntd.as_td())
-            _assert_feasible(ECC, cur_g, sol, "ecc oracle answer")
-            family |= sol.payload
-            continue
+            return _solve(cfg.oracle, ECC, cur_g, ntd.as_td()).payload, (), False
         lo = max(base, 1.0)
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo, 2.0 * lo)
         v_t = idx.v_set(t)
-        x_t = ntd.bags[t]
-        sub = cur_g.induced_subgraph(v_t)
-        sol_t = cfg.oracle.solve(ECC, sub, ntd.as_td().restrict(v_t))
-        _assert_feasible(ECC, sub, sol_t, "ecc oracle answer")
-        family |= sol_t.payload
-        depth += 1
+        sol_t = _solve(cfg.oracle, ECC, cur_g.induced_subgraph(v_t), ntd.as_td().restrict(v_t))
         if t == ntd.root:
-            continue  # the window covered the whole graph; nothing remains
-        rest = cur_g.remove_vertices(v_t - x_t)
-        work.append((rest, prune_subtree(ntd, t, keep_t=True)))
-    solution = Solution.of_family(family)
-    _assert_feasible(ECC, g, solution, "ecc turing kernel")
-    return RunReport(
-        problem="ecc",
-        epsilon=eps,
-        threshold_scale=scale,
-        width=top_width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=cfg.audit.call_count,
-        max_query_vertices=cfg.audit.max_query_vertices,
-        declared_query_bound=ecc_query_bound(top_width, eps),
-        thresholds={
-            "base_case": 2.0 * (1 + eps) / eps * (top_width + 1) ** 4 * scale,
-            "window_hi": 4.0 * (1 + eps) / eps * (top_width + 1) ** 4 * scale,
-        },
-        flags=tuple(sorted(flags)),
+            return sol_t.payload, (), True  # the window covered the whole graph
+        rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
+        return sol_t.payload, [(rest_g, prune_subtree(ntd, t, keep_t=True))], True
+
+    def bounds(width):
+        return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1), {
+            "base_case": 2.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
+            "window_hi": 4.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
+        }
+
+    return _drive(
+        "ecc", ECC, g, td, cfg, step, lambda parts: Solution.of_family(_union(parts)), bounds
     )
 
 
@@ -423,38 +421,23 @@ def solve_etp_small(
     """
     s3 = greedy_triangle_packing(g)
     try:
-        red = kernel.reduce(g, 3 * s3.value)
+        lifted = _kernel_query(ETP, g, 3 * s3.value, kernel, oracle, td)
     except KernelRefusal:
         return s3, ("etp-kernel-refusal-3approx-fallback",)
-    raw = oracle.solve(ETP, red.graph, td if red.graph is g else None)
-    lifted = red.lift(raw)
-    if not is_feasible(ETP, g, lifted):
-        raise InternalInvariantViolation("oracle/lift produced an infeasible packing")
     best = lifted if lifted.value >= s3.value else s3
     return best, ()
 
 
-def _local_triangle_graph(g: Graph, local: frozenset[int], bag: frozenset[int]) -> Graph:
-    return g.induced_subgraph(local | bag).delete_edges_within(bag)
-
-
-def _greedy_complete_packing(g: Graph, packing: set[frozenset[int]]) -> set[frozenset[int]]:
+def _greedy_complete_packing(g: Graph, packing: frozenset) -> Solution:
     """Add every triangle whose edges are still free (restores maximality)."""
-    used = {frozenset(p) for tri in packing for p in _tri_pairs(tri)}
-    for u, v in g.edges():
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w <= v:
-                continue
-            e1, e2, e3 = frozenset((u, v)), frozenset((u, w)), frozenset((v, w))
-            if e1 not in used and e2 not in used and e3 not in used:
-                packing.add(frozenset((u, v, w)))
-                used.update((e1, e2, e3))
-    return packing
-
-
-def _tri_pairs(tri: frozenset[int]):
-    a, b, c = sorted(tri)
-    return ((a, b), (a, c), (b, c))
+    packing = set(packing)
+    used = {frozenset(p) for tri in packing for p in combinations(sorted(tri), 2)}
+    for a, b, c in g.triangles():
+        edges = {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))}
+        if not edges & used:
+            packing.add(frozenset((a, b, c)))
+            used |= edges
+    return Solution.of_family(packing)
 
 
 def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -466,54 +449,33 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     straddle a bag's internal edges; a final greedy completion packs any
     such triangle whose edges all stayed free, so the output is maximal.
     """
-    _check_valid(g, td)
-    cfg.audit.reset()
     eps, scale = cfg.epsilon, cfg.threshold_scale
-    kernel = cfg.psaks_slot()
-    flags: set[str] = set()
-    if scale != 1.0:
-        flags.add("threshold-scale-override")
-    packing: set[frozenset[int]] = set()
-    depth = 0
-    top_width = td.width
-    cur_g, cur_td = g, td
-    while True:
+    kernel = passthrough_kernel(cfg.oracle.size_cap)
+
+    def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
         unit = (ntd.width + 1) ** 2 / eps * scale
         s3 = greedy_triangle_packing(cur_g)
-        if s3.value <= 18.0 * unit:
-            sol, fl = solve_etp_small(cur_g, 3 * s3.value, kernel, cfg.oracle, ntd.as_td())
-            flags |= set(fl)
-            packing |= sol.payload
-            break
-        node, local, sol_t, fl = _find_etp_split(cur_g, ntd, unit, kernel, cfg.oracle)
-        flags |= set(fl)
-        if not local:
-            sol, fl2 = solve_etp_small(cur_g, 3 * s3.value, kernel, cfg.oracle, ntd.as_td())
-            flags |= set(fl2) | {"etp-empty-split-fallback"}
-            packing |= sol.payload
-            break
-        packing |= sol_t.payload
-        cur_g = cur_g.remove_vertices(local)
-        cur_td = prune_subtree(ntd, node, keep_t=True)
-        depth += 1
-    solution = Solution.of_family(_greedy_complete_packing(g, packing))
-    _assert_feasible(ETP, g, solution, "etp turing kernel")
-    return RunReport(
-        problem="etp",
-        epsilon=eps,
-        threshold_scale=scale,
-        width=top_width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=cfg.audit.call_count,
-        max_query_vertices=cfg.audit.max_query_vertices,
-        declared_query_bound=None,  # depends on the plugged kernel slot
-        thresholds={
-            "easy_guard": 18.0 * (top_width + 1) ** 2 / eps * scale,
-            "local_guard": 6.0 * (top_width + 1) ** 2 / eps * scale,
-        },
-        flags=tuple(sorted(flags)),
+        if s3.value > 18.0 * unit:
+            node, local, sol_t, fl = _find_etp_split(cur_g, ntd, unit, kernel, cfg.oracle)
+            flags.update(fl)
+            if local:
+                rest = (cur_g.remove_vertices(local), prune_subtree(ntd, node, keep_t=True))
+                return sol_t.payload, [rest], True
+            flags.add("etp-empty-split-fallback")
+        sol, fl = solve_etp_small(cur_g, 3 * s3.value, kernel, cfg.oracle, ntd.as_td())
+        flags.update(fl)
+        return sol.payload, (), False
+
+    def bounds(width):
+        return None, {  # the query bound depends on the plugged kernel slot
+            "easy_guard": 18.0 * (width + 1) ** 2 / eps * scale,
+            "local_guard": 6.0 * (width + 1) ** 2 / eps * scale,
+        }
+
+    return _drive(
+        "etp", ETP, g, td, cfg, step,
+        lambda parts: _greedy_complete_packing(g, _union(parts)), bounds,
     )
 
 
@@ -530,39 +492,15 @@ def _find_etp_split(
     local graphs split edge-disjointly, so the larger child's measured
     packing stays above the lower window bound.
     """
-    walk = _Descender(g, ntd)
-    pending: Solution | None = None
-    while True:
-        bag = ntd.bags[walk.node]
-        local = frozenset(walk.local)
-        gt = _local_triangle_graph(g, local, bag)
-        s3 = greedy_triangle_packing(gt) if pending is None else pending
-        pending = None
-        if s3.value <= 6.0 * unit:
-            sol, fl = solve_etp_small(gt, 3 * s3.value, kernel, oracle)
-            return walk.node, local, sol, fl
-        kids = walk.children()
-        if not kids:
-            raise InternalInvariantViolation("leaf reached with packed triangles")
-        if len(kids) == 1:
-            walk.descend_unary()
-            continue
-        s1, s2 = walk.join_split()
-        g1 = _local_triangle_graph(g, s1, ntd.bags[kids[0]])
-        g2 = _local_triangle_graph(g, s2, ntd.bags[kids[1]])
-        p1 = greedy_triangle_packing(g1)
-        p2 = greedy_triangle_packing(g2)
-        if (p1.value, -kids[0]) >= (p2.value, -kids[1]):
-            chosen, child_local = 0, s1
-            pending = p1
-        else:
-            chosen, child_local = 1, s2
-            pending = p2
-        if pending.value < unit:
-            raise InternalInvariantViolation(
-                "join split lost the triangle window (both children too small)"
-            )
-        walk.descend_join(chosen, child_local)
+
+    def measure(local, bag, _stop_above):
+        gt = g.induced_subgraph(local | bag).delete_edges_within(bag)
+        s3 = greedy_triangle_packing(gt)
+        return s3.value, (s3, gt)
+
+    node, local, _, (s3, gt) = _descend(g, ntd, measure, 6.0 * unit, floor=unit)
+    sol, fl = solve_etp_small(gt, 3 * s3.value, kernel, oracle)
+    return node, local, sol, fl
 
 
 # ---------------------------------------------------------------------------
@@ -603,18 +541,12 @@ def cvc_obtain_approx(
         return TOO_BIG, ()
     flags: tuple[str, ...] = ()
     try:
-        red = kernel.reduce(g, s2.value)
+        lifted = _kernel_query(CVC, g, s2.value, kernel, oracle, td)
     except KernelRefusal:
-        if g.n <= oracle.size_cap:
-            lifted = oracle.solve(CVC, g, td)
-            flags = ("cvc-kernel-refusal-direct-oracle",)
-        else:
+        if g.n > oracle.size_cap:
             raise
-    else:
-        raw = oracle.solve(CVC, red.graph, td if red.graph is g else None)
-        lifted = red.lift(raw)
-    if not is_feasible(CVC, g, lifted):
-        raise InternalInvariantViolation("cvc oracle/lift produced an infeasible cover")
+        lifted = _solve(oracle, CVC, g, td)
+        flags = ("cvc-kernel-refusal-direct-oracle",)
     best = lifted if lifted.value <= s2.value else s2
     return best, flags
 
@@ -629,24 +561,14 @@ def _contract_local(
     """G_t: G[V_t] with the bag contracted to one vertex, plus a matching
     decomposition of the subtree."""
     x_t = sc.bags[node]
-    sub = g.induced_subgraph(v_set)
-    nodes = []
-    stack = [node]
-    while stack:
-        s = stack.pop()
-        nodes.append(s)
-        stack.extend(children[s])
-    if not x_t:
-        bags = {s: sc.bags[s] for s in nodes}
-        edges = [(s, c) for s in nodes for c in children[s]]
-        return sub, TreeDecomposition(bags, edges, root=node)
-    z = max(g.vertices) + 1
-    gc = sub.identify_vertices(x_t, z)
-    bags = {
-        s: ((sc.bags[s] - x_t) | {z}) if sc.bags[s] & x_t else sc.bags[s] for s in nodes
-    }
+    nodes = _preorder(children, node)
     edges = [(s, c) for s in nodes for c in children[s]]
-    return gc, TreeDecomposition(bags, edges, root=node)
+    sub_td = TreeDecomposition({s: sc.bags[s] for s in nodes}, edges, root=node)
+    sub = g.induced_subgraph(v_set)
+    if not x_t:
+        return sub, sub_td
+    z = max(g.vertices) + 1
+    return sub.identify_vertices(x_t, z), sub_td.contract_bag_vertices(x_t, z)
 
 
 def find_cvc_split_node(
@@ -668,8 +590,7 @@ def find_cvc_split_node(
     otherwise.
     """
     children, vsets = rooted_subtree_vertices(sc)
-    root = sc.root if sc.root is not None else sc.nodes[0]
-    t = root
+    t = sc.root if sc.root is not None else sc.nodes[0]
     flags: set[str] = set()
     min_size = 10.0 * width / delta * threshold_scale
     while True:
@@ -700,12 +621,9 @@ def find_cvc_split_node(
         # Scaled runs may legitimately exhaust; assemble the union cover of G_t.
         assembled: set[int] = set()
         for c, sol in results:
-            local = g.induced_subgraph(vsets[c])
             if sc.bags[c]:
-                lifted = connectify_vertex_cover(local, sc.bags[c], sol)
-            else:
-                lifted = sol
-            assembled |= lifted.payload
+                sol = connectify_vertex_cover(g.induced_subgraph(vsets[c]), sc.bags[c], sol)
+            assembled |= sol.payload
         x_t = sc.bags[t]
         z = max(g.vertices) + 1  # same fresh id _contract_local picks
         payload = (assembled - x_t) | ({z} if x_t else set())
@@ -727,23 +645,15 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     """
     if not g.is_connected():
         raise ValueError("connected vertex cover needs a connected graph")
-    _check_valid(g, td)
-    cfg.audit.reset()
     eps, scale = cfg.epsilon, cfg.threshold_scale
     delta = eps / 3.0
-    kernel = cfg.psaks_slot()
-    flags: set[str] = set()
-    if scale != 1.0:
-        flags.add("threshold-scale-override")
-    total: set[int] = set()
-    contraction_ids: set[int] = set()
-    depth = 0
-    top_width = td.width
-    cur_g, cur_td = g, td
-    next_z = (max(g.vertices) + 1) if g.n else 0
-    while True:
+    kernel = passthrough_kernel(cfg.oracle.size_cap)
+    first_z = (max(g.vertices) + 1) if g.n else 0
+    contracted: list[int] = []
+
+    def step(cur_g, cur_td, flags):
         if cur_g.m == 0:
-            break
+            return frozenset(), (), False
         if not cur_g.is_connected():
             raise InternalInvariantViolation("cvc recursion lost connectivity")
         ntd = make_nice(cur_g, cur_td)
@@ -751,67 +661,33 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         res, fl = cvc_obtain_approx(
             cur_g, ntd.as_td(), delta, kernel, cfg.oracle, width=ell, threshold_scale=scale
         )
-        flags |= set(fl)
+        flags.update(fl)
         if res is not TOO_BIG:
-            total |= res.payload
-            break
+            return res.payload, (), False
         sc = make_subconnected(cur_g, ntd)
-        t, s_t, fl2 = find_cvc_split_node(
+        t, s_t, fl = find_cvc_split_node(
             cur_g, sc, delta, kernel, cfg.oracle, width=ell, threshold_scale=scale
         )
-        flags |= set(fl2)
-        children, vsets = rooted_subtree_vertices(sc)
-        v_t = vsets[t]
+        flags.update(fl)
         x_t = sc.bags[t]
-        sub = cur_g.induced_subgraph(v_t)
-        if x_t:
-            s_t_prime = connectify_vertex_cover(sub, x_t, s_t)
-        else:
-            s_t_prime = s_t
-        total |= s_t_prime.payload
-        depth += 1
         if not x_t:
-            # the piece was the whole remaining graph
-            break
-        z = next_z
-        next_z += 1
-        contraction_ids.add(z)
-        cur_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
-        pruned = _prune_rooted(sc, t, children)
-        cur_td = pruned.contract_bag_vertices(x_t, z)
-        rep = validate(cur_g, cur_td)
-        if not rep.valid:
-            raise InternalInvariantViolation(
-                "contracted decomposition invalid: " + "; ".join(rep.violations())
-            )
-    solution = Solution.of_vertices(frozenset(total) - contraction_ids)
-    _assert_feasible(CVC, g, solution, "cvc turing kernel")
-    return RunReport(
-        problem="cvc",
-        epsilon=eps,
-        threshold_scale=scale,
-        width=top_width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=cfg.audit.call_count,
-        max_query_vertices=cfg.audit.max_query_vertices,
-        declared_query_bound=None,  # exponent depends on the external PSAKS slot
-        thresholds={
-            "too_big_guard": 200.0 * top_width * top_width / delta * scale,
-            "piece_min_size": 10.0 * top_width / delta * scale,
-        },
-        flags=tuple(sorted(flags)),
+            return s_t.payload, (), True  # the piece was the whole remaining graph
+        v_t = rooted_subtree_vertices(sc)[1][t]
+        piece = connectify_vertex_cover(cur_g.induced_subgraph(v_t), x_t, s_t)
+        z = first_z + len(contracted)
+        contracted.append(z)
+        rest_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
+        rest_td = prune_subtree(sc, t, keep_t=True).contract_bag_vertices(x_t, z)
+        _require_valid(rest_g, rest_td, InternalInvariantViolation)
+        return piece.payload, [(rest_g, rest_td)], True
+
+    def bounds(width):
+        return None, {  # the exponent depends on the external PSAKS slot
+            "too_big_guard": 200.0 * width * width / delta * scale,
+            "piece_min_size": 10.0 * width / delta * scale,
+        }
+
+    return _drive(
+        "cvc", CVC, g, td, cfg, step,
+        lambda parts: Solution.of_vertices(_union(parts) - frozenset(contracted)), bounds,
     )
-
-
-def _prune_rooted(sc: TreeDecomposition, t: int, children: dict[int, tuple[int, ...]]) -> TreeDecomposition:
-    """Drop the strict subtree below ``t`` from a rooted decomposition."""
-    doomed: set[int] = set()
-    stack = list(children[t])
-    while stack:
-        s = stack.pop()
-        doomed.add(s)
-        stack.extend(children[s])
-    bags = {s: b for s, b in sc.bags.items() if s not in doomed}
-    edges = [(a, b) for a, b in sc.tree_edges if a not in doomed and b not in doomed]
-    return TreeDecomposition(bags, edges, root=sc.root)

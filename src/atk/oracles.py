@@ -66,12 +66,6 @@ class OracleAudit:
     def reset(self) -> None:
         self.calls.clear()
 
-    def snapshot(self) -> dict:
-        return {
-            "call_count": self.call_count,
-            "max_query_vertices": self.max_query_vertices,
-        }
-
 
 class Oracle:
     """A named solver with a declared approximation ratio and size cap."""
@@ -367,17 +361,8 @@ def _min_clique_cover(g: Graph) -> frozenset[frozenset[int]]:
     return best[0]
 
 
-def _all_triangles(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for u, v in g.edges():
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w > v:
-                out.append((u, v, w))
-    return out
-
-
 def _max_etp(g: Graph) -> frozenset[frozenset[int]]:
-    tris = _all_triangles(g)
+    tris = list(g.triangles())
     tri_edges = [
         (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))) for a, b, c in tris
     ]
@@ -580,6 +565,8 @@ def lossy_wrap(inner: Oracle, target_c: float) -> Oracle:
     to floor(target_c * value); maximization solutions are truncated to
     ceil(value / target_c).
     """
+    if not math.isfinite(target_c):
+        raise ValueError("target ratio must be finite")
     if target_c < 1:
         raise ValueError("target ratio must be at least 1")
     if target_c < inner.declared_ratio:

@@ -52,8 +52,9 @@ FVS = ProblemKind("fvs")
 EDS = ProblemKind("eds")
 CLIQUE_COVER = ProblemKind("cc")
 
+KINDS = {kind.name: kind for kind in (VC, IS, ECC, ETP, CVC, FVS, EDS, CLIQUE_COVER)}
+
 MINIMIZATION = {"vc", "ecc", "cvc", "fvs", "eds", "cc"}
-MAXIMIZATION = {"is", "etp", "hpack"}
 
 
 def h_packing(pattern: Graph) -> ProblemKind:
@@ -109,10 +110,6 @@ def _induces_clique(g: Graph, vs: frozenset[int]) -> bool:
     return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
 
 
-def _is_triangle(g: Graph, vs: frozenset[int]) -> bool:
-    return len(vs) == 3 and _induces_clique(g, vs)
-
-
 def contains_pattern(g: Graph, vs: frozenset[int], pattern: Graph) -> bool:
     """True if g[vs] contains ``pattern`` as a (not necessarily induced) subgraph."""
     if len(vs) != pattern.n:
@@ -157,22 +154,19 @@ def is_feasible(kind: ProblemKind, g: Graph, sol: Solution) -> bool:
                 return False
         covered = {v for e in payload for v in e}
         return all(u in covered or v in covered for u, v in g.edges())
-    if name == "ecc":
+    if name in ("ecc", "cc"):
         for c in payload:
             if not c or not all(g.has_vertex(v) for v in c) or not _induces_clique(g, c):
                 return False
-        return all(any(u in c and v in c for c in payload) for u, v in g.edges())
-    if name == "cc":
-        for c in payload:
-            if not c or not all(g.has_vertex(v) for v in c) or not _induces_clique(g, c):
-                return False
+        if name == "ecc":
+            return all(any(u in c and v in c for c in payload) for u, v in g.edges())
         covered = {v for c in payload for v in c}
         return covered >= g.vertex_set
     if name == "etp":
         used: set[frozenset[int]] = set()
         for t in payload:
             t = frozenset(t)
-            if not _is_triangle(g, t):
+            if len(t) != 3 or not _induces_clique(g, t):
                 return False
             a, b, c = sorted(t)
             for e in (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
-from .graph import Graph
+from .graph import Graph, _components, _reach
 
 
 class TreeDecomposition:
@@ -38,7 +38,8 @@ class TreeDecomposition:
             adj[a].add(b)
             adj[b].add(a)
             edges.append((a, b))
-        if len(edges) != len(self.bags) - 1 or not _tree_connected(adj):
+        reached = _reach(adj.__getitem__, next(iter(adj)))
+        if len(edges) != len(self.bags) - 1 or len(reached) != len(adj):
             raise ValueError("tree edges do not form a tree")
         self.tree_adj: dict[int, tuple[int, ...]] = {t: tuple(sorted(ns)) for t, ns in adj.items()}
         self.tree_edges: tuple[tuple[int, int], ...] = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
@@ -83,19 +84,6 @@ class TreeDecomposition:
             t: ((b - old) | {z}) if b & old else b for t, b in self.bags.items()
         }
         return TreeDecomposition(bags, self.tree_edges, root=self.root)
-
-
-def _tree_connected(adj: dict[int, set[int]]) -> bool:
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        t = queue.popleft()
-        for s in adj[t]:
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return len(seen) == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +141,7 @@ def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
     broken = []
     for v in sorted(occurs):
         nodes = set(occurs[v])
-        start = occurs[v][0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for s in td.tree_adj[t]:
-                if s in nodes and s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-        if len(seen) != len(nodes):
+        if len(_reach(td.tree_adj.__getitem__, occurs[v][0], nodes)) != len(nodes):
             broken.append(v)
     return ValidationReport(
         uncovered_vertices=uncovered_vertices,
@@ -214,23 +193,10 @@ class NiceTreeDecomposition:
 
     def postorder(self) -> list[int]:
         """Children-before-parent node order (iterative; trees can be deep)."""
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            out.append(t)
-            stack.extend(self.children[t])
-        out.reverse()
-        return out
+        return _preorder(self.children, self.root)[::-1]
 
     def subtree_nodes(self, t: int) -> list[int]:
-        out = []
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            out.append(s)
-            stack.extend(self.children[s])
-        return out
+        return _preorder(self.children, t)
 
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t in range(self.n_nodes) for c in self.children[t]]
@@ -407,9 +373,6 @@ class SubtreeIndex:
     def local_vertices(self, t: int) -> frozenset[int]:
         return self.v_set(t) - self.ntd.bags[t]
 
-    def as_dict(self) -> dict[int, frozenset[int]]:
-        return {t: self.v_set(t) for t in range(self.ntd.n_nodes)}
-
 
 def find_node_by_local_size(
     ntd: NiceTreeDecomposition, index: SubtreeIndex, lo: float, hi: float
@@ -463,7 +426,7 @@ def make_subconnected(g: Graph, ntd: NiceTreeDecomposition) -> TreeDecomposition
         if not vertex_pool:
             pieces[t] = []
             continue
-        comps = _components_within(g, vertex_pool)
+        comps = _components(g.neighbors, vertex_pool)
         out: list[tuple[int, frozenset[int]]] = []
         for comp in comps:
             nid = counter
@@ -484,36 +447,11 @@ def make_subconnected(g: Graph, ntd: NiceTreeDecomposition) -> TreeDecomposition
     return TreeDecomposition(new_bags, edges, root=root_id)
 
 
-def _components_within(g: Graph, pool: set[int]) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in pool and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def rooted_subtree_vertices(td: TreeDecomposition) -> tuple[dict[int, tuple[int, ...]], dict[int, frozenset[int]]]:
     """Children map and V_t sets for a rooted (not necessarily nice) decomposition."""
     root, children, _parent = td.rooted_children()
     vsets: dict[int, frozenset[int]] = {}
-    order = []
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        order.append(t)
-        stack.extend(children[t])
-    for t in reversed(order):
+    for t in reversed(_preorder(children, root)):
         acc = set(td.bags[t])
         for c in children[t]:
             acc |= vsets[c]
@@ -527,30 +465,39 @@ def rooted_subtree_vertices(td: TreeDecomposition) -> tuple[dict[int, tuple[int,
 
 
 def prune_subtree(
-    ntd: NiceTreeDecomposition,
+    td: NiceTreeDecomposition | TreeDecomposition,
     t: int,
     keep_t: bool,
     drop_from_bags: frozenset[int] = frozenset(),
 ) -> TreeDecomposition:
     """Remove the subtree rooted at ``t`` (optionally keeping ``t`` itself)
-    and delete ``drop_from_bags`` from every remaining bag."""
-    if t == ntd.root:
+    and delete ``drop_from_bags`` from every remaining bag.
+
+    ``td`` is a nice decomposition or a rooted plain one.
+    """
+    if t == td.root and not keep_t:
         raise ValueError("cannot prune the whole decomposition")
-    doomed = set(ntd.subtree_nodes(t))
+    if isinstance(td, NiceTreeDecomposition):
+        nodes, children = range(td.n_nodes), td.children
+    else:
+        nodes, (_, children, _) = td.bags, td.rooted_children()
+    doomed = set(_preorder(children, t))
     if keep_t:
         doomed.discard(t)
-    bags = {
-        s: (ntd.bags[s] - drop_from_bags)
-        for s in range(ntd.n_nodes)
-        if s not in doomed
-    }
-    edges = [
-        (s, c)
-        for s in bags
-        for c in ntd.children[s]
-        if c in bags
-    ]
-    return TreeDecomposition(bags, edges, root=ntd.root)
+    bags = {s: td.bags[s] - drop_from_bags for s in nodes if s not in doomed}
+    edges = [(s, c) for s in bags for c in children[s] if c in bags]
+    return TreeDecomposition(bags, edges, root=td.root)
+
+
+def _preorder(children, t: int) -> list[int]:
+    """The subtree of ``t``, parents before children (iterative; trees can be deep)."""
+    out = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        out.append(s)
+        stack.extend(children[s])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from atk.approx import (
-    augment_triangle_packing,
     clique_cover_kernel,
     clique_cover_trivial,
     connectify_vertex_cover,
@@ -217,52 +216,6 @@ def test_solve_vc_small_query_bound():
         assert is_feasible(VC, g, sol)
         assert sol.value == opt  # exact oracle: the reduction is lossless
         assert audit.max_query_vertices <= 2 * opt
-
-
-# ---------------------------------------------------------------------------
-# Triangle packing augmentation
-# ---------------------------------------------------------------------------
-
-
-def test_augment_from_empty():
-    g = triangle_chain(2)
-    out = augment_triangle_packing(g, Solution.of_family(()))
-    assert out.value == 2
-
-
-def test_augment_idempotent_at_fixpoint():
-    g = triangle_chain(3)
-    first = augment_triangle_packing(g, Solution.of_family(()))
-    again = augment_triangle_packing(g, first)
-    assert again.payload == first.payload
-
-
-def test_augment_bowtie_swap_rule():
-    # two triangles sharing vertex 3; starting from the middle triangle
-    # {1,3,4} forces the trade rule, reaching the optimum of 2
-    g = Graph(range(1, 6), [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (1, 4)])
-    start = Solution.of_family([frozenset({1, 3, 4})])
-    out = augment_triangle_packing(g, start)
-    assert out.value >= 2
-    assert is_feasible(ETP, g, out)
-    assert brute_force_solve(ETP, g).value == 2
-
-
-def test_augment_rejects_invalid_start():
-    g = triangle_chain(1)
-    with pytest.raises(ValueError):
-        augment_triangle_packing(g, Solution.of_family([frozenset({1, 2, 9})]))
-
-
-def test_augment_monotone_random():
-    rng = random.Random(6)
-    for _ in range(60):
-        g = gnp_graph(rng, rng.randint(3, 10), 0.5)
-        base = greedy_triangle_packing(g)
-        keep = frozenset(t for t in base.payload if rng.random() < 0.5)
-        out = augment_triangle_packing(g, Solution.of_family(keep))
-        assert out.value >= len(keep)
-        assert is_feasible(ETP, g, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -216,3 +218,15 @@ def test_friendly_rejects_bad_epsilon():
     g = path_graph(4)
     with pytest.raises(ValueError):
         approx_friendly_turing(g, heuristic_td(g), 0.0, REG["vc"], exact_brute_oracle())
+
+
+def test_friendly_engine_stack_does_not_grow_with_depth():
+    # 77 split levels; a recursive engine needs a frame per level
+    g, td = gen_partial_ktree(300, 1, 1.0, seed=3)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        rep = approx_friendly_turing(g, td, 1.0, REG["vc"], exact_dp_oracle(), 0.05)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert rep.recursion_depth == 77

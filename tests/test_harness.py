@@ -193,6 +193,30 @@ def test_cli_friendly_engine(tmp_path):
     assert row["ratio"] is not None and 2 * row["value"] >= row["opt"]
 
 
+@pytest.mark.parametrize(
+    "engine, flags, reason",
+    [
+        ("friendly", ["--threshold-scale", "0"], "threshold_scale"),
+        ("friendly", ["--threshold-scale", "-1"], "threshold_scale"),
+        ("friendly", ["--threshold-scale", "nan"], "threshold_scale"),
+        ("direct", ["--threshold-scale", "nan"], "threshold_scale"),
+        ("direct", ["--oracle", "lossy:inf"], "target ratio"),
+        ("direct", ["--oracle", "lossy:nan"], "target ratio"),
+    ],
+)
+def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, engine, flags, reason):
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "g.td"
+    main(["gen", "--n", "40", "--k", "2", "--p", "0.9", "--seed", "3",
+          "--out", str(gr), "--td-out", str(td)])
+    capsys.readouterr()
+    argv = ["solve", "--problem", "vc", "--engine", engine, "--eps", "0.5",
+            "--graph", str(gr), "--td", str(td), "--oracle", "exact-dp", *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+
+
 def test_cli_td_transforms(tmp_path):
     gr = tmp_path / "g.gr"
     td = tmp_path / "g.td"
