@@ -324,7 +324,7 @@ def find_split_node(
             hint = cache.solution(t)
     local = cache.idx.local_vertices(t)
     sub = g.induced_subgraph(local)
-    sol, fl = _psaks_solve(problem, slot, sub, budget, oracle, ntd.as_td().restrict(local))
+    sol, fl = _psaks_solve(problem, slot, sub, budget, oracle, ntd.subtree_td(t, local))
     flags |= set(fl)
     if not maximize and hint is not None:
         sol = _best(problem, sol, hint)

@@ -296,7 +296,7 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
             return solve_vc_small(cur_g, cfg.oracle, ntd.as_td()).payload, (), False
         choice = find_vc_split_node(cur_g, ntd, eps, scale)
         sub = cur_g.induced_subgraph(choice.local_vertices)
-        sol_t = solve_vc_small(sub, cfg.oracle, ntd.as_td().restrict(choice.local_vertices))
+        sol_t = solve_vc_small(sub, cfg.oracle, ntd.subtree_td(choice.node, choice.local_vertices))
         x_t = ntd.bags[choice.node]
         rest_g = cur_g.remove_vertices(choice.local_vertices | x_t)
         rest_td = prune_subtree(ntd, choice.node, keep_t=False, drop_from_bags=x_t)
@@ -328,18 +328,18 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
         ntd = make_nice(cur_g, cur_td)
         lo = (ntd.width + 1) ** 2 / eps * scale
         hi = 10.0 * lo
-        if cur_g.n <= hi:
+        lo_eff = max(lo, 1.0)
+        hi_eff = max(hi, 2.0 * lo_eff)
+        if cur_g.n > hi and (lo_eff != lo or hi_eff != hi):
+            flags.add("window-clamped")
+        if cur_g.n <= hi_eff:  # a window this wide would pick the root
             if cur_g.n == 0:
                 return frozenset(), (), False
             return _solve(cfg.oracle, IS, cur_g, ntd.as_td()).payload, (), False
-        lo_eff = max(lo, 1.0)
-        hi_eff = max(hi, 2.0 * lo_eff)
-        if lo_eff != lo or hi_eff != hi:
-            flags.add("window-clamped")
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo_eff, hi_eff)
         local = idx.local_vertices(t)
-        sol_t = _solve(cfg.oracle, IS, cur_g.induced_subgraph(local), ntd.as_td().restrict(local))
+        sol_t = _solve(cfg.oracle, IS, cur_g.induced_subgraph(local), ntd.subtree_td(t, local))
         rest_g = cur_g.remove_vertices(idx.v_set(t))
         rest_td = prune_subtree(ntd, t, keep_t=False, drop_from_bags=ntd.bags[t])
         return sol_t.payload, [(rest_g, rest_td)], True
@@ -374,7 +374,8 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             return frozenset(), (), False  # isolated vertices carry no edges to cover
         comps = cur_g.connected_components()
         if len(comps) > 1:
-            pieces = [(cur_g.induced_subgraph(c), cur_td.restrict(c)) for c in comps]
+            tds = cur_td.split_components(comps)
+            pieces = [(cur_g.induced_subgraph(c), c_td) for c, c_td in zip(comps, tds)]
             return frozenset(), pieces, False
         ntd = make_nice(cur_g, cur_td)
         base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
@@ -384,7 +385,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo, 2.0 * lo)
         v_t = idx.v_set(t)
-        sol_t = _solve(cfg.oracle, ECC, cur_g.induced_subgraph(v_t), ntd.as_td().restrict(v_t))
+        sol_t = _solve(cfg.oracle, ECC, cur_g.induced_subgraph(v_t), ntd.subtree_td(t, v_t))
         if t == ntd.root:
             return sol_t.payload, (), True  # the window covered the whole graph
         rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
@@ -408,18 +409,17 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 
 def solve_etp_small(
     g: Graph,
-    k: float,
+    s3: Solution,
     kernel: ApproximateKernel,
     oracle: Oracle,
     td: TreeDecomposition | None = None,
 ) -> tuple[Solution, tuple[str, ...]]:
-    """Pack triangles in a graph whose optimum is certified at most ``k``.
+    """Pack triangles in g through the kernel slot and the oracle.
 
-    A fresh 3-approximation bounds the kernel budget; if the kernel slot
-    refuses, the 3-approximation itself is returned with a degraded-ratio
-    flag instead of failing the run.
+    The caller's 3-approximation ``s3`` of g bounds the kernel budget; if
+    the kernel slot refuses, ``s3`` itself is returned with a
+    degraded-ratio flag instead of failing the run.
     """
-    s3 = greedy_triangle_packing(g)
     try:
         lifted = _kernel_query(ETP, g, 3 * s3.value, kernel, oracle, td)
     except KernelRefusal:
@@ -463,7 +463,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
                 rest = (cur_g.remove_vertices(local), prune_subtree(ntd, node, keep_t=True))
                 return sol_t.payload, [rest], True
             flags.add("etp-empty-split-fallback")
-        sol, fl = solve_etp_small(cur_g, 3 * s3.value, kernel, cfg.oracle, ntd.as_td())
+        sol, fl = solve_etp_small(cur_g, s3, kernel, cfg.oracle, ntd.as_td())
         flags.update(fl)
         return sol.payload, (), False
 
@@ -499,7 +499,7 @@ def _find_etp_split(
         return s3.value, (s3, gt)
 
     node, local, _, (s3, gt) = _descend(g, ntd, measure, 6.0 * unit, floor=unit)
-    sol, fl = solve_etp_small(gt, 3 * s3.value, kernel, oracle)
+    sol, fl = solve_etp_small(gt, s3, kernel, oracle)
     return node, local, sol, fl
 
 
@@ -580,9 +580,10 @@ def find_cvc_split_node(
     *,
     width: int,
     threshold_scale: float = 1.0,
-) -> tuple[int, Solution, tuple[str, ...]]:
+) -> tuple[int, frozenset[int], Solution, tuple[str, ...]]:
     """Descend the subconnected decomposition to a child whose contracted
     local instance yields an approximate cover of size >= 10*width/delta.
+    Returns the node, its V_t, the cover and the flags raised.
 
     Recurses into any child whose optimum is still certified too big; if
     every child answers small, the analysis is contradicted, which is an
@@ -613,7 +614,7 @@ def find_cvc_split_node(
         qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
         if qualifying:
             c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))
-            return c, sol, tuple(sorted(flags))
+            return c, vsets[c], sol, tuple(sorted(flags))
         if threshold_scale == 1.0:
             raise InternalInvariantViolation(
                 "cvc descent exhausted: every child answered below the size window"
@@ -632,7 +633,7 @@ def find_cvc_split_node(
         if not is_feasible(CVC, gc, fallback):
             raise InternalInvariantViolation("cvc fallback union cover infeasible")
         flags.add("cvc-descent-exhausted-fallback")
-        return t, fallback, tuple(sorted(flags))
+        return t, vsets[t], fallback, tuple(sorted(flags))
 
 
 def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -665,14 +666,13 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         if res is not TOO_BIG:
             return res.payload, (), False
         sc = make_subconnected(cur_g, ntd)
-        t, s_t, fl = find_cvc_split_node(
+        t, v_t, s_t, fl = find_cvc_split_node(
             cur_g, sc, delta, kernel, cfg.oracle, width=ell, threshold_scale=scale
         )
         flags.update(fl)
         x_t = sc.bags[t]
         if not x_t:
             return s_t.payload, (), True  # the piece was the whole remaining graph
-        v_t = rooted_subtree_vertices(sc)[1][t]
         piece = connectify_vertex_cover(cur_g.induced_subgraph(v_t), x_t, s_t)
         z = first_z + len(contracted)
         contracted.append(z)

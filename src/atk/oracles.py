@@ -479,7 +479,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     bad = ntd.nice_violations()
     if bad:
         raise ValueError("not a nice tree decomposition: " + "; ".join(bad))
-    report = validate(g, ntd.as_td())
+    report = validate(g, ntd)
     if not report.valid:
         raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
     maximize = kind.name == "is"

@@ -8,7 +8,6 @@ connected subgraph, with a bounded number of children per node.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,28 +54,52 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
 
-    def rooted_children(self, root: int | None = None) -> tuple[int, dict[int, tuple[int, ...]], dict[int, int | None]]:
-        """Orient the tree from ``root``; returns (root, children, parent)."""
-        r = root if root is not None else self.root
-        if r is None:
-            r = self.nodes[0]
+    def parents(self) -> dict[int, int | None]:
+        """Parent of every node, oriented from the root (or the lowest node)."""
+        r = self.root if self.root is not None else min(self.bags)
         parent: dict[int, int | None] = {r: None}
-        children: dict[int, list[int]] = {t: [] for t in self.bags}
-        queue = deque([r])
-        while queue:
-            t = queue.popleft()
+        stack = [r]
+        while stack:
+            t = stack.pop()
             for s in self.tree_adj[t]:
                 if s not in parent:
                     parent[s] = t
-                    children[t].append(s)
-                    queue.append(s)
-        return r, {t: tuple(sorted(c)) for t, c in children.items()}, parent
+                    stack.append(s)
+        return parent
+
+    def rooted_children(self) -> tuple[int, dict[int, tuple[int, ...]]]:
+        """Orient the tree as ``parents`` does; returns (root, children)."""
+        parent = self.parents()
+        children: dict[int, list[int]] = {t: [] for t in self.bags}
+        for s, p in parent.items():
+            if p is not None:
+                children[p].append(s)
+        return next(iter(parent)), {t: tuple(sorted(c)) for t, c in children.items()}
 
     def restrict(self, keep: frozenset[int]) -> "TreeDecomposition":
         """Restrict every bag to ``keep`` (valid for the induced subgraph)."""
         return TreeDecomposition(
             {t: b & keep for t, b in self.bags.items()}, self.tree_edges, root=self.root
         )
+
+    def split_components(self, comps: list[frozenset[int]]) -> list["TreeDecomposition"]:
+        """One decomposition per graph component, built in one pass.
+
+        Each holds the nodes whose bag meets its component, with bags cut
+        down to it. These nodes form a subtree: every trace is connected,
+        and adjacent vertices share a bag.
+        """
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        bags: list[dict[int, set[int]]] = [{} for _ in comps]
+        for t, bag in self.bags.items():
+            for v in bag:
+                bags[comp_of[v]].setdefault(t, set()).add(v)
+        edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+        for a, b in self.tree_edges:
+            for i in {comp_of[v] for v in self.bags[a]}:
+                if b in bags[i]:
+                    edges[i].append((a, b))
+        return [TreeDecomposition(b, e) for b, e in zip(bags, edges)]
 
     def contract_bag_vertices(self, old: frozenset[int], z: int) -> "TreeDecomposition":
         """Replace any occurrence of a vertex from ``old`` by ``z`` in all bags."""
@@ -123,31 +146,52 @@ class ValidationReport:
         return out
 
 
-def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check the three decomposition conditions; violations are data."""
-    occurs: dict[int, list[int]] = {}
-    foreign: set[int] = set()
-    for t in td.nodes:
-        for v in td.bags[t]:
-            if not g.has_vertex(v):
-                foreign.add(v)
-            occurs.setdefault(v, []).append(t)
-    uncovered_vertices = tuple(v for v in g.vertices if v not in occurs)
-    uncovered_edges = tuple(
-        (u, v)
-        for u, v in g.edges()
-        if u in occurs and v in occurs and not (set(occurs[u]) & set(occurs[v]))
-    ) + tuple((u, v) for u, v in g.edges() if u not in occurs or v not in occurs)
-    broken = []
-    for v in sorted(occurs):
-        nodes = set(occurs[v])
-        if len(_reach(td.tree_adj.__getitem__, occurs[v][0], nodes)) != len(nodes):
-            broken.append(v)
+def validate(g: Graph, td: "TreeDecomposition | NiceTreeDecomposition") -> ValidationReport:
+    """Check the three decomposition conditions; violations are data.
+
+    Runs in O(sum of bag sizes + m). A vertex's trace is connected iff
+    exactly one node holding it has a parent without it, its top node. Two
+    connected traces meet iff one holds the other's top node, so an edge is
+    covered iff one endpoint is in the bag of the other's top node. Edges
+    at a vertex with a broken trace fall back to intersecting the traces.
+    """
+    if isinstance(td, NiceTreeDecomposition):
+        bags, nodes, parent = td.bags, range(td.n_nodes), td.parent
+    else:
+        bags, nodes, parent = td.bags, td.bags, td.parents()
+    top: dict[int, int] = {}
+    broken: set[int] = set()
+    for t in nodes:
+        p = parent[t]
+        above = bags[p] if p is not None else ()
+        for v in bags[t]:
+            if v not in above:
+                if v in top:
+                    broken.add(v)
+                else:
+                    top[v] = t
+    occurs: dict[int, set[int]] = {}
+    if broken:
+        for t in nodes:
+            for v in bags[t]:
+                occurs.setdefault(v, set()).add(t)
+    uncovered_edges = []
+    for u in g.vertices:
+        for v in g.neighbors(u):
+            if u > v:
+                continue
+            if u not in top or v not in top:
+                uncovered_edges.append((u, v))
+            elif u in broken or v in broken:
+                if not occurs[u] & occurs[v]:
+                    uncovered_edges.append((u, v))
+            elif v not in bags[top[u]] and u not in bags[top[v]]:
+                uncovered_edges.append((u, v))
     return ValidationReport(
-        uncovered_vertices=uncovered_vertices,
-        uncovered_edges=tuple(sorted(set(uncovered_edges))),
-        broken_traces=tuple(broken),
-        foreign_bag_vertices=tuple(sorted(foreign)),
+        uncovered_vertices=tuple(v for v in g.vertices if v not in top),
+        uncovered_edges=tuple(sorted(uncovered_edges)),
+        broken_traces=tuple(sorted(broken)),
+        foreign_bag_vertices=tuple(sorted(v for v in top if not g.has_vertex(v))),
         width=td.width,
     )
 
@@ -182,14 +226,11 @@ class NiceTreeDecomposition:
         for t, kids in enumerate(children):
             for c in kids:
                 self.parent[c] = t
+        self.width = max(len(b) for b in bags) - 1
 
     @property
     def n_nodes(self) -> int:
         return len(self.bags)
-
-    @property
-    def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
 
     def postorder(self) -> list[int]:
         """Children-before-parent node order (iterative; trees can be deep)."""
@@ -198,6 +239,21 @@ class NiceTreeDecomposition:
     def subtree_nodes(self, t: int) -> list[int]:
         return _preorder(self.children, t)
 
+    def subtree_td(self, t: int, keep: frozenset[int]) -> TreeDecomposition:
+        """The subtree of ``t`` as a plain decomposition rooted at ``t``,
+        with bags cut down to ``keep``.
+
+        It decomposes G[keep] for any ``keep`` within V_t: a vertex of
+        V_t \\ X_t occurs only below t, so the subtree holds its whole trace
+        and every edge at it.
+        """
+        nodes = _preorder(self.children, t)
+        return TreeDecomposition(
+            {s: self.bags[s] & keep for s in nodes},
+            [(s, c) for s in nodes for c in self.children[s]],
+            root=t,
+        )
+
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t in range(self.n_nodes) for c in self.children[t]]
         return TreeDecomposition(
@@ -205,6 +261,10 @@ class NiceTreeDecomposition:
         )
 
     def nice_violations(self) -> list[str]:
+        kids = sorted(c for cs in self.children for c in cs)
+        one_parent_each = kids == [t for t in range(self.n_nodes) if t != self.root]
+        if not one_parent_each or len(self.postorder()) != self.n_nodes:
+            return ["children do not form a tree below the root"]
         out = []
         if self.bags[self.root]:
             out.append("root bag not empty")
@@ -449,7 +509,7 @@ def make_subconnected(g: Graph, ntd: NiceTreeDecomposition) -> TreeDecomposition
 
 def rooted_subtree_vertices(td: TreeDecomposition) -> tuple[dict[int, tuple[int, ...]], dict[int, frozenset[int]]]:
     """Children map and V_t sets for a rooted (not necessarily nice) decomposition."""
-    root, children, _parent = td.rooted_children()
+    root, children = td.rooted_children()
     vsets: dict[int, frozenset[int]] = {}
     for t in reversed(_preorder(children, root)):
         acc = set(td.bags[t])
@@ -480,7 +540,7 @@ def prune_subtree(
     if isinstance(td, NiceTreeDecomposition):
         nodes, children = range(td.n_nodes), td.children
     else:
-        nodes, (_, children, _) = td.bags, td.rooted_children()
+        nodes, (_, children) = td.bags, td.rooted_children()
     doomed = set(_preorder(children, t))
     if keep_t:
         doomed.discard(t)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from atk.graph import Graph
+from atk.graph import Graph, _reach
+from atk.treedecomp import TreeDecomposition, ValidationReport
 
 
 def path_graph(n: int, start: int = 1) -> Graph:
@@ -59,3 +60,32 @@ def triangle_chain(count: int) -> Graph:
         edges += [(a, b), (b, c), (a, c)]
         vs |= {a, b, c}
     return Graph(sorted(vs), edges)
+
+
+def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
+    """The BFS-per-trace validation, kept as the reference for ``validate``."""
+    occurs: dict[int, list[int]] = {}
+    foreign: set[int] = set()
+    for t in td.nodes:
+        for v in td.bags[t]:
+            if not g.has_vertex(v):
+                foreign.add(v)
+            occurs.setdefault(v, []).append(t)
+    uncovered_vertices = tuple(v for v in g.vertices if v not in occurs)
+    uncovered_edges = tuple(
+        (u, v)
+        for u, v in g.edges()
+        if u in occurs and v in occurs and not (set(occurs[u]) & set(occurs[v]))
+    ) + tuple((u, v) for u, v in g.edges() if u not in occurs or v not in occurs)
+    broken = []
+    for v in sorted(occurs):
+        nodes = set(occurs[v])
+        if len(_reach(td.tree_adj.__getitem__, occurs[v][0], nodes)) != len(nodes):
+            broken.append(v)
+    return ValidationReport(
+        uncovered_vertices=uncovered_vertices,
+        uncovered_edges=tuple(sorted(set(uncovered_edges))),
+        broken_traces=tuple(broken),
+        foreign_bag_vertices=tuple(sorted(foreign)),
+        width=td.width,
+    )

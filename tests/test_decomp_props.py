@@ -1,0 +1,118 @@
+"""Property tests for decomposition checking and per-piece decompositions.
+
+``validate`` is checked against the BFS-per-trace reference in ``helpers``
+on generated decompositions, intact and corrupted; the subtree and
+component helpers must always hand back valid decompositions of their
+piece.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atk.generate import gen_partial_ktree
+from atk.treedecomp import (
+    NiceTreeDecomposition,
+    SubtreeIndex,
+    TreeDecomposition,
+    make_nice,
+    validate,
+)
+from helpers import reference_validate
+
+CORRUPTIONS = ("drop-vertex", "split-trace", "unshare-edge", "foreign-vertex")
+
+
+@st.composite
+def instances(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 40))
+    p = draw(st.floats(0.3, 1.0))
+    seed = draw(st.integers(0, 10_000))
+    return gen_partial_ktree(n, k, p, seed)
+
+
+def _corrupt(g, bags, tree_adj, kind, rng):
+    """Apply one corruption to ``bags`` (node -> set) in place."""
+    nodes = sorted(bags)
+    if kind == "drop-vertex":
+        t = rng.choice(nodes)
+        if bags[t]:
+            bags[t].discard(rng.choice(sorted(bags[t])))
+    elif kind == "split-trace":
+        # put a vertex into a bag away from its trace
+        v = rng.choice(g.vertices)
+        far = [t for t in nodes if v not in bags[t] and not any(v in bags[s] for s in tree_adj[t])]
+        if far:
+            bags[rng.choice(far)].add(v)
+    elif kind == "unshare-edge":
+        edges = list(g.edges())
+        if edges:
+            u, v = rng.choice(edges)
+            for t in nodes:
+                if u in bags[t] and v in bags[t]:
+                    bags[t].discard(rng.choice((u, v)))
+    else:
+        bags[rng.choice(nodes)].add(max(g.vertices) + 1 + rng.randrange(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    instances(),
+    st.lists(st.sampled_from(CORRUPTIONS), max_size=3),
+    st.sampled_from(("unrooted", "rooted", "random-root")),
+    st.integers(0, 10_000),
+)
+def test_validate_matches_reference(inst, corruptions, rooting, salt):
+    g, td = inst
+    rng = random.Random(salt)
+    bags = {t: set(b) for t, b in td.bags.items()}
+    for kind in corruptions:
+        _corrupt(g, bags, td.tree_adj, kind, rng)
+    root = {"unrooted": None, "rooted": td.root, "random-root": rng.choice(td.nodes)}[rooting]
+    bad = TreeDecomposition(bags, td.tree_edges, root=root)
+    assert validate(g, bad) == reference_validate(g, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.booleans(), st.integers(0, 10_000))
+def test_validate_nice_matches_reference(inst, corrupt, salt):
+    g, td = inst
+    ntd = make_nice(g, td)
+    if corrupt:
+        rng = random.Random(salt)
+        bags = list(ntd.bags)
+        t = rng.randrange(ntd.n_nodes)
+        if bags[t]:
+            bags[t] = bags[t] - {rng.choice(sorted(bags[t]))}
+        ntd = NiceTreeDecomposition(bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root)
+    assert validate(g, ntd) == reference_validate(g, ntd.as_td())
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.integers(0, 10_000))
+def test_subtree_td_decomposes_its_piece(inst, salt):
+    g, td = inst
+    ntd = make_nice(g, td)
+    idx = SubtreeIndex(ntd)
+    t = random.Random(salt).randrange(ntd.n_nodes)
+    for keep in (idx.local_vertices(t), idx.v_set(t)):
+        sub_td = ntd.subtree_td(t, keep)
+        assert sub_td.root == t and set(sub_td.bags) == set(ntd.subtree_nodes(t))
+        assert validate(g.induced_subgraph(keep), sub_td).valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.integers(0, 10_000))
+def test_split_components_decomposes_each_component(inst, salt):
+    g, td = inst
+    rng = random.Random(salt)
+    # cutting vertices out leaves several components
+    cut = frozenset(rng.sample(g.vertices, g.n // 4))
+    rest = g.remove_vertices(cut)
+    rest_td = td.restrict(rest.vertex_set)
+    comps = rest.connected_components()
+    for comp, comp_td in zip(comps, rest_td.split_components(comps)):
+        assert set(comp_td.bags) == {t for t, b in rest_td.bags.items() if b & comp}
+        assert validate(rest.induced_subgraph(comp), comp_td).valid

@@ -217,6 +217,23 @@ def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, engine, flags, reaso
     assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
 
 
+def test_cli_direct_is_clamped_window_solves_small_remainder(tmp_path, capsys):
+    # Once the remainder has width 0 the scaled window drops below one
+    # vertex; the clamped window then covers the whole remainder, which is
+    # solved directly instead of split at the root.
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "g.td"
+    main(["gen", "--n", "50", "--k", "1", "--p", "0.8", "--seed", "0",
+          "--out", str(gr), "--td-out", str(td)])
+    capsys.readouterr()
+    argv = ["solve", "--problem", "is", "--engine", "direct", "--eps", "1.0",
+            "--graph", str(gr), "--td", str(td), "--oracle", "exact-dp",
+            "--threshold-scale", "0.05"]
+    assert main(argv) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert "window-clamped" in row["flags"] and row["recursion_depth"] > 0
+
+
 def test_cli_td_transforms(tmp_path):
     gr = tmp_path / "g.gr"
     td = tmp_path / "g.td"

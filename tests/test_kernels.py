@@ -17,8 +17,9 @@ from atk.kernels import (
     find_vc_split_node,
     solve_etp_small,
 )
-from atk.approx import passthrough_kernel
+from atk.approx import greedy_triangle_packing, passthrough_kernel
 from atk.oracles import (
+    Oracle,
     brute_force_solve,
     exact_brute_oracle,
     exact_dp_oracle,
@@ -27,7 +28,7 @@ from atk.oracles import (
     trianglefree_ecc_oracle,
 )
 from atk.problems import CVC, ECC, ETP, IS, VC, is_feasible
-from atk.treedecomp import heuristic_td, make_nice, make_subconnected
+from atk.treedecomp import TreeDecomposition, heuristic_td, make_nice, make_subconnected
 from helpers import (
     complete_graph,
     connected_gnp_graph,
@@ -116,6 +117,44 @@ def test_vc_engine_lossy_composition():
         assert rep.solution.value <= 1.5 * (1 + eps) * opt
 
 
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_vc_query_decompositions_are_sized_by_their_piece(n):
+    # Each query gets the subtree of its split node, so its decomposition
+    # has O(width) nodes per query vertex however large the graph is.
+    g, td = gen_partial_ktree(n, 3, 0.9, seed=7)
+    inner = exact_dp_oracle()
+    per_vertex = []
+
+    def recording(kind, q, q_td):
+        if q_td is not None:
+            per_vertex.append(len(q_td.bags) / q.n)
+        return inner.solve(kind, q, q_td)
+
+    rep = approx_vc_turing(g, td, KernelConfig(0.5, Oracle("rec", 1.0, inner.size_cap, recording)))
+    assert rep.recursion_depth > 0 and per_vertex
+    assert max(per_vertex) <= 4 * (rep.width + 1)
+
+
+def test_ecc_component_decompositions_hold_only_their_nodes(monkeypatch):
+    split = TreeDecomposition.split_components
+    seen = []
+
+    def recording(self, comps):
+        out = split(self, comps)
+        seen.append((self, comps, out))
+        return out
+
+    monkeypatch.setattr(TreeDecomposition, "split_components", recording)
+    g, td = gen_partial_ktree(300, 1, 0.8, seed=4)
+    rep = approx_ecc_turing(g, td, KernelConfig(0.5, trianglefree_ecc_oracle(), 0.05))
+    assert is_feasible(ECC, g, rep.solution) and seen
+    for whole, comps, tds in seen:
+        assert len(comps) == len(tds) > 1
+        for comp, comp_td in zip(comps, tds):
+            assert all(whole.bags[t] & comp for t in comp_td.bags)
+            assert all(comp_td.bags[t] == whole.bags[t] & comp for t in comp_td.bags)
+
+
 def test_vc_engine_rejects_invalid_td():
     g = path_graph(4)
     from atk.treedecomp import TreeDecomposition
@@ -201,19 +240,19 @@ def test_ecc_engine_components_add_up():
 def test_solve_etp_small_examples():
     kern = passthrough_kernel(18)
     oracle = exact_brute_oracle()
-    sol, flags = solve_etp_small(path_graph(5), 0, kern, oracle)
+    sol, flags = solve_etp_small(path_graph(5), greedy_triangle_packing(path_graph(5)), kern, oracle)
     assert sol.value == 0 and not flags
-    sol, _ = solve_etp_small(complete_graph(4), 3, kern, oracle)
+    sol, _ = solve_etp_small(complete_graph(4), greedy_triangle_packing(complete_graph(4)), kern, oracle)
     assert sol.value == 1
     two = Graph(range(1, 7), [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    sol, _ = solve_etp_small(two, 6, kern, oracle)
+    sol, _ = solve_etp_small(two, greedy_triangle_packing(two), kern, oracle)
     assert sol.value == 2
 
 
 def test_solve_etp_small_kernel_refusal_falls_back():
     g = triangle_chain(12)  # 25 vertices, over the passthrough cap
     kern = passthrough_kernel(18)
-    sol, flags = solve_etp_small(g, 36, kern, exact_brute_oracle())
+    sol, flags = solve_etp_small(g, greedy_triangle_packing(g), kern, exact_brute_oracle())
     assert "etp-kernel-refusal-3approx-fallback" in flags
     assert is_feasible(ETP, g, sol)
     assert sol.value >= 12 / 3
@@ -310,14 +349,14 @@ def test_cvc_find_split_caterpillar_scaled():
     ntd = make_nice(g, td)
     sc = make_subconnected(g, ntd)
     kern = passthrough_kernel(18)
-    t, sol, flags = find_cvc_split_node(
+    t, v_t, sol, flags = find_cvc_split_node(
         g, sc, 1 / 3, kern, exact_brute_oracle(), width=1, threshold_scale=0.01
     )
     from atk.treedecomp import rooted_subtree_vertices
 
-    children, vsets = rooted_subtree_vertices(sc)
+    assert v_t == rooted_subtree_vertices(sc)[1][t]
     x_t = sc.bags[t]
-    sub = g.induced_subgraph(vsets[t])
+    sub = g.induced_subgraph(v_t)
     gx = sub.identify_vertices(x_t, max(g.vertices) + 1) if x_t else sub
     assert is_feasible(CVC, gx, sol)
     assert sol.value >= 10 * 1 / (1 / 3) * 0.01

@@ -5,6 +5,7 @@ import pytest
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
 from atk.treedecomp import (
+    NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
     find_node_by_local_size,
@@ -246,6 +247,14 @@ def test_heuristic_td_always_valid():
         ]
         g = Graph(range(1, n + 1), edges)
         assert validate(g, heuristic_td(g)).valid
+
+
+def test_nice_violations_rejects_children_that_are_not_a_tree():
+    empty = [frozenset()] * 3
+    twice = NiceTreeDecomposition(empty, ["join", "leaf", "leaf"], [None] * 3, [(1, 1), (), ()], 0)
+    detached = NiceTreeDecomposition(empty, ["leaf", "forget", "forget"], [None] * 3, [(), (2,), (1,)], 0)
+    for bad in (twice, detached):
+        assert bad.nice_violations() == ["children do not form a tree below the root"]
 
 
 def test_prune_subtree_keeps_validity():
