@@ -1,6 +1,6 @@
 """Approximate Turing kernelization for graph problems parameterized by treewidth."""
 
-from .errors import InternalInvariantViolation, KernelRefusal, OracleRefused
+from .errors import InternalInvariantViolation, OracleRefused
 from .graph import Graph
 from .problems import (
     CLIQUE_COVER,
@@ -51,8 +51,6 @@ from .approx import (
     greedy_triangle_packing,
     maximal_h_packing,
     nt_reduce,
-    passthrough_kernel,
-    solve_vc_small,
     vc_2approx,
     vc_nt_kernel,
 )

@@ -13,11 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .errors import KernelRefusal
 from .graph import Graph
-from .oracles import Oracle
-from .problems import CVC, FVS, VC, Solution, contains_pattern, h_packing, is_feasible
-from .treedecomp import TreeDecomposition
+from .problems import CVC, FVS, Solution, contains_pattern, h_packing, is_feasible
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +149,6 @@ def nt_reduce(g: Graph) -> NTPartition:
         v1=frozenset(v for v, c in counts.items() if c == 2),
         lp_value=Fraction(len(cover_left) + len(cover_right), 2),
     )
-
-
-def solve_vc_small(g: Graph, oracle: Oracle, td: TreeDecomposition | None = None) -> Solution:
-    """Cover g by reducing to the half-integral core and querying the oracle.
-
-    The query graph has at most 2*OPT vertices; the answer plus the
-    LP-forced vertices is a cover within the oracle's ratio of optimal.
-    """
-    nt = nt_reduce(g)
-    sub = g.induced_subgraph(nt.vhalf)
-    if sub.m == 0:
-        inner: frozenset[int] = frozenset()
-    else:
-        sol = oracle.solve(VC, sub, td.restrict(nt.vhalf) if td is not None else None)
-        if not is_feasible(VC, sub, sol):
-            raise ValueError("oracle returned an infeasible vertex cover")
-        inner = sol.payload
-    return Solution.of_vertices(inner | nt.v1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +383,21 @@ def clique_cover_trivial(g: Graph) -> Solution:
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    graph: Graph
-    budget: float
-    lift: Callable[[Solution], Solution]
+    """The reduced graph to query and the lift of its solution back to the
+    input graph. With ``graph`` None the reducer already has the answer:
+    nothing is queried and ``lift`` gets None."""
+
+    graph: Graph | None
+    lift: Callable[[Solution | None], Solution]
 
 
 @dataclass(frozen=True)
 class ApproximateKernel:
-    """A reduction/solution-lifting pair with ratio alpha and size bound h.
+    """A reduction/solution-lifting pair with size bound h.
 
-    ``size_fn(delta, budget)`` bounds the reduced vertex count. Kernels may
-    refuse over-cap inputs; refusal is a first-class signal the caller
-    handles, not an error in the instance.
+    ``size_fn(delta, budget)`` bounds the reduced vertex count.
     """
 
-    name: str
-    ratio: float
     size_fn: Callable[[float, float], float]
     reducer: Callable[[Graph, float], ReducedInstance]
 
@@ -427,53 +405,43 @@ class ApproximateKernel:
         return self.reducer(g, budget)
 
 
-def passthrough_kernel(cap: float) -> ApproximateKernel:
-    """Identity reduction guarded by a size cap (the fallback PSAKS slot)."""
-
-    def reducer(g: Graph, budget: float) -> ReducedInstance:
-        if g.n > cap:
-            raise KernelRefusal(f"passthrough kernel cap {cap} exceeded by n={g.n}")
-        return ReducedInstance(g, budget, lambda s: s)
-
-    return ApproximateKernel("passthrough", 1.0, lambda d, m: cap, reducer)
-
-
 def vc_nt_kernel() -> ApproximateKernel:
-    """Vertex cover kernel with 2k vertices via the half-integral LP core."""
+    """Vertex cover kernel with 2k vertices via the half-integral LP core.
+
+    The query graph has at most 2*OPT vertices; its cover plus the
+    LP-forced vertices is within the oracle's ratio of optimal.
+    """
 
     def reducer(g: Graph, budget: float) -> ReducedInstance:
         nt = nt_reduce(g)
         if nt.lp_value > budget:
             # Optimum certified above budget: any over-budget answer is fine.
-            stub = Graph([0, 1], [(0, 1)])
             full = Solution.of_vertices(g.vertex_set)
-            return ReducedInstance(stub, 0, lambda s: full)
-        return ReducedInstance(
-            g.induced_subgraph(nt.vhalf),
-            budget - len(nt.v1),
-            lambda s: Solution.of_vertices(s.payload | nt.v1),
-        )
+            return ReducedInstance(None, lambda _: full)
+        core = g.induced_subgraph(nt.vhalf)
+        if core.m == 0:  # the LP-forced vertices already cover g
+            forced = Solution.of_vertices(nt.v1)
+            return ReducedInstance(None, lambda _: forced)
+        return ReducedInstance(core, lambda s: Solution.of_vertices(s.payload | nt.v1))
 
-    return ApproximateKernel("vc-nt", 1.0, lambda d, k: 2 * k, reducer)
+    return ApproximateKernel(lambda d, k: 2 * k, reducer)
 
 
 def is_degeneracy_kernel() -> ApproximateKernel:
     """Independent set kernel with (m+1)^2 vertices, budget m = value + width.
 
     Larger graphs are guaranteed to hold an independent set of size m+1,
-    which the lift finds greedily, ignoring the oracle's answer.
+    which the reducer finds greedily without a query.
     """
 
     def reducer(g: Graph, budget: float) -> ReducedInstance:
-        size = int(budget) + 1
         if g.n > (budget + 1) ** 2:
             sol = degeneracy_is(g)
-            if sol.value >= size:
-                stub = Graph(range(size))
-                return ReducedInstance(stub, budget, lambda s: sol)
-        return ReducedInstance(g, budget, lambda s: s)
+            if sol.value >= int(budget) + 1:
+                return ReducedInstance(None, lambda _: sol)
+        return ReducedInstance(g, lambda s: s)
 
-    return ApproximateKernel("is-degeneracy", 1.0, lambda d, m: (m + 1) ** 2, reducer)
+    return ApproximateKernel(lambda d, m: (m + 1) ** 2, reducer)
 
 
 def clique_cover_kernel() -> ApproximateKernel:
@@ -481,9 +449,8 @@ def clique_cover_kernel() -> ApproximateKernel:
 
     def reducer(g: Graph, budget: float) -> ReducedInstance:
         if g.n > budget * (budget + 1):
-            stub = Graph(range(int(budget) + 1))
             singletons = clique_cover_trivial(g)
-            return ReducedInstance(stub, budget, lambda s: singletons)
-        return ReducedInstance(g, budget, lambda s: s)
+            return ReducedInstance(None, lambda _: singletons)
+        return ReducedInstance(g, lambda s: s)
 
-    return ApproximateKernel("cc-trivial", 1.0, lambda d, m: m * (m + 1), reducer)
+    return ApproximateKernel(lambda d, m: m * (m + 1), reducer)

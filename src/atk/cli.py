@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .errors import InternalInvariantViolation, KernelRefusal, OracleRefused
+from .errors import InternalInvariantViolation, OracleRefused
 from .friendly import approx_friendly_turing, builtin_instances
 from .generate import gen_partial_ktree
 from .graph import Graph
@@ -247,12 +247,35 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+_NUMBER = (int, float)
+_SPEC_TYPES = {"problem": str, "engine": str, "oracle": str, "threshold_scale": _NUMBER,
+               "compute_opt": bool, "graph": str, "td": str, "generator": dict}
+_GENERATOR_TYPES = {"n": int, "k": int, "p": _NUMBER, "seed": int, "repetitions": int}
+
+
+def _check_spec_keys(obj: dict, types: dict, required: tuple[str, ...], where: str) -> None:
+    """Raise ValueError naming the first missing or mistyped key of ``obj``."""
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"bench spec: {where}{key!r} is missing")
+    for key, typ in types.items():
+        value = obj.get(key)
+        if key in obj and (isinstance(value, bool) != (typ is bool) or not isinstance(value, typ)):
+            raise ValueError(f"bench spec: {where}{key!r} has the wrong type")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("bench spec must be a JSON object")
+    source = "generator" if "generator" in spec else "graph"
+    _check_spec_keys(spec, _SPEC_TYPES, ("problem", "eps", source), "")
+    eps_list = spec["eps"] if isinstance(spec["eps"], list) else [spec["eps"]]
+    if not all(isinstance(e, _NUMBER) and not isinstance(e, bool) for e in eps_list):
+        raise ValueError("bench spec: 'eps' must be a number or a list of numbers")
     problem = spec["problem"]
     engine = spec.get("engine", "direct")
-    eps_list = spec["eps"] if isinstance(spec["eps"], list) else [spec["eps"]]
     oracle_name = spec.get("oracle", "exact-bf")
     scale = spec.get("threshold_scale", 1.0)
     want_opt = spec.get("compute_opt", True)
@@ -260,6 +283,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failures = 0
     if "generator" in spec:
         gen = spec["generator"]
+        _check_spec_keys(gen, _GENERATOR_TYPES, ("n", "k", "p", "seed"), "generator ")
         reps = gen.get("repetitions", 1)
         instances = []
         for rep in range(reps):
@@ -276,7 +300,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 row = run_one(g, td, problem, engine, eps, oracle_name, scale, want_opt)
                 row["seed"] = seed
                 rows.append(row)
-            except (ValueError, KernelRefusal, OracleRefused) as exc:
+            except (ValueError, OracleRefused) as exc:
                 failures += 1
                 rows.append({"problem": problem, "eps": eps, "seed": seed, "error": str(exc)})
     ok_rows = [r for r in rows if "error" not in r]
@@ -362,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, KernelRefusal, OracleRefused, OSError) as exc:
+    except (ParseError, ValueError, OracleRefused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

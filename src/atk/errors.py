@@ -5,9 +5,5 @@ class OracleRefused(RuntimeError):
     """An oracle declined a query that exceeds its size discipline."""
 
 
-class KernelRefusal(RuntimeError):
-    """A kernel slot declined to reduce an instance over its cap."""
-
-
 class InternalInvariantViolation(RuntimeError):
     """A case the underlying analysis rules out was observed at runtime."""

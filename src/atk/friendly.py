@@ -8,14 +8,13 @@ Six built-in instances are provided; the engine itself is problem-blind.
 
 The engine is one more step on the engine loop in ``kernels``: each level
 is a piece on the loop's stack, so the Python stack stays flat however
-deep the split chain goes. A problem's kernel slot is its own reduction
-when that is real, and otherwise a pass-through capped at the oracle's
-size cap.
+deep the split chain goes. A problem's kernel slot holds its own
+reduction where that is real; an empty slot queries the piece directly,
+and the oracle refuses a piece over its size cap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,13 +27,12 @@ from .approx import (
     fvs_2approx,
     is_degeneracy_kernel,
     maximal_h_packing,
-    passthrough_kernel,
     vc_2approx,
     vc_nt_kernel,
 )
-from .errors import InternalInvariantViolation, KernelRefusal
+from .errors import InternalInvariantViolation
 from .graph import Graph
-from .kernels import KernelConfig, RunReport, _drive, _kernel_query, _solve
+from .kernels import KernelConfig, RunReport, _drive, _query
 from .oracles import Oracle
 from .problems import (
     CLIQUE_COVER,
@@ -47,6 +45,7 @@ from .problems import (
     evaluate,
     h_packing,
     is_feasible,
+    is_minimization,
 )
 from .treedecomp import (
     NiceTreeDecomposition,
@@ -59,17 +58,23 @@ from .treedecomp import (
 
 @dataclass(frozen=True)
 class FriendlyProblem:
-    """A problem descriptor satisfying the four friendliness conditions."""
+    """A problem descriptor satisfying the four friendliness conditions.
+
+    ``psaks`` is the problem's reduce-and-lift kernel, or None where pieces
+    are queried directly.
+    """
 
     name: str
     kind: ProblemKind
-    direction: str  # "min" | "max"
     f: Callable[[float], float]
     phi: Callable[[float, int], float]
     phi_approx: Callable[[Graph], Solution]
-    psaks: ApproximateKernel
-    psaks_real: bool
+    psaks: ApproximateKernel | None
     extend: Callable[[Graph, frozenset, Solution], Solution]
+
+    @property
+    def direction(self) -> str:
+        return "min" if is_minimization(self.kind) else "max"
 
     def feasible(self, g: Graph, sol: Solution) -> bool:
         return is_feasible(self.kind, g, sol)
@@ -118,9 +123,8 @@ def _extend_incident_edges(g: Graph, x: frozenset, sol: Solution) -> Solution:
 def builtin_instances() -> dict[str, FriendlyProblem]:
     """The six built-in friendly problems.
 
-    The registry records which kernel slots are real (vc, is, cc) and which
-    are guarded pass-throughs standing in for external constructions
-    (H-packing, fvs, eds).
+    The kernel slots of vc, is and cc are real reductions; H-packing, fvs
+    and eds have no kernel here and query their pieces directly.
     """
     k2 = Graph([0, 1], [(0, 1)])
     k3 = Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
@@ -129,56 +133,46 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         "vc": FriendlyProblem(
             name="vc",
             kind=VC,
-            direction="min",
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=vc_2approx,
             psaks=vc_nt_kernel(),
-            psaks_real=True,
             extend=_extend_add_vertices,
         ),
         "is": FriendlyProblem(
             name="is",
             kind=IS,
-            direction="max",
             f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=degeneracy_is,
             psaks=is_degeneracy_kernel(),
-            psaks_real=True,
             extend=_extend_identity,
         ),
         "cc": FriendlyProblem(
             name="cc",
             kind=CLIQUE_COVER,
-            direction="min",
             f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=clique_cover_trivial,
             psaks=clique_cover_kernel(),
-            psaks_real=True,
             extend=_extend_singletons,
         ),
         "fvs": FriendlyProblem(
             name="fvs",
             kind=FVS,
-            direction="min",
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=fvs_2approx,
-            psaks=passthrough_kernel(math.inf),
-            psaks_real=False,
+            psaks=None,
             extend=_extend_add_vertices,
         ),
         "eds": FriendlyProblem(
             name="eds",
             kind=EDS,
-            direction="min",
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=eds_2approx,
-            psaks=passthrough_kernel(math.inf),
-            psaks_real=False,
+            psaks=None,
             extend=_extend_incident_edges,
         ),
     }
@@ -187,12 +181,10 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         reg[f"hpack:{label}"] = FriendlyProblem(
             name=f"hpack:{label}",
             kind=kind,
-            direction="max",
             f=lambda x: x,
             phi=(lambda n_h: lambda s, l: n_h * s)(pattern.n),
             phi_approx=(lambda pat: lambda g: maximal_h_packing(g, pat))(pattern),
-            psaks=passthrough_kernel(math.inf),
-            psaks_real=False,
+            psaks=None,
             extend=_extend_identity,
         )
     return reg
@@ -210,7 +202,6 @@ class SplitOutcome:
     solution: Solution | None
     v_set: frozenset | None
     bag: frozenset | None
-    flags: tuple[str, ...]
 
 
 class _PhiCache:
@@ -235,24 +226,6 @@ class _PhiCache:
 
     def value(self, t: int) -> float:
         return self.solution(t).value
-
-
-def _psaks_solve(
-    problem: FriendlyProblem,
-    slot: ApproximateKernel,
-    sub_g: Graph,
-    budget: float,
-    oracle: Oracle,
-    td: TreeDecomposition | None,
-) -> tuple[Solution, tuple[str, ...]]:
-    """Reduce, query the oracle, lift; kernel refusal within the oracle's
-    reach degrades to a flagged direct query."""
-    try:
-        return _kernel_query(problem.kind, sub_g, budget, slot, oracle, td), ()
-    except KernelRefusal:
-        if sub_g.n > oracle.size_cap:
-            raise
-    return _solve(oracle, problem.kind, sub_g, td), ("kernel-refusal-direct-oracle",)
 
 
 def _best(problem: FriendlyProblem, a: Solution, b: Solution) -> Solution:
@@ -284,16 +257,13 @@ def find_split_node(
     budget = phi_k + ell
     maximize = problem.direction == "max"
     threshold = k if maximize else phi_k
-    slot = problem.psaks if problem.psaks_real else passthrough_kernel(oracle.size_cap)
     cache = _PhiCache(g, ntd, problem)
-    flags: set[str] = set()
     root_sol = cache.solution(ntd.root)
     if root_sol.value <= threshold:
-        sol, fl = _psaks_solve(problem, slot, g, budget, oracle, ntd.as_td())
-        flags |= set(fl)
+        sol = _query(problem.kind, g, ntd.as_td(), oracle, problem.psaks, budget)
         if not maximize:
             sol = _best(problem, sol, root_sol)
-        return SplitOutcome(sol, None, None, None, None, tuple(sorted(flags)))
+        return SplitOutcome(sol, None, None, None, None)
     p = ntd.root
     while True:
         kids = ntd.children[p]
@@ -324,13 +294,10 @@ def find_split_node(
             hint = cache.solution(t)
     local = cache.idx.local_vertices(t)
     sub = g.induced_subgraph(local)
-    sol, fl = _psaks_solve(problem, slot, sub, budget, oracle, ntd.subtree_td(t, local))
-    flags |= set(fl)
+    sol = _query(problem.kind, sub, ntd.subtree_td(t, local), oracle, problem.psaks, budget)
     if not maximize and hint is not None:
         sol = _best(problem, sol, hint)
-    return SplitOutcome(
-        None, t, sol, cache.idx.v_set(t), ntd.bags[t], tuple(sorted(flags))
-    )
+    return SplitOutcome(None, t, sol, cache.idx.v_set(t), ntd.bags[t])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +327,6 @@ def approx_friendly_turing(
     def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
         outcome = find_split_node(cur_g, ntd, delta, problem, cfg.oracle, threshold_scale)
-        flags.update(outcome.flags)
         if outcome.direct is not None:
             return (None, None, outcome.direct), (), False
         rest_g = cur_g.remove_vertices(outcome.v_set)
@@ -377,7 +343,7 @@ def approx_friendly_turing(
 
     def bounds(width):
         declared = None
-        if problem.psaks_real:
+        if problem.psaks is not None:
             k0 = 6.0 * problem.f(width + 1) / eps + problem.f(1)
             declared = problem.psaks.size_fn(delta, problem.phi(k0, width) + width)
         budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale

@@ -5,14 +5,12 @@ The driver checks the inputs, keeps a stack of (graph, decomposition)
 pieces, counts the splits, checks the final solution and builds the
 report. An engine supplies one step and one assembly hook. The step walks
 the (nice) decomposition of a piece to a node whose local optimum sits in
-a bounded window, solves that node's piece through the oracle (possibly
-behind a reduce-and-lift kernel) and returns the remainder. The hook
-combines the solved parts into a solution of the input graph. With
-threshold_scale = 1 every internal threshold equals its analysis-given
-formula, which is what the query-size audit is checked against.
-
-A kernel slot with no real reduction behind it is a pass-through capped
-at the oracle's size cap.
+a bounded window, solves that node's piece through ``_query`` (the one
+place that reduces, queries the oracle, lifts and checks) and returns the
+remainder. The hook combines the solved parts into a solution of the
+input graph. With threshold_scale = 1 every internal threshold equals its
+analysis-given formula, which is what the query-size audit is checked
+against.
 """
 
 from __future__ import annotations
@@ -24,14 +22,14 @@ from typing import Callable
 
 from .approx import (
     ApproximateKernel,
+    ReducedInstance,
     connectify_vertex_cover,
     cvc_2approx,
     greedy_matching,
     greedy_triangle_packing,
-    passthrough_kernel,
-    solve_vc_small,
+    vc_nt_kernel,
 )
-from .errors import InternalInvariantViolation, KernelRefusal
+from .errors import InternalInvariantViolation
 from .graph import Graph
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
@@ -173,32 +171,30 @@ def _assert_feasible(kind, g: Graph, sol: Solution, context: str) -> None:
         raise InternalInvariantViolation(f"{context}: infeasible solution produced")
 
 
-def _solve(oracle: Oracle, kind: ProblemKind, g: Graph, td: TreeDecomposition) -> Solution:
-    """Query the oracle directly and check its answer."""
-    sol = oracle.solve(kind, g, td)
-    _assert_feasible(kind, g, sol, f"{kind.name} oracle answer")
-    return sol
-
-
-def _kernel_query(
+def _query(
     kind: ProblemKind,
     g: Graph,
-    budget: float,
-    kernel: ApproximateKernel,
-    oracle: Oracle,
     td: TreeDecomposition | None,
+    oracle: Oracle,
+    kernel: ApproximateKernel | None = None,
+    budget: float = math.inf,
 ) -> Solution:
-    """Reduce g through the kernel slot, query the oracle on the reduced
-    graph and lift the answer back to a checked solution of g.
+    """Solve g through the oracle, behind ``kernel`` if one is given, and
+    check the answer on g.
 
-    Raises KernelRefusal when the slot refuses g; each caller has its own
-    fallback for that.
+    The kernel reduces g to g itself, to an induced subgraph (which gets
+    ``td`` cut down to it), or to no graph at all when it already has the
+    answer; then no query is made and the lift gets None.
     """
-    red = kernel.reduce(g, budget)
-    raw = oracle.solve(kind, red.graph, td if red.graph is g else None)
-    lifted = red.lift(raw)
-    _assert_feasible(kind, g, lifted, f"{kind.name} oracle/lift answer")
-    return lifted
+    red = ReducedInstance(g, lambda s: s) if kernel is None else kernel.reduce(g, budget)
+    raw = None
+    if red.graph is not None:
+        if td is not None and red.graph is not g:
+            td = td.restrict(red.graph.vertex_set)
+        raw = oracle.solve(kind, red.graph, td)
+    sol = red.lift(raw)
+    _assert_feasible(kind, g, sol, f"{kind.name} oracle answer")
+    return sol
 
 
 def _descend(g: Graph, ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.0):
@@ -287,16 +283,19 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     has at most 16(width+1)/eps vertices at threshold_scale 1.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
+    kernel = vc_nt_kernel()
 
     def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
         thr = 8.0 * (ntd.width + 1) / eps * scale
         value, _, _ = greedy_matching(cur_g, stop_above=thr)
         if value <= thr:
-            return solve_vc_small(cur_g, cfg.oracle, ntd.as_td()).payload, (), False
+            return _query(VC, cur_g, cur_td, cfg.oracle, kernel).payload, (), False
         choice = find_vc_split_node(cur_g, ntd, eps, scale)
         sub = cur_g.induced_subgraph(choice.local_vertices)
-        sol_t = solve_vc_small(sub, cfg.oracle, ntd.subtree_td(choice.node, choice.local_vertices))
+        sol_t = _query(
+            VC, sub, ntd.subtree_td(choice.node, choice.local_vertices), cfg.oracle, kernel
+        )
         x_t = ntd.bags[choice.node]
         rest_g = cur_g.remove_vertices(choice.local_vertices | x_t)
         rest_td = prune_subtree(ntd, choice.node, keep_t=False, drop_from_bags=x_t)
@@ -335,11 +334,11 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
         if cur_g.n <= hi_eff:  # a window this wide would pick the root
             if cur_g.n == 0:
                 return frozenset(), (), False
-            return _solve(cfg.oracle, IS, cur_g, ntd.as_td()).payload, (), False
+            return _query(IS, cur_g, cur_td, cfg.oracle).payload, (), False
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo_eff, hi_eff)
         local = idx.local_vertices(t)
-        sol_t = _solve(cfg.oracle, IS, cur_g.induced_subgraph(local), ntd.subtree_td(t, local))
+        sol_t = _query(IS, cur_g.induced_subgraph(local), ntd.subtree_td(t, local), cfg.oracle)
         rest_g = cur_g.remove_vertices(idx.v_set(t))
         rest_td = prune_subtree(ntd, t, keep_t=False, drop_from_bags=ntd.bags[t])
         return sol_t.payload, [(rest_g, rest_td)], True
@@ -380,12 +379,12 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         ntd = make_nice(cur_g, cur_td)
         base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
         if cur_g.n <= base:
-            return _solve(cfg.oracle, ECC, cur_g, ntd.as_td()).payload, (), False
+            return _query(ECC, cur_g, cur_td, cfg.oracle).payload, (), False
         lo = max(base, 1.0)
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo, 2.0 * lo)
         v_t = idx.v_set(t)
-        sol_t = _solve(cfg.oracle, ECC, cur_g.induced_subgraph(v_t), ntd.subtree_td(t, v_t))
+        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), ntd.subtree_td(t, v_t), cfg.oracle)
         if t == ntd.root:
             return sol_t.payload, (), True  # the window covered the whole graph
         rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
@@ -410,22 +409,20 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 def solve_etp_small(
     g: Graph,
     s3: Solution,
-    kernel: ApproximateKernel,
     oracle: Oracle,
     td: TreeDecomposition | None = None,
 ) -> tuple[Solution, tuple[str, ...]]:
-    """Pack triangles in g through the kernel slot and the oracle.
+    """Pack triangles in g through the oracle, keeping the better of its
+    answer and the caller's 3-approximation ``s3``.
 
-    The caller's 3-approximation ``s3`` of g bounds the kernel budget; if
-    the kernel slot refuses, ``s3`` itself is returned with a
-    degraded-ratio flag instead of failing the run.
+    A graph with more vertices than the oracle's size cap is not queried:
+    ``s3`` itself is returned with a degraded-ratio flag instead of failing
+    the run.
     """
-    try:
-        lifted = _kernel_query(ETP, g, 3 * s3.value, kernel, oracle, td)
-    except KernelRefusal:
+    if g.n > oracle.size_cap:
         return s3, ("etp-kernel-refusal-3approx-fallback",)
-    best = lifted if lifted.value >= s3.value else s3
-    return best, ()
+    sol = _query(ETP, g, td, oracle)
+    return (sol if sol.value >= s3.value else s3), ()
 
 
 def _greedy_complete_packing(g: Graph, packing: frozenset) -> Solution:
@@ -450,25 +447,24 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     such triangle whose edges all stayed free, so the output is maximal.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
-    kernel = passthrough_kernel(cfg.oracle.size_cap)
 
     def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
         unit = (ntd.width + 1) ** 2 / eps * scale
         s3 = greedy_triangle_packing(cur_g)
         if s3.value > 18.0 * unit:
-            node, local, sol_t, fl = _find_etp_split(cur_g, ntd, unit, kernel, cfg.oracle)
+            node, local, sol_t, fl = _find_etp_split(cur_g, ntd, unit, cfg.oracle)
             flags.update(fl)
             if local:
                 rest = (cur_g.remove_vertices(local), prune_subtree(ntd, node, keep_t=True))
                 return sol_t.payload, [rest], True
             flags.add("etp-empty-split-fallback")
-        sol, fl = solve_etp_small(cur_g, s3, kernel, cfg.oracle, ntd.as_td())
+        sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, cur_td)
         flags.update(fl)
         return sol.payload, (), False
 
     def bounds(width):
-        return None, {  # the query bound depends on the plugged kernel slot
+        return None, {  # queries are bounded by the oracle's size cap
             "easy_guard": 18.0 * (width + 1) ** 2 / eps * scale,
             "local_guard": 6.0 * (width + 1) ** 2 / eps * scale,
         }
@@ -483,7 +479,6 @@ def _find_etp_split(
     g: Graph,
     ntd: NiceTreeDecomposition,
     unit: float,
-    kernel: ApproximateKernel,
     oracle: Oracle,
 ) -> tuple[int, frozenset[int], Solution, tuple[str, ...]]:
     """Descend to a node whose local packing graph has a small 3-approximation.
@@ -499,7 +494,7 @@ def _find_etp_split(
         return s3.value, (s3, gt)
 
     node, local, _, (s3, gt) = _descend(g, ntd, measure, 6.0 * unit, floor=unit)
-    sol, fl = solve_etp_small(gt, s3, kernel, oracle)
+    sol, fl = solve_etp_small(gt, s3, oracle)
     return node, local, sol, fl
 
 
@@ -522,33 +517,22 @@ def cvc_obtain_approx(
     g: Graph,
     td: TreeDecomposition | None,
     delta: float,
-    kernel: ApproximateKernel,
     oracle: Oracle,
     *,
     width: int,
     threshold_scale: float = 1.0,
 ):
-    """A min(c(1+delta), 2)-approximate connected cover, or TOO_BIG.
+    """A min(c, 2)-approximate connected cover, or TOO_BIG.
 
-    TOO_BIG certifies the optimum exceeds 100*width^2/delta (scaled). A
-    kernel refusal on a graph the oracle can still take falls back to a
-    direct query, which is flagged.
+    TOO_BIG certifies the optimum exceeds 100*width^2/delta (scaled).
     """
     if g.m == 0:
-        return Solution.of_vertices(()), ()
+        return Solution.of_vertices(())
     s2 = cvc_2approx(g)
     if s2.value > 200.0 * width * width / delta * threshold_scale:
-        return TOO_BIG, ()
-    flags: tuple[str, ...] = ()
-    try:
-        lifted = _kernel_query(CVC, g, s2.value, kernel, oracle, td)
-    except KernelRefusal:
-        if g.n > oracle.size_cap:
-            raise
-        lifted = _solve(oracle, CVC, g, td)
-        flags = ("cvc-kernel-refusal-direct-oracle",)
-    best = lifted if lifted.value <= s2.value else s2
-    return best, flags
+        return TOO_BIG
+    sol = _query(CVC, g, td, oracle)
+    return sol if sol.value <= s2.value else s2
 
 
 def _contract_local(
@@ -575,7 +559,6 @@ def find_cvc_split_node(
     g: Graph,
     sc: TreeDecomposition,
     delta: float,
-    kernel: ApproximateKernel,
     oracle: Oracle,
     *,
     width: int,
@@ -592,48 +575,42 @@ def find_cvc_split_node(
     """
     children, vsets = rooted_subtree_vertices(sc)
     t = sc.root if sc.root is not None else sc.nodes[0]
-    flags: set[str] = set()
     min_size = 10.0 * width / delta * threshold_scale
-    while True:
-        kids = children[t]
+    while True:  # go down into the first child still certified too big
         results: list[tuple[int, Solution]] = []
-        too_big_child = None
-        for c in kids:
+        for c in children[t]:
             gc, tdc = _contract_local(g, sc, c, children, vsets[c])
-            res, fl = cvc_obtain_approx(
-                gc, tdc, delta, kernel, oracle, width=width, threshold_scale=threshold_scale
+            res = cvc_obtain_approx(
+                gc, tdc, delta, oracle, width=width, threshold_scale=threshold_scale
             )
-            flags |= set(fl)
             if res is TOO_BIG:
-                too_big_child = c
+                t = c
                 break
             results.append((c, res))
-        if too_big_child is not None:
-            t = too_big_child
-            continue
-        qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
-        if qualifying:
-            c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))
-            return c, vsets[c], sol, tuple(sorted(flags))
-        if threshold_scale == 1.0:
-            raise InternalInvariantViolation(
-                "cvc descent exhausted: every child answered below the size window"
-            )
-        # Scaled runs may legitimately exhaust; assemble the union cover of G_t.
-        assembled: set[int] = set()
-        for c, sol in results:
-            if sc.bags[c]:
-                sol = connectify_vertex_cover(g.induced_subgraph(vsets[c]), sc.bags[c], sol)
-            assembled |= sol.payload
-        x_t = sc.bags[t]
-        z = max(g.vertices) + 1  # same fresh id _contract_local picks
-        payload = (assembled - x_t) | ({z} if x_t else set())
-        fallback = Solution.of_vertices(payload)
-        gc, _tdc = _contract_local(g, sc, t, children, vsets[t])
-        if not is_feasible(CVC, gc, fallback):
-            raise InternalInvariantViolation("cvc fallback union cover infeasible")
-        flags.add("cvc-descent-exhausted-fallback")
-        return t, vsets[t], fallback, tuple(sorted(flags))
+        else:
+            break
+    qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
+    if qualifying:
+        c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))
+        return c, vsets[c], sol, ()
+    if threshold_scale == 1.0:
+        raise InternalInvariantViolation(
+            "cvc descent exhausted: every child answered below the size window"
+        )
+    # Scaled runs may legitimately exhaust; assemble the union cover of G_t.
+    assembled: set[int] = set()
+    for c, sol in results:
+        if sc.bags[c]:
+            sol = connectify_vertex_cover(g.induced_subgraph(vsets[c]), sc.bags[c], sol)
+        assembled |= sol.payload
+    x_t = sc.bags[t]
+    z = max(g.vertices) + 1  # same fresh id _contract_local picks
+    payload = (assembled - x_t) | ({z} if x_t else set())
+    fallback = Solution.of_vertices(payload)
+    gc, _tdc = _contract_local(g, sc, t, children, vsets[t])
+    if not is_feasible(CVC, gc, fallback):
+        raise InternalInvariantViolation("cvc fallback union cover infeasible")
+    return t, vsets[t], fallback, ("cvc-descent-exhausted-fallback",)
 
 
 def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -648,7 +625,6 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         raise ValueError("connected vertex cover needs a connected graph")
     eps, scale = cfg.epsilon, cfg.threshold_scale
     delta = eps / 3.0
-    kernel = passthrough_kernel(cfg.oracle.size_cap)
     first_z = (max(g.vertices) + 1) if g.n else 0
     contracted: list[int] = []
 
@@ -659,15 +635,12 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             raise InternalInvariantViolation("cvc recursion lost connectivity")
         ntd = make_nice(cur_g, cur_td)
         ell = ntd.width
-        res, fl = cvc_obtain_approx(
-            cur_g, ntd.as_td(), delta, kernel, cfg.oracle, width=ell, threshold_scale=scale
-        )
-        flags.update(fl)
+        res = cvc_obtain_approx(cur_g, cur_td, delta, cfg.oracle, width=ell, threshold_scale=scale)
         if res is not TOO_BIG:
             return res.payload, (), False
         sc = make_subconnected(cur_g, ntd)
         t, v_t, s_t, fl = find_cvc_split_node(
-            cur_g, sc, delta, kernel, cfg.oracle, width=ell, threshold_scale=scale
+            cur_g, sc, delta, cfg.oracle, width=ell, threshold_scale=scale
         )
         flags.update(fl)
         x_t = sc.bags[t]
@@ -682,7 +655,7 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         return piece.payload, [(rest_g, rest_td)], True
 
     def bounds(width):
-        return None, {  # the exponent depends on the external PSAKS slot
+        return None, {  # queries are bounded by the oracle's size cap
             "too_big_guard": 200.0 * width * width / delta * scale,
             "piece_min_size": 10.0 * width / delta * scale,
         }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable
 
 from .graph import Graph
@@ -159,7 +159,8 @@ def is_feasible(kind: ProblemKind, g: Graph, sol: Solution) -> bool:
             if not c or not all(g.has_vertex(v) for v in c) or not _induces_clique(g, c):
                 return False
         if name == "ecc":
-            return all(any(u in c and v in c for c in payload) for u, v in g.edges())
+            covered_pairs = {p for c in payload for p in combinations(sorted(c), 2)}
+            return covered_pairs.issuperset(g.edges())
         covered = {v for c in payload for v in c}
         return covered >= g.vertex_set
     if name == "etp":

@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 
 from atk.graph import Graph, _reach
+from atk.oracles import brute_force_solve
+from atk.problems import Solution
 from atk.treedecomp import TreeDecomposition, ValidationReport
 
 
@@ -89,3 +91,26 @@ def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
         foreign_bag_vertices=tuple(sorted(foreign)),
         width=td.width,
     )
+
+
+def query_size(red) -> int:
+    """Vertices a reduced instance puts to the oracle; 0 when the kernel
+    already has the answer."""
+    return 0 if red.graph is None else red.graph.n
+
+
+def lift_exact(red, kind) -> Solution:
+    """Lift an exact answer on the reduced graph, or None when nothing is
+    queried."""
+    return red.lift(None if red.graph is None else brute_force_solve(kind, red.graph))
+
+
+def reference_ecc_feasible(g: Graph, payload) -> bool:
+    """The edge-against-every-clique ECC check, O(m * |payload|), kept as
+    the reference for ``is_feasible``."""
+    for c in payload:
+        if not c or not all(g.has_vertex(v) for v in c):
+            return False
+        if not all(g.has_edge(u, v) for u, v in combinations(sorted(c), 2)):
+            return False
+    return all(any(u in c and v in c for c in payload) for u, v in g.edges())

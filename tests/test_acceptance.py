@@ -62,7 +62,7 @@ from atk.treedecomp import (
     rooted_subtree_vertices,
     validate,
 )
-from helpers import connected_gnp_graph, gnp_graph, triangle_chain
+from helpers import connected_gnp_graph, gnp_graph, lift_exact, triangle_chain
 
 
 def _announce(number: int, name: str, started: float, budget: float, detail: str):
@@ -277,14 +277,14 @@ def test_criterion_07_friendly_framework():
             else:
                 assert prob.phi(sol.value, ell) >= opt - 1e-9
         # PSAKS 1-safety on the real slots
-        if prob.psaks_real:
+        if prob.psaks is not None:
             for _ in range(80):
                 g = gnp_graph(rng, rng.randint(1, 10), 0.35)
                 width = heuristic_td(g).width
                 opt = brute_force_solve(prob.kind, g).value
                 budget = max(opt, 1) if name == "vc" else opt + width
                 red = prob.psaks.reduce(g, budget)
-                lifted = red.lift(brute_force_solve(prob.kind, red.graph))
+                lifted = lift_exact(red, prob.kind)
                 assert prob.feasible(g, lifted)
                 assert min(lifted.value, budget + 1) == min(opt, budget + 1)
     # end-to-end: vc and is at default thresholds with the DP oracle

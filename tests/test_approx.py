@@ -16,14 +16,12 @@ from atk.approx import (
     is_degeneracy_kernel,
     maximal_h_packing,
     nt_reduce,
-    passthrough_kernel,
-    solve_vc_small,
     vc_2approx,
     vc_nt_kernel,
 )
-from atk.errors import KernelRefusal
 from atk.graph import Graph
-from atk.oracles import brute_force_solve, exact_brute_oracle
+from atk.kernels import _query
+from atk.oracles import audited, brute_force_solve, exact_brute_oracle
 from atk.problems import (
     CLIQUE_COVER,
     CVC,
@@ -43,7 +41,9 @@ from helpers import (
     cycle_graph,
     edgeless_graph,
     gnp_graph,
+    lift_exact,
     path_graph,
+    query_size,
     star_graph,
     triangle_chain,
 )
@@ -194,24 +194,20 @@ def test_nt_partition_legality_and_persistence():
 def test_solve_vc_small_examples():
     oracle = exact_brute_oracle()
     star = star_graph(5)
-    assert solve_vc_small(star, oracle).value == 1
-    assert solve_vc_small(cycle_graph(6), oracle).value == 3
+    assert _query(VC, star, None, oracle, vc_nt_kernel()).value == 1
+    assert _query(VC, cycle_graph(6), None, oracle, vc_nt_kernel()).value == 3
     # edgeless instance: empty cover without consulting the oracle
-    from atk.oracles import audited
-
     counted, audit = audited(exact_brute_oracle())
-    assert solve_vc_small(edgeless_graph(4), counted).value == 0
+    assert _query(VC, edgeless_graph(4), None, counted, vc_nt_kernel()).value == 0
     assert audit.call_count == 0
 
 
 def test_solve_vc_small_query_bound():
     rng = random.Random(12)
-    from atk.oracles import audited
-
     for _ in range(40):
         g = gnp_graph(rng, rng.randint(1, 12), 0.3)
         oracle, audit = audited(exact_brute_oracle())
-        sol = solve_vc_small(g, oracle)
+        sol = _query(VC, g, None, oracle, vc_nt_kernel())
         opt = brute_force_solve(VC, g).value
         assert is_feasible(VC, g, sol)
         assert sol.value == opt  # exact oracle: the reduction is lossless
@@ -328,17 +324,6 @@ def test_clique_cover_trivial():
     assert clique_cover_trivial(Graph()).value == 0
 
 
-def test_passthrough_kernel():
-    kern = passthrough_kernel(5)
-    g = path_graph(4)
-    red = kern.reduce(g, 7)
-    assert red.graph is g and red.budget == 7
-    sol = Solution.of_vertices({2, 3})
-    assert red.lift(sol) is sol
-    with pytest.raises(KernelRefusal):
-        kern.reduce(path_graph(6), 7)
-
-
 def _capped(value, k):
     return min(value, k + 1)
 
@@ -356,8 +341,8 @@ def test_kernels_one_safety_small():
         opt = brute_force_solve(VC, g).value
         for budget in {opt, opt + 2, max(0, opt - 1)}:
             red = kern.reduce(g, budget)
-            assert red.graph.n <= max(2 * budget, 2)
-            lifted = kern.reduce(g, budget).lift(brute_force_solve(VC, red.graph))
+            assert query_size(red) <= max(2 * budget, 2)
+            lifted = lift_exact(kern.reduce(g, budget), VC)
             assert is_feasible(VC, g, lifted)
             assert _capped(lifted.value, budget) == _capped(opt, budget)
         # independent set kernel: budget is value + width
@@ -365,8 +350,8 @@ def test_kernels_one_safety_small():
         opt = brute_force_solve(IS, g).value
         budget = opt + width
         red = kern.reduce(g, budget)
-        assert red.graph.n <= (budget + 1) ** 2
-        lifted = red.lift(brute_force_solve(IS, red.graph))
+        assert query_size(red) <= (budget + 1) ** 2
+        lifted = lift_exact(red, IS)
         assert is_feasible(IS, g, lifted)
         assert _capped(lifted.value, budget) == _capped(opt, budget)
         # clique cover kernel
@@ -374,8 +359,8 @@ def test_kernels_one_safety_small():
         opt = brute_force_solve(CLIQUE_COVER, g).value
         budget = opt + width
         red = kern.reduce(g, budget)
-        assert red.graph.n <= max(budget * (budget + 1), 1)
-        lifted = red.lift(brute_force_solve(CLIQUE_COVER, red.graph))
+        assert query_size(red) <= max(budget * (budget + 1), 1)
+        lifted = lift_exact(red, CLIQUE_COVER)
         assert is_feasible(CLIQUE_COVER, g, lifted)
         assert _capped(lifted.value, budget) == _capped(opt, budget)
 
@@ -384,6 +369,6 @@ def test_vc_nt_kernel_over_budget_branch():
     g = complete_graph(6)  # OPT 5, LP 3
     kern = vc_nt_kernel()
     red = kern.reduce(g, 1)  # budget below the LP bound
-    lifted = red.lift(brute_force_solve(VC, red.graph))
+    lifted = lift_exact(red, VC)
     assert is_feasible(VC, g, lifted)
     assert _capped(lifted.value, 1) == _capped(5, 1) == 2

@@ -11,7 +11,7 @@ from atk.kernels import approx_vc_turing, KernelConfig
 from atk.oracles import brute_force_solve, exact_brute_oracle, exact_dp_oracle, td_dp_solve
 from atk.problems import IS, VC, Solution, is_feasible
 from atk.treedecomp import heuristic_td, make_nice
-from helpers import gnp_graph, path_graph, star_graph
+from helpers import gnp_graph, lift_exact, path_graph, query_size, star_graph
 
 REG = builtin_instances()
 ALL_NAMES = sorted(REG)
@@ -32,7 +32,7 @@ def _disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 
 def test_registry_psaks_slots():
-    real = {name for name, prob in REG.items() if prob.psaks_real}
+    real = {name for name, prob in REG.items() if prob.psaks is not None}
     assert real == {"vc", "is", "cc"}
     assert set(REG) == {"vc", "is", "cc", "fvs", "eds", "hpack:k2", "hpack:k3", "hpack:p3"}
 
@@ -111,8 +111,8 @@ def test_psaks_one_safety(name):
         opt = brute_force_solve(prob.kind, g).value
         budget = opt + width if name in ("is", "cc") else max(opt, 1)
         red = prob.psaks.reduce(g, budget)
-        assert red.graph.n <= max(prob.psaks.size_fn(0.5, budget), 2)
-        lifted = red.lift(brute_force_solve(prob.kind, red.graph))
+        assert query_size(red) <= max(prob.psaks.size_fn(0.5, budget), 2)
+        lifted = lift_exact(red, prob.kind)
         assert prob.feasible(g, lifted)
         assert min(lifted.value, budget + 1) == min(opt, budget + 1)
 

@@ -280,6 +280,24 @@ def test_cli_bench(tmp_path):
     assert csv_out.read_text().count("\n") == 5  # header + 4 rows
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"eps": 0.5}, "'problem'"),
+        ([1, 2], "JSON object"),
+        ({"problem": "vc", "eps": "abc", "generator": {"n": 20, "k": 1, "p": 0.9, "seed": 1}},
+         "'eps'"),
+        ({"problem": "vc", "eps": 0.5, "generator": {"n": 20, "k": 1, "p": 0.9}}, "'seed'"),
+    ],
+)
+def test_cli_bench_rejects_malformed_spec(tmp_path, capsys, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["bench", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
 def test_run_one_lossy_oracle():
     g, td = gen_partial_ktree(80, 2, 0.9, seed=21)
     row = run_one(g, td, "vc", "direct", 1.0, "lossy:1.5")

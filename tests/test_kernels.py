@@ -17,7 +17,9 @@ from atk.kernels import (
     find_vc_split_node,
     solve_etp_small,
 )
-from atk.approx import greedy_triangle_packing, passthrough_kernel
+from atk.approx import greedy_triangle_packing
+from atk.errors import InternalInvariantViolation
+from atk.friendly import approx_friendly_turing, builtin_instances
 from atk.oracles import (
     Oracle,
     brute_force_solve,
@@ -27,8 +29,14 @@ from atk.oracles import (
     td_dp_solve,
     trianglefree_ecc_oracle,
 )
-from atk.problems import CVC, ECC, ETP, IS, VC, is_feasible
-from atk.treedecomp import TreeDecomposition, heuristic_td, make_nice, make_subconnected
+from atk.problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
+from atk.treedecomp import (
+    TreeDecomposition,
+    heuristic_td,
+    make_nice,
+    make_subconnected,
+    validate,
+)
 from helpers import (
     complete_graph,
     connected_gnp_graph,
@@ -238,21 +246,19 @@ def test_ecc_engine_components_add_up():
 
 
 def test_solve_etp_small_examples():
-    kern = passthrough_kernel(18)
     oracle = exact_brute_oracle()
-    sol, flags = solve_etp_small(path_graph(5), greedy_triangle_packing(path_graph(5)), kern, oracle)
+    sol, flags = solve_etp_small(path_graph(5), greedy_triangle_packing(path_graph(5)), oracle)
     assert sol.value == 0 and not flags
-    sol, _ = solve_etp_small(complete_graph(4), greedy_triangle_packing(complete_graph(4)), kern, oracle)
+    sol, _ = solve_etp_small(complete_graph(4), greedy_triangle_packing(complete_graph(4)), oracle)
     assert sol.value == 1
     two = Graph(range(1, 7), [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    sol, _ = solve_etp_small(two, greedy_triangle_packing(two), kern, oracle)
+    sol, _ = solve_etp_small(two, greedy_triangle_packing(two), oracle)
     assert sol.value == 2
 
 
 def test_solve_etp_small_kernel_refusal_falls_back():
-    g = triangle_chain(12)  # 25 vertices, over the passthrough cap
-    kern = passthrough_kernel(18)
-    sol, flags = solve_etp_small(g, greedy_triangle_packing(g), kern, exact_brute_oracle())
+    g = triangle_chain(12)  # 25 vertices, over the oracle's size cap of 18
+    sol, flags = solve_etp_small(g, greedy_triangle_packing(g), exact_brute_oracle())
     assert "etp-kernel-refusal-3approx-fallback" in flags
     assert is_feasible(ETP, g, sol)
     assert sol.value >= 12 / 3
@@ -319,13 +325,12 @@ def _pairs(tri):
 
 
 def test_cvc_obtain_approx_examples():
-    kern = passthrough_kernel(18)
     oracle = exact_brute_oracle()
     k2 = Graph([1, 2], [(1, 2)])
-    sol, _ = cvc_obtain_approx(k2, None, 1 / 3, kern, oracle, width=1)
+    sol = cvc_obtain_approx(k2, None, 1 / 3, oracle, width=1)
     assert sol.value == 1
     star = star_graph(6)
-    sol, _ = cvc_obtain_approx(star, None, 1 / 3, kern, oracle, width=1)
+    sol = cvc_obtain_approx(star, None, 1 / 3, oracle, width=1)
     assert sol.payload == frozenset({0})
 
 
@@ -333,12 +338,11 @@ def test_cvc_obtain_approx_too_big_signal():
     # genuinely huge instance: the 2-approximation already exceeds the
     # default guard 200*width^2/delta = 600
     g = path_graph(1400)
-    kern = passthrough_kernel(18)
-    res, _ = cvc_obtain_approx(g, None, 1 / 3, kern, exact_brute_oracle(), width=1)
+    res = cvc_obtain_approx(g, None, 1 / 3, exact_brute_oracle(), width=1)
     assert res is TOO_BIG
     # a scaled-down guard triggers the same certificate on desk-size graphs
-    res2, _ = cvc_obtain_approx(
-        path_graph(40), None, 1 / 3, kern, exact_brute_oracle(), width=1,
+    res2 = cvc_obtain_approx(
+        path_graph(40), None, 1 / 3, exact_brute_oracle(), width=1,
         threshold_scale=0.001,
     )
     assert res2 is TOO_BIG
@@ -348,9 +352,8 @@ def test_cvc_find_split_caterpillar_scaled():
     g, td = gen_connected_partial_ktree(50, 1, 1.0, seed=33)
     ntd = make_nice(g, td)
     sc = make_subconnected(g, ntd)
-    kern = passthrough_kernel(18)
     t, v_t, sol, flags = find_cvc_split_node(
-        g, sc, 1 / 3, kern, exact_brute_oracle(), width=1, threshold_scale=0.01
+        g, sc, 1 / 3, exact_brute_oracle(), width=1, threshold_scale=0.01
     )
     from atk.treedecomp import rooted_subtree_vertices
 
@@ -442,3 +445,47 @@ def test_audit_counts_match_report():
     rep = approx_vc_turing(g, td, cfg)
     assert rep.oracle_calls == cfg.audit.call_count
     assert rep.max_query_vertices == cfg.audit.max_query_vertices
+
+
+def _recording(inner: Oracle):
+    """An oracle that keeps every (graph, decomposition) it is asked about."""
+    queries = []
+
+    def fn(kind, g, td):
+        queries.append((g, td))
+        return inner.solve(kind, g, td)
+
+    return Oracle("recording", inner.declared_ratio, inner.size_cap, fn), queries
+
+
+def test_every_query_gets_a_decomposition_of_its_graph():
+    direct = {"vc": approx_vc_turing, "is": approx_is_turing, "ecc": approx_ecc_turing}
+    cases = [
+        ("direct", "vc", 300, 3, 0.9, 0.3, exact_dp_oracle),
+        ("direct", "is", 300, 3, 0.9, 0.3, exact_dp_oracle),
+        ("direct", "ecc", 300, 1, 0.8, 0.3, trianglefree_ecc_oracle),
+        ("friendly", "vc", 300, 3, 0.9, 0.3, exact_dp_oracle),
+        ("friendly", "is", 300, 3, 0.9, 0.3, exact_dp_oracle),
+        ("friendly", "cc", 120, 1, 0.8, 0.2, exact_brute_oracle),
+    ]
+    for engine, problem, n, k, p, scale, make_oracle in cases:
+        g, td = gen_partial_ktree(n, k, p, seed=5)
+        oracle, queries = _recording(make_oracle())
+        if engine == "direct":
+            rep = direct[problem](g, td, KernelConfig(0.5, oracle, threshold_scale=scale))
+        else:
+            rep = approx_friendly_turing(g, td, 0.5, builtin_instances()[problem], oracle, scale)
+        assert rep.recursion_depth > 1 and len(queries) > 1, (engine, problem)
+        for q, q_td in queries:
+            assert q_td is not None and validate(q, q_td).valid, (engine, problem)
+
+
+def test_infeasible_oracle_answer_is_an_internal_invariant_violation():
+    g = cycle_graph(7)
+    for engine, bad_answer in (
+        (approx_vc_turing, lambda q: Solution.of_vertices(())),
+        (approx_is_turing, lambda q: Solution.of_vertices(q.vertex_set)),
+    ):
+        oracle = Oracle("infeasible", 1.0, 100, lambda kind, q, td: bad_answer(q))
+        with pytest.raises(InternalInvariantViolation, match="oracle answer"):
+            engine(g, heuristic_td(g), KernelConfig(0.5, oracle))
