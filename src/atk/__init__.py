@@ -22,6 +22,7 @@ from .treedecomp import (
     SubtreeIndex,
     TreeDecomposition,
     ValidationReport,
+    descend,
     find_node_by_local_size,
     heuristic_td,
     make_nice,

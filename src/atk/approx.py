@@ -156,19 +156,17 @@ def nt_reduce(g: Graph) -> NTPartition:
 # ---------------------------------------------------------------------------
 
 
-def _degeneracy_order(g: Graph, within: frozenset[int] | None = None) -> tuple[list[int], int]:
-    """Min-degree elimination order and the degeneracy of g[within]."""
-    verts = g.vertices if within is None else tuple(sorted(within))
-    allowed = frozenset(verts)
-    deg = {v: len(g.neighbors(v) & allowed) for v in verts}
-    buckets: list[set[int]] = [set() for _ in range(len(verts) + 1)]
-    for v in verts:
+def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
+    """Min-degree elimination order and the degeneracy of g."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for v in g.vertices:
         buckets[deg[v]].add(v)
     order: list[int] = []
     gone: set[int] = set()
     degeneracy = 0
     cursor = 0
-    while len(order) < len(verts):
+    while len(order) < g.n:
         while cursor < len(buckets) and not buckets[cursor]:
             cursor += 1
         v = min(buckets[cursor])
@@ -177,7 +175,7 @@ def _degeneracy_order(g: Graph, within: frozenset[int] | None = None) -> tuple[l
         order.append(v)
         gone.add(v)
         for w in g.neighbors(v):
-            if w in allowed and w not in gone:
+            if w not in gone:
                 buckets[deg[w]].discard(w)
                 deg[w] -= 1
                 buckets[deg[w]].add(w)
@@ -185,14 +183,13 @@ def _degeneracy_order(g: Graph, within: frozenset[int] | None = None) -> tuple[l
     return order, degeneracy
 
 
-def degeneracy_is(g: Graph, within: frozenset[int] | None = None) -> Solution:
+def degeneracy_is(g: Graph) -> Solution:
     """Greedy independent set along a degeneracy order.
 
     For degeneracy d the result has at least |V|/(d+1) vertices: each pick
     discards at most d still-available neighbors.
     """
-    order, _ = _degeneracy_order(g, within)
-    allowed = frozenset(order)
+    order, _ = _degeneracy_order(g)
     removed: set[int] = set()
     picked: list[int] = []
     for v in order:
@@ -200,7 +197,7 @@ def degeneracy_is(g: Graph, within: frozenset[int] | None = None) -> Solution:
             continue
         picked.append(v)
         removed.add(v)
-        removed |= g.neighbors(v) & allowed
+        removed |= g.neighbors(v)
     return Solution.of_vertices(picked)
 
 
@@ -435,13 +432,13 @@ def is_degeneracy_kernel() -> ApproximateKernel:
     """
 
     def reducer(g: Graph, budget: float) -> ReducedInstance:
-        if g.n > (budget + 1) ** 2:
+        if g.n > (budget + 1) * (budget + 1):  # a product overflows to inf, ** raises
             sol = degeneracy_is(g)
             if sol.value >= int(budget) + 1:
                 return ReducedInstance(None, lambda _: sol)
         return ReducedInstance(g, lambda s: s)
 
-    return ApproximateKernel(lambda d, m: (m + 1) ** 2, reducer)
+    return ApproximateKernel(lambda d, m: (m + 1) * (m + 1), reducer)
 
 
 def clique_cover_kernel() -> ApproximateKernel:

@@ -30,7 +30,6 @@ from .approx import (
     vc_2approx,
     vc_nt_kernel,
 )
-from .errors import InternalInvariantViolation
 from .graph import Graph
 from .kernels import KernelConfig, RunReport, _drive, _query
 from .oracles import Oracle
@@ -51,6 +50,7 @@ from .treedecomp import (
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
+    descend,
     make_nice,
     prune_subtree,
 )
@@ -204,30 +204,6 @@ class SplitOutcome:
     bag: frozenset | None
 
 
-class _PhiCache:
-    """Lazy per-node phi-approximations on G[V_t \\ X_t]."""
-
-    def __init__(self, g: Graph, ntd: NiceTreeDecomposition, problem: FriendlyProblem):
-        self.g = g
-        self.ntd = ntd
-        self.problem = problem
-        self.idx = SubtreeIndex(ntd)
-        self._sol: dict[int, Solution] = {}
-
-    def local_graph(self, t: int) -> Graph:
-        return self.g.induced_subgraph(self.idx.local_vertices(t))
-
-    def solution(self, t: int) -> Solution:
-        cached = self._sol.get(t)
-        if cached is None:
-            cached = self.problem.phi_approx(self.local_graph(t))
-            self._sol[t] = cached
-        return cached
-
-    def value(self, t: int) -> float:
-        return self.solution(t).value
-
-
 def _best(problem: FriendlyProblem, a: Solution, b: Solution) -> Solution:
     if problem.direction == "min":
         return a if a.value <= b.value else b
@@ -236,6 +212,7 @@ def _best(problem: FriendlyProblem, a: Solution, b: Solution) -> Solution:
 
 def find_split_node(
     g: Graph,
+    td: TreeDecomposition,
     ntd: NiceTreeDecomposition,
     delta: float,
     problem: FriendlyProblem,
@@ -246,9 +223,10 @@ def find_split_node(
     whose local optimum is at least f(width+1)/delta along with a
     c(1+delta)-approximate local solution.
 
-    The descent walks to a node whose phi-value exceeds the budget
-    threshold while all its children sit below it, then applies the
-    one-child / join case analysis.
+    The descent walks to the first node t whose phi-value is at most the
+    budget threshold. At the root, g is solved outright with its
+    decomposition ``td``; otherwise the one-child / join case analysis runs
+    at t's parent, whose phi-value exceeds the threshold.
     """
     ell = ntd.width
     ff = problem.f
@@ -256,48 +234,35 @@ def find_split_node(
     phi_k = problem.phi(k, ell)
     budget = phi_k + ell
     maximize = problem.direction == "max"
-    threshold = k if maximize else phi_k
-    cache = _PhiCache(g, ntd, problem)
-    root_sol = cache.solution(ntd.root)
-    if root_sol.value <= threshold:
-        sol = _query(problem.kind, g, ntd.as_td(), oracle, problem.psaks, budget)
-        if not maximize:
-            sol = _best(problem, sol, root_sol)
-        return SplitOutcome(sol, None, None, None, None)
-    p = ntd.root
-    while True:
-        kids = ntd.children[p]
-        over = [c for c in kids if cache.value(c) > threshold]
-        if not over:
-            break
-        p = max(over, key=lambda c: (cache.value(c), -c))
+    idx = SubtreeIndex(ntd)
+    sols: dict[int, Solution] = {}
+
+    def local_graph(t: int) -> Graph:
+        return g.induced_subgraph(idx.local_vertices(t))
+
+    def measure(t, _stop_above):
+        sol = sols[t] = problem.phi_approx(local_graph(t))
+        return sol.value, sol
+
+    t, _, hint = descend(ntd, measure, k if maximize else phi_k)
+    if t == ntd.root:
+        sol = _query(problem.kind, g, td, oracle, problem.psaks, budget)
+        return SplitOutcome(sol if maximize else _best(problem, sol, hint), None, None, None, None)
+    p = ntd.parent[t]
     kids = ntd.children[p]
-    if not kids:
-        raise InternalInvariantViolation("leaf with positive phi-value")
-    hint: Solution | None = None
-    if len(kids) == 1:
-        t = kids[0]
-        hint = cache.solution(t)
-    elif maximize:
-        gp = cache.local_graph(p)
-        g1 = cache.local_graph(kids[0])
-        g2 = cache.local_graph(kids[1])
-        s1, s2 = problem.split(gp, g1, g2, cache.solution(p))
+    if len(kids) == 2 and maximize:
+        gp, g1, g2 = local_graph(p), local_graph(kids[0]), local_graph(kids[1])
+        s1, s2 = problem.split(gp, g1, g2, sols[p])
         t = kids[0] if (s1.value, -kids[0]) >= (s2.value, -kids[1]) else kids[1]
-    else:
-        v1, v2 = cache.value(kids[0]), cache.value(kids[1])
-        if v1 <= phi_k / 2 and v2 <= phi_k / 2:
-            t = p
-            hint = problem.merge(cache.solution(kids[0]), cache.solution(kids[1]))
-        else:
-            t = kids[0] if (v1, -kids[0]) >= (v2, -kids[1]) else kids[1]
-            hint = cache.solution(t)
-    local = cache.idx.local_vertices(t)
+    elif len(kids) == 2 and all(sols[c].value <= phi_k / 2 for c in kids):
+        t = p
+        hint = problem.merge(sols[kids[0]], sols[kids[1]])
+    local = idx.local_vertices(t)
     sub = g.induced_subgraph(local)
     sol = _query(problem.kind, sub, ntd.subtree_td(t, local), oracle, problem.psaks, budget)
-    if not maximize and hint is not None:
+    if not maximize:
         sol = _best(problem, sol, hint)
-    return SplitOutcome(None, t, sol, cache.idx.v_set(t), ntd.bags[t])
+    return SplitOutcome(None, t, sol, idx.v_set(t), ntd.bags[t])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +291,7 @@ def approx_friendly_turing(
 
     def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
-        outcome = find_split_node(cur_g, ntd, delta, problem, cfg.oracle, threshold_scale)
+        outcome = find_split_node(cur_g, cur_td, ntd, delta, problem, cfg.oracle, threshold_scale)
         if outcome.direct is not None:
             return (None, None, outcome.direct), (), False
         rest_g = cur_g.remove_vertices(outcome.v_set)

@@ -34,11 +34,11 @@ from .graph import Graph
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
-    FORGET,
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
     _preorder,
+    descend,
     find_node_by_local_size,
     make_nice,
     make_subconnected,
@@ -197,50 +197,6 @@ def _query(
     return sol
 
 
-def _descend(g: Graph, ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.0):
-    """Walk down from the root to the first node whose measured local piece
-    V_t \\ X_t is at most ``limit``.
-
-    ``measure(local, bag, stop_above)`` returns (value, data) for the piece
-    with local vertices ``local`` below ``bag``. At the node itself
-    ``stop_above`` is ``limit``, so the measure may give up once the value
-    is over it; the two children of a join are measured in full. A join
-    follows the child with the larger value, ties to the lower node id, and
-    that value must stay at least ``floor``. Returns (node, local, value,
-    data).
-    """
-    node, local = ntd.root, set(g.vertex_set)
-    pending = None
-    while True:
-        frozen = frozenset(local)
-        value, data = pending if pending is not None else measure(frozen, ntd.bags[node], limit)
-        pending = None
-        if value <= limit:
-            return node, frozen, value, data
-        kids = ntd.children[node]
-        if not kids:
-            raise InternalInvariantViolation("leaf reached above the window")
-        if len(kids) == 1:
-            if ntd.kinds[node] == FORGET:
-                local.discard(ntd.pivots[node])
-            node = kids[0]
-            continue
-        # the first child's local set is V_c1 \ X_c1; the second gets the rest
-        acc: set[int] = set()
-        for s in ntd.subtree_nodes(kids[0]):
-            acc |= ntd.bags[s]
-        s1 = frozenset(acc - ntd.bags[kids[0]])
-        s2 = frozenset(local - s1)
-        m1 = measure(s1, ntd.bags[kids[0]], None)
-        m2 = measure(s2, ntd.bags[kids[1]], None)
-        if (m1[0], -kids[0]) >= (m2[0], -kids[1]):
-            pending, node, local = m1, kids[0], set(s1)
-        else:
-            pending, node, local = m2, kids[1], set(s2)
-        if pending[0] < floor:
-            raise InternalInvariantViolation("join split lost the window (both children too small)")
-
-
 # ---------------------------------------------------------------------------
 # Vertex Cover
 # ---------------------------------------------------------------------------
@@ -264,16 +220,18 @@ def find_vc_split_node(
 
     Stops at the first node where the greedy cover of G[V_t \\ X_t] is at
     most 8(width+1)/eps; one-child steps go down unconditionally, and a
-    join follows the child with the larger measured cover.
+    join follows the child with the larger measured cover. At the root the
+    local piece is all of g.
     """
+    idx = SubtreeIndex(ntd)
 
-    def measure(within, _bag, stop_above):
-        value, cover, _ = greedy_matching(g, within, stop_above=stop_above)
+    def measure(t, stop_above):
+        value, cover, _ = greedy_matching(g, idx.local_vertices(t), stop_above=stop_above)
         return value, cover
 
     thr = 8.0 * (ntd.width + 1) / eps * threshold_scale
-    node, local, value, cover = _descend(g, ntd, measure, thr)
-    return VcSplitChoice(node, local, value, cover)
+    node, value, cover = descend(ntd, measure, thr)
+    return VcSplitChoice(node, idx.local_vertices(node), value, cover)
 
 
 def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -287,11 +245,9 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
 
     def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
-        thr = 8.0 * (ntd.width + 1) / eps * scale
-        value, _, _ = greedy_matching(cur_g, stop_above=thr)
-        if value <= thr:
-            return _query(VC, cur_g, cur_td, cfg.oracle, kernel).payload, (), False
         choice = find_vc_split_node(cur_g, ntd, eps, scale)
+        if choice.node == ntd.root:  # the whole piece is under the easy guard
+            return _query(VC, cur_g, cur_td, cfg.oracle, kernel).payload, (), False
         sub = cur_g.induced_subgraph(choice.local_vertices)
         sol_t = _query(
             VC, sub, ntd.subtree_td(choice.node, choice.local_vertices), cfg.oracle, kernel
@@ -488,14 +444,16 @@ def _find_etp_split(
     packing stays above the lower window bound.
     """
 
-    def measure(local, bag, _stop_above):
-        gt = g.induced_subgraph(local | bag).delete_edges_within(bag)
+    idx = SubtreeIndex(ntd)
+
+    def measure(t, _stop_above):
+        gt = g.induced_subgraph(idx.v_set(t)).delete_edges_within(ntd.bags[t])
         s3 = greedy_triangle_packing(gt)
         return s3.value, (s3, gt)
 
-    node, local, _, (s3, gt) = _descend(g, ntd, measure, 6.0 * unit, floor=unit)
+    node, _, (s3, gt) = descend(ntd, measure, 6.0 * unit, floor=unit)
     sol, fl = solve_etp_small(gt, s3, oracle)
-    return node, local, sol, fl
+    return node, idx.local_vertices(node), sol, fl
 
 
 # ---------------------------------------------------------------------------

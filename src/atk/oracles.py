@@ -424,12 +424,7 @@ def _max_hpacking(g: Graph, pattern: Graph) -> frozenset[frozenset[int]]:
     return best[0]
 
 
-def brute_force_solve(
-    kind: ProblemKind,
-    g: Graph,
-    vertex_cap: int = BRUTE_VERTEX_CAP,
-    edge_cap: int = BRUTE_EDGE_CAP,
-) -> Solution:
+def brute_force_solve(kind: ProblemKind, g: Graph) -> Solution:
     """Exact optimum by exhaustive search, refusing over-cap instances.
 
     A refusal signals that the calling Turing kernel violated its own size
@@ -438,10 +433,10 @@ def brute_force_solve(
     """
     name = kind.name
     if name in ("etp", "ecc"):
-        if g.m > edge_cap:
-            raise OracleRefused(f"{name} query with {g.m} edges exceeds cap {edge_cap}")
-    elif g.n > vertex_cap:
-        raise OracleRefused(f"{name} query with {g.n} vertices exceeds cap {vertex_cap}")
+        if g.m > BRUTE_EDGE_CAP:
+            raise OracleRefused(f"{name} query with {g.m} edges exceeds cap {BRUTE_EDGE_CAP}")
+    elif g.n > BRUTE_VERTEX_CAP:
+        raise OracleRefused(f"{name} query with {g.n} vertices exceeds cap {BRUTE_VERTEX_CAP}")
     if name == "vc":
         return Solution.of_vertices(g.vertex_set - _max_independent_set(g))
     if name == "is":
@@ -592,10 +587,9 @@ def _canon(item):
 
 
 def _pad_min(kind: ProblemKind, g: Graph, sol: Solution, c: float) -> Solution:
-    target = math.floor(c * sol.value)
     payload = set(sol.payload)
     name = kind.name
-    while len(payload) < target:
+    while len(payload) + 1 <= c * sol.value:  # no floor(): c * value may be inf
         added = False
         if name in ("vc", "fvs"):
             for v in g.vertices:
@@ -638,11 +632,8 @@ def _pad_min(kind: ProblemKind, g: Graph, sol: Solution, c: float) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def exact_brute_oracle(vertex_cap: int = BRUTE_VERTEX_CAP, edge_cap: int = BRUTE_EDGE_CAP) -> Oracle:
-    def fn(kind, g, td):
-        return brute_force_solve(kind, g, vertex_cap=vertex_cap, edge_cap=edge_cap)
-
-    return Oracle("exact-bf", 1.0, vertex_cap, fn)
+def exact_brute_oracle() -> Oracle:
+    return Oracle("exact-bf", 1.0, BRUTE_VERTEX_CAP, lambda kind, g, td: brute_force_solve(kind, g))
 
 
 def exact_dp_oracle() -> Oracle:

@@ -390,15 +390,21 @@ def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Subtree vertex sets and the size-window node search
+# Subtree vertex sets and the descent walk
 # ---------------------------------------------------------------------------
 
 
 class SubtreeIndex:
-    """Per-node subtree vertex sets V_t of a nice decomposition.
+    """Per-node local sets V_t \\ X_t of a nice decomposition.
 
-    Local sizes |V_t \\ X_t| are precomputed bottom-up in O(nodes); the sets
-    themselves are materialized on demand.
+    Local sizes |V_t \\ X_t| are precomputed bottom-up in O(nodes). A set
+    is built on demand from its parent's cached one, which it then replaces:
+    the same set below an introduce node, minus the pivot below a forget
+    node, and at a join the parent's set minus the smaller child's. The
+    smaller child (on equal sizes, the higher id, so two siblings never ask
+    each other) is scanned, as is the root and any node whose parent's set
+    is not cached. A walk down from the root thus scans only the smaller
+    side of each join and keeps O(n) vertices cached.
     """
 
     def __init__(self, ntd: NiceTreeDecomposition):
@@ -406,32 +412,73 @@ class SubtreeIndex:
         size: list[int] = [0] * ntd.n_nodes
         for t in ntd.postorder():
             kind = ntd.kinds[t]
-            if kind == LEAF:
-                size[t] = 0
-            elif kind == INTRODUCE:
+            if kind == INTRODUCE:
                 size[t] = size[ntd.children[t][0]]
             elif kind == FORGET:
                 size[t] = size[ntd.children[t][0]] + 1
-            else:
+            elif kind == JOIN:
                 c1, c2 = ntd.children[t]
                 size[t] = size[c1] + size[c2]
         self.local_size = size
-        self._vset_cache: dict[int, frozenset[int]] = {}
+        self._local: dict[int, frozenset[int]] = {}
+
+    def local_vertices(self, t: int) -> frozenset[int]:
+        """V_t \\ X_t: the vertices that occur only below ``t``'s bag."""
+        out = self._local.get(t)
+        if out is not None:
+            return out
+        ntd, p = self.ntd, self.ntd.parent[t]
+        above = None if p is None or self._scanned(t) else self._local.pop(p, None)
+        if above is None:
+            bags = ntd.bags if p is None else [ntd.bags[s] for s in ntd.subtree_nodes(t)]
+            out = frozenset().union(*bags) - ntd.bags[t]
+        elif ntd.kinds[p] == FORGET:
+            out = above - {ntd.pivots[p]}
+        elif ntd.kinds[p] == JOIN:
+            c1, c2 = ntd.children[p]
+            out = above - self.local_vertices(c2 if c1 == t else c1)
+        else:
+            out = above
+        self._local[t] = out
+        return out
+
+    def _scanned(self, t: int) -> bool:
+        """Whether ``t`` is the smaller child of a join."""
+        kids, size = self.ntd.children[self.ntd.parent[t]], self.local_size
+        return len(kids) == 2 and min(kids, key=lambda c: (size[c], -c)) == t
 
     def v_set(self, t: int) -> frozenset[int]:
         """V_t: every vertex in a bag of the subtree rooted at ``t``."""
-        cached = self._vset_cache.get(t)
-        if cached is not None:
-            return cached
-        acc: set[int] = set()
-        for s in self.ntd.subtree_nodes(t):
-            acc |= self.ntd.bags[s]
-        out = frozenset(acc)
-        self._vset_cache[t] = out
-        return out
+        return self.local_vertices(t) | self.ntd.bags[t]
 
-    def local_vertices(self, t: int) -> frozenset[int]:
-        return self.v_set(t) - self.ntd.bags[t]
+
+def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.0):
+    """Walk down from the root to the first node whose measure is at most
+    ``limit``; every split search is this walk with its own measure.
+
+    ``measure(t, stop_above)`` returns (value, data) for node t. A node the
+    walk reaches gets ``stop_above`` = ``limit``, so the measure may give up
+    once the value is over it, and a one-child node is left for its child
+    unconditionally. The two children of a join are measured in full; the
+    walk follows the larger value, ties to the lower node id, and that value
+    must stay at least ``floor``. Returns (node, value, data).
+    """
+    t = ntd.root
+    value, data = measure(t, limit)
+    while value > limit:
+        kids = ntd.children[t]
+        if not kids:
+            raise InternalInvariantViolation("leaf reached above the window")
+        if len(kids) == 1:
+            t = kids[0]
+            value, data = measure(t, limit)
+            continue
+        (v1, d1), (v2, d2) = measure(kids[0], None), measure(kids[1], None)
+        first = (v1, -kids[0]) >= (v2, -kids[1])
+        t, value, data = (kids[0], v1, d1) if first else (kids[1], v2, d2)
+        if value < floor:
+            raise InternalInvariantViolation("join split lost the window (both children too small)")
+    return t, value, data
 
 
 def find_node_by_local_size(
@@ -449,13 +496,7 @@ def find_node_by_local_size(
     size = index.local_size
     if size[ntd.root] < lo:
         raise ValueError("graph smaller than the requested window")
-    t = ntd.root
-    while size[t] > hi:
-        kids = ntd.children[t]
-        if not kids:
-            raise InternalInvariantViolation("leaf with positive local size")
-        t = min(kids, key=lambda c: (-size[c], c))
-    return t
+    return descend(ntd, lambda t, _stop_above: (size[t], None), hi, floor=lo)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +514,8 @@ def make_subconnected(g: Graph, ntd: NiceTreeDecomposition) -> TreeDecomposition
     """
     if not g.is_connected():
         raise ValueError("make_subconnected requires a connected graph")
+    if g.n == 0:
+        return TreeDecomposition({0: frozenset()}, root=0)
     new_bags: dict[int, frozenset[int]] = {}
     new_children: dict[int, list[int]] = {}
     counter = 0

@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from atk.errors import InternalInvariantViolation
 from atk.graph import Graph, _reach
 from atk.oracles import brute_force_solve
 from atk.problems import Solution
-from atk.treedecomp import TreeDecomposition, ValidationReport
+from atk.treedecomp import FORGET, TreeDecomposition, ValidationReport
 
 
 def path_graph(n: int, start: int = 1) -> Graph:
@@ -114,3 +115,41 @@ def reference_ecc_feasible(g: Graph, payload) -> bool:
         if not all(g.has_edge(u, v) for u, v in combinations(sorted(c), 2)):
             return False
     return all(any(u in c and v in c for c in payload) for u, v in g.edges())
+
+
+def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
+    """The walk that kept its own local set and rescanned the first child's
+    subtree at every join, kept as the reference for ``treedecomp.descend``.
+
+    ``measure(local, bag, stop_above)`` gets the local set V_t \\ X_t and
+    the bag of the node. Returns (node, local, value, data).
+    """
+    node, local = ntd.root, set(g.vertex_set)
+    pending = None
+    while True:
+        frozen = frozenset(local)
+        value, data = pending if pending is not None else measure(frozen, ntd.bags[node], limit)
+        pending = None
+        if value <= limit:
+            return node, frozen, value, data
+        kids = ntd.children[node]
+        if not kids:
+            raise InternalInvariantViolation("leaf reached above the window")
+        if len(kids) == 1:
+            if ntd.kinds[node] == FORGET:
+                local.discard(ntd.pivots[node])
+            node = kids[0]
+            continue
+        acc: set[int] = set()
+        for s in ntd.subtree_nodes(kids[0]):
+            acc |= ntd.bags[s]
+        s1 = frozenset(acc - ntd.bags[kids[0]])
+        s2 = frozenset(local - s1)
+        m1 = measure(s1, ntd.bags[kids[0]], None)
+        m2 = measure(s2, ntd.bags[kids[1]], None)
+        if (m1[0], -kids[0]) >= (m2[0], -kids[1]):
+            pending, node, local = m1, kids[0], set(s1)
+        else:
+            pending, node, local = m2, kids[1], set(s2)
+        if pending[0] < floor:
+            raise InternalInvariantViolation("join split lost the window (both children too small)")

@@ -1,9 +1,12 @@
-"""Property tests for decomposition checking and per-piece decompositions.
+"""Property tests for decomposition checking, per-piece decompositions and
+the descent walk.
 
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
 on generated decompositions, intact and corrupted; the subtree and
 component helpers must always hand back valid decompositions of their
-piece.
+piece. ``SubtreeIndex`` must give every node's set exactly, whatever order
+the nodes are asked in, and ``descend`` must stop where the reference walk
+in ``helpers`` stops.
 """
 
 import random
@@ -11,15 +14,18 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atk.approx import degeneracy_is, greedy_matching, greedy_triangle_packing
+from atk.errors import InternalInvariantViolation
 from atk.generate import gen_partial_ktree
 from atk.treedecomp import (
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
+    descend,
     make_nice,
     validate,
 )
-from helpers import reference_validate
+from helpers import reference_descend, reference_validate
 
 CORRUPTIONS = ("drop-vertex", "split-trace", "unshare-edge", "foreign-vertex")
 
@@ -116,3 +122,87 @@ def test_split_components_decomposes_each_component(inst, salt):
     for comp, comp_td in zip(comps, rest_td.split_components(comps)):
         assert set(comp_td.bags) == {t for t, b in rest_td.bags.items() if b & comp}
         assert validate(rest.induced_subgraph(comp), comp_td).valid
+
+
+def _query_orders(ntd, rng):
+    """Node orders for the index: random, children before parents, and
+    parents first with each join's children taken in both orders."""
+    nodes = list(range(ntd.n_nodes))
+    rng.shuffle(nodes)
+    flipped = [tuple(reversed(kids)) for kids in ntd.children]
+    mirror = NiceTreeDecomposition(ntd.bags, ntd.kinds, ntd.pivots, flipped, ntd.root)
+    return [nodes, ntd.postorder(), ntd.subtree_nodes(ntd.root), mirror.subtree_nodes(ntd.root)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.integers(0, 10_000))
+def test_subtree_index_matches_a_fresh_scan_in_any_order(inst, salt):
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(salt)
+    scan = {}
+    for t in range(ntd.n_nodes):
+        v_t = frozenset().union(*(ntd.bags[s] for s in ntd.subtree_nodes(t)))
+        scan[t] = (v_t - ntd.bags[t], v_t)
+    for order in _query_orders(ntd, rng):
+        idx = SubtreeIndex(ntd)
+        for t in order:
+            assert idx.local_vertices(t) == scan[t][0]
+            assert idx.v_set(t) == scan[t][1]
+            assert idx.local_size[t] == len(scan[t][0])
+
+
+def _size(g, local, bag, stop_above):
+    return len(local), None
+
+
+def _vc_cover(g, local, bag, stop_above):
+    value, cover, _ = greedy_matching(g, local, stop_above=stop_above)
+    return value, cover
+
+
+def _etp_packing(g, local, bag, stop_above):
+    s3 = greedy_triangle_packing(g.induced_subgraph(local | bag).delete_edges_within(bag))
+    return s3.value, s3.payload
+
+
+def _is_phi(g, local, bag, stop_above):
+    sol = degeneracy_is(g.induced_subgraph(local))
+    return sol.value, sol.payload
+
+
+def _walk(walk):
+    try:
+        return walk()
+    except InternalInvariantViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instances(),
+    st.sampled_from((_size, _vc_cover, _etp_packing, _is_phi)),
+    st.floats(0.0, 1.0),
+    st.sampled_from((0.0, 0.5, 1.0)),
+)
+def test_descend_matches_the_reference_walk(inst, piece_measure, limit_frac, floor_frac):
+    g, td = inst
+    ntd = make_nice(g, td)
+    idx = SubtreeIndex(ntd)
+    limit = limit_frac * g.n
+    floor = floor_frac * limit
+
+    def by_node(t, stop_above):
+        return piece_measure(g, idx.local_vertices(t), ntd.bags[t], stop_above)
+
+    def by_piece(local, bag, stop_above):
+        return piece_measure(g, local, bag, stop_above)
+
+    new = _walk(lambda: descend(ntd, by_node, limit, floor))
+    ref = _walk(lambda: reference_descend(g, ntd, by_piece, limit, floor))
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        node, local, value, data = ref
+        assert new == (node, value, data)
+        assert idx.local_vertices(node) == local

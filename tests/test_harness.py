@@ -234,6 +234,40 @@ def test_cli_direct_is_clamped_window_solves_small_remainder(tmp_path, capsys):
     assert "window-clamped" in row["flags"] and row["recursion_depth"] > 0
 
 
+@pytest.mark.parametrize(
+    "engine, problem, flags",
+    [
+        # lossy padding once computed floor(c * value), which overflows at c = 1e308
+        ("direct", "vc", ["--eps", "0.5", "--oracle", "lossy:1e308"]),
+        # the is kernel's size bound (budget + 1) ** 2 overflowed on a huge budget
+        ("friendly", "is", ["--eps", "1e-300", "--oracle", "exact-dp"]),
+        ("friendly", "is", ["--eps", "0.5", "--threshold-scale", "1e300", "--oracle", "exact-dp"]),
+    ],
+)
+def test_cli_extreme_finite_numbers_solve(tmp_path, capsys, engine, problem, flags):
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "g.td"
+    main(["gen", "--n", "40", "--k", "2", "--p", "0.8", "--seed", "1",
+          "--out", str(gr), "--td-out", str(td)])
+    argv = ["solve", "--problem", problem, "--engine", engine,
+            "--graph", str(gr), "--td", str(td), *flags]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["value"] > 0
+
+
+def test_cli_subconnected_empty_graph(tmp_path, capsys):
+    gr = tmp_path / "e.gr"
+    td = tmp_path / "e.td"
+    gr.write_text("p tw 0 0\n")
+    td.write_text("s td 1 0 0\nb 1\n")
+    assert main(["td", "subconnected", "--graph", str(gr), "--td", str(td)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert parse_td(captured.out).bags == {1: frozenset()}
+
+
 def test_cli_td_transforms(tmp_path):
     gr = tmp_path / "g.gr"
     td = tmp_path / "g.td"
