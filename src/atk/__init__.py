@@ -63,7 +63,6 @@ from .kernels import (
     approx_etp_turing,
     approx_is_turing,
     approx_vc_turing,
-    find_vc_split_node,
     solve_etp_small,
 )
 from .friendly import (

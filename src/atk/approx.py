@@ -8,6 +8,7 @@ reduce-and-lift kernel contract with its built-in instances.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -157,29 +158,25 @@ def nt_reduce(g: Graph) -> NTPartition:
 
 
 def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
-    """Min-degree elimination order and the degeneracy of g."""
+    """Min-degree elimination order and the degeneracy of g. Each pick is the
+    lowest (degree, id); a heap entry for an older degree is skipped."""
     deg = {v: g.degree(v) for v in g.vertices}
-    buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
-    for v in g.vertices:
-        buckets[deg[v]].add(v)
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     gone: set[int] = set()
     degeneracy = 0
-    cursor = 0
-    while len(order) < g.n:
-        while cursor < len(buckets) and not buckets[cursor]:
-            cursor += 1
-        v = min(buckets[cursor])
-        buckets[cursor].discard(v)
-        degeneracy = max(degeneracy, cursor)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v]:
+            continue
+        degeneracy = max(degeneracy, d)
         order.append(v)
         gone.add(v)
         for w in g.neighbors(v):
             if w not in gone:
-                buckets[deg[w]].discard(w)
                 deg[w] -= 1
-                buckets[deg[w]].add(w)
-        cursor = max(0, cursor - 1)
+                heapq.heappush(heap, (deg[w], w))
     return order, degeneracy
 
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -170,8 +171,17 @@ def _load_td(path: str) -> TreeDecomposition:
         return parse_td(fh.read())
 
 
+def _finite(x):
+    """``x`` with non-finite floats as None: JSON (RFC 8259) has no Infinity or NaN."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2, default=str)
+    text = json.dumps(_finite(data), indent=2, default=str, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

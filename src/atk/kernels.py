@@ -2,15 +2,18 @@
 
 Every engine, the generic one in ``friendly`` included, runs on ``_drive``.
 The driver checks the inputs, keeps a stack of (graph, decomposition)
-pieces, counts the splits, checks the final solution and builds the
-report. An engine supplies one step and one assembly hook. The step walks
-the (nice) decomposition of a piece to a node whose local optimum sits in
-a bounded window, solves that node's piece through ``_query`` (the one
-place that reduces, queries the oracle, lifts and checks) and returns the
-remainder. The hook combines the solved parts into a solution of the
-input graph. With threshold_scale = 1 every internal threshold equals its
-analysis-given formula, which is what the query-size audit is checked
-against.
+pieces, counts the cuts, checks the final solution and builds the report.
+An engine supplies one step and one assembly hook. The step finds nodes
+whose local optimum sits in a bounded window, solves their pieces through
+``_query`` (the one place that reduces, queries the oracle, lifts and
+checks) and returns the remainders. The direct vc and is engines take a
+single step, one bottom-up pass over the input's nice decomposition that
+cuts every piece (``_window_pass``); the others walk down from the root
+to one split per step (ecc, etp and the friendly engine by ``descend``,
+cvc over its subconnected decomposition). The hook combines the solved
+parts into a solution of the input graph. With threshold_scale = 1 every
+internal threshold equals its analysis-given formula, which is what the
+query-size audit is checked against.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .graph import Graph
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
+    FORGET,
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
@@ -115,8 +119,8 @@ def _drive(
     """Run ``step`` over a stack of pieces, starting from (g, td).
 
     ``step(graph, td, flags)`` solves part of its piece and returns (the
-    solved part, the remainders to push, whether it split): none, one, or
-    one per component are pushed, and a split counts one level of
+    solved part, the remainders to push, the number of cuts it made): none,
+    one, or one per component are pushed, and each cut counts one level of
     recursion depth. ``assemble`` gets the solved parts in solving order,
     and ``bounds(width)`` gives the declared query bound and the reported
     thresholds.
@@ -136,8 +140,7 @@ def _drive(
         part, rest, split = step(*work.pop(), flags)
         parts.append(part)
         work.extend(reversed(rest))
-        if split:
-            depth += 1
+        depth += split
     solution = assemble(parts)
     _assert_feasible(kind, g, solution, f"{problem} turing kernel")
     declared, thresholds = bounds(td.width)
@@ -198,64 +201,101 @@ def _query(
 
 
 # ---------------------------------------------------------------------------
-# Vertex Cover
+# Vertex Cover and Independent Set: one bottom-up pass
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VcSplitChoice:
-    """A node whose local cover sits inside the target window, with the
-    2-approximate cover observed there as locality evidence."""
+def _window_pass(
+    g: Graph, td: TreeDecomposition, limit: float, matching: bool, solve: Callable
+) -> tuple[frozenset, tuple, int]:
+    """Cut g into pieces whose measure is at most ``limit`` in one post-order
+    pass over make_nice(g, td), after Kundu and Misra's linear-time tree
+    partitioning (1977). Returns a step's (solution, no remainders, cuts).
 
-    node: int
-    local_vertices: frozenset[int]
-    cover_value: int
-    cover: frozenset[int]
+    A node keeps its live local set (V_t \\ X_t without earlier pieces and
+    separators), measured by its size or with ``matching`` by the vertices
+    of a maximal matching of it. That grows with the pass: a forgotten
+    vertex is matched to its lowest unmatched live neighbour, and a join
+    unites its children's matchings (no edge crosses the bag). A node that
+    would go over ``limit`` cuts its larger child c (ties to the lower id)
+    unless, with ``matching``, the sorted greedy matching of its live set
+    fits; so a cut piece measures over limit/2 - 2. A cut solves G[L_c] by
+    ``solve(piece, its decomposition, X_c)`` and deletes X_c; the root's
+    live set is the last piece."""
+    ntd = make_nice(g, td)
+    state: list = [None] * ntd.n_nodes  # (live set, matched set) of pending nodes
+    taken: set[int] = set()  # nodes of earlier pieces' decompositions
+    deleted: set[int] = set()
+    parts: list[frozenset] = []
+
+    def measure(c: int) -> int:
+        return len(state[c][1 if matching else 0])
+
+    def cut(c: int) -> None:
+        piece = frozenset(state[c][0])
+        q_td = ntd.subtree_td(c, piece, taken)
+        parts.append(solve(g.induced_subgraph(piece), q_td, ntd.bags[c]))
+        deleted.update(ntd.bags[c])
+
+    for t in ntd.postorder():
+        kids = ntd.children[t]
+        v = ntd.pivots[t] if ntd.kinds[t] == FORGET and ntd.pivots[t] not in deleted else None
+        w = None  # v's partner in the matching, among its child's live set
+        if v is not None and matching:
+            live, mate = state[kids[0]]
+            w = next((u for u in sorted(g.neighbors(v)) if u in live and u not in mate), None)
+        grown = sum(map(measure, kids)) + (2 * (w is not None) if matching else v is not None)
+        fits = None
+        if grown > limit:
+            if matching:
+                pool = set().union(*(state[c][0] for c in kids), [v] if v is not None else [])
+                _, fits, _ = greedy_matching(g, pool, limit)
+            if fits is None:
+                c = min(kids, key=lambda c: (-measure(c), c))
+                cut(c)
+                kids = [k for k in kids if k != c]
+                v = w = None  # v is in X_c
+        live, mate = set(), set()
+        for c in kids:
+            live, mate = _unite(live, state[c][0]), _unite(mate, state[c][1])
+        if v is not None:
+            live.add(v)
+        if fits is not None:
+            mate = set(fits)
+        elif w is not None:
+            mate.update((v, w))
+        state[t] = (live, mate)
+        for c in ntd.children[t]:
+            state[c] = None
+    cuts = len(parts)
+    if state[ntd.root][0]:
+        cut(ntd.root)
+    return _union(parts), (), cuts
 
 
-def find_vc_split_node(
-    g: Graph, ntd: NiceTreeDecomposition, eps: float, threshold_scale: float = 1.0
-) -> VcSplitChoice:
-    """Descend to a node t whose local 2-approximation is small enough.
-
-    Stops at the first node where the greedy cover of G[V_t \\ X_t] is at
-    most 8(width+1)/eps; one-child steps go down unconditionally, and a
-    join follows the child with the larger measured cover. At the root the
-    local piece is all of g.
-    """
-    idx = SubtreeIndex(ntd)
-
-    def measure(t, stop_above):
-        value, cover, _ = greedy_matching(g, idx.local_vertices(t), stop_above=stop_above)
-        return value, cover
-
-    thr = 8.0 * (ntd.width + 1) / eps * threshold_scale
-    node, value, cover = descend(ntd, measure, thr)
-    return VcSplitChoice(node, idx.local_vertices(node), value, cover)
+def _unite(x: set[int], y: set[int]) -> set[int]:
+    """x | y, built by adding the smaller set into the larger."""
+    x, y = (x, y) if len(x) >= len(y) else (y, x)
+    x |= y
+    return x
 
 
 def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
     """(1+eps)-approximate Turing kernel for vertex cover.
 
-    Queries go through the half-integral LP reduction, so each oracle call
-    has at most 16(width+1)/eps vertices at threshold_scale 1.
+    The pass cuts pieces whose local cover is at most 8(width+1)/eps and
+    puts each cut's bag in the cover. Queries go through the half-integral
+    LP reduction, so each oracle call has at most 16(width+1)/eps vertices
+    at threshold_scale 1.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
     kernel = vc_nt_kernel()
 
+    def solve(piece, piece_td, separator):
+        return _query(VC, piece, piece_td, cfg.oracle, kernel).payload | separator
+
     def step(cur_g, cur_td, flags):
-        ntd = make_nice(cur_g, cur_td)
-        choice = find_vc_split_node(cur_g, ntd, eps, scale)
-        if choice.node == ntd.root:  # the whole piece is under the easy guard
-            return _query(VC, cur_g, cur_td, cfg.oracle, kernel).payload, (), False
-        sub = cur_g.induced_subgraph(choice.local_vertices)
-        sol_t = _query(
-            VC, sub, ntd.subtree_td(choice.node, choice.local_vertices), cfg.oracle, kernel
-        )
-        x_t = ntd.bags[choice.node]
-        rest_g = cur_g.remove_vertices(choice.local_vertices | x_t)
-        rest_td = prune_subtree(ntd, choice.node, keep_t=False, drop_from_bags=x_t)
-        return sol_t.payload | x_t, [(rest_g, rest_td)], True
+        return _window_pass(cur_g, cur_td, 8.0 * (cur_td.width + 1) / eps * scale, True, solve)
 
     def bounds(width):
         return 16.0 * (width + 1) / eps, {"easy_guard": 8.0 * (width + 1) / eps * scale}
@@ -265,39 +305,26 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     )
 
 
-# ---------------------------------------------------------------------------
-# Independent Set (direct window-by-size kernel)
-# ---------------------------------------------------------------------------
-
-
 def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
     """(1+eps)-approximate Turing kernel for independent set.
 
-    Pieces are chosen purely by their vertex count: a window of
-    [(width+1)^2/eps, 10(width+1)^2/eps] local vertices loses at most a
-    (width+1)-fraction of the optimum at the separator.
+    Pieces are chosen purely by their vertex count: the pass cuts pieces of
+    [(width+1)^2/eps, 10(width+1)^2/eps] local vertices, each of which loses
+    at most a (width+1)-fraction of its optimum at the deleted separator.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
+    def solve(piece, piece_td, _separator):
+        return _query(IS, piece, piece_td, cfg.oracle).payload
+
     def step(cur_g, cur_td, flags):
-        ntd = make_nice(cur_g, cur_td)
-        lo = (ntd.width + 1) ** 2 / eps * scale
+        lo = (cur_td.width + 1) ** 2 / eps * scale
         hi = 10.0 * lo
         lo_eff = max(lo, 1.0)
-        hi_eff = max(hi, 2.0 * lo_eff)
+        hi_eff = max(hi, 2.0 * lo_eff)  # a cut piece has over hi_eff / 2 >= lo_eff vertices
         if cur_g.n > hi and (lo_eff != lo or hi_eff != hi):
             flags.add("window-clamped")
-        if cur_g.n <= hi_eff:  # a window this wide would pick the root
-            if cur_g.n == 0:
-                return frozenset(), (), False
-            return _query(IS, cur_g, cur_td, cfg.oracle).payload, (), False
-        idx = SubtreeIndex(ntd)
-        t = find_node_by_local_size(ntd, idx, lo_eff, hi_eff)
-        local = idx.local_vertices(t)
-        sol_t = _query(IS, cur_g.induced_subgraph(local), ntd.subtree_td(t, local), cfg.oracle)
-        rest_g = cur_g.remove_vertices(idx.v_set(t))
-        rest_td = prune_subtree(ntd, t, keep_t=False, drop_from_bags=ntd.bags[t])
-        return sol_t.payload, [(rest_g, rest_td)], True
+        return _window_pass(cur_g, cur_td, hi_eff, False, solve)
 
     def bounds(width):
         return 10.0 * (width + 1) ** 2 / eps, {

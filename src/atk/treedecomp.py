@@ -239,20 +239,40 @@ class NiceTreeDecomposition:
     def subtree_nodes(self, t: int) -> list[int]:
         return _preorder(self.children, t)
 
-    def subtree_td(self, t: int, keep: frozenset[int]) -> TreeDecomposition:
-        """The subtree of ``t`` as a plain decomposition rooted at ``t``,
-        with bags cut down to ``keep``.
+    def subtree_td(
+        self, t: int, keep: frozenset[int], taken: set[int] | None = None
+    ) -> TreeDecomposition:
+        """The subtree of ``t`` without the nodes in ``taken`` (to which its
+        nodes are added) as a plain decomposition rooted at ``t``. Bags are
+        cut down to ``keep``; a node absorbs an only child of equal cut bag.
 
-        It decomposes G[keep] for any ``keep`` within V_t: a vertex of
-        V_t \\ X_t occurs only below t, so the subtree holds its whole trace
-        and every edge at it.
+        It decomposes G[keep] for any ``keep`` within V_t whose vertices
+        occur in no taken node: a vertex of V_t \\ X_t occurs only below t,
+        so the subtree holds its whole trace and every edge at it.
         """
-        nodes = _preorder(self.children, t)
-        return TreeDecomposition(
-            {s: self.bags[s] & keep for s in nodes},
-            [(s, c) for s in nodes for c in self.children[s]],
-            root=t,
-        )
+        taken = set() if taken is None else taken
+        all_bags, children = self.bags, self.children
+        bags = {t: all_bags[t] & keep}
+        edges: list[tuple[int, int]] = []
+        stack = [t]
+        while stack:
+            rep = s = stack.pop()
+            while True:  # down a chain of only children
+                taken.add(s)
+                kids = [c for c in children[s] if c not in taken]
+                if len(kids) != 1:
+                    break
+                s = kids[0]
+                bag = all_bags[s] & keep
+                if bag != bags[rep]:
+                    bags[s] = bag
+                    edges.append((rep, s))
+                    rep = s
+            for c in kids:
+                bags[c] = all_bags[c] & keep
+                edges.append((rep, c))
+                stack.append(c)
+        return TreeDecomposition(bags, edges, root=t)
 
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t in range(self.n_nodes) for c in self.children[t]]

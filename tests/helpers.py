@@ -153,3 +153,31 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
             pending, node, local = m2, kids[1], set(s2)
         if pending[0] < floor:
             raise InternalInvariantViolation("join split lost the window (both children too small)")
+
+
+def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:
+    """The bucket-scan min-degree order, kept as the reference for
+    ``approx._degeneracy_order``: each pick is ``min`` of the lowest bucket."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for v in g.vertices:
+        buckets[deg[v]].add(v)
+    order: list[int] = []
+    gone: set[int] = set()
+    degeneracy = 0
+    cursor = 0
+    while len(order) < g.n:
+        while cursor < len(buckets) and not buckets[cursor]:
+            cursor += 1
+        v = min(buckets[cursor])
+        buckets[cursor].discard(v)
+        degeneracy = max(degeneracy, cursor)
+        order.append(v)
+        gone.add(v)
+        for w in g.neighbors(v):
+            if w not in gone:
+                buckets[deg[w]].discard(w)
+                deg[w] -= 1
+                buckets[deg[w]].add(w)
+        cursor = max(0, cursor - 1)
+    return order, degeneracy

@@ -19,6 +19,7 @@ from atk.approx import (
     vc_2approx,
     vc_nt_kernel,
 )
+from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import _query
 from atk.oracles import audited, brute_force_solve, exact_brute_oracle
@@ -44,6 +45,7 @@ from helpers import (
     lift_exact,
     path_graph,
     query_size,
+    reference_degeneracy_order,
     star_graph,
     triangle_chain,
 )
@@ -79,6 +81,17 @@ def test_degeneracy_is_lower_bound():
         sol = degeneracy_is(g)
         assert is_feasible(IS, g, sol)
         assert sol.value * (d + 1) >= g.n
+
+
+def test_degeneracy_order_matches_the_bucket_reference():
+    from atk.approx import _degeneracy_order
+
+    rng = random.Random(12)
+    graphs = [gnp_graph(rng, rng.randint(1, 40), rng.choice([0.1, 0.3, 0.6])) for _ in range(60)]
+    graphs += [gen_partial_ktree(n, k, 0.8, seed)[0] for seed, (n, k) in enumerate(
+        [(30, 1), (80, 2), (200, 3), (400, 3)])]
+    for g in graphs:
+        assert _degeneracy_order(g) == reference_degeneracy_order(g)
 
 
 def test_greedy_triangle_packing_examples():

@@ -153,6 +153,15 @@ def test_gen_connected_variant():
 # ---------------------------------------------------------------------------
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that rejects the Infinity and NaN plain json.loads accepts."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def test_cli_gen_validate_solve(tmp_path):
     gr = tmp_path / "g.gr"
     td = tmp_path / "g.td"
@@ -164,7 +173,7 @@ def test_cli_gen_validate_solve(tmp_path):
         "solve", "--problem", "vc", "--eps", "0.5", "--graph", str(gr),
         "--td", str(td), "--oracle", "exact-dp", "--out", str(out),
     ]) == 0
-    row = json.loads(out.read_text())
+    row = strict_json(out.read_text())
     assert row["ratio"] is not None and row["ratio"] <= 1.5
     assert row["max_query_vertices"] <= row["declared_query_bound"]
 
@@ -175,7 +184,7 @@ def test_cli_solve_without_td_uses_heuristic(tmp_path):
     out = tmp_path / "r.json"
     assert main(["solve", "--problem", "vc", "--eps", "1.0", "--graph", str(gr),
                  "--oracle", "exact-bf", "--out", str(out)]) == 0
-    row = json.loads(out.read_text())
+    row = strict_json(out.read_text())
     assert row["td_source"] == "heuristic-min-fill"
     assert row["width"] == 4
 
@@ -189,7 +198,7 @@ def test_cli_friendly_engine(tmp_path):
     assert main(["solve", "--problem", "is", "--engine", "friendly", "--eps", "1.0",
                  "--graph", str(gr), "--td", str(td), "--oracle", "exact-dp",
                  "--out", str(out)]) == 0
-    row = json.loads(out.read_text())
+    row = strict_json(out.read_text())
     assert row["ratio"] is not None and 2 * row["value"] >= row["opt"]
 
 
@@ -230,7 +239,7 @@ def test_cli_direct_is_clamped_window_solves_small_remainder(tmp_path, capsys):
             "--graph", str(gr), "--td", str(td), "--oracle", "exact-dp",
             "--threshold-scale", "0.05"]
     assert main(argv) == 0
-    row = json.loads(capsys.readouterr().out)
+    row = strict_json(capsys.readouterr().out)
     assert "window-clamped" in row["flags"] and row["recursion_depth"] > 0
 
 
@@ -254,7 +263,7 @@ def test_cli_extreme_finite_numbers_solve(tmp_path, capsys, engine, problem, fla
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    assert json.loads(captured.out)["value"] > 0
+    assert strict_json(captured.out)["value"] > 0
 
 
 def test_cli_subconnected_empty_graph(tmp_path, capsys):
@@ -306,7 +315,7 @@ def test_cli_bench(tmp_path):
     out = tmp_path / "bench.json"
     csv_out = tmp_path / "bench.csv"
     assert main(["bench", str(spec), "--out", str(out), "--csv", str(csv_out)]) == 0
-    data = json.loads(out.read_text())
+    data = strict_json(out.read_text())
     assert data["aggregate"]["runs"] == 4
     assert data["aggregate"]["failures"] == 0
     assert data["aggregate"]["max_ratio"] <= 2.0

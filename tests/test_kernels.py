@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from atk.graph import Graph
 from atk.kernels import (
     TOO_BIG,
     KernelConfig,
+    _window_pass,
     approx_cvc_turing,
     approx_ecc_turing,
     approx_etp_turing,
@@ -14,7 +16,6 @@ from atk.kernels import (
     approx_vc_turing,
     cvc_obtain_approx,
     find_cvc_split_node,
-    find_vc_split_node,
     solve_etp_small,
 )
 from atk.approx import greedy_triangle_packing
@@ -54,36 +55,46 @@ def _dp_opt(kind, g, td):
 
 
 # ---------------------------------------------------------------------------
-# find_vc_split_node
+# The window pass's vc cuts
 # ---------------------------------------------------------------------------
 
 
-def test_find_vc_split_on_disjoint_edges():
-    # 40 disjoint edges, eps=1: window on the local cover is [2, 16]
+def _vc_cuts(g, td, limit):
+    """(piece, separator) of every cut the vc pass makes, in cut order."""
+    seen = []
+
+    def solve(piece, piece_td, separator):
+        seen.append((piece, separator))
+        return frozenset()
+
+    _, _, cuts = _window_pass(g, td, limit, True, solve)
+    return seen[:cuts]
+
+
+def test_vc_pass_cuts_disjoint_edges_in_the_window():
+    # 40 disjoint edges, eps=1: a cut's local cover is in (16/2 - 2, 16]
     g = Graph(range(1, 81), [(2 * i + 1, 2 * i + 2) for i in range(40)])
     td = heuristic_td(g)
-    ntd = make_nice(g, td)
-    assert ntd.width == 1
-    choice = find_vc_split_node(g, ntd, 1.0)
-    assert choice.cover_value <= 16
-    piece = g.induced_subgraph(choice.local_vertices)
-    opt_piece = brute_force_solve(VC, piece).value if piece.n <= 18 else None
-    if opt_piece is not None:
-        assert opt_piece >= 2
+    assert td.width == 1
+    cuts = _vc_cuts(g, td, 8 * (td.width + 1) / 1.0)
+    assert cuts
+    for piece, _ in cuts:
+        opt_piece = brute_force_solve(VC, piece).value
+        assert 2 * opt_piece > 8 - 2 and opt_piece <= 16
 
 
-def test_find_vc_split_window_verified_by_dp():
+def test_vc_pass_cut_window_verified_by_dp():
     g, td = gen_connected_partial_ktree(60, 2, 0.9, seed=77)
-    ntd = make_nice(g, td)
     eps = 0.5
-    choice = find_vc_split_node(g, ntd, eps)
-    ell = ntd.width
-    assert choice.cover_value <= 8 * (ell + 1) / eps
-    sub = g.induced_subgraph(choice.local_vertices)
-    opt_local = _dp_opt(VC, sub, td.restrict(choice.local_vertices))
-    assert opt_local <= 8 * (ell + 1) / eps
-    # the maintained invariant: the window's lower bound held on the path
-    assert opt_local >= choice.cover_value / 2
+    limit = 8 * (td.width + 1) / eps * 0.5  # at scale 0.5, so that the graph is cut
+    cuts = _vc_cuts(g, td, limit)
+    assert cuts
+    for piece, _ in cuts:
+        opt_local = _dp_opt(VC, piece, td.restrict(piece.vertex_set))
+        # the local matching's cover is in (limit/2 - 2, limit], and it
+        # brackets the optimum: cover/2 <= opt <= cover
+        assert opt_local <= limit
+        assert 2 * opt_local > limit / 2 - 2
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +434,15 @@ def test_separator_soundness_at_split():
 
     for trial in range(10):
         g, td = gen_partial_ktree(rng.randint(80, 200), rng.choice([2, 3]), 0.9, seed=trial)
+        gone: set[int] = set()  # earlier pieces and separators
+        cuts = _vc_cuts(g, td, 8 * (td.width + 1))  # eps = 1
+        assert cuts
+        for piece, separator in cuts:
+            local = piece.vertex_set
+            for u in local:
+                assert g.neighbors(u) <= local | separator | gone
+            gone |= local | separator
         ntd = make_nice(g, td)
-        choice = find_vc_split_node(g, ntd, 0.25)
-        bag = ntd.bags[choice.node]
-        local = choice.local_vertices
-        outside = g.vertex_set - local - bag
-        for u, v in g.edges():
-            assert not ((u in local and v in outside) or (v in local and u in outside))
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, 5, 11)
         local2 = idx.local_vertices(t)
@@ -437,6 +450,29 @@ def test_separator_soundness_at_split():
         outside2 = g.vertex_set - local2 - bag2
         for u, v in g.edges():
             assert not ((u in local2 and v in outside2) or (v in local2 and u in outside2))
+
+
+def test_vc_and_is_make_the_input_nice_once(monkeypatch):
+    # Rebuilding the decomposition for each cut made these engines quadratic.
+    import atk.kernels as kernels
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("make_nice", "SubtreeIndex", "descend", "prune_subtree"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    g, td = gen_partial_ktree(1000, 3, 0.9, seed=7)
+    for engine in (approx_vc_turing, approx_is_turing):
+        calls.clear()
+        rep = engine(g, td, KernelConfig(0.5, exact_dp_oracle()))
+        assert rep.recursion_depth > 1
+        assert calls == {"make_nice": 1}
 
 
 def test_audit_counts_match_report():
