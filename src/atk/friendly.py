@@ -212,7 +212,6 @@ def _best(problem: FriendlyProblem, a: Solution, b: Solution) -> Solution:
 
 def find_split_node(
     g: Graph,
-    td: TreeDecomposition,
     ntd: NiceTreeDecomposition,
     delta: float,
     problem: FriendlyProblem,
@@ -225,7 +224,7 @@ def find_split_node(
 
     The descent walks to the first node t whose phi-value is at most the
     budget threshold. At the root, g is solved outright with its
-    decomposition ``td``; otherwise the one-child / join case analysis runs
+    decomposition ``ntd``; otherwise the one-child / join case analysis runs
     at t's parent, whose phi-value exceeds the threshold.
     """
     ell = ntd.width
@@ -246,7 +245,7 @@ def find_split_node(
 
     t, _, hint = descend(ntd, measure, k if maximize else phi_k)
     if t == ntd.root:
-        sol = _query(problem.kind, g, td, oracle, problem.psaks, budget)
+        sol = _query(problem.kind, g, ntd, oracle, problem.psaks, budget)
         return SplitOutcome(sol if maximize else _best(problem, sol, hint), None, None, None, None)
     p = ntd.parent[t]
     kids = ntd.children[p]
@@ -259,7 +258,7 @@ def find_split_node(
         hint = problem.merge(sols[kids[0]], sols[kids[1]])
     local = idx.local_vertices(t)
     sub = g.induced_subgraph(local)
-    sol = _query(problem.kind, sub, ntd.subtree_td(t, local), oracle, problem.psaks, budget)
+    sol = _query(problem.kind, sub, ntd.restrict(local, t), oracle, problem.psaks, budget)
     if not maximize:
         sol = _best(problem, sol, hint)
     return SplitOutcome(None, t, sol, idx.v_set(t), ntd.bags[t])
@@ -291,7 +290,7 @@ def approx_friendly_turing(
 
     def step(cur_g, cur_td, flags):
         ntd = make_nice(cur_g, cur_td)
-        outcome = find_split_node(cur_g, cur_td, ntd, delta, problem, cfg.oracle, threshold_scale)
+        outcome = find_split_node(cur_g, ntd, delta, problem, cfg.oracle, threshold_scale)
         if outcome.direct is not None:
             return (None, None, outcome.direct), (), False
         rest_g = cur_g.remove_vertices(outcome.v_set)

@@ -41,7 +41,6 @@ from .treedecomp import (
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
-    _preorder,
     descend,
     find_node_by_local_size,
     make_nice,
@@ -177,7 +176,7 @@ def _assert_feasible(kind, g: Graph, sol: Solution, context: str) -> None:
 def _query(
     kind: ProblemKind,
     g: Graph,
-    td: TreeDecomposition | None,
+    td: NiceTreeDecomposition | None,
     oracle: Oracle,
     kernel: ApproximateKernel | None = None,
     budget: float = math.inf,
@@ -185,9 +184,11 @@ def _query(
     """Solve g through the oracle, behind ``kernel`` if one is given, and
     check the answer on g.
 
-    The kernel reduces g to g itself, to an induced subgraph (which gets
-    ``td`` cut down to it), or to no graph at all when it already has the
-    answer; then no query is made and the lift gets None.
+    ``td`` is None or a nice decomposition of g, and the oracle gets the
+    same for the graph it is asked about. The kernel reduces g to g itself,
+    to an induced subgraph (which gets ``td`` restricted to it, still nice),
+    or to no graph at all when it already has the answer; then no query is
+    made and the lift gets None.
     """
     red = ReducedInstance(g, lambda s: s) if kernel is None else kernel.reduce(g, budget)
     raw = None
@@ -233,7 +234,7 @@ def _window_pass(
 
     def cut(c: int) -> None:
         piece = frozenset(state[c][0])
-        q_td = ntd.subtree_td(c, piece, taken)
+        q_td = ntd.restrict(piece, c, taken)
         parts.append(solve(g.induced_subgraph(piece), q_td, ntd.bags[c]))
         deleted.update(ntd.bags[c])
 
@@ -362,12 +363,12 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         ntd = make_nice(cur_g, cur_td)
         base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
         if cur_g.n <= base:
-            return _query(ECC, cur_g, cur_td, cfg.oracle).payload, (), False
+            return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
         lo = max(base, 1.0)
         idx = SubtreeIndex(ntd)
         t = find_node_by_local_size(ntd, idx, lo, 2.0 * lo)
         v_t = idx.v_set(t)
-        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), ntd.subtree_td(t, v_t), cfg.oracle)
+        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), ntd.restrict(v_t, t), cfg.oracle)
         if t == ntd.root:
             return sol_t.payload, (), True  # the window covered the whole graph
         rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
@@ -393,7 +394,7 @@ def solve_etp_small(
     g: Graph,
     s3: Solution,
     oracle: Oracle,
-    td: TreeDecomposition | None = None,
+    td: NiceTreeDecomposition | None = None,
 ) -> tuple[Solution, tuple[str, ...]]:
     """Pack triangles in g through the oracle, keeping the better of its
     answer and the caller's 3-approximation ``s3``.
@@ -442,7 +443,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
                 rest = (cur_g.remove_vertices(local), prune_subtree(ntd, node, keep_t=True))
                 return sol_t.payload, [rest], True
             flags.add("etp-empty-split-fallback")
-        sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, cur_td)
+        sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, ntd)
         flags.update(fl)
         return sol.payload, (), False
 
@@ -500,7 +501,6 @@ TOO_BIG = _TooBig()
 
 def cvc_obtain_approx(
     g: Graph,
-    td: TreeDecomposition | None,
     delta: float,
     oracle: Oracle,
     *,
@@ -516,28 +516,14 @@ def cvc_obtain_approx(
     s2 = cvc_2approx(g)
     if s2.value > 200.0 * width * width / delta * threshold_scale:
         return TOO_BIG
-    sol = _query(CVC, g, td, oracle)
+    sol = _query(CVC, g, None, oracle)
     return sol if sol.value <= s2.value else s2
 
 
-def _contract_local(
-    g: Graph,
-    sc: TreeDecomposition,
-    node: int,
-    children: dict[int, tuple[int, ...]],
-    v_set: frozenset[int],
-) -> tuple[Graph, TreeDecomposition]:
-    """G_t: G[V_t] with the bag contracted to one vertex, plus a matching
-    decomposition of the subtree."""
-    x_t = sc.bags[node]
-    nodes = _preorder(children, node)
-    edges = [(s, c) for s in nodes for c in children[s]]
-    sub_td = TreeDecomposition({s: sc.bags[s] for s in nodes}, edges, root=node)
+def _contract_local(g: Graph, x_t: frozenset[int], v_set: frozenset[int]) -> Graph:
+    """G_t: G[V_t] with the bag X_t contracted to one fresh vertex."""
     sub = g.induced_subgraph(v_set)
-    if not x_t:
-        return sub, sub_td
-    z = max(g.vertices) + 1
-    return sub.identify_vertices(x_t, z), sub_td.contract_bag_vertices(x_t, z)
+    return sub.identify_vertices(x_t, max(g.vertices) + 1) if x_t else sub
 
 
 def find_cvc_split_node(
@@ -564,10 +550,8 @@ def find_cvc_split_node(
     while True:  # go down into the first child still certified too big
         results: list[tuple[int, Solution]] = []
         for c in children[t]:
-            gc, tdc = _contract_local(g, sc, c, children, vsets[c])
-            res = cvc_obtain_approx(
-                gc, tdc, delta, oracle, width=width, threshold_scale=threshold_scale
-            )
+            gc = _contract_local(g, sc.bags[c], vsets[c])
+            res = cvc_obtain_approx(gc, delta, oracle, width=width, threshold_scale=threshold_scale)
             if res is TOO_BIG:
                 t = c
                 break
@@ -592,8 +576,7 @@ def find_cvc_split_node(
     z = max(g.vertices) + 1  # same fresh id _contract_local picks
     payload = (assembled - x_t) | ({z} if x_t else set())
     fallback = Solution.of_vertices(payload)
-    gc, _tdc = _contract_local(g, sc, t, children, vsets[t])
-    if not is_feasible(CVC, gc, fallback):
+    if not is_feasible(CVC, _contract_local(g, x_t, vsets[t]), fallback):
         raise InternalInvariantViolation("cvc fallback union cover infeasible")
     return t, vsets[t], fallback, ("cvc-descent-exhausted-fallback",)
 
@@ -620,7 +603,7 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             raise InternalInvariantViolation("cvc recursion lost connectivity")
         ntd = make_nice(cur_g, cur_td)
         ell = ntd.width
-        res = cvc_obtain_approx(cur_g, cur_td, delta, cfg.oracle, width=ell, threshold_scale=scale)
+        res = cvc_obtain_approx(cur_g, delta, cfg.oracle, width=ell, threshold_scale=scale)
         if res is not TOO_BIG:
             return res.payload, (), False
         sc = make_subconnected(cur_g, ntd)

@@ -1,8 +1,10 @@
 """Pluggable approximate solvers with ratio declarations and query auditing.
 
-An oracle answers (kind, graph, optional decomposition) with a feasible
-solution whose value is within its declared ratio of optimal. Exact
-reference oracles (exhaustive search; treewidth DP for VC/IS) and a
+An oracle answers (kind, graph, decomposition) with a feasible solution
+whose value is within its declared ratio of optimal. The decomposition is
+None or a nice decomposition of the graph: the engines cut each query's
+from the nice decomposition of their step, so no oracle re-makes it.
+Exact reference oracles (exhaustive search; treewidth DP for VC/IS) and a
 lossiness injector live here, together with the per-run audit that makes
 query-size discipline observable.
 """
@@ -27,7 +29,6 @@ from .treedecomp import (
     INTRODUCE,
     LEAF,
     NiceTreeDecomposition,
-    TreeDecomposition,
     heuristic_td,
     make_nice,
     validate,
@@ -77,7 +78,10 @@ class Oracle:
         self.size_cap = size_cap
         self._fn = fn
 
-    def solve(self, kind: ProblemKind, g: Graph, td=None) -> Solution:
+    def solve(
+        self, kind: ProblemKind, g: Graph, td: NiceTreeDecomposition | None = None
+    ) -> Solution:
+        """Answer the query on g; ``td`` is None or a nice decomposition of g."""
         return self._fn(kind, g, td)
 
     def __repr__(self) -> str:
@@ -638,15 +642,9 @@ def exact_brute_oracle() -> Oracle:
 
 def exact_dp_oracle() -> Oracle:
     def fn(kind, g, td):
-        if kind.name not in ("vc", "is"):
+        if kind.name not in ("vc", "is"):  # refuse before building a decomposition
             raise ValueError("exact-dp supports vc and is only")
-        if isinstance(td, NiceTreeDecomposition):
-            ntd = td
-        elif isinstance(td, TreeDecomposition):
-            ntd = make_nice(g, td)
-        else:
-            ntd = make_nice(g, heuristic_td(g))
-        return td_dp_solve(kind, g, ntd)
+        return td_dp_solve(kind, g, td if td is not None else make_nice(g, heuristic_td(g)))
 
     return Oracle("exact-dp", 1.0, math.inf, fn)
 

@@ -76,12 +76,6 @@ class TreeDecomposition:
                 children[p].append(s)
         return next(iter(parent)), {t: tuple(sorted(c)) for t, c in children.items()}
 
-    def restrict(self, keep: frozenset[int]) -> "TreeDecomposition":
-        """Restrict every bag to ``keep`` (valid for the induced subgraph)."""
-        return TreeDecomposition(
-            {t: b & keep for t, b in self.bags.items()}, self.tree_edges, root=self.root
-        )
-
     def split_components(self, comps: list[frozenset[int]]) -> list["TreeDecomposition"]:
         """One decomposition per graph component, built in one pass.
 
@@ -239,40 +233,47 @@ class NiceTreeDecomposition:
     def subtree_nodes(self, t: int) -> list[int]:
         return _preorder(self.children, t)
 
-    def subtree_td(
-        self, t: int, keep: frozenset[int], taken: set[int] | None = None
-    ) -> TreeDecomposition:
-        """The subtree of ``t`` without the nodes in ``taken`` (to which its
-        nodes are added) as a plain decomposition rooted at ``t``. Bags are
-        cut down to ``keep``; a node absorbs an only child of equal cut bag.
+    def restrict(
+        self, keep: frozenset[int], t: int | None = None, taken: set[int] | None = None
+    ) -> "NiceTreeDecomposition":
+        """The subtree of ``t`` (default: the root) without the nodes in
+        ``taken`` (to which its nodes are added), with every bag cut down to
+        ``keep``, as a nice decomposition of its own.
 
-        It decomposes G[keep] for any ``keep`` within V_t whose vertices
-        occur in no taken node: a vertex of V_t \\ X_t occurs only below t,
-        so the subtree holds its whole trace and every edge at it.
+        A node whose cut bag equals its child's is skipped (an introduce or
+        forget of a vertex outside ``keep``, a join left with one child), and
+        a subtree holding no vertex of ``keep`` adds no node. A node left
+        without children grows from a leaf chain; the top forgets up to an
+        empty root. It decomposes G[keep] for any ``keep`` within V_t whose
+        vertices occur in no taken node: a vertex of V_t \\ X_t occurs only
+        below t, so the subtree holds its whole trace and every edge at it.
         """
-        taken = set() if taken is None else taken
-        all_bags, children = self.bags, self.children
-        bags = {t: all_bags[t] & keep}
-        edges: list[tuple[int, int]] = []
-        stack = [t]
+        start = self.root if t is None else t
+        skip = () if taken is None else taken
+        order = []  # parents before children
+        stack = [start]
         while stack:
-            rep = s = stack.pop()
-            while True:  # down a chain of only children
-                taken.add(s)
-                kids = [c for c in children[s] if c not in taken]
-                if len(kids) != 1:
-                    break
-                s = kids[0]
-                bag = all_bags[s] & keep
-                if bag != bags[rep]:
-                    bags[s] = bag
-                    edges.append((rep, s))
-                    rep = s
-            for c in kids:
-                bags[c] = all_bags[c] & keep
-                edges.append((rep, c))
-                stack.append(c)
-        return TreeDecomposition(bags, edges, root=t)
+            s = stack.pop()
+            order.append(s)
+            stack.extend(c for c in self.children[s] if c not in skip)
+        if taken is not None:
+            taken.update(order)
+        out = _NiceBuilder()
+        top: dict[int, int | None] = {}  # node -> its cut subtree's top, if any
+        for s in reversed(order):
+            bag = self.bags[s] & keep
+            kids = [top[c] for c in self.children[s] if top.get(c) is not None]
+            if not kids:
+                top[s] = out.leaf_chain(bag) if bag else None
+            elif len(kids) == 2:
+                top[s] = out.add(bag, JOIN, None, tuple(kids))
+            elif out.bags[kids[0]] == bag:
+                top[s] = kids[0]
+            else:
+                top[s] = out.add(bag, self.kinds[s], self.pivots[s], (kids[0],))
+        root = top[start]
+        root = out.leaf_chain(frozenset()) if root is None else out.chain_up(root, frozenset())
+        return NiceTreeDecomposition(out.bags, out.kinds, out.pivots, out.children, root)
 
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t in range(self.n_nodes) for c in self.children[t]]

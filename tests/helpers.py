@@ -65,6 +65,11 @@ def triangle_chain(count: int) -> Graph:
     return Graph(sorted(vs), edges)
 
 
+def restricted(td: TreeDecomposition, keep: frozenset[int]) -> TreeDecomposition:
+    """``td`` with every bag cut down to ``keep``: a plain decomposition of G[keep]."""
+    return TreeDecomposition({t: b & keep for t, b in td.bags.items()}, td.tree_edges, root=td.root)
+
+
 def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
     """The BFS-per-trace validation, kept as the reference for ``validate``."""
     occurs: dict[int, list[int]] = {}

@@ -2,11 +2,12 @@
 the descent walk.
 
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
-on generated decompositions, intact and corrupted; the subtree and
-component helpers must always hand back valid decompositions of their
-piece. ``SubtreeIndex`` must give every node's set exactly, whatever order
-the nodes are asked in, and ``descend`` must stop where the reference walk
-in ``helpers`` stops.
+on generated decompositions, intact and corrupted; ``restrict`` must cut
+a nice decomposition of its piece, with or without an earlier piece taken,
+and the component split a valid decomposition of each component.
+``SubtreeIndex`` must give every node's set exactly, whatever order the
+nodes are asked in, and ``descend`` must stop where the reference walk in
+``helpers`` stops.
 """
 
 import random
@@ -25,7 +26,7 @@ from atk.treedecomp import (
     make_nice,
     validate,
 )
-from helpers import reference_descend, reference_validate
+from helpers import reference_descend, reference_validate, restricted
 
 CORRUPTIONS = ("drop-vertex", "split-trace", "unshare-edge", "foreign-vertex")
 
@@ -96,23 +97,48 @@ def test_validate_nice_matches_reference(inst, corrupt, salt):
     assert validate(g, ntd) == reference_validate(g, ntd.as_td())
 
 
-@settings(max_examples=60, deadline=None)
-@given(instances(), st.integers(0, 10_000))
-def test_subtree_td_decomposes_its_piece(inst, salt):
+@settings(max_examples=100, deadline=None)
+@given(
+    instances(),
+    st.sampled_from(("local", "v_set", "local-sample", "anywhere")),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_taken, salt):
     g, td = inst
     ntd = make_nice(g, td)
     idx = SubtreeIndex(ntd)
-    t = random.Random(salt).randrange(ntd.n_nodes)
-    for keep in (idx.local_vertices(t), idx.v_set(t)):
-        sub_td = ntd.subtree_td(t, keep)
-        # every subtree node but those absorbed by a one-child parent of equal cut bag
-        absorbed = {
-            s for s in ntd.subtree_nodes(t)
-            if s != t and len(ntd.children[ntd.parent[s]]) == 1
-            and ntd.bags[s] & keep == ntd.bags[ntd.parent[s]] & keep
-        }
-        assert sub_td.root == t and set(sub_td.bags) == set(ntd.subtree_nodes(t)) - absorbed
-        assert validate(g.induced_subgraph(keep), sub_td).valid
+    rng = random.Random(salt)
+    t = None if keep_kind == "anywhere" else rng.randrange(ntd.n_nodes)
+    start = ntd.root if t is None else t
+    taken = set()
+    if with_taken:
+        # an earlier piece's subtree: that of any node but t and its ancestors
+        above, s = set(), start
+        while s is not None:
+            above.add(s)
+            s = ntd.parent[s]
+        others = [s for s in range(ntd.n_nodes) if s not in above]
+        if others:
+            taken = set(ntd.subtree_nodes(rng.choice(others)))
+    gone = frozenset().union(*(ntd.bags[s] for s in taken))  # the earlier piece and its bag
+    if keep_kind == "anywhere":
+        keep = frozenset(v for v in g.vertices if rng.random() < 0.5) - gone
+    elif keep_kind == "v_set":
+        keep = idx.v_set(t) - gone
+    else:
+        keep = idx.local_vertices(t) - gone
+        if keep_kind == "local-sample":
+            keep = frozenset(v for v in keep if rng.random() < 0.5)
+    before = set(taken)
+    piece = ntd.restrict(keep, t, taken if with_taken else None)
+    assert piece.nice_violations() == []
+    assert validate(g.induced_subgraph(keep), piece).valid
+    for u, kids in enumerate(piece.children):  # every introduce and forget changes its bag
+        assert len(kids) != 1 or piece.bags[u] != piece.bags[kids[0]]
+    if with_taken:
+        visited = set(ntd.subtree_nodes(start)) - before
+        assert taken == before | visited
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +149,7 @@ def test_split_components_decomposes_each_component(inst, salt):
     # cutting vertices out leaves several components
     cut = frozenset(rng.sample(g.vertices, g.n // 4))
     rest = g.remove_vertices(cut)
-    rest_td = td.restrict(rest.vertex_set)
+    rest_td = restricted(td, rest.vertex_set)
     comps = rest.connected_components()
     for comp, comp_td in zip(comps, rest_td.split_components(comps)):
         assert set(comp_td.bags) == {t for t, b in rest_td.bags.items() if b & comp}

@@ -91,8 +91,16 @@ def test_reports_match_golden_file():
     expected = json.loads(GOLDEN.read_text())
     actual = all_reports()
     assert sorted(actual) == sorted(expected)
-    changed = [key for key in expected if actual[key] != expected[key]]
-    assert not changed, f"{len(changed)} reports changed, first: {changed[0]}"
+    changed = [
+        f"{key} ({', '.join(_changed_fields(expected[key], actual[key]))})"
+        for key in sorted(expected)
+        if actual[key] != expected[key]
+    ]
+    assert not changed, f"{len(changed)} reports changed: " + "; ".join(changed)
+
+
+def _changed_fields(old: dict, new: dict) -> list[str]:
+    return sorted(f for f in old.keys() | new.keys() if old.get(f) != new.get(f))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from atk.oracles import (
 )
 from atk.problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
 from atk.treedecomp import (
+    NiceTreeDecomposition,
     TreeDecomposition,
     heuristic_td,
     make_nice,
@@ -45,6 +46,7 @@ from helpers import (
     edgeless_graph,
     gnp_graph,
     path_graph,
+    restricted,
     star_graph,
     triangle_chain,
 )
@@ -90,7 +92,7 @@ def test_vc_pass_cut_window_verified_by_dp():
     cuts = _vc_cuts(g, td, limit)
     assert cuts
     for piece, _ in cuts:
-        opt_local = _dp_opt(VC, piece, td.restrict(piece.vertex_set))
+        opt_local = _dp_opt(VC, piece, restricted(td, piece.vertex_set))
         # the local matching's cover is in (limit/2 - 2, limit], and it
         # brackets the optimum: cover/2 <= opt <= cover
         assert opt_local <= limit
@@ -338,10 +340,10 @@ def _pairs(tri):
 def test_cvc_obtain_approx_examples():
     oracle = exact_brute_oracle()
     k2 = Graph([1, 2], [(1, 2)])
-    sol = cvc_obtain_approx(k2, None, 1 / 3, oracle, width=1)
+    sol = cvc_obtain_approx(k2, 1 / 3, oracle, width=1)
     assert sol.value == 1
     star = star_graph(6)
-    sol = cvc_obtain_approx(star, None, 1 / 3, oracle, width=1)
+    sol = cvc_obtain_approx(star, 1 / 3, oracle, width=1)
     assert sol.payload == frozenset({0})
 
 
@@ -349,12 +351,11 @@ def test_cvc_obtain_approx_too_big_signal():
     # genuinely huge instance: the 2-approximation already exceeds the
     # default guard 200*width^2/delta = 600
     g = path_graph(1400)
-    res = cvc_obtain_approx(g, None, 1 / 3, exact_brute_oracle(), width=1)
+    res = cvc_obtain_approx(g, 1 / 3, exact_brute_oracle(), width=1)
     assert res is TOO_BIG
     # a scaled-down guard triggers the same certificate on desk-size graphs
     res2 = cvc_obtain_approx(
-        path_graph(40), None, 1 / 3, exact_brute_oracle(), width=1,
-        threshold_scale=0.001,
+        path_graph(40), 1 / 3, exact_brute_oracle(), width=1, threshold_scale=0.001
     )
     assert res2 is TOO_BIG
 
@@ -453,8 +454,10 @@ def test_separator_soundness_at_split():
 
 
 def test_vc_and_is_make_the_input_nice_once(monkeypatch):
-    # Rebuilding the decomposition for each cut made these engines quadratic.
+    # Rebuilding the decomposition for each cut made these engines quadratic,
+    # and the oracle's rebuild of each query's piece cost more than its DP.
     import atk.kernels as kernels
+    import atk.oracles as oracles
 
     calls = Counter()
 
@@ -467,6 +470,7 @@ def test_vc_and_is_make_the_input_nice_once(monkeypatch):
 
     for name in ("make_nice", "SubtreeIndex", "descend", "prune_subtree"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    monkeypatch.setattr(oracles, "make_nice", counted("make_nice", oracles.make_nice))
     g, td = gen_partial_ktree(1000, 3, 0.9, seed=7)
     for engine in (approx_vc_turing, approx_is_turing):
         calls.clear()
@@ -513,7 +517,9 @@ def test_every_query_gets_a_decomposition_of_its_graph():
             rep = approx_friendly_turing(g, td, 0.5, builtin_instances()[problem], oracle, scale)
         assert rep.recursion_depth > 1 and len(queries) > 1, (engine, problem)
         for q, q_td in queries:
-            assert q_td is not None and validate(q, q_td).valid, (engine, problem)
+            assert isinstance(q_td, NiceTreeDecomposition), (engine, problem)
+            assert q_td.nice_violations() == [], (engine, problem)
+            assert validate(q, q_td).valid, (engine, problem)
 
 
 def test_infeasible_oracle_answer_is_an_internal_invariant_violation():

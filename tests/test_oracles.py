@@ -254,3 +254,15 @@ def test_dp_oracle_uses_heuristic_when_no_td():
     g = cycle_graph(8)
     sol = exact_dp_oracle().solve(VC, g)
     assert sol.value == 4
+
+
+def test_dp_oracle_refuses_other_kinds_before_building_a_decomposition(monkeypatch):
+    import atk.oracles as oracles
+
+    def unexpected(g):
+        raise AssertionError("decomposition built for a query the DP refuses")
+
+    monkeypatch.setattr(oracles, "heuristic_td", unexpected)
+    for kind in (ECC, CVC):
+        with pytest.raises(ValueError, match="exact-dp supports vc and is only"):
+            exact_dp_oracle().solve(kind, cycle_graph(8))

@@ -49,15 +49,15 @@ def test_window_pass_meets_the_guarantees(inst, problem, scale, eps):
         return inner.solve(k, q, q_td)
 
     cuts = []
-    subtree_td = NiceTreeDecomposition.subtree_td
+    restrict = NiceTreeDecomposition.restrict
 
-    def counting(ntd, t, keep, taken=None):
-        if t != ntd.root:  # the root's piece is the last query, not a cut
+    def counting(ntd, keep, t=None, taken=None):
+        if taken is not None and t != ntd.root:  # the root's piece is the last query, not a cut
             cuts.append(t)
-        return subtree_td(ntd, t, keep, taken)
+        return restrict(ntd, keep, t, taken)
 
     oracle = Oracle("checking", 1.0, inner.size_cap, checking)
-    with mock.patch.object(NiceTreeDecomposition, "subtree_td", counting):
+    with mock.patch.object(NiceTreeDecomposition, "restrict", counting):
         rep = engine(g, td, KernelConfig(eps, oracle, scale))
     assert is_feasible(kind, g, rep.solution)
     assert not invalid
