@@ -51,8 +51,6 @@ from .treedecomp import (
     SubtreeIndex,
     TreeDecomposition,
     descend,
-    make_nice,
-    prune_subtree,
 )
 
 
@@ -288,13 +286,12 @@ def approx_friendly_turing(
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
 
-    def step(cur_g, cur_td, flags):
-        ntd = make_nice(cur_g, cur_td)
+    def step(cur_g, ntd, flags):
         outcome = find_split_node(cur_g, ntd, delta, problem, cfg.oracle, threshold_scale)
         if outcome.direct is not None:
             return (None, None, outcome.direct), (), False
         rest_g = cur_g.remove_vertices(outcome.v_set)
-        rest_td = prune_subtree(ntd, outcome.node, keep_t=False, drop_from_bags=outcome.bag)
+        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(outcome.node)))
         return (cur_g, outcome.bag, outcome.solution), [(rest_g, rest_td)], True
 
     def assemble(parts):

@@ -1,19 +1,22 @@
 """The approximate Turing kernels and the engine loop they all run on.
 
 Every engine, the generic one in ``friendly`` included, runs on ``_drive``.
-The driver checks the inputs, keeps a stack of (graph, decomposition)
-pieces, counts the cuts, checks the final solution and builds the report.
-An engine supplies one step and one assembly hook. The step finds nodes
-whose local optimum sits in a bounded window, solves their pieces through
-``_query`` (the one place that reduces, queries the oracle, lifts and
-checks) and returns the remainders. The direct vc and is engines take a
-single step, one bottom-up pass over the input's nice decomposition that
-cuts every piece (``_window_pass``); the others walk down from the root
-to one split per step (ecc, etp and the friendly engine by ``descend``,
-cvc over its subconnected decomposition). The hook combines the solved
-parts into a solution of the input graph. With threshold_scale = 1 every
-internal threshold equals its analysis-given formula, which is what the
-query-size audit is checked against.
+The driver checks the inputs, makes the input's decomposition nice once,
+keeps a stack of (graph, nice decomposition) pieces, counts the cuts,
+checks the final solution and builds the report. An engine supplies one
+step and one assembly hook. The step finds nodes whose local optimum sits
+in a bounded window, solves their pieces through ``_query`` (the one place
+that reduces, queries the oracle, lifts and checks) and returns the
+remainders, each with its decomposition cut from the step's own by
+``NiceTreeDecomposition.restrict`` (ecc's components by one
+``split_components`` pass; cvc contracts its cut bag and makes the rest
+nice again). The direct vc and is engines take a single step, one
+bottom-up pass that cuts every piece (``_window_pass``); the others walk
+down from the root to one split per step (ecc, etp and the friendly engine
+by ``descend``, cvc over its subconnected decomposition). The hook combines
+the solved parts into a solution of the input graph. With threshold_scale
+= 1 every internal threshold equals its analysis-given formula, which is
+what the query-size audit is checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .approx import (
     greedy_triangle_packing,
     vc_nt_kernel,
 )
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, OracleRefused
 from .graph import Graph
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
@@ -41,11 +44,11 @@ from .treedecomp import (
     NiceTreeDecomposition,
     SubtreeIndex,
     TreeDecomposition,
+    _preorder,
     descend,
     find_node_by_local_size,
     make_nice,
     make_subconnected,
-    prune_subtree,
     rooted_subtree_vertices,
     validate,
 )
@@ -111,30 +114,30 @@ def _drive(
     g: Graph,
     td: TreeDecomposition,
     cfg: KernelConfig,
-    step: Callable[[Graph, TreeDecomposition, set[str]], tuple],
+    step: Callable[[Graph, NiceTreeDecomposition, set[str]], tuple],
     assemble: Callable[[list], Solution],
     bounds: Callable[[int], tuple[float | None, dict[str, float]]],
 ) -> RunReport:
-    """Run ``step`` over a stack of pieces, starting from (g, td).
+    """Run ``step`` over a stack of pieces, starting from g and td made nice.
 
-    ``step(graph, td, flags)`` solves part of its piece and returns (the
-    solved part, the remainders to push, the number of cuts it made): none,
-    one, or one per component are pushed, and each cut counts one level of
-    recursion depth. ``assemble`` gets the solved parts in solving order,
-    and ``bounds(width)`` gives the declared query bound and the reported
-    thresholds.
+    ``step(graph, ntd, flags)`` gets a nice decomposition of its graph,
+    solves part of it and returns (the solved part, the remainders to push,
+    the number of cuts it made): none, one, or one per component are
+    pushed, and each cut counts one level of recursion depth. ``assemble``
+    gets the solved parts in solving order, and ``bounds(width)`` gives the
+    declared query bound and the reported thresholds.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
     if not 0 < eps <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("threshold_scale must be finite and positive")
-    _require_valid(g, td, ValueError)
+    ntd = make_nice(g, td)  # raises ValueError on an invalid td
     cfg.audit.reset()
     flags: set[str] = {"threshold-scale-override"} if scale != 1.0 else set()
     parts: list = []
     depth = 0
-    work = [(g, td)]
+    work = [(g, ntd)]
     while work:
         part, rest, split = step(*work.pop(), flags)
         parts.append(part)
@@ -207,10 +210,10 @@ def _query(
 
 
 def _window_pass(
-    g: Graph, td: TreeDecomposition, limit: float, matching: bool, solve: Callable
+    g: Graph, ntd: NiceTreeDecomposition, limit: float, matching: bool, solve: Callable
 ) -> tuple[frozenset, tuple, int]:
     """Cut g into pieces whose measure is at most ``limit`` in one post-order
-    pass over make_nice(g, td), after Kundu and Misra's linear-time tree
+    pass over its nice decomposition, after Kundu and Misra's linear-time tree
     partitioning (1977). Returns a step's (solution, no remainders, cuts).
 
     A node keeps its live local set (V_t \\ X_t without earlier pieces and
@@ -223,7 +226,6 @@ def _window_pass(
     fits; so a cut piece measures over limit/2 - 2. A cut solves G[L_c] by
     ``solve(piece, its decomposition, X_c)`` and deletes X_c; the root's
     live set is the last piece."""
-    ntd = make_nice(g, td)
     state: list = [None] * ntd.n_nodes  # (live set, matched set) of pending nodes
     taken: set[int] = set()  # nodes of earlier pieces' decompositions
     deleted: set[int] = set()
@@ -295,8 +297,8 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     def solve(piece, piece_td, separator):
         return _query(VC, piece, piece_td, cfg.oracle, kernel).payload | separator
 
-    def step(cur_g, cur_td, flags):
-        return _window_pass(cur_g, cur_td, 8.0 * (cur_td.width + 1) / eps * scale, True, solve)
+    def step(cur_g, ntd, flags):
+        return _window_pass(cur_g, ntd, 8.0 * (ntd.width + 1) / eps * scale, True, solve)
 
     def bounds(width):
         return 16.0 * (width + 1) / eps, {"easy_guard": 8.0 * (width + 1) / eps * scale}
@@ -318,14 +320,14 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     def solve(piece, piece_td, _separator):
         return _query(IS, piece, piece_td, cfg.oracle).payload
 
-    def step(cur_g, cur_td, flags):
-        lo = (cur_td.width + 1) ** 2 / eps * scale
+    def step(cur_g, ntd, flags):
+        lo = (ntd.width + 1) ** 2 / eps * scale
         hi = 10.0 * lo
         lo_eff = max(lo, 1.0)
         hi_eff = max(hi, 2.0 * lo_eff)  # a cut piece has over hi_eff / 2 >= lo_eff vertices
         if cur_g.n > hi and (lo_eff != lo or hi_eff != hi):
             flags.add("window-clamped")
-        return _window_pass(cur_g, cur_td, hi_eff, False, solve)
+        return _window_pass(cur_g, ntd, hi_eff, False, solve)
 
     def bounds(width):
         return 10.0 * (width + 1) ** 2 / eps, {
@@ -352,15 +354,14 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
-    def step(cur_g, cur_td, flags):
+    def step(cur_g, ntd, flags):
         if cur_g.m == 0:
             return frozenset(), (), False  # isolated vertices carry no edges to cover
         comps = cur_g.connected_components()
         if len(comps) > 1:
-            tds = cur_td.split_components(comps)
-            pieces = [(cur_g.induced_subgraph(c), c_td) for c, c_td in zip(comps, tds)]
+            tds = ntd.split_components(comps)
+            pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, tds) if d is not None]
             return frozenset(), pieces, False
-        ntd = make_nice(cur_g, cur_td)
         base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
         if cur_g.n <= base:
             return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
@@ -372,7 +373,8 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         if t == ntd.root:
             return sol_t.payload, (), True  # the window covered the whole graph
         rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
-        return sol_t.payload, [(rest_g, prune_subtree(ntd, t, keep_t=True))], True
+        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(t)[1:]))
+        return sol_t.payload, [(rest_g, rest_td)], True
 
     def bounds(width):
         return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1), {
@@ -399,14 +401,18 @@ def solve_etp_small(
     """Pack triangles in g through the oracle, keeping the better of its
     answer and the caller's 3-approximation ``s3``.
 
-    A graph with more vertices than the oracle's size cap is not queried:
-    ``s3`` itself is returned with a degraded-ratio flag instead of failing
-    the run.
+    A graph with more vertices than the oracle's size cap is not queried,
+    and a query the oracle refuses (exhaustive search also caps etp by
+    edges) does not fail the run: ``s3`` itself is returned with a
+    degraded-ratio flag instead.
     """
-    if g.n > oracle.size_cap:
-        return s3, ("etp-kernel-refusal-3approx-fallback",)
-    sol = _query(ETP, g, td, oracle)
-    return (sol if sol.value >= s3.value else s3), ()
+    if g.n <= oracle.size_cap:
+        try:
+            sol = _query(ETP, g, td, oracle)
+            return (sol if sol.value >= s3.value else s3), ()
+        except OracleRefused:
+            pass
+    return s3, ("etp-kernel-refusal-3approx-fallback",)
 
 
 def _greedy_complete_packing(g: Graph, packing: frozenset) -> Solution:
@@ -432,16 +438,16 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
-    def step(cur_g, cur_td, flags):
-        ntd = make_nice(cur_g, cur_td)
+    def step(cur_g, ntd, flags):
         unit = (ntd.width + 1) ** 2 / eps * scale
         s3 = greedy_triangle_packing(cur_g)
         if s3.value > 18.0 * unit:
             node, local, sol_t, fl = _find_etp_split(cur_g, ntd, unit, cfg.oracle)
             flags.update(fl)
             if local:
-                rest = (cur_g.remove_vertices(local), prune_subtree(ntd, node, keep_t=True))
-                return sol_t.payload, [rest], True
+                rest_g = cur_g.remove_vertices(local)
+                rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(node)[1:]))
+                return sol_t.payload, [(rest_g, rest_td)], True
             flags.add("etp-empty-split-fallback")
         sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, ntd)
         flags.update(fl)
@@ -581,13 +587,24 @@ def find_cvc_split_node(
     return t, vsets[t], fallback, ("cvc-descent-exhausted-fallback",)
 
 
+def _cut_and_contract(sc: TreeDecomposition, t: int, z: int) -> TreeDecomposition:
+    """``sc`` less the nodes strictly below t, with X_t contracted to z: it
+    decomposes the remainder, as every trace of a vertex of X_t holds t."""
+    _, children = sc.rooted_children()
+    below = set(_preorder(children, t)[1:])
+    x_t = sc.bags[t]
+    bags = {s: (b - x_t) | {z} if b & x_t else b for s, b in sc.bags.items() if s not in below}
+    edges = [(a, b) for a, b in sc.tree_edges if a in bags and b in bags]
+    return TreeDecomposition(bags, edges, root=sc.root)
+
+
 def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
     """(1+eps)-approximate Turing kernel for connected vertex cover.
 
     Works over a subconnected decomposition; found pieces are solved with
     the bag contracted to one vertex, reconnected via connectify, and the
     remainder recurses with the bag contracted in both graph and
-    decomposition (re-validated each level).
+    decomposition (re-validated and made nice each level).
     """
     if not g.is_connected():
         raise ValueError("connected vertex cover needs a connected graph")
@@ -596,12 +613,11 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     first_z = (max(g.vertices) + 1) if g.n else 0
     contracted: list[int] = []
 
-    def step(cur_g, cur_td, flags):
+    def step(cur_g, ntd, flags):
         if cur_g.m == 0:
             return frozenset(), (), False
         if not cur_g.is_connected():
             raise InternalInvariantViolation("cvc recursion lost connectivity")
-        ntd = make_nice(cur_g, cur_td)
         ell = ntd.width
         res = cvc_obtain_approx(cur_g, delta, cfg.oracle, width=ell, threshold_scale=scale)
         if res is not TOO_BIG:
@@ -618,9 +634,9 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         z = first_z + len(contracted)
         contracted.append(z)
         rest_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
-        rest_td = prune_subtree(sc, t, keep_t=True).contract_bag_vertices(x_t, z)
+        rest_td = _cut_and_contract(sc, t, z)
         _require_valid(rest_g, rest_td, InternalInvariantViolation)
-        return piece.payload, [(rest_g, rest_td)], True
+        return piece.payload, [(rest_g, make_nice(rest_g, rest_td))], True
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap

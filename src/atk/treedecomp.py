@@ -76,32 +76,6 @@ class TreeDecomposition:
                 children[p].append(s)
         return next(iter(parent)), {t: tuple(sorted(c)) for t, c in children.items()}
 
-    def split_components(self, comps: list[frozenset[int]]) -> list["TreeDecomposition"]:
-        """One decomposition per graph component, built in one pass.
-
-        Each holds the nodes whose bag meets its component, with bags cut
-        down to it. These nodes form a subtree: every trace is connected,
-        and adjacent vertices share a bag.
-        """
-        comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        bags: list[dict[int, set[int]]] = [{} for _ in comps]
-        for t, bag in self.bags.items():
-            for v in bag:
-                bags[comp_of[v]].setdefault(t, set()).add(v)
-        edges: list[list[tuple[int, int]]] = [[] for _ in comps]
-        for a, b in self.tree_edges:
-            for i in {comp_of[v] for v in self.bags[a]}:
-                if b in bags[i]:
-                    edges[i].append((a, b))
-        return [TreeDecomposition(b, e) for b, e in zip(bags, edges)]
-
-    def contract_bag_vertices(self, old: frozenset[int], z: int) -> "TreeDecomposition":
-        """Replace any occurrence of a vertex from ``old`` by ``z`` in all bags."""
-        bags = {
-            t: ((b - old) | {z}) if b & old else b for t, b in self.bags.items()
-        }
-        return TreeDecomposition(bags, self.tree_edges, root=self.root)
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -244,9 +218,13 @@ class NiceTreeDecomposition:
         forget of a vertex outside ``keep``, a join left with one child), and
         a subtree holding no vertex of ``keep`` adds no node. A node left
         without children grows from a leaf chain; the top forgets up to an
-        empty root. It decomposes G[keep] for any ``keep`` within V_t whose
-        vertices occur in no taken node: a vertex of V_t \\ X_t occurs only
-        below t, so the subtree holds its whole trace and every edge at it.
+        empty root. The kept nodes (the subtree of ``t`` less the subtrees
+        of taken nodes) form a subtree, so the result decomposes G[keep]
+        whenever every vertex of ``keep`` occurs in a kept node: its trace
+        stays connected, and two adjacent vertices of ``keep`` share a kept
+        bag by the Helly property of subtrees. Query pieces meet this, and
+        so do remainders cut from the root with ``taken`` the nodes strictly
+        below t (X_t kept) or the subtree of t (V_t removed).
         """
         start = self.root if t is None else t
         skip = () if taken is None else taken
@@ -274,6 +252,43 @@ class NiceTreeDecomposition:
         root = top[start]
         root = out.leaf_chain(frozenset()) if root is None else out.chain_up(root, frozenset())
         return NiceTreeDecomposition(out.bags, out.kinds, out.pivots, out.children, root)
+
+    def split_components(self, comps: list[frozenset[int]]) -> list["NiceTreeDecomposition | None"]:
+        """``restrict(c)`` for each connected component c, in one post-order
+        pass; a one-vertex component (no edges) gets None. A node hands up
+        the pending top of each component met below it: an introduce or
+        forget changes only its pivot's, and a join merges the smaller map
+        into the larger. The nodes meeting a component form a subtree, so a
+        component whose cut bag empties is done, with that top as its root.
+        """
+        comp_of = {v: i for i, c in enumerate(comps) if len(c) > 1 for v in c}
+        out = [_NiceBuilder() if len(c) > 1 else None for c in comps]
+        roots: list[int | None] = [None] * len(comps)
+        pending: dict[int, dict[int, int]] = {}  # node -> {component: its top}
+        for t in self.postorder():
+            kids = [pending.pop(c) for c in self.children[t]]
+            tops = kids[0] if kids else {}
+            if len(kids) == 2:
+                big = len(kids[0]) >= len(kids[1])
+                tops, other = kids if big else kids[::-1]
+                for i, top in other.items():
+                    if i in tops:
+                        pair = (tops[i], top) if big else (top, tops[i])
+                        top = out[i].add(out[i].bags[top], JOIN, None, pair)
+                    tops[i] = top
+            i = comp_of.get(self.pivots[t])
+            if i is not None:
+                b, v, top = out[i], self.pivots[t], tops.pop(i, None)
+                if top is None:
+                    top = b.leaf_chain(frozenset((v,)))
+                else:  # an introduce adds v, a forget drops it
+                    top = b.add(b.bags[top] ^ {v}, self.kinds[t], v, (top,))
+                (tops if b.bags[top] else roots)[i] = top  # an emptied cut bag is a root
+            pending[t] = tops
+        return [
+            None if b is None else NiceTreeDecomposition(b.bags, b.kinds, b.pivots, b.children, r)
+            for b, r in zip(out, roots)
+        ]
 
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t in range(self.n_nodes) for c in self.children[t]]
@@ -581,36 +596,6 @@ def rooted_subtree_vertices(td: TreeDecomposition) -> tuple[dict[int, tuple[int,
             acc |= vsets[c]
         vsets[t] = frozenset(acc)
     return children, vsets
-
-
-# ---------------------------------------------------------------------------
-# Pruning helpers used by the recursive kernels
-# ---------------------------------------------------------------------------
-
-
-def prune_subtree(
-    td: NiceTreeDecomposition | TreeDecomposition,
-    t: int,
-    keep_t: bool,
-    drop_from_bags: frozenset[int] = frozenset(),
-) -> TreeDecomposition:
-    """Remove the subtree rooted at ``t`` (optionally keeping ``t`` itself)
-    and delete ``drop_from_bags`` from every remaining bag.
-
-    ``td`` is a nice decomposition or a rooted plain one.
-    """
-    if t == td.root and not keep_t:
-        raise ValueError("cannot prune the whole decomposition")
-    if isinstance(td, NiceTreeDecomposition):
-        nodes, children = range(td.n_nodes), td.children
-    else:
-        nodes, (_, children) = td.bags, td.rooted_children()
-    doomed = set(_preorder(children, t))
-    if keep_t:
-        doomed.discard(t)
-    bags = {s: td.bags[s] - drop_from_bags for s in nodes if s not in doomed}
-    edges = [(s, c) for s in bags for c in children[s] if c in bags]
-    return TreeDecomposition(bags, edges, root=td.root)
 
 
 def _preorder(children, t: int) -> list[int]:

@@ -4,7 +4,8 @@ the descent walk.
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
 on generated decompositions, intact and corrupted; ``restrict`` must cut
 a nice decomposition of its piece, with or without an earlier piece taken,
-and the component split a valid decomposition of each component.
+and of both remainder shapes, and the nice component split must equal
+``restrict`` to each component.
 ``SubtreeIndex`` must give every node's set exactly, whatever order the
 nodes are asked in, and ``descend`` must stop where the reference walk in
 ``helpers`` stops.
@@ -26,7 +27,7 @@ from atk.treedecomp import (
     make_nice,
     validate,
 )
-from helpers import reference_descend, reference_validate, restricted
+from helpers import reference_descend, reference_validate
 
 CORRUPTIONS = ("drop-vertex", "split-trace", "unshare-edge", "foreign-vertex")
 
@@ -141,19 +142,55 @@ def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_t
         assert taken == before | visited
 
 
-@settings(max_examples=60, deadline=None)
+def _nice_and_valid(g, ntd):
+    return ntd.nice_violations() == [] and validate(g, ntd).valid
+
+
+def _shape(ntd):
+    return ntd.bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root
+
+
+@settings(max_examples=80, deadline=None)
 @given(instances(), st.integers(0, 10_000))
-def test_split_components_decomposes_each_component(inst, salt):
+def test_nice_split_components_cuts_each_component(inst, salt):
     g, td = inst
     rng = random.Random(salt)
     # cutting vertices out leaves several components
     cut = frozenset(rng.sample(g.vertices, g.n // 4))
     rest = g.remove_vertices(cut)
-    rest_td = restricted(td, rest.vertex_set)
+    whole = make_nice(g, td).restrict(rest.vertex_set)
     comps = rest.connected_components()
-    for comp, comp_td in zip(comps, rest_td.split_components(comps)):
-        assert set(comp_td.bags) == {t for t, b in rest_td.bags.items() if b & comp}
-        assert validate(rest.induced_subgraph(comp), comp_td).valid
+    tds = whole.split_components(comps)
+    assert len(tds) == len(comps)
+    for comp, comp_td in zip(comps, tds):
+        if len(comp) == 1:
+            assert comp_td is None
+            continue
+        assert _nice_and_valid(rest.induced_subgraph(comp), comp_td)
+        # its nodes are the cut nodes that meet the component, as restrict cuts them
+        assert {b for b in comp_td.bags if b} == {b & comp for b in whole.bags if b & comp}
+        assert _shape(comp_td) == _shape(whole.restrict(comp))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.lists(st.booleans(), min_size=1, max_size=3), st.integers(0, 10_000))
+def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt):
+    # A remainder is cut from its piece's decomposition from the root: with
+    # X_t kept (ecc, etp), taken is the nodes strictly below t; with V_t
+    # removed (friendly), the subtree of t. Levels chain.
+    g, ntd = inst[0], make_nice(*inst)
+    rng = random.Random(salt)
+    for keep_bag in keep_bags:
+        idx = SubtreeIndex(ntd)
+        t = rng.randrange(ntd.n_nodes)
+        subtree = ntd.subtree_nodes(t)
+        if keep_bag:
+            g = g.remove_vertices(idx.local_vertices(t))
+            ntd = ntd.restrict(g.vertex_set, taken=set(subtree[1:]))
+        else:
+            g = g.remove_vertices(idx.v_set(t))
+            ntd = ntd.restrict(g.vertex_set, taken=set(subtree))
+        assert _nice_and_valid(g, ntd)
 
 
 def _query_orders(ntd, rng):

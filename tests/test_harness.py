@@ -3,10 +3,14 @@ import random
 
 import pytest
 
+from atk import cli
 from atk.cli import main, run_one
+from atk.errors import InternalInvariantViolation, OracleRefused
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
+from atk.oracles import Oracle
 from atk.pace import ParseError, parse_gr, parse_td, write_gr, write_td
+from atk.problems import Solution
 from atk.treedecomp import validate
 from helpers import complete_graph, path_graph
 
@@ -354,3 +358,45 @@ def test_run_one_ecc_forest_ratio_against_edge_count():
     assert row["opt"] == g.m  # triangle-free identity
     assert row["ratio"] <= 2.0
     assert row["max_query_vertices"] <= row["declared_query_bound"]
+
+
+MAPPED = (ParseError, ValueError, OracleRefused, OSError, InternalInvariantViolation)
+
+
+def _infeasible_oracle(name, problem):
+    return Oracle("infeasible", 1.0, 100, lambda kind, q, q_td: Solution.of_vertices(()))
+
+
+@pytest.mark.parametrize(
+    "error, argv, code",
+    [
+        (ParseError, ["solve", "--problem", "vc", "--eps", "0.5", "--graph", "{bad}"], 1),
+        (ValueError, ["solve", "--problem", "nope", "--eps", "0.5", "--graph", "{gr}"], 1),
+        (OracleRefused, ["solve", "--problem", "cc", "--engine", "friendly", "--eps", "1.0",
+                         "--graph", "{gr}", "--td", "{td}", "--oracle", "exact-bf"], 1),
+        (OSError, ["solve", "--problem", "vc", "--eps", "0.5", "--graph", "{missing}"], 1),
+        (InternalInvariantViolation, ["solve", "--problem", "vc", "--eps", "0.5",
+                                      "--graph", "{gr}", "--td", "{td}"], 2),
+    ],
+)
+def test_cli_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, error, argv, code):
+    paths = {name: tmp_path / name for name in ("bad", "gr", "td", "missing")}
+    paths["bad"].write_text("1 2\n")  # an edge before the header
+    main(["gen", "--n", "30", "--k", "2", "--p", "0.8", "--seed", "0",
+          "--out", str(paths["gr"]), "--td-out", str(paths["td"])])
+    capsys.readouterr()
+    if error is InternalInvariantViolation:
+        monkeypatch.setattr(cli, "build_oracle", _infeasible_oracle)
+    argv = [a.format(**paths) for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(error) as raised:
+        args.fn(args)
+    # not one of the more specific mapped classes (ParseError is a ValueError)
+    narrower = [c for c in MAPPED if c is not error and issubclass(c, error)]
+    assert not isinstance(raised.value, tuple(narrower))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    prefix = "internal invariant violation: " if code == 2 else "error: "
+    assert err.startswith(prefix + str(raised.value))

@@ -33,7 +33,6 @@ from atk.oracles import (
 from atk.problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
 from atk.treedecomp import (
     NiceTreeDecomposition,
-    TreeDecomposition,
     heuristic_td,
     make_nice,
     make_subconnected,
@@ -69,7 +68,7 @@ def _vc_cuts(g, td, limit):
         seen.append((piece, separator))
         return frozenset()
 
-    _, _, cuts = _window_pass(g, td, limit, True, solve)
+    _, _, cuts = _window_pass(g, make_nice(g, td), limit, True, solve)
     return seen[:cuts]
 
 
@@ -154,26 +153,6 @@ def test_vc_query_decompositions_are_sized_by_their_piece(n):
     rep = approx_vc_turing(g, td, KernelConfig(0.5, Oracle("rec", 1.0, inner.size_cap, recording)))
     assert rep.recursion_depth > 0 and per_vertex
     assert max(per_vertex) <= 4 * (rep.width + 1)
-
-
-def test_ecc_component_decompositions_hold_only_their_nodes(monkeypatch):
-    split = TreeDecomposition.split_components
-    seen = []
-
-    def recording(self, comps):
-        out = split(self, comps)
-        seen.append((self, comps, out))
-        return out
-
-    monkeypatch.setattr(TreeDecomposition, "split_components", recording)
-    g, td = gen_partial_ktree(300, 1, 0.8, seed=4)
-    rep = approx_ecc_turing(g, td, KernelConfig(0.5, trianglefree_ecc_oracle(), 0.05))
-    assert is_feasible(ECC, g, rep.solution) and seen
-    for whole, comps, tds in seen:
-        assert len(comps) == len(tds) > 1
-        for comp, comp_td in zip(comps, tds):
-            assert all(whole.bags[t] & comp for t in comp_td.bags)
-            assert all(comp_td.bags[t] == whole.bags[t] & comp for t in comp_td.bags)
 
 
 def test_vc_engine_rejects_invalid_td():
@@ -275,6 +254,10 @@ def test_solve_etp_small_kernel_refusal_falls_back():
     assert "etp-kernel-refusal-3approx-fallback" in flags
     assert is_feasible(ETP, g, sol)
     assert sol.value >= 12 / 3
+    k9 = complete_graph(9)  # 9 vertices but 36 edges, over exhaustive search's etp cap of 30
+    sol, flags = solve_etp_small(k9, greedy_triangle_packing(k9), exact_brute_oracle())
+    assert flags == ("etp-kernel-refusal-3approx-fallback",)
+    assert sol == greedy_triangle_packing(k9)
 
 
 def test_etp_engine_trianglefree():
@@ -453,9 +436,11 @@ def test_separator_soundness_at_split():
             assert not ((u in local2 and v in outside2) or (v in local2 and u in outside2))
 
 
-def test_vc_and_is_make_the_input_nice_once(monkeypatch):
-    # Rebuilding the decomposition for each cut made these engines quadratic,
+def test_make_nice_runs_once_per_engine_run(monkeypatch):
+    # Rebuilding the decomposition for each cut made the engines quadratic,
     # and the oracle's rebuild of each query's piece cost more than its DP.
+    # Every remainder and component is cut from the input's nice
+    # decomposition; only cvc, which contracts its cut bag, rebuilds.
     import atk.kernels as kernels
     import atk.oracles as oracles
 
@@ -468,15 +453,47 @@ def test_vc_and_is_make_the_input_nice_once(monkeypatch):
 
         return wrapper
 
-    for name in ("make_nice", "SubtreeIndex", "descend", "prune_subtree"):
+    for name in ("make_nice", "SubtreeIndex", "descend", "_cut_and_contract"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     monkeypatch.setattr(oracles, "make_nice", counted("make_nice", oracles.make_nice))
-    g, td = gen_partial_ktree(1000, 3, 0.9, seed=7)
-    for engine in (approx_vc_turing, approx_is_turing):
+    reg = builtin_instances()
+    big, big_td = gen_partial_ktree(1000, 3, 0.9, seed=7)
+    runs = {
+        "vc": lambda: approx_vc_turing(big, big_td, KernelConfig(0.5, exact_dp_oracle())),
+        "is": lambda: approx_is_turing(big, big_td, KernelConfig(0.5, exact_dp_oracle())),
+        "etp": lambda: approx_etp_turing(
+            *gen_partial_ktree(60, 2, 0.9, seed=3), KernelConfig(1.0, exact_brute_oracle(), 0.1)
+        ),
+        "ecc-connected": lambda: approx_ecc_turing(
+            *gen_connected_partial_ktree(200, 1, 0.8, seed=4),
+            KernelConfig(0.5, trianglefree_ecc_oracle(), 0.05),
+        ),
+        "ecc-forest": lambda: approx_ecc_turing(
+            *gen_partial_ktree(300, 1, 0.8, seed=4),
+            KernelConfig(0.5, trianglefree_ecc_oracle(), 0.05),
+        ),
+        "friendly-vc": lambda: approx_friendly_turing(
+            *gen_partial_ktree(200, 2, 0.8, seed=1), 0.5, reg["vc"], exact_dp_oracle(), 0.3
+        ),
+        "friendly-is": lambda: approx_friendly_turing(
+            *gen_partial_ktree(200, 2, 0.8, seed=1), 0.5, reg["is"], exact_dp_oracle(), 0.3
+        ),
+        "cvc": lambda: approx_cvc_turing(
+            *gen_connected_partial_ktree(50, 1, 0.6, seed=0),
+            KernelConfig(1.0, exact_brute_oracle(), 0.01),
+        ),
+    }
+    for name, run in runs.items():
         calls.clear()
-        rep = engine(g, td, KernelConfig(0.5, exact_dp_oracle()))
-        assert rep.recursion_depth > 1
-        assert calls == {"make_nice": 1}
+        rep = run()
+        assert rep.recursion_depth > 1, name
+        if name == "cvc":
+            assert calls["_cut_and_contract"] > 0
+            assert calls["make_nice"] == 1 + calls["_cut_and_contract"]
+        else:
+            assert calls["make_nice"] == 1, name
+        if name in ("vc", "is"):
+            assert calls == {"make_nice": 1}
 
 
 def test_audit_counts_match_report():

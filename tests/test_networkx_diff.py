@@ -1,0 +1,77 @@
+"""Differential tests against networkx, an independent implementation.
+
+Components, pattern containment, the feedback vertex set check and the
+two matching bounds of vertex cover are compared on random graphs.
+networkx is used here only; ``atk`` itself has no dependencies.
+"""
+
+import random
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from atk.approx import nt_reduce, vc_2approx
+from atk.graph import Graph
+from atk.problems import FVS, Solution, contains_pattern, is_feasible
+from helpers import gnp_graph
+
+PATTERNS = {
+    "k2": Graph([0, 1], [(0, 1)]),
+    "k3": Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]),
+    "p3": Graph([0, 1, 2], [(0, 1), (1, 2)]),
+}
+
+
+def _nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices)
+    out.add_edges_from(g.edges())
+    return out
+
+
+@st.composite
+def graphs(draw, max_n=30):
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.0, 0.5))
+    return gnp_graph(random.Random(draw(st.integers(0, 10_000))), n, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_connected_components_match_networkx(g):
+    ours = g.connected_components()
+    assert sorted(map(sorted, ours)) == sorted(map(sorted, nx.connected_components(_nx(g))))
+    assert [min(c) for c in ours] == sorted(min(c) for c in ours)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8), st.sampled_from(sorted(PATTERNS)), st.integers(0, 10_000))
+def test_contains_pattern_matches_subgraph_monomorphism(g, name, salt):
+    pattern = PATTERNS[name]
+    if g.n < pattern.n:
+        return
+    vs = frozenset(random.Random(salt).sample(g.vertices, pattern.n))
+    matcher = GraphMatcher(_nx(g.induced_subgraph(vs)), _nx(pattern))
+    assert contains_pattern(g, vs, pattern) == matcher.subgraph_is_monomorphic()
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=20), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_fvs_feasibility_matches_is_forest(g, frac, salt):
+    rng = random.Random(salt)
+    removed = frozenset(v for v in g.vertices if rng.random() < frac)
+    rest = _nx(g)
+    rest.remove_nodes_from(removed)
+    # networkx defines no forest on zero vertices; an empty graph has no cycle
+    expected = rest.number_of_nodes() == 0 or nx.is_forest(rest)
+    assert is_feasible(FVS, g, Solution.of_vertices(removed)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_vertex_cover_bounds_bracket_a_maximum_matching(g):
+    nu = len(nx.max_weight_matching(_nx(g), maxcardinality=True))
+    assert nt_reduce(g).lp_value >= nu
+    assert vc_2approx(g).value <= 2 * nu

@@ -12,7 +12,6 @@ from atk.treedecomp import (
     heuristic_td,
     make_nice,
     make_subconnected,
-    prune_subtree,
     rooted_subtree_vertices,
     validate,
 )
@@ -255,20 +254,3 @@ def test_nice_violations_rejects_children_that_are_not_a_tree():
     detached = NiceTreeDecomposition(empty, ["leaf", "forget", "forget"], [None] * 3, [(), (2,), (1,)], 0)
     for bad in (twice, detached):
         assert bad.nice_violations() == ["children do not form a tree below the root"]
-
-
-def test_prune_subtree_keeps_validity():
-    g, td = gen_partial_ktree(40, 2, 0.9, seed=9)
-    ntd = make_nice(g, td)
-    idx = SubtreeIndex(ntd)
-    t = find_node_by_local_size(ntd, idx, 5, 12)
-    v_t = idx.v_set(t)
-    bag = ntd.bags[t]
-    # the vertex-cover style prune: subtree gone, bag dropped everywhere
-    remainder = g.remove_vertices(v_t)
-    pruned = prune_subtree(ntd, t, keep_t=False, drop_from_bags=bag)
-    assert validate(remainder, pruned).valid
-    # the clique-cover style prune: t kept, bag stays in the graph
-    remainder2 = g.remove_vertices(v_t - bag)
-    pruned2 = prune_subtree(ntd, t, keep_t=True)
-    assert validate(remainder2, pruned2).valid
