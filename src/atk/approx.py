@@ -55,16 +55,19 @@ def greedy_matching(
     return 2 * len(edges), frozenset(matched), edges
 
 
-def vc_2approx(g: Graph) -> Solution:
-    """Both endpoints of a greedy maximal matching: a 2-approximate cover."""
-    _, cover, _ = greedy_matching(g)
-    return Solution.of_vertices(cover)
+def vc_2approx(g: Graph, within=None, stop_above: float | None = None) -> Solution:
+    """Both endpoints of a greedy maximal matching of G[within] (all of g by
+    default): a 2-approximate cover. One found over ``stop_above`` comes
+    back empty, its value only a certificate of excess."""
+    value, cover, _ = greedy_matching(g, within, stop_above)
+    return Solution(frozenset() if cover is None else cover, value)
 
 
-def eds_2approx(g: Graph) -> Solution:
-    """A maximal matching, which edge-dominates every edge (ratio 2)."""
-    _, _, edges = greedy_matching(g)
-    return Solution.of_edges(edges)
+def eds_2approx(g: Graph, within=None, stop_above: float | None = None) -> Solution:
+    """A maximal matching of G[within], which edge-dominates every edge
+    (ratio 2); ``stop_above`` as for ``vc_2approx``."""
+    value, _, edges = greedy_matching(g, within, None if stop_above is None else 2 * stop_above)
+    return Solution(frozenset(), value // 2) if edges is None else Solution.of_edges(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -157,42 +160,48 @@ def nt_reduce(g: Graph) -> NTPartition:
 # ---------------------------------------------------------------------------
 
 
-def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
-    """Min-degree elimination order and the degeneracy of g. Each pick is the
+def _min_degree_order(g: Graph, within=None):
+    """Yield a min-degree elimination order of G[within] (all of g by
+    default), each vertex with its degree when picked. Each pick is the
     lowest (degree, id); a heap entry for an older degree is skipped."""
-    deg = {v: g.degree(v) for v in g.vertices}
+    within = g.vertex_set if within is None else within
+    deg = {v: len(g.neighbors(v) & within) for v in within}
     heap = [(d, v) for v, d in deg.items()]
     heapq.heapify(heap)
-    order: list[int] = []
-    gone: set[int] = set()
-    degeneracy = 0
     while heap:
         d, v = heapq.heappop(heap)
-        if d != deg[v]:
+        if deg.get(v) != d:
             continue
-        degeneracy = max(degeneracy, d)
-        order.append(v)
-        gone.add(v)
+        yield v, d
+        del deg[v]
         for w in g.neighbors(v):
-            if w not in gone:
+            if w in deg:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
-    return order, degeneracy
 
 
-def degeneracy_is(g: Graph) -> Solution:
-    """Greedy independent set along a degeneracy order.
+def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
+    """The min-degree elimination order of g and its degeneracy."""
+    picks = list(_min_degree_order(g))
+    return [v for v, _ in picks], max((d for _, d in picks), default=0)
+
+
+def degeneracy_is(g: Graph, within=None, stop_above: float | None = None) -> Solution:
+    """Greedy independent set of G[within] (all of g by default) along a
+    degeneracy order, generated as the picks go: with ``stop_above`` set,
+    the run ends once the set holds more vertices than that.
 
     For degeneracy d the result has at least |V|/(d+1) vertices: each pick
     discards at most d still-available neighbors.
     """
-    order, _ = _degeneracy_order(g)
     removed: set[int] = set()
     picked: list[int] = []
-    for v in order:
+    for v, _ in _min_degree_order(g, within):
         if v in removed:
             continue
         picked.append(v)
+        if stop_above is not None and len(picked) > stop_above:
+            break
         removed.add(v)
         removed |= g.neighbors(v)
     return Solution.of_vertices(picked)

@@ -6,11 +6,11 @@ split/merge, a bounded deletion effect f with an extend algorithm, a
 reduce-and-lift kernel with size function h, and a phi-approximation.
 Six built-in instances are provided; the engine itself is problem-blind.
 
-The engine is one more step on the engine loop in ``kernels``: each level
-is a piece on the loop's stack, so the Python stack stays flat however
-deep the split chain goes. A problem's kernel slot holds its own
-reduction where that is real; an empty slot queries the piece directly,
-and the oracle refuses a piece over its size cap.
+The engine is one step on the engine loop in ``kernels`` that runs the
+whole split chain as a loop over the input's nice decomposition, so the
+Python stack stays flat however deep the chain goes. A problem's kernel
+slot holds its own reduction where that is real; an empty slot queries
+the piece directly, and the oracle refuses a piece over its size cap.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ from .treedecomp import (
 class FriendlyProblem:
     """A problem descriptor satisfying the four friendliness conditions.
 
+    ``phi_approx(g, within=None, stop_above=None)`` approximates G[within]
+    (all of g by default); with ``stop_above`` set it may stop once its
+    value is over that, the value then only certifying the excess.
     ``psaks`` is the problem's reduce-and-lift kernel, or None where pieces
     are queried directly.
     """
@@ -66,7 +69,7 @@ class FriendlyProblem:
     kind: ProblemKind
     f: Callable[[float], float]
     phi: Callable[[float, int], float]
-    phi_approx: Callable[[Graph], Solution]
+    phi_approx: Callable[..., Solution]
     psaks: ApproximateKernel | None
     extend: Callable[[Graph, frozenset, Solution], Solution]
 
@@ -118,6 +121,13 @@ def _extend_incident_edges(g: Graph, x: frozenset, sol: Solution) -> Solution:
     return Solution.of_edges(added)
 
 
+def _on_piece(phi_approx: Callable[[Graph], Solution]) -> Callable[..., Solution]:
+    """A phi-approximation run on G[within] itself, never stopping early."""
+    return lambda g, within=None, stop_above=None: phi_approx(
+        g if within is None else g.induced_subgraph(within)
+    )
+
+
 def builtin_instances() -> dict[str, FriendlyProblem]:
     """The six built-in friendly problems.
 
@@ -151,7 +161,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=CLIQUE_COVER,
             f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
-            phi_approx=clique_cover_trivial,
+            phi_approx=_on_piece(clique_cover_trivial),
             psaks=clique_cover_kernel(),
             extend=_extend_singletons,
         ),
@@ -160,7 +170,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=FVS,
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
-            phi_approx=fvs_2approx,
+            phi_approx=_on_piece(fvs_2approx),
             psaks=None,
             extend=_extend_add_vertices,
         ),
@@ -181,7 +191,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=kind,
             f=lambda x: x,
             phi=(lambda n_h: lambda s, l: n_h * s)(pattern.n),
-            phi_approx=(lambda pat: lambda g: maximal_h_packing(g, pat))(pattern),
+            phi_approx=_on_piece((lambda pat: lambda g: maximal_h_packing(g, pat))(pattern)),
             psaks=None,
             extend=_extend_identity,
         )
@@ -189,8 +199,54 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
 
 
 # ---------------------------------------------------------------------------
-# The find-a-split-node subroutine, minimization and maximization forms
+# The remainder of a split chain, and the find-a-split-node subroutine
 # ---------------------------------------------------------------------------
+
+
+class _Remainder:
+    """What the splits so far leave of the input graph and its nice
+    decomposition, kept as a view of both instead of being rebuilt.
+
+    A split at t removes V_t, and its query's ``restrict`` adds t's subtree
+    to ``taken``; the remainder's decomposition is the tree
+    ``ntd.restrict(live, None, taken)`` would build. ``descend`` walks the
+    view itself, with the input's node ids, through the live children:
+    those with a live vertex in their bag or local set, whose sizes are
+    kept current. A child whose live local set is as large as its parent's
+    (below an introduce node, or below any node restrict would skip) has
+    the parent's set, and so its phi value. phi is cached per node: a split
+    at t changes the local sets of t and its ancestors only.
+    """
+
+    def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
+        self.g, self.ntd, self.idx = g, ntd, SubtreeIndex(ntd)
+        self.root, self.children = ntd.root, self  # what descend reads
+        self.live = set(g.vertices)
+        self.taken: set[int] = set()
+        self.live_local = list(self.idx.local_size)  # sizes of the live local sets
+        self.live_bag = [len(b) for b in ntd.bags]  # and of the live bags
+        self.occurs: dict[int, list[int]] = {v: [] for v in g.vertices}
+        for t, bag in enumerate(ntd.bags):
+            for v in bag:
+                self.occurs[v].append(t)
+        self.phi: dict[int, tuple[Solution, bool]] = {}  # node -> (phi, not cut short)
+
+    def __getitem__(self, t: int) -> list[int]:
+        return [c for c in self.ntd.children[t] if self.live_local[c] or self.live_bag[c]]
+
+    def local(self, t: int) -> set[int]:
+        return self.live.intersection(self.idx.forgotten[self.idx.begin[t]:self.idx.end[t]])
+
+    def cut(self, t: int, removed: frozenset[int]) -> None:
+        """Remove V_t, the live vertices ``removed``; t is not the root."""
+        self.live -= removed
+        for v in removed:
+            for s in self.occurs[v]:
+                self.live_bag[s] -= 1
+        while t is not None:  # t's and its ancestors' local sets lose removed less their bags
+            self.live_local[t] -= len(removed) - len(removed & self.ntd.bags[t])
+            self.phi.pop(t, None)
+            t = self.ntd.parent[t]
 
 
 @dataclass
@@ -202,64 +258,60 @@ class SplitOutcome:
     bag: frozenset | None
 
 
-def _best(problem: FriendlyProblem, a: Solution, b: Solution) -> Solution:
-    if problem.direction == "min":
-        return a if a.value <= b.value else b
-    return a if a.value >= b.value else b
-
-
 def find_split_node(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
+    rest: _Remainder,
     delta: float,
     problem: FriendlyProblem,
     oracle: Oracle,
     threshold_scale: float = 1.0,
 ) -> SplitOutcome:
-    """Either solve g outright through the kernel slot, or find a node t
-    whose local optimum is at least f(width+1)/delta along with a
+    """Either solve the remainder outright through the kernel slot, or find
+    a node t whose local optimum is at least f(width+1)/delta along with a
     c(1+delta)-approximate local solution.
 
-    The descent walks to the first node t whose phi-value is at most the
-    budget threshold. At the root, g is solved outright with its
-    decomposition ``ntd``; otherwise the one-child / join case analysis runs
-    at t's parent, whose phi-value exceeds the threshold.
+    The descent walks the remainder's tree to the first node whose phi-value
+    is at most the budget threshold; phi runs on the input graph within the
+    node's live local set and stops once over the threshold, except at the
+    children of a join. At the root, the remainder is solved outright;
+    otherwise the one-child / join case analysis runs at t's parent, whose
+    phi-value exceeds the threshold. The caller then cuts V_t from ``rest``.
     """
-    ell = ntd.width
-    ff = problem.f
-    k = (2.0 * ff(ell + 1) / delta + ff(1)) * threshold_scale
+    g, ntd = rest.g, rest.ntd
+    ell = max(rest.live_bag) - 1  # the width
+    k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
     phi_k = problem.phi(k, ell)
     budget = phi_k + ell
     maximize = problem.direction == "max"
-    idx = SubtreeIndex(ntd)
-    sols: dict[int, Solution] = {}
 
-    def local_graph(t: int) -> Graph:
-        return g.induced_subgraph(idx.local_vertices(t))
+    def measure(t, stop_above):
+        hit, p = rest.phi.get(t), ntd.parent[t]
+        if hit is None and p is not None and rest.live_local[p] == rest.live_local[t]:
+            hit = rest.phi.get(p)  # t's live local set is its parent's
+        if hit is None or not (hit[1] or stop_above is not None and hit[0].value > stop_above):
+            sol = problem.phi_approx(g, rest.local(t), stop_above)
+            hit = sol, stop_above is None or sol.value <= stop_above
+        rest.phi[t] = hit
+        return hit[0].value, hit[0]
 
-    def measure(t, _stop_above):
-        sol = sols[t] = problem.phi_approx(local_graph(t))
-        return sol.value, sol
-
-    t, _, hint = descend(ntd, measure, k if maximize else phi_k)
-    if t == ntd.root:
-        sol = _query(problem.kind, g, ntd, oracle, problem.psaks, budget)
-        return SplitOutcome(sol if maximize else _best(problem, sol, hint), None, None, None, None)
-    p = ntd.parent[t]
-    kids = ntd.children[p]
-    if len(kids) == 2 and maximize:
-        gp, g1, g2 = local_graph(p), local_graph(kids[0]), local_graph(kids[1])
-        s1, s2 = problem.split(gp, g1, g2, sols[p])
-        t = kids[0] if (s1.value, -kids[0]) >= (s2.value, -kids[1]) else kids[1]
-    elif len(kids) == 2 and all(sols[c].value <= phi_k / 2 for c in kids):
+    t, _, hint = descend(rest, measure, k if maximize else phi_k)
+    p = ntd.parent[t]  # None: the remainder is solved outright
+    kids = [] if p is None else rest[p]
+    if len(kids) == 2 and maximize:  # split p's full phi solution between its children
+        gp, g1, g2 = (g.induced_subgraph(rest.local(s)) for s in (p, *kids))
+        s1, s2 = problem.split(gp, g1, g2, measure(p, None)[1])
+        t = kids[0] if s1.value >= s2.value else kids[1]
+    elif len(kids) == 2 and all(rest.phi[c][0].value <= phi_k / 2 for c in kids):
         t = p
-        hint = problem.merge(sols[kids[0]], sols[kids[1]])
-    local = idx.local_vertices(t)
-    sub = g.induced_subgraph(local)
-    sol = _query(problem.kind, sub, ntd.restrict(local, t), oracle, problem.psaks, budget)
-    if not maximize:
-        sol = _best(problem, sol, hint)
-    return SplitOutcome(None, t, sol, idx.v_set(t), ntd.bags[t])
+        hint = problem.merge(rest.phi[kids[0]][0], rest.phi[kids[1]][0])
+    local = rest.local(t)
+    piece = ntd.restrict(local, t, rest.taken)
+    sol = _query(problem.kind, g.induced_subgraph(local), piece, oracle, problem.psaks, budget)
+    if not maximize:  # phi's own solution may be the better one
+        sol = min(sol, hint, key=lambda s: s.value)
+    if p is None:
+        return SplitOutcome(sol, None, None, None, None)
+    bag = ntd.bags[t] & rest.live
+    return SplitOutcome(None, t, sol, frozenset(local | bag), bag)
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +329,29 @@ def approx_friendly_turing(
 ) -> RunReport:
     """(1+eps)-approximate Turing kernel for any friendly problem.
 
-    Each step splits at the node the find-node subroutine returns and
-    pushes G - V_t, so the levels form a chain on the engine loop's stack.
-    The solution is then folded back innermost first: plain union for
-    maximization, and the problem's extend algorithm over each level's bag
-    for minimization.
+    One engine step runs the whole split chain over the input's nice
+    decomposition: each level splits at the node the find-node subroutine
+    returns and leaves G - V_t as a view of the input (``_Remainder``).
+    The solutions are then folded back innermost first: plain union for
+    maximization, and the problem's extend algorithm over each level's
+    graph and bag for minimization.
     """
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
 
     def step(cur_g, ntd, flags):
-        outcome = find_split_node(cur_g, ntd, delta, problem, cfg.oracle, threshold_scale)
-        if outcome.direct is not None:
-            return (None, None, outcome.direct), (), False
-        rest_g = cur_g.remove_vertices(outcome.v_set)
-        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(outcome.node)))
-        return (cur_g, outcome.bag, outcome.solution), [(rest_g, rest_td)], True
-
-    def assemble(parts):
-        *levels, (_, _, solution) = parts
-        for cur_g, bag, part in reversed(levels):
-            solution = problem.merge(solution, part)
+        rest = _Remainder(cur_g, ntd)
+        levels = []
+        while (out := find_split_node(rest, delta, problem, cfg.oracle, threshold_scale)).direct is None:
+            levels.append(out)
+            rest.cut(out.node, out.v_set)
+        solution = out.direct
+        for level in reversed(levels):
+            rest.live |= level.v_set  # the level's graph is G[live]
+            solution = problem.merge(solution, level.solution)
             if problem.direction == "min":
-                solution = problem.extend(cur_g, bag, solution)
-        return solution
+                solution = problem.extend(cur_g.induced_subgraph(rest.live), level.bag, solution)
+        return solution, (), len(levels)
 
     def bounds(width):
         declared = None
@@ -310,4 +361,4 @@ def approx_friendly_turing(
         budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
         return declared, {"budget_k": budget_k}
 
-    return _drive(problem.name, problem.kind, g, td, cfg, step, assemble, bounds)
+    return _drive(problem.name, problem.kind, g, td, cfg, step, lambda parts: parts[0], bounds)

@@ -11,9 +11,10 @@ remainders, each with its decomposition cut from the step's own by
 ``NiceTreeDecomposition.restrict`` (ecc's components by one
 ``split_components`` pass; cvc contracts its cut bag and makes the rest
 nice again). The direct vc and is engines take a single step, one
-bottom-up pass that cuts every piece (``_window_pass``); the others walk
-down from the root to one split per step (ecc, etp and the friendly engine
-by ``descend``, cvc over its subconnected decomposition). The hook combines
+bottom-up pass that cuts every piece (``_window_pass``), as does the
+friendly engine, whose step runs its chain of ``descend`` walks on a view
+of the input's decomposition; ecc, etp (by ``descend``) and cvc (over its
+subconnected decomposition) make one split per step. The hook combines
 the solved parts into a solution of the input graph. With threshold_scale
 = 1 every internal threshold equals its analysis-given formula, which is
 what the query-size audit is checked against.
@@ -50,7 +51,6 @@ from .treedecomp import (
     make_nice,
     make_subconnected,
     rooted_subtree_vertices,
-    validate,
 )
 
 
@@ -163,12 +163,6 @@ def _drive(
 
 def _union(parts) -> frozenset:
     return frozenset().union(*parts)
-
-
-def _require_valid(g: Graph, td: TreeDecomposition, error: type[Exception]) -> None:
-    report = validate(g, td)
-    if not report.valid:
-        raise error("invalid tree decomposition: " + "; ".join(report.violations()))
 
 
 def _assert_feasible(kind, g: Graph, sol: Solution, context: str) -> None:
@@ -604,7 +598,7 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     Works over a subconnected decomposition; found pieces are solved with
     the bag contracted to one vertex, reconnected via connectify, and the
     remainder recurses with the bag contracted in both graph and
-    decomposition (re-validated and made nice each level).
+    decomposition (made nice each level, which validates it once).
     """
     if not g.is_connected():
         raise ValueError("connected vertex cover needs a connected graph")
@@ -634,9 +628,8 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         z = first_z + len(contracted)
         contracted.append(z)
         rest_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
-        rest_td = _cut_and_contract(sc, t, z)
-        _require_valid(rest_g, rest_td, InternalInvariantViolation)
-        return piece.payload, [(rest_g, make_nice(rest_g, rest_td))], True
+        rest_ntd = make_nice(rest_g, _cut_and_contract(sc, t, z), InternalInvariantViolation)
+        return piece.payload, [(rest_g, rest_ntd)], True
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap

@@ -382,8 +382,9 @@ def _shrink(td: TreeDecomposition) -> tuple[dict[int, frozenset[int]], dict[int,
     return bags, adj
 
 
-def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Convert a valid decomposition to nice form; width is preserved.
+def make_nice(g: Graph, td: TreeDecomposition, error=ValueError) -> NiceTreeDecomposition:
+    """Convert a valid decomposition to nice form; width is preserved. An
+    invalid one raises ``error``.
 
     Node count is O(width * |V(g)|): nested adjacent bags are contracted
     first, then joins are binarized and bag transitions are padded with
@@ -391,7 +392,7 @@ def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
     """
     report = validate(g, td)
     if not report.valid:
-        raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
+        raise error("invalid tree decomposition: " + "; ".join(report.violations()))
     bags, adj = _shrink(td)
     order = sorted(bags)
     root = order[0]
@@ -433,55 +434,29 @@ def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
 class SubtreeIndex:
     """Per-node local sets V_t \\ X_t of a nice decomposition.
 
-    Local sizes |V_t \\ X_t| are precomputed bottom-up in O(nodes). A set
-    is built on demand from its parent's cached one, which it then replaces:
-    the same set below an introduce node, minus the pivot below a forget
-    node, and at a join the parent's set minus the smaller child's. The
-    smaller child (on equal sizes, the higher id, so two siblings never ask
-    each other) is scanned, as is the root and any node whose parent's set
-    is not cached. A walk down from the root thus scans only the smaller
-    side of each join and keeps O(n) vertices cached.
+    Every vertex is forgotten at exactly one node (the root bag is empty),
+    and V_t \\ X_t is the set of vertices forgotten in t's subtree. A
+    subtree is a run of the post-order that ends at its root and starts
+    where its first child's run does, so with the forgotten vertices listed
+    in post-order each local set is one slice, ``forgotten[begin[t]:end[t]]``.
+    Building the index is one pass over the nodes.
     """
 
     def __init__(self, ntd: NiceTreeDecomposition):
         self.ntd = ntd
-        size: list[int] = [0] * ntd.n_nodes
+        n = ntd.n_nodes
+        self.forgotten, self.begin, self.end = forgotten, begin, end = [], [0] * n, [0] * n
         for t in ntd.postorder():
-            kind = ntd.kinds[t]
-            if kind == INTRODUCE:
-                size[t] = size[ntd.children[t][0]]
-            elif kind == FORGET:
-                size[t] = size[ntd.children[t][0]] + 1
-            elif kind == JOIN:
-                c1, c2 = ntd.children[t]
-                size[t] = size[c1] + size[c2]
-        self.local_size = size
-        self._local: dict[int, frozenset[int]] = {}
+            kids = ntd.children[t]
+            begin[t] = begin[kids[0]] if kids else len(forgotten)
+            if ntd.kinds[t] == FORGET:
+                forgotten.append(ntd.pivots[t])
+            end[t] = len(forgotten)
+        self.local_size = [e - b for b, e in zip(begin, end)]
 
     def local_vertices(self, t: int) -> frozenset[int]:
         """V_t \\ X_t: the vertices that occur only below ``t``'s bag."""
-        out = self._local.get(t)
-        if out is not None:
-            return out
-        ntd, p = self.ntd, self.ntd.parent[t]
-        above = None if p is None or self._scanned(t) else self._local.pop(p, None)
-        if above is None:
-            bags = ntd.bags if p is None else [ntd.bags[s] for s in ntd.subtree_nodes(t)]
-            out = frozenset().union(*bags) - ntd.bags[t]
-        elif ntd.kinds[p] == FORGET:
-            out = above - {ntd.pivots[p]}
-        elif ntd.kinds[p] == JOIN:
-            c1, c2 = ntd.children[p]
-            out = above - self.local_vertices(c2 if c1 == t else c1)
-        else:
-            out = above
-        self._local[t] = out
-        return out
-
-    def _scanned(self, t: int) -> bool:
-        """Whether ``t`` is the smaller child of a join."""
-        kids, size = self.ntd.children[self.ntd.parent[t]], self.local_size
-        return len(kids) == 2 and min(kids, key=lambda c: (size[c], -c)) == t
+        return frozenset(self.forgotten[self.begin[t]:self.end[t]])
 
     def v_set(self, t: int) -> frozenset[int]:
         """V_t: every vertex in a bag of the subtree rooted at ``t``."""
@@ -492,12 +467,15 @@ def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.
     """Walk down from the root to the first node whose measure is at most
     ``limit``; every split search is this walk with its own measure.
 
-    ``measure(t, stop_above)`` returns (value, data) for node t. A node the
-    walk reaches gets ``stop_above`` = ``limit``, so the measure may give up
-    once the value is over it, and a one-child node is left for its child
-    unconditionally. The two children of a join are measured in full; the
-    walk follows the larger value, ties to the lower node id, and that value
-    must stay at least ``floor``. Returns (node, value, data).
+    ``ntd`` needs only a ``root`` and a ``children`` lookup, so the walk can
+    run on a view of a decomposition. ``measure(t, stop_above)`` returns
+    (value, data) for node t. A node the walk reaches gets ``stop_above`` =
+    ``limit``, so the measure may give up once the value is over it, and a
+    one-child node is left for its child unconditionally. The two children
+    of a join are measured in full; the walk follows the larger value, ties
+    to the first child (the lower id in every tree ``make_nice`` and
+    ``restrict`` build), and that value must stay at least ``floor``.
+    Returns (node, value, data).
     """
     t = ntd.root
     value, data = measure(t, limit)
@@ -510,8 +488,7 @@ def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.
             value, data = measure(t, limit)
             continue
         (v1, d1), (v2, d2) = measure(kids[0], None), measure(kids[1], None)
-        first = (v1, -kids[0]) >= (v2, -kids[1])
-        t, value, data = (kids[0], v1, d1) if first else (kids[1], v2, d2)
+        t, value, data = (kids[0], v1, d1) if v1 >= v2 else (kids[1], v2, d2)
         if value < floor:
             raise InternalInvariantViolation("join split lost the window (both children too small)")
     return t, value, data

@@ -7,9 +7,10 @@ from itertools import combinations
 
 from atk.errors import InternalInvariantViolation
 from atk.graph import Graph, _reach
+from atk.kernels import KernelConfig, _drive, _query
 from atk.oracles import brute_force_solve
 from atk.problems import Solution
-from atk.treedecomp import FORGET, TreeDecomposition, ValidationReport
+from atk.treedecomp import FORGET, SubtreeIndex, TreeDecomposition, ValidationReport, descend
 
 
 def path_graph(n: int, start: int = 1) -> Graph:
@@ -186,3 +187,72 @@ def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:
                 buckets[deg[w]].add(w)
         cursor = max(0, cursor - 1)
     return order, degeneracy
+
+
+def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, threshold_scale: float = 1.0):
+    """The per-level friendly engine, kept as the reference for
+    ``friendly.approx_friendly_turing``: every level is a piece on the
+    engine loop's stack with its own graph G - V_t and its own decomposition
+    rebuilt by ``restrict``, and phi runs in full on each node's induced
+    local graph. Returns the run's report."""
+    cfg = KernelConfig(eps, oracle, threshold_scale)
+    delta = eps / 3.0
+    maximize = problem.direction == "max"
+
+    def best(a, b):
+        return a if a.value <= b.value else b
+
+    def step(cur_g, ntd, flags):
+        ell = ntd.width
+        k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
+        phi_k = problem.phi(k, ell)
+        budget = phi_k + ell
+        idx = SubtreeIndex(ntd)
+        sols = {}
+
+        def local_graph(t):
+            return cur_g.induced_subgraph(idx.local_vertices(t))
+
+        def measure(t, _stop_above):
+            sol = sols[t] = problem.phi_approx(local_graph(t))
+            return sol.value, sol
+
+        t, _, hint = descend(ntd, measure, k if maximize else phi_k)
+        if t == ntd.root:
+            sol = _query(problem.kind, cur_g, ntd, cfg.oracle, problem.psaks, budget)
+            return (None, None, sol if maximize else best(sol, hint)), (), False
+        p = ntd.parent[t]
+        kids = ntd.children[p]
+        if len(kids) == 2 and maximize:
+            gp, g1, g2 = local_graph(p), local_graph(kids[0]), local_graph(kids[1])
+            s1, s2 = problem.split(gp, g1, g2, sols[p])
+            t = kids[0] if (s1.value, -kids[0]) >= (s2.value, -kids[1]) else kids[1]
+        elif len(kids) == 2 and all(sols[c].value <= phi_k / 2 for c in kids):
+            t = p
+            hint = problem.merge(sols[kids[0]], sols[kids[1]])
+        local = idx.local_vertices(t)
+        piece = cur_g.induced_subgraph(local)
+        sol = _query(problem.kind, piece, ntd.restrict(local, t), cfg.oracle, problem.psaks, budget)
+        if not maximize:
+            sol = best(sol, hint)
+        rest_g = cur_g.remove_vertices(idx.v_set(t))
+        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(t)))
+        return (cur_g, ntd.bags[t], sol), [(rest_g, rest_td)], True
+
+    def assemble(parts):
+        *levels, (_, _, solution) = parts
+        for cur_g, bag, part in reversed(levels):
+            solution = problem.merge(solution, part)
+            if not maximize:
+                solution = problem.extend(cur_g, bag, solution)
+        return solution
+
+    def bounds(width):
+        declared = None
+        if problem.psaks is not None:
+            k0 = 6.0 * problem.f(width + 1) / eps + problem.f(1)
+            declared = problem.psaks.size_fn(delta, problem.phi(k0, width) + width)
+        budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
+        return declared, {"budget_k": budget_k}
+
+    return _drive(problem.name, problem.kind, g, td, cfg, step, assemble, bounds)

@@ -4,8 +4,10 @@ the descent walk.
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
 on generated decompositions, intact and corrupted; ``restrict`` must cut
 a nice decomposition of its piece, with or without an earlier piece taken,
-and of both remainder shapes, and the nice component split must equal
-``restrict`` to each component.
+and of both remainder shapes, the friendly engine's view of the input must
+show every remainder of a friendly chain as ``restrict`` builds it, every
+join must list its lower-id child first, and the nice component split must
+equal ``restrict`` to each component.
 ``SubtreeIndex`` must give every node's set exactly, whatever order the
 nodes are asked in, and ``descend`` must stop where the reference walk in
 ``helpers`` stops.
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from atk.approx import degeneracy_is, greedy_matching, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
+from atk.friendly import _Remainder
 from atk.generate import gen_partial_ktree
 from atk.treedecomp import (
     NiceTreeDecomposition,
@@ -172,25 +175,92 @@ def test_nice_split_components_cuts_each_component(inst, salt):
         assert _shape(comp_td) == _shape(whole.restrict(comp))
 
 
-@settings(max_examples=80, deadline=None)
+def _match_view(rest, cut):
+    """Walk the restrict-built remainder ``cut`` and the friendly engine's
+    view ``rest`` of the input together. Each node of ``cut`` stands for a
+    chain of view nodes, the ones restrict merged (one live child with the
+    same live bag); every node of a chain must have the cut node's bag and
+    local set, and the chain's last node its children, or none where the
+    cut node grows from a leaf chain. Returns cut node -> (first, last)."""
+    idx = SubtreeIndex(cut)
+    match = {}
+    stack = [(cut.root, rest.root)]
+    while stack:
+        u, s = stack.pop()
+        first = s
+        while True:
+            assert rest.ntd.bags[s] & rest.live == cut.bags[u]
+            assert rest.local(s) == idx.local_vertices(u)
+            kids = rest[s]
+            if len(kids) != 1 or rest.ntd.bags[kids[0]] & rest.live != cut.bags[u]:
+                break
+            s = kids[0]
+        match[u] = first, s
+        if kids:
+            assert len(kids) == len(cut.children[u])
+            stack.extend(zip(cut.children[u], kids))
+        else:
+            assert idx.local_size[u] == 0
+    return match
+
+
+@settings(max_examples=150, deadline=None)
 @given(instances(), st.lists(st.booleans(), min_size=1, max_size=3), st.integers(0, 10_000))
 def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt):
     # A remainder is cut from its piece's decomposition from the root: with
     # X_t kept (ecc, etp), taken is the nodes strictly below t; with V_t
-    # removed (friendly), the subtree of t. Levels chain.
+    # removed (friendly), the subtree of t. Levels chain. The friendly
+    # engine keeps its remainders as a view of the input instead; on a
+    # friendly chain the view must show each level's tree, with its width,
+    # and restrict from the input must build that tree exactly.
     g, ntd = inst[0], make_nice(*inst)
     rng = random.Random(salt)
+    view = None if any(keep_bags) else _Remainder(g, ntd)
     for keep_bag in keep_bags:
         idx = SubtreeIndex(ntd)
         t = rng.randrange(ntd.n_nodes)
+        if view is not None:  # the engine never splits at the input's root
+            match = _match_view(view, ntd)
+            below_root = sorted(u for u, (_, last) in match.items() if last != view.root)
+            if not below_root:
+                break
+            t = rng.choice(below_root)
         subtree = ntd.subtree_nodes(t)
         if keep_bag:
             g = g.remove_vertices(idx.local_vertices(t))
             ntd = ntd.restrict(g.vertex_set, taken=set(subtree[1:]))
         else:
+            if view is not None:  # the view splits at either end of t's chain
+                s = rng.choice([x for x in match[t] if x != view.root])
+                local = view.local(s)
+                view.ntd.restrict(local, s, view.taken)  # the query's cut takes s's subtree
+                removed = frozenset(local | (view.ntd.bags[s] & view.live))
+                assert removed == idx.v_set(t)
+                view.cut(s, removed)
             g = g.remove_vertices(idx.v_set(t))
             ntd = ntd.restrict(g.vertex_set, taken=set(subtree))
         assert _nice_and_valid(g, ntd)
+        if view is not None:
+            assert view.live == g.vertex_set
+            assert max(view.live_bag) - 1 == ntd.width
+            assert _shape(view.ntd.restrict(view.live, None, set(view.taken))) == _shape(ntd)
+    if view is not None:
+        _match_view(view, ntd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.integers(0, 10_000))
+def test_every_join_has_its_lower_id_child_first(inst, salt):
+    # descend breaks a tie to a join's first child, which is the lower id in
+    # the trees make_nice and restrict build; so a walk over the input's ids
+    # breaks ties as one over a rebuilt remainder's.
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(salt)
+    keep = frozenset(v for v in g.vertices if rng.random() < 0.7)
+    t = rng.randrange(ntd.n_nodes)
+    for tree in (ntd, ntd.restrict(keep), ntd.restrict(keep, t), ntd.restrict(keep, None, {t})):
+        assert all(kids[0] < kids[1] for kids in tree.children if len(kids) == 2)
 
 
 def _query_orders(ntd, rng):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from atk.friendly import approx_friendly_turing, builtin_instances, find_split_node
+from atk.friendly import _Remainder, approx_friendly_turing, builtin_instances, find_split_node
 from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import approx_vc_turing, KernelConfig
@@ -140,7 +140,7 @@ def test_find_split_node_direct_branch_small():
     g = path_graph(6)
     td = heuristic_td(g)
     ntd = make_nice(g, td)
-    out = find_split_node(g, ntd, 1 / 3, vc, exact_brute_oracle())
+    out = find_split_node(_Remainder(g, ntd), 1 / 3, vc, exact_brute_oracle())
     assert out.direct is not None
     assert out.direct.value == brute_force_solve(VC, g).value
 
@@ -151,7 +151,7 @@ def test_find_split_node_node_branch_is():
     td = heuristic_td(g)
     ntd = make_nice(g, td)
     is_p = REG["is"]
-    out = find_split_node(g, ntd, 1.0, is_p, exact_brute_oracle())
+    out = find_split_node(_Remainder(g, ntd), 1.0, is_p, exact_brute_oracle())
     assert out.direct is None
     sub = g.induced_subgraph(out.v_set - out.bag)
     opt_local = brute_force_solve(IS, sub).value if sub.n <= 18 else None

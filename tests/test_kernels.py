@@ -33,6 +33,7 @@ from atk.oracles import (
 from atk.problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
 from atk.treedecomp import (
     NiceTreeDecomposition,
+    TreeDecomposition,
     heuristic_td,
     make_nice,
     make_subconnected,
@@ -494,6 +495,41 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
             assert calls["make_nice"] == 1, name
         if name in ("vc", "is"):
             assert calls == {"make_nice": 1}
+
+
+def test_cvc_validates_each_remainder_once(monkeypatch):
+    # The contracted remainder was validated and then made nice, which
+    # validates it again. make_nice's check is now the only one, and a
+    # remainder it rejects is still an internal invariant violation.
+    import atk.kernels as kernels
+    import atk.treedecomp as treedecomp
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    check = counted("validate", treedecomp.validate)
+    monkeypatch.setattr(treedecomp, "validate", check)
+    monkeypatch.setattr(kernels, "validate", check, raising=False)
+    cut = kernels._cut_and_contract
+    monkeypatch.setattr(kernels, "_cut_and_contract", counted("level", cut))
+    g, td = gen_connected_partial_ktree(50, 1, 0.6, seed=0)
+    approx_cvc_turing(g, td, KernelConfig(1.0, exact_brute_oracle(), 0.01))
+    assert calls["level"] > 1
+    assert calls["validate"] == 1 + calls["level"]  # the input, then one per contracted level
+
+    def broken(sc, t, z):  # the contraction vertex left in no bag
+        rest = cut(sc, t, z)
+        return TreeDecomposition({s: b - {z} for s, b in rest.bags.items()}, rest.tree_edges)
+
+    monkeypatch.setattr(kernels, "_cut_and_contract", broken)
+    with pytest.raises(InternalInvariantViolation, match="invalid tree decomposition"):
+        approx_cvc_turing(g, td, KernelConfig(1.0, exact_brute_oracle(), 0.01))
 
 
 def test_audit_counts_match_report():

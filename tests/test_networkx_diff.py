@@ -1,8 +1,9 @@
 """Differential tests against networkx, an independent implementation.
 
-Components, pattern containment, the feedback vertex set check and the
-two matching bounds of vertex cover are compared on random graphs.
-networkx is used here only; ``atk`` itself has no dependencies.
+Components, pattern containment, the feedback vertex set check, the two
+matching bounds of vertex cover and the min-fill decomposition width are
+compared on random graphs. networkx is used here only; ``atk`` itself has
+no dependencies.
 """
 
 import random
@@ -10,11 +11,14 @@ import random
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.approximation import treewidth_min_fill_in
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from atk.approx import nt_reduce, vc_2approx
+from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.problems import FVS, Solution, contains_pattern, is_feasible
+from atk.treedecomp import heuristic_td, validate
 from helpers import gnp_graph
 
 PATTERNS = {
@@ -75,3 +79,15 @@ def test_vertex_cover_bounds_bracket_a_maximum_matching(g):
     nu = len(nx.max_weight_matching(_nx(g), maxcardinality=True))
     assert nt_reduce(g).lp_value >= nu
     assert vc_2approx(g).value <= 2 * nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 60), st.floats(0.3, 1.0), st.integers(0, 10_000))
+def test_min_fill_width_matches_networkx(k, extra, p, seed):
+    # A k-tree is chordal, and min-fill eliminates a chordal graph without
+    # fill, so both find its treewidth k exactly; on its partial subgraphs
+    # only validity is certain.
+    full, _ = gen_partial_ktree(k + 1 + extra, k, 1.0, seed)
+    assert heuristic_td(full).width == treewidth_min_fill_in(_nx(full))[0] == k
+    g, _ = gen_partial_ktree(k + 1 + extra, k, p, seed)
+    assert validate(g, heuristic_td(g)).valid

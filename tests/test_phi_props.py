@@ -1,0 +1,64 @@
+"""Property tests for the phi-approximations that run within a vertex set
+of the input graph and may stop once over a threshold.
+
+Run to the end, each must equal itself on the induced subgraph G[within].
+With ``stop_above`` it must report a value over the threshold exactly when
+the full value is over it, and otherwise the full answer; a cut-short
+greedy independent set is a prefix of the full one. The min-degree order
+must still match the bucket reference in ``helpers``.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atk.approx import _degeneracy_order, _min_degree_order, degeneracy_is, eds_2approx, vc_2approx
+from atk.generate import gen_partial_ktree
+from helpers import gnp_graph, reference_degeneracy_order
+
+
+@st.composite
+def pieces(draw):
+    """A graph, a vertex subset and a threshold."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        g = gnp_graph(rng, draw(st.integers(0, 40)), draw(st.floats(0.0, 0.6)))
+    else:
+        k = draw(st.integers(1, 3))
+        n, p = draw(st.integers(k + 1, 80)), draw(st.floats(0.3, 1.0))
+        g, _ = gen_partial_ktree(n, k, p, rng.randrange(10_000))
+    frac = draw(st.floats(0.0, 1.0))
+    within = {v for v in g.vertices if rng.random() < frac}
+    return g, within, draw(st.floats(0.0, 30.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces())
+def test_degeneracy_is_within_a_set_and_stopped_early(piece):
+    g, within, stop_above = piece
+    sub = g.induced_subgraph(within)
+    full = degeneracy_is(sub)
+    assert degeneracy_is(g, within) == full
+    assert [v for v, _ in _min_degree_order(g, within)] == _degeneracy_order(sub)[0]
+    cut = degeneracy_is(g, within, stop_above)
+    assert (cut.value > stop_above) == (full.value > stop_above)
+    if full.value <= stop_above:
+        assert cut == full
+    else:
+        assert cut.payload <= full.payload
+    assert _degeneracy_order(g) == reference_degeneracy_order(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces())
+def test_matching_phis_within_a_set_and_stopped_early(piece):
+    g, within, stop_above = piece
+    sub = g.induced_subgraph(within)
+    for phi in (vc_2approx, eds_2approx):
+        full = phi(sub)
+        assert phi(g, within) == full
+        cut = phi(g, within, stop_above)
+        assert (cut.value > stop_above) == (full.value > stop_above)
+        if full.value <= stop_above:
+            assert cut == full
