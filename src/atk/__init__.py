@@ -19,11 +19,9 @@ from .problems import (
 )
 from .treedecomp import (
     NiceTreeDecomposition,
-    SubtreeIndex,
     TreeDecomposition,
     ValidationReport,
     descend,
-    find_node_by_local_size,
     heuristic_td,
     make_nice,
     make_subconnected,

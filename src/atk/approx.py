@@ -180,12 +180,6 @@ def _min_degree_order(g: Graph, within=None):
                 heapq.heappush(heap, (deg[w], w))
 
 
-def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
-    """The min-degree elimination order of g and its degeneracy."""
-    picks = list(_min_degree_order(g))
-    return [v for v, _ in picks], max((d for _, d in picks), default=0)
-
-
 def degeneracy_is(g: Graph, within=None, stop_above: float | None = None) -> Solution:
     """Greedy independent set of G[within] (all of g by default) along a
     degeneracy order, generated as the picks go: with ``stop_above`` set,

@@ -46,12 +46,7 @@ from .problems import (
     is_feasible,
     is_minimization,
 )
-from .treedecomp import (
-    NiceTreeDecomposition,
-    SubtreeIndex,
-    TreeDecomposition,
-    descend,
-)
+from .treedecomp import Remainder, TreeDecomposition, descend
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,10 @@ class FriendlyProblem:
             return frozenset(v for v in payload if v in keep)
         return frozenset(c for c in payload if c <= keep)
 
-    def split(
-        self, g: Graph, g1: Graph, g2: Graph, sol: Solution
-    ) -> tuple[Solution, Solution]:
-        p1 = self.restrict_payload(sol.payload, g1.vertex_set)
-        p2 = self.restrict_payload(sol.payload, g2.vertex_set)
+    def split(self, sol: Solution, keep1, keep2) -> tuple[Solution, Solution]:
+        """The parts of ``sol`` within the vertex sets ``keep1`` and ``keep2``."""
+        p1 = self.restrict_payload(sol.payload, keep1)
+        p2 = self.restrict_payload(sol.payload, keep2)
         return Solution(p1, len(p1)), Solution(p2, len(p2))
 
     def merge(self, s1: Solution, s2: Solution) -> Solution:
@@ -199,54 +193,8 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
 
 
 # ---------------------------------------------------------------------------
-# The remainder of a split chain, and the find-a-split-node subroutine
+# The find-a-split-node subroutine
 # ---------------------------------------------------------------------------
-
-
-class _Remainder:
-    """What the splits so far leave of the input graph and its nice
-    decomposition, kept as a view of both instead of being rebuilt.
-
-    A split at t removes V_t, and its query's ``restrict`` adds t's subtree
-    to ``taken``; the remainder's decomposition is the tree
-    ``ntd.restrict(live, None, taken)`` would build. ``descend`` walks the
-    view itself, with the input's node ids, through the live children:
-    those with a live vertex in their bag or local set, whose sizes are
-    kept current. A child whose live local set is as large as its parent's
-    (below an introduce node, or below any node restrict would skip) has
-    the parent's set, and so its phi value. phi is cached per node: a split
-    at t changes the local sets of t and its ancestors only.
-    """
-
-    def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
-        self.g, self.ntd, self.idx = g, ntd, SubtreeIndex(ntd)
-        self.root, self.children = ntd.root, self  # what descend reads
-        self.live = set(g.vertices)
-        self.taken: set[int] = set()
-        self.live_local = list(self.idx.local_size)  # sizes of the live local sets
-        self.live_bag = [len(b) for b in ntd.bags]  # and of the live bags
-        self.occurs: dict[int, list[int]] = {v: [] for v in g.vertices}
-        for t, bag in enumerate(ntd.bags):
-            for v in bag:
-                self.occurs[v].append(t)
-        self.phi: dict[int, tuple[Solution, bool]] = {}  # node -> (phi, not cut short)
-
-    def __getitem__(self, t: int) -> list[int]:
-        return [c for c in self.ntd.children[t] if self.live_local[c] or self.live_bag[c]]
-
-    def local(self, t: int) -> set[int]:
-        return self.live.intersection(self.idx.forgotten[self.idx.begin[t]:self.idx.end[t]])
-
-    def cut(self, t: int, removed: frozenset[int]) -> None:
-        """Remove V_t, the live vertices ``removed``; t is not the root."""
-        self.live -= removed
-        for v in removed:
-            for s in self.occurs[v]:
-                self.live_bag[s] -= 1
-        while t is not None:  # t's and its ancestors' local sets lose removed less their bags
-            self.live_local[t] -= len(removed) - len(removed & self.ntd.bags[t])
-            self.phi.pop(t, None)
-            t = self.ntd.parent[t]
 
 
 @dataclass
@@ -259,7 +207,7 @@ class SplitOutcome:
 
 
 def find_split_node(
-    rest: _Remainder,
+    rest: Remainder,
     delta: float,
     problem: FriendlyProblem,
     oracle: Oracle,
@@ -277,32 +225,31 @@ def find_split_node(
     phi-value exceeds the threshold. The caller then cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
-    ell = max(rest.live_bag) - 1  # the width
+    ell = rest.width
     k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
     phi_k = problem.phi(k, ell)
     budget = phi_k + ell
     maximize = problem.direction == "max"
 
-    def measure(t, stop_above):
-        hit, p = rest.phi.get(t), ntd.parent[t]
+    def measure(t, stop_above):  # phi, cached per node as (value, not cut short)
+        hit, p = rest.cache.get(t), ntd.parent[t]
         if hit is None and p is not None and rest.live_local[p] == rest.live_local[t]:
-            hit = rest.phi.get(p)  # t's live local set is its parent's
+            hit = rest.cache.get(p)  # t's live local set is its parent's
         if hit is None or not (hit[1] or stop_above is not None and hit[0].value > stop_above):
             sol = problem.phi_approx(g, rest.local(t), stop_above)
             hit = sol, stop_above is None or sol.value <= stop_above
-        rest.phi[t] = hit
+        rest.cache[t] = hit
         return hit[0].value, hit[0]
 
     t, _, hint = descend(rest, measure, k if maximize else phi_k)
     p = ntd.parent[t]  # None: the remainder is solved outright
     kids = [] if p is None else rest[p]
     if len(kids) == 2 and maximize:  # split p's full phi solution between its children
-        gp, g1, g2 = (g.induced_subgraph(rest.local(s)) for s in (p, *kids))
-        s1, s2 = problem.split(gp, g1, g2, measure(p, None)[1])
+        s1, s2 = problem.split(measure(p, None)[1], *map(rest.local, kids))
         t = kids[0] if s1.value >= s2.value else kids[1]
-    elif len(kids) == 2 and all(rest.phi[c][0].value <= phi_k / 2 for c in kids):
+    elif len(kids) == 2 and all(rest.cache[c][0].value <= phi_k / 2 for c in kids):
         t = p
-        hint = problem.merge(rest.phi[kids[0]][0], rest.phi[kids[1]][0])
+        hint = problem.merge(rest.cache[kids[0]][0], rest.cache[kids[1]][0])
     local = rest.local(t)
     piece = ntd.restrict(local, t, rest.taken)
     sol = _query(problem.kind, g.induced_subgraph(local), piece, oracle, problem.psaks, budget)
@@ -331,7 +278,7 @@ def approx_friendly_turing(
 
     One engine step runs the whole split chain over the input's nice
     decomposition: each level splits at the node the find-node subroutine
-    returns and leaves G - V_t as a view of the input (``_Remainder``).
+    returns and leaves G - V_t as a view of the input (``Remainder``).
     The solutions are then folded back innermost first: plain union for
     maximization, and the problem's extend algorithm over each level's
     graph and bag for minimization.
@@ -340,7 +287,7 @@ def approx_friendly_turing(
     delta = eps / 3.0
 
     def step(cur_g, ntd, flags):
-        rest = _Remainder(cur_g, ntd)
+        rest = Remainder(cur_g, ntd)
         levels = []
         while (out := find_split_node(rest, delta, problem, cfg.oracle, threshold_scale)).direct is None:
             levels.append(out)

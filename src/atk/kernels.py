@@ -11,13 +11,14 @@ remainders, each with its decomposition cut from the step's own by
 ``NiceTreeDecomposition.restrict`` (ecc's components by one
 ``split_components`` pass; cvc contracts its cut bag and makes the rest
 nice again). The direct vc and is engines take a single step, one
-bottom-up pass that cuts every piece (``_window_pass``), as does the
-friendly engine, whose step runs its chain of ``descend`` walks on a view
-of the input's decomposition; ecc, etp (by ``descend``) and cvc (over its
-subconnected decomposition) make one split per step. The hook combines
-the solved parts into a solution of the input graph. With threshold_scale
-= 1 every internal threshold equals its analysis-given formula, which is
-what the query-size audit is checked against.
+bottom-up pass that cuts every piece (``_window_pass``). ecc, etp and the
+friendly engine run their chains of ``descend`` walks in one step on a
+view of the step's decomposition (``treedecomp.Remainder``), ecc until
+what is left falls apart; cvc (over its subconnected decomposition) makes
+one split per step. The hook combines the solved parts into a solution of
+the input graph. With threshold_scale = 1 every internal threshold equals
+its analysis-given formula, which is what the query-size audit is checked
+against.
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ from .approx import (
     vc_nt_kernel,
 )
 from .errors import InternalInvariantViolation, OracleRefused
-from .graph import Graph
+from .graph import Graph, _reach
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
     FORGET,
     NiceTreeDecomposition,
-    SubtreeIndex,
+    Remainder,
     TreeDecomposition,
     _preorder,
     descend,
-    find_node_by_local_size,
     make_nice,
     make_subconnected,
     rooted_subtree_vertices,
@@ -344,9 +344,15 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 
     Components are handled independently; the split keeps the separator on
     both sides (the oracle sees G[V_t], the remainder keeps X_t), so
-    queries have at most 4(1+eps)/eps*(width+1)^4 + width+1 vertices.
+    queries have at most 4(1+eps)/eps*(width+1)^4 + width+1 vertices. A
+    component over the base size splits on a view of its decomposition
+    until what is left is within the base size or falls apart, and hands
+    that back to the engine loop.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
+
+    def base(width):
+        return 2.0 * (1 + eps) / eps * (width + 1) ** 4 * scale
 
     def step(cur_g, ntd, flags):
         if cur_g.m == 0:
@@ -356,23 +362,27 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             tds = ntd.split_components(comps)
             pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, tds) if d is not None]
             return frozenset(), pieces, False
-        base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
-        if cur_g.n <= base:
+        if cur_g.n <= base(ntd.width):
             return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
-        lo = max(base, 1.0)
-        idx = SubtreeIndex(ntd)
-        t = find_node_by_local_size(ntd, idx, lo, 2.0 * lo)
-        v_t = idx.v_set(t)
-        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), ntd.restrict(v_t, t), cfg.oracle)
-        if t == ntd.root:
-            return sol_t.payload, (), True  # the window covered the whole graph
-        rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
-        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(t)[1:]))
-        return sol_t.payload, [(rest_g, rest_td)], True
+        rest, parts, lo = Remainder(cur_g, ntd), [], max(base(ntd.width), 1.0)
+        while True:
+            t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), 2.0 * lo, lo)[0]
+            local = rest.local(t)
+            v_t = local | (ntd.bags[t] & rest.live)
+            piece = ntd.restrict(v_t, t, rest.taken)
+            parts.append(_query(ECC, cur_g.induced_subgraph(v_t), piece, cfg.oracle).payload)
+            if t == ntd.root:
+                return _union(parts), (), len(parts)  # the window covered the whole graph
+            rest.cut(t, local)
+            live, lo = rest.live, max(base(rest.width), 1.0)
+            if len(live) <= lo or len(_reach(cur_g.neighbors, min(live), live)) < len(live):
+                # the next step solves what is left outright or splits it into components
+                rest_td = ntd.restrict(live, None, rest.taken)
+                return _union(parts), [(cur_g.induced_subgraph(live), rest_td)], len(parts)
 
     def bounds(width):
         return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1), {
-            "base_case": 2.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
+            "base_case": base(width),
             "window_hi": 4.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
         }
 
@@ -425,27 +435,46 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     """(1+eps)-approximate Turing kernel for edge-disjoint triangle packing.
 
     The local graph at node t is G[V_t] with the edges inside the bag
-    deleted, so the pieces used at different steps are edge-disjoint and
+    deleted, so the pieces used at different cuts are edge-disjoint and
     their packings combine freely. Splitting sacrifices triangles that
     straddle a bag's internal edges; a final greedy completion packs any
     such triangle whose edges all stayed free, so the output is maximal.
+    The split chain runs on a view of the decomposition, descending to a
+    node whose local packing graph has a small 3-approximation: one-child
+    steps lose at most width+1 packed triangles, and at a join the local
+    graphs split edge-disjointly, so the larger child's measured packing
+    stays above the lower window bound.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
     def step(cur_g, ntd, flags):
-        unit = (ntd.width + 1) ** 2 / eps * scale
-        s3 = greedy_triangle_packing(cur_g)
-        if s3.value > 18.0 * unit:
-            node, local, sol_t, fl = _find_etp_split(cur_g, ntd, unit, cfg.oracle)
+        rest, parts, live_g = Remainder(cur_g, ntd), [], cur_g
+
+        def measure(t, _stop_above):  # the 3-approximation of t's local packing graph
+            bag = ntd.bags[t] & rest.live
+            gt = cur_g.induced_subgraph(rest.local(t) | bag).delete_edges_within(bag)
+            s3 = greedy_triangle_packing(gt)
+            return s3.value, (s3, gt)
+
+        while True:
+            unit = (rest.width + 1) ** 2 / eps * scale
+            s3 = greedy_triangle_packing(live_g)
+            if s3.value <= 18.0 * unit:
+                break
+            node, _, (s3_t, gt) = descend(rest, measure, 6.0 * unit, floor=unit)
+            sol_t, fl = solve_etp_small(gt, s3_t, cfg.oracle)
             flags.update(fl)
-            if local:
-                rest_g = cur_g.remove_vertices(local)
-                rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(node)[1:]))
-                return sol_t.payload, [(rest_g, rest_td)], True
-            flags.add("etp-empty-split-fallback")
-        sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, ntd)
+            local = rest.local(node)
+            if not local:
+                flags.add("etp-empty-split-fallback")
+                break
+            parts.append(sol_t.payload)
+            rest.cut(node, local)
+            live_g = cur_g.induced_subgraph(rest.live)
+        live_td = ntd.restrict(rest.live, None, rest.taken) if parts else ntd
+        sol, fl = solve_etp_small(live_g, s3, cfg.oracle, live_td)
         flags.update(fl)
-        return sol.payload, (), False
+        return _union(parts) | sol.payload, (), len(parts)
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap
@@ -457,31 +486,6 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         "etp", ETP, g, td, cfg, step,
         lambda parts: _greedy_complete_packing(g, _union(parts)), bounds,
     )
-
-
-def _find_etp_split(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
-    unit: float,
-    oracle: Oracle,
-) -> tuple[int, frozenset[int], Solution, tuple[str, ...]]:
-    """Descend to a node whose local packing graph has a small 3-approximation.
-
-    One-child steps lose at most width+1 packed triangles; at a join the
-    local graphs split edge-disjointly, so the larger child's measured
-    packing stays above the lower window bound.
-    """
-
-    idx = SubtreeIndex(ntd)
-
-    def measure(t, _stop_above):
-        gt = g.induced_subgraph(idx.v_set(t)).delete_edges_within(ntd.bags[t])
-        s3 = greedy_triangle_packing(gt)
-        return s3.value, (s3, gt)
-
-    node, _, (s3, gt) = descend(ntd, measure, 6.0 * unit, floor=unit)
-    sol, fl = solve_etp_small(gt, s3, oracle)
-    return node, idx.local_vertices(node), sol, fl
 
 
 # ---------------------------------------------------------------------------

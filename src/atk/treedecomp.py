@@ -1,4 +1,5 @@
-"""Tree decompositions: validation, nice form, subconnected form, node search.
+"""Tree decompositions: validation, nice form, subconnected form, the
+remainder view and the descent walk.
 
 A tree decomposition is a tree of bags covering the graph; the nice form is
 rooted with empty root/leaf bags and only join/introduce/forget nodes. The
@@ -203,9 +204,6 @@ class NiceTreeDecomposition:
     def postorder(self) -> list[int]:
         """Children-before-parent node order (iterative; trees can be deep)."""
         return _preorder(self.children, self.root)[::-1]
-
-    def subtree_nodes(self, t: int) -> list[int]:
-        return _preorder(self.children, t)
 
     def restrict(
         self, keep: frozenset[int], t: int | None = None, taken: set[int] | None = None
@@ -427,23 +425,33 @@ def make_nice(g: Graph, td: TreeDecomposition, error=ValueError) -> NiceTreeDeco
 
 
 # ---------------------------------------------------------------------------
-# Subtree vertex sets and the descent walk
+# The remainder view and the descent walk
 # ---------------------------------------------------------------------------
 
 
-class SubtreeIndex:
-    """Per-node local sets V_t \\ X_t of a nice decomposition.
+class Remainder:
+    """What the cuts so far leave of a graph and its nice decomposition,
+    kept as a view of both instead of being rebuilt.
 
     Every vertex is forgotten at exactly one node (the root bag is empty),
     and V_t \\ X_t is the set of vertices forgotten in t's subtree. A
     subtree is a run of the post-order that ends at its root and starts
     where its first child's run does, so with the forgotten vertices listed
     in post-order each local set is one slice, ``forgotten[begin[t]:end[t]]``.
-    Building the index is one pass over the nodes.
+
+    A cut at t removes live vertices (t's live local set, and its live bag
+    too where the caller drops X_t) and takes the nodes strictly below t; the
+    remainder's decomposition is the tree ``ntd.restrict(live, None, taken)``
+    would build. ``descend`` walks the view itself, with the input's node
+    ids, through the live children: untaken ones with a live vertex in
+    their bag or local set, whose sizes are kept current. A cut changes the
+    local sets of t and its ancestors only, and drops their entries from
+    ``cache``, where a caller may keep per-node values.
     """
 
-    def __init__(self, ntd: NiceTreeDecomposition):
-        self.ntd = ntd
+    def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
+        self.g, self.ntd = g, ntd
+        self.root, self.children = ntd.root, self  # what descend reads
         n = ntd.n_nodes
         self.forgotten, self.begin, self.end = forgotten, begin, end = [], [0] * n, [0] * n
         for t in ntd.postorder():
@@ -452,15 +460,50 @@ class SubtreeIndex:
             if ntd.kinds[t] == FORGET:
                 forgotten.append(ntd.pivots[t])
             end[t] = len(forgotten)
-        self.local_size = [e - b for b, e in zip(begin, end)]
+        self.live = set(g.vertices)
+        self.taken: set[int] = set()
+        self.live_local = [e - b for b, e in zip(begin, end)]  # sizes of the live local sets
+        self.live_bag = [len(b) for b in ntd.bags]  # and of the live bags
+        self.occurs: dict[int, list[int]] = {v: [] for v in g.vertices}
+        for t, bag in enumerate(ntd.bags):
+            for v in bag:
+                self.occurs[v].append(t)
+        self.cache: dict[int, object] = {}
 
-    def local_vertices(self, t: int) -> frozenset[int]:
-        """V_t \\ X_t: the vertices that occur only below ``t``'s bag."""
-        return frozenset(self.forgotten[self.begin[t]:self.end[t]])
+    def __getitem__(self, t: int) -> list[int]:
+        return [
+            c for c in self.ntd.children[t]
+            if c not in self.taken and (self.live_local[c] or self.live_bag[c])
+        ]
 
-    def v_set(self, t: int) -> frozenset[int]:
-        """V_t: every vertex in a bag of the subtree rooted at ``t``."""
-        return self.local_vertices(t) | self.ntd.bags[t]
+    @property
+    def width(self) -> int:
+        """The remainder's width: nodes below a cut hold no more of it than
+        the cut node does."""
+        return max(self.live_bag) - 1
+
+    def local(self, t: int) -> set[int]:
+        """t's live local set: the live vertices that occur only below its bag."""
+        return self.live.intersection(self.forgotten[self.begin[t]:self.end[t]])
+
+    def cut(self, t: int, removed) -> None:
+        """Remove the live vertices ``removed``, t's live local set with or
+        without its live bag, and take the nodes strictly below t, whether or
+        not a query's ``restrict`` has taken t's subtree already."""
+        self.live -= removed
+        for v in removed:
+            for s in self.occurs[v]:
+                self.live_bag[s] -= 1
+        self.taken.discard(t)
+        stack = [c for c in self.ntd.children[t] if c not in self.taken]
+        while stack:
+            s = stack.pop()
+            self.taken.add(s)
+            stack.extend(c for c in self.ntd.children[s] if c not in self.taken)
+        while t is not None:  # t's and its ancestors' local sets lose removed less their bags
+            self.live_local[t] -= len(removed) - len(removed & self.ntd.bags[t])
+            self.cache.pop(t, None)
+            t = self.ntd.parent[t]
 
 
 def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.0):
@@ -492,24 +535,6 @@ def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.
         if value < floor:
             raise InternalInvariantViolation("join split lost the window (both children too small)")
     return t, value, data
-
-
-def find_node_by_local_size(
-    ntd: NiceTreeDecomposition, index: SubtreeIndex, lo: float, hi: float
-) -> int:
-    """Find a node t with lo <= |V_t \\ X_t| <= hi (requires hi >= 2*lo).
-
-    Descends from the root: a one-child step drops the local size by at
-    most one, and at a join the larger child keeps at least half.
-    """
-    if lo < 1:
-        raise ValueError("lower window bound must be at least 1")
-    if hi < 2 * lo:
-        raise ValueError("window requires hi >= 2*lo")
-    size = index.local_size
-    if size[ntd.root] < lo:
-        raise ValueError("graph smaller than the requested window")
-    return descend(ntd, lambda t, _stop_above: (size[t], None), hi, floor=lo)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,18 @@ from itertools import combinations
 
 from atk.errors import InternalInvariantViolation
 from atk.graph import Graph, _reach
-from atk.kernels import KernelConfig, _drive, _query
+from atk.approx import greedy_triangle_packing
+from atk.kernels import (
+    KernelConfig,
+    _drive,
+    _greedy_complete_packing,
+    _query,
+    _union,
+    solve_etp_small,
+)
 from atk.oracles import brute_force_solve
-from atk.problems import Solution
-from atk.treedecomp import FORGET, SubtreeIndex, TreeDecomposition, ValidationReport, descend
+from atk.problems import ECC, ETP, Solution
+from atk.treedecomp import FORGET, TreeDecomposition, ValidationReport, _preorder, descend
 
 
 def path_graph(n: int, start: int = 1) -> Graph:
@@ -123,6 +131,36 @@ def reference_ecc_feasible(g: Graph, payload) -> bool:
     return all(any(u in c and v in c for c in payload) for u, v in g.edges())
 
 
+def subtree_nodes(ntd, t: int) -> list[int]:
+    """The subtree of ``t`` in a nice decomposition, parents before children."""
+    return _preorder(ntd.children, t)
+
+
+class SubtreeIndex:
+    """Per-node local sets V_t \\ X_t of a nice decomposition, one slice of
+    the post-order list of forgotten vertices each; kept as the reference
+    for the slices of ``treedecomp.Remainder`` and for the per-level
+    engines below."""
+
+    def __init__(self, ntd):
+        self.ntd = ntd
+        n = ntd.n_nodes
+        self.forgotten, self.begin, self.end = forgotten, begin, end = [], [0] * n, [0] * n
+        for t in ntd.postorder():
+            kids = ntd.children[t]
+            begin[t] = begin[kids[0]] if kids else len(forgotten)
+            if ntd.kinds[t] == FORGET:
+                forgotten.append(ntd.pivots[t])
+            end[t] = len(forgotten)
+        self.local_size = [e - b for b, e in zip(begin, end)]
+
+    def local_vertices(self, t: int) -> frozenset[int]:
+        return frozenset(self.forgotten[self.begin[t]:self.end[t]])
+
+    def v_set(self, t: int) -> frozenset[int]:
+        return self.local_vertices(t) | self.ntd.bags[t]
+
+
 def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
     """The walk that kept its own local set and rescanned the first child's
     subtree at every join, kept as the reference for ``treedecomp.descend``.
@@ -147,7 +185,7 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
             node = kids[0]
             continue
         acc: set[int] = set()
-        for s in ntd.subtree_nodes(kids[0]):
+        for s in subtree_nodes(ntd, kids[0]):
             acc |= ntd.bags[s]
         s1 = frozenset(acc - ntd.bags[kids[0]])
         s2 = frozenset(local - s1)
@@ -162,8 +200,9 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
 
 
 def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:
-    """The bucket-scan min-degree order, kept as the reference for
-    ``approx._degeneracy_order``: each pick is ``min`` of the lowest bucket."""
+    """The bucket-scan min-degree order and the degeneracy, kept as the
+    reference for ``approx._min_degree_order``: each pick is ``min`` of the
+    lowest bucket."""
     deg = {v: g.degree(v) for v in g.vertices}
     buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
     for v in g.vertices:
@@ -224,8 +263,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         p = ntd.parent[t]
         kids = ntd.children[p]
         if len(kids) == 2 and maximize:
-            gp, g1, g2 = local_graph(p), local_graph(kids[0]), local_graph(kids[1])
-            s1, s2 = problem.split(gp, g1, g2, sols[p])
+            s1, s2 = problem.split(sols[p], *map(idx.local_vertices, kids))
             t = kids[0] if (s1.value, -kids[0]) >= (s2.value, -kids[1]) else kids[1]
         elif len(kids) == 2 and all(sols[c].value <= phi_k / 2 for c in kids):
             t = p
@@ -236,7 +274,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         if not maximize:
             sol = best(sol, hint)
         rest_g = cur_g.remove_vertices(idx.v_set(t))
-        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(ntd.subtree_nodes(t)))
+        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(subtree_nodes(ntd, t)))
         return (cur_g, ntd.bags[t], sol), [(rest_g, rest_td)], True
 
     def assemble(parts):
@@ -256,3 +294,86 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         return declared, {"budget_k": budget_k}
 
     return _drive(problem.name, problem.kind, g, td, cfg, step, assemble, bounds)
+
+
+def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
+    """The per-level ecc engine, kept as the reference for
+    ``kernels.approx_ecc_turing``: every split is a step of its own whose
+    remainder G - (V_t \\ X_t) gets a decomposition rebuilt by ``restrict``
+    and a fresh local-set index."""
+    eps, scale = cfg.epsilon, cfg.threshold_scale
+
+    def step(cur_g, ntd, flags):
+        if cur_g.m == 0:
+            return frozenset(), (), False
+        comps = cur_g.connected_components()
+        if len(comps) > 1:
+            tds = ntd.split_components(comps)
+            pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, tds) if d is not None]
+            return frozenset(), pieces, False
+        base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
+        if cur_g.n <= base:
+            return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
+        lo = max(base, 1.0)
+        idx = SubtreeIndex(ntd)
+        t = descend(ntd, lambda s, _stop_above: (idx.local_size[s], None), 2.0 * lo, floor=lo)[0]
+        v_t = idx.v_set(t)
+        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), ntd.restrict(v_t, t), cfg.oracle)
+        if t == ntd.root:
+            return sol_t.payload, (), True
+        rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
+        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(subtree_nodes(ntd, t)[1:]))
+        return sol_t.payload, [(rest_g, rest_td)], True
+
+    def bounds(width):
+        return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1), {
+            "base_case": 2.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
+            "window_hi": 4.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
+        }
+
+    return _drive(
+        "ecc", ECC, g, td, cfg, step, lambda parts: Solution.of_family(_union(parts)), bounds
+    )
+
+
+def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
+    """The per-level etp engine, kept as the reference for
+    ``kernels.approx_etp_turing``: every split is a step of its own whose
+    remainder G - (V_t \\ X_t) gets a decomposition rebuilt by ``restrict``
+    and a fresh local-set index."""
+    eps, scale = cfg.epsilon, cfg.threshold_scale
+
+    def step(cur_g, ntd, flags):
+        unit = (ntd.width + 1) ** 2 / eps * scale
+        s3 = greedy_triangle_packing(cur_g)
+        if s3.value > 18.0 * unit:
+            idx = SubtreeIndex(ntd)
+
+            def measure(t, _stop_above):
+                gt = cur_g.induced_subgraph(idx.v_set(t)).delete_edges_within(ntd.bags[t])
+                packing = greedy_triangle_packing(gt)
+                return packing.value, (packing, gt)
+
+            node, _, (s3_t, gt) = descend(ntd, measure, 6.0 * unit, floor=unit)
+            sol_t, fl = solve_etp_small(gt, s3_t, cfg.oracle)
+            flags.update(fl)
+            local = idx.local_vertices(node)
+            if local:
+                rest_g = cur_g.remove_vertices(local)
+                rest_td = ntd.restrict(rest_g.vertex_set, taken=set(subtree_nodes(ntd, node)[1:]))
+                return sol_t.payload, [(rest_g, rest_td)], True
+            flags.add("etp-empty-split-fallback")
+        sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, ntd)
+        flags.update(fl)
+        return sol.payload, (), False
+
+    def bounds(width):
+        return None, {
+            "easy_guard": 18.0 * (width + 1) ** 2 / eps * scale,
+            "local_guard": 6.0 * (width + 1) ** 2 / eps * scale,
+        }
+
+    return _drive(
+        "etp", ETP, g, td, cfg, step,
+        lambda parts: _greedy_complete_packing(g, _union(parts)), bounds,
+    )

@@ -18,7 +18,6 @@ from atk.approx import (
     maximal_h_packing,
     nt_reduce,
     vc_2approx,
-    _degeneracy_order,
 )
 from atk.friendly import approx_friendly_turing, builtin_instances
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
@@ -62,7 +61,13 @@ from atk.treedecomp import (
     rooted_subtree_vertices,
     validate,
 )
-from helpers import connected_gnp_graph, gnp_graph, lift_exact, triangle_chain
+from helpers import (
+    connected_gnp_graph,
+    gnp_graph,
+    lift_exact,
+    reference_degeneracy_order,
+    triangle_chain,
+)
 
 
 def _announce(number: int, name: str, started: float, budget: float, detail: str):
@@ -248,7 +253,7 @@ def test_criterion_07_friendly_framework():
             merged = prob.merge(s1, s2)
             assert prob.feasible(g, merged)
             assert merged.value == s1.value + s2.value
-            b1, b2 = prob.split(g, g1, g2, merged)
+            b1, b2 = prob.split(merged, g1.vertex_set, g2.vertex_set)
             assert b1.value + b2.value == merged.value
         # condition 2: extend bound / solution injection
         for _ in range(100):
@@ -345,7 +350,7 @@ def test_criterion_09_approximation_subroutines():
         assert 3 * hk.value >= brute_force_solve(h_packing(k3), g).value, i
         hp = maximal_h_packing(g, p3)
         assert 3 * hp.value >= brute_force_solve(h_packing(p3), g).value, i
-        _, d = _degeneracy_order(g)
+        _, d = reference_degeneracy_order(g)
         assert degeneracy_is(g).value * (d + 1) >= g.n, i
         # connected instance for the connected-cover subroutine
         gc = connected_gnp_graph(rng, rng.randint(2, 11), 0.3)

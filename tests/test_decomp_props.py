@@ -4,13 +4,13 @@ the descent walk.
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
 on generated decompositions, intact and corrupted; ``restrict`` must cut
 a nice decomposition of its piece, with or without an earlier piece taken,
-and of both remainder shapes, the friendly engine's view of the input must
-show every remainder of a friendly chain as ``restrict`` builds it, every
-join must list its lower-id child first, and the nice component split must
-equal ``restrict`` to each component.
-``SubtreeIndex`` must give every node's set exactly, whatever order the
-nodes are asked in, and ``descend`` must stop where the reference walk in
-``helpers`` stops.
+and of both remainder shapes, the engines' view of the input
+(``Remainder``) must show every remainder of a chain of cuts of either
+shape as ``restrict`` builds it, every join must list its lower-id child
+first, and the nice component split must equal ``restrict`` to each
+component. A fresh view must give every node's local set exactly, whatever
+order the nodes are asked in, and ``descend`` must stop where the reference
+walk in ``helpers`` stops.
 """
 
 import random
@@ -20,17 +20,16 @@ from hypothesis import strategies as st
 
 from atk.approx import degeneracy_is, greedy_matching, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
-from atk.friendly import _Remainder
 from atk.generate import gen_partial_ktree
 from atk.treedecomp import (
     NiceTreeDecomposition,
-    SubtreeIndex,
+    Remainder,
     TreeDecomposition,
     descend,
     make_nice,
     validate,
 )
-from helpers import reference_descend, reference_validate
+from helpers import reference_descend, reference_validate, subtree_nodes
 
 CORRUPTIONS = ("drop-vertex", "split-trace", "unshare-edge", "foreign-vertex")
 
@@ -111,7 +110,7 @@ def test_validate_nice_matches_reference(inst, corrupt, salt):
 def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_taken, salt):
     g, td = inst
     ntd = make_nice(g, td)
-    idx = SubtreeIndex(ntd)
+    idx = Remainder(g, ntd)
     rng = random.Random(salt)
     t = None if keep_kind == "anywhere" else rng.randrange(ntd.n_nodes)
     start = ntd.root if t is None else t
@@ -124,14 +123,14 @@ def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_t
             s = ntd.parent[s]
         others = [s for s in range(ntd.n_nodes) if s not in above]
         if others:
-            taken = set(ntd.subtree_nodes(rng.choice(others)))
+            taken = set(subtree_nodes(ntd, rng.choice(others)))
     gone = frozenset().union(*(ntd.bags[s] for s in taken))  # the earlier piece and its bag
     if keep_kind == "anywhere":
         keep = frozenset(v for v in g.vertices if rng.random() < 0.5) - gone
     elif keep_kind == "v_set":
-        keep = idx.v_set(t) - gone
+        keep = frozenset(idx.local(t) | ntd.bags[t]) - gone
     else:
-        keep = idx.local_vertices(t) - gone
+        keep = frozenset(idx.local(t)) - gone
         if keep_kind == "local-sample":
             keep = frozenset(v for v in keep if rng.random() < 0.5)
     before = set(taken)
@@ -141,7 +140,7 @@ def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_t
     for u, kids in enumerate(piece.children):  # every introduce and forget changes its bag
         assert len(kids) != 1 or piece.bags[u] != piece.bags[kids[0]]
     if with_taken:
-        visited = set(ntd.subtree_nodes(start)) - before
+        visited = set(subtree_nodes(ntd, start)) - before
         assert taken == before | visited
 
 
@@ -175,14 +174,14 @@ def test_nice_split_components_cuts_each_component(inst, salt):
         assert _shape(comp_td) == _shape(whole.restrict(comp))
 
 
-def _match_view(rest, cut):
-    """Walk the restrict-built remainder ``cut`` and the friendly engine's
-    view ``rest`` of the input together. Each node of ``cut`` stands for a
-    chain of view nodes, the ones restrict merged (one live child with the
-    same live bag); every node of a chain must have the cut node's bag and
-    local set, and the chain's last node its children, or none where the
-    cut node grows from a leaf chain. Returns cut node -> (first, last)."""
-    idx = SubtreeIndex(cut)
+def _match_view(rest, g, cut):
+    """Walk the restrict-built remainder ``cut`` of g and the view ``rest``
+    of the input together. Each node of ``cut`` stands for a chain of view
+    nodes, the ones restrict merged (one live child with the same live
+    bag); every node of a chain must have the cut node's bag and local set,
+    and the chain's last node its children, or none where the cut node
+    grows from a leaf chain. Returns cut node -> (first, last)."""
+    idx = Remainder(g, cut)
     match = {}
     stack = [(cut.root, rest.root)]
     while stack:
@@ -190,7 +189,7 @@ def _match_view(rest, cut):
         first = s
         while True:
             assert rest.ntd.bags[s] & rest.live == cut.bags[u]
-            assert rest.local(s) == idx.local_vertices(u)
+            assert rest.local(s) == idx.local(u)
             kids = rest[s]
             if len(kids) != 1 or rest.ntd.bags[kids[0]] & rest.live != cut.bags[u]:
                 break
@@ -200,7 +199,7 @@ def _match_view(rest, cut):
             assert len(kids) == len(cut.children[u])
             stack.extend(zip(cut.children[u], kids))
         else:
-            assert idx.local_size[u] == 0
+            assert idx.live_local[u] == 0
     return match
 
 
@@ -209,43 +208,41 @@ def _match_view(rest, cut):
 def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt):
     # A remainder is cut from its piece's decomposition from the root: with
     # X_t kept (ecc, etp), taken is the nodes strictly below t; with V_t
-    # removed (friendly), the subtree of t. Levels chain. The friendly
-    # engine keeps its remainders as a view of the input instead; on a
-    # friendly chain the view must show each level's tree, with its width,
-    # and restrict from the input must build that tree exactly.
+    # removed (friendly), the subtree of t. Levels chain. The engines keep
+    # their remainders as one view of the input instead; on any chain the
+    # view must show each level's tree, with its width, and restrict from
+    # the input must build that tree exactly.
     g, ntd = inst[0], make_nice(*inst)
     rng = random.Random(salt)
-    view = None if any(keep_bags) else _Remainder(g, ntd)
+    view = Remainder(g, ntd)
     for keep_bag in keep_bags:
-        idx = SubtreeIndex(ntd)
-        t = rng.randrange(ntd.n_nodes)
-        if view is not None:  # the engine never splits at the input's root
-            match = _match_view(view, ntd)
-            below_root = sorted(u for u, (_, last) in match.items() if last != view.root)
-            if not below_root:
-                break
-            t = rng.choice(below_root)
-        subtree = ntd.subtree_nodes(t)
+        match = _match_view(view, g, ntd)
+        below_root = sorted(u for u, (_, last) in match.items() if last != view.root)
+        if not below_root:  # the engines never cut at the root
+            break
+        t = rng.choice(below_root)
+        s = rng.choice([x for x in match[t] if x != view.root])  # either end of t's chain
+        local = view.local(s)
+        idx = Remainder(g, ntd)
+        assert local == idx.local(t)
+        if rng.random() < 0.5:  # a query's cut takes s's subtree; etp's takes none
+            view.ntd.restrict(local, s, view.taken)
+        subtree = subtree_nodes(ntd, t)
         if keep_bag:
-            g = g.remove_vertices(idx.local_vertices(t))
+            view.cut(s, local)
+            g = g.remove_vertices(local)
             ntd = ntd.restrict(g.vertex_set, taken=set(subtree[1:]))
         else:
-            if view is not None:  # the view splits at either end of t's chain
-                s = rng.choice([x for x in match[t] if x != view.root])
-                local = view.local(s)
-                view.ntd.restrict(local, s, view.taken)  # the query's cut takes s's subtree
-                removed = frozenset(local | (view.ntd.bags[s] & view.live))
-                assert removed == idx.v_set(t)
-                view.cut(s, removed)
-            g = g.remove_vertices(idx.v_set(t))
+            removed = local | (view.ntd.bags[s] & view.live)
+            assert removed == idx.local(t) | ntd.bags[t]
+            view.cut(s, removed)
+            g = g.remove_vertices(removed)
             ntd = ntd.restrict(g.vertex_set, taken=set(subtree))
         assert _nice_and_valid(g, ntd)
-        if view is not None:
-            assert view.live == g.vertex_set
-            assert max(view.live_bag) - 1 == ntd.width
-            assert _shape(view.ntd.restrict(view.live, None, set(view.taken))) == _shape(ntd)
-    if view is not None:
-        _match_view(view, ntd)
+        assert view.live == g.vertex_set
+        assert view.width == ntd.width
+        assert _shape(view.ntd.restrict(view.live, None, set(view.taken))) == _shape(ntd)
+    _match_view(view, g, ntd)
 
 
 @settings(max_examples=80, deadline=None)
@@ -270,7 +267,7 @@ def _query_orders(ntd, rng):
     rng.shuffle(nodes)
     flipped = [tuple(reversed(kids)) for kids in ntd.children]
     mirror = NiceTreeDecomposition(ntd.bags, ntd.kinds, ntd.pivots, flipped, ntd.root)
-    return [nodes, ntd.postorder(), ntd.subtree_nodes(ntd.root), mirror.subtree_nodes(ntd.root)]
+    return [nodes, ntd.postorder(), subtree_nodes(ntd, ntd.root), subtree_nodes(mirror, ntd.root)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -281,14 +278,14 @@ def test_subtree_index_matches_a_fresh_scan_in_any_order(inst, salt):
     rng = random.Random(salt)
     scan = {}
     for t in range(ntd.n_nodes):
-        v_t = frozenset().union(*(ntd.bags[s] for s in ntd.subtree_nodes(t)))
+        v_t = frozenset().union(*(ntd.bags[s] for s in subtree_nodes(ntd, t)))
         scan[t] = (v_t - ntd.bags[t], v_t)
     for order in _query_orders(ntd, rng):
-        idx = SubtreeIndex(ntd)
+        rest = Remainder(g, ntd)
         for t in order:
-            assert idx.local_vertices(t) == scan[t][0]
-            assert idx.v_set(t) == scan[t][1]
-            assert idx.local_size[t] == len(scan[t][0])
+            assert rest.local(t) == scan[t][0]
+            assert rest.local(t) | ntd.bags[t] == scan[t][1]
+            assert rest.live_local[t] == len(scan[t][0])
 
 
 def _size(g, local, bag, stop_above):
@@ -327,12 +324,12 @@ def _walk(walk):
 def test_descend_matches_the_reference_walk(inst, piece_measure, limit_frac, floor_frac):
     g, td = inst
     ntd = make_nice(g, td)
-    idx = SubtreeIndex(ntd)
+    rest = Remainder(g, ntd)
     limit = limit_frac * g.n
     floor = floor_frac * limit
 
     def by_node(t, stop_above):
-        return piece_measure(g, idx.local_vertices(t), ntd.bags[t], stop_above)
+        return piece_measure(g, rest.local(t), ntd.bags[t], stop_above)
 
     def by_piece(local, bag, stop_above):
         return piece_measure(g, local, bag, stop_above)
@@ -344,4 +341,4 @@ def test_descend_matches_the_reference_walk(inst, piece_measure, limit_frac, flo
     else:
         node, local, value, data = ref
         assert new == (node, value, data)
-        assert idx.local_vertices(node) == local
+        assert rest.local(node) == local

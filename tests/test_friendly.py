@@ -4,13 +4,13 @@ import sys
 
 import pytest
 
-from atk.friendly import _Remainder, approx_friendly_turing, builtin_instances, find_split_node
+from atk.friendly import approx_friendly_turing, builtin_instances, find_split_node
 from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import approx_vc_turing, KernelConfig
 from atk.oracles import brute_force_solve, exact_brute_oracle, exact_dp_oracle, td_dp_solve
 from atk.problems import IS, VC, Solution, is_feasible
-from atk.treedecomp import heuristic_td, make_nice
+from atk.treedecomp import Remainder, heuristic_td, make_nice
 from helpers import gnp_graph, lift_exact, path_graph, query_size, star_graph
 
 REG = builtin_instances()
@@ -50,7 +50,7 @@ def test_condition1_union_additivity(name):
         merged = prob.merge(s1, s2)
         assert prob.feasible(g, merged)
         assert prob.evaluate(g, merged) == s1.value + s2.value
-        back1, back2 = prob.split(g, g1, g2, merged)
+        back1, back2 = prob.split(merged, g1.vertex_set, g2.vertex_set)
         assert back1.value + back2.value == merged.value
         assert prob.feasible(g1, back1) and prob.feasible(g2, back2)
 
@@ -140,7 +140,7 @@ def test_find_split_node_direct_branch_small():
     g = path_graph(6)
     td = heuristic_td(g)
     ntd = make_nice(g, td)
-    out = find_split_node(_Remainder(g, ntd), 1 / 3, vc, exact_brute_oracle())
+    out = find_split_node(Remainder(g, ntd), 1 / 3, vc, exact_brute_oracle())
     assert out.direct is not None
     assert out.direct.value == brute_force_solve(VC, g).value
 
@@ -151,7 +151,7 @@ def test_find_split_node_node_branch_is():
     td = heuristic_td(g)
     ntd = make_nice(g, td)
     is_p = REG["is"]
-    out = find_split_node(_Remainder(g, ntd), 1.0, is_p, exact_brute_oracle())
+    out = find_split_node(Remainder(g, ntd), 1.0, is_p, exact_brute_oracle())
     assert out.direct is None
     sub = g.induced_subgraph(out.v_set - out.bag)
     opt_local = brute_force_solve(IS, sub).value if sub.n <= 18 else None

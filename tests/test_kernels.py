@@ -415,7 +415,7 @@ def test_separator_soundness_at_split():
     """At a split, no edge joins the locally solved part to the remainder
     except through the bag (checked by direct edge scan)."""
     rng = random.Random(70)
-    from atk.treedecomp import SubtreeIndex, find_node_by_local_size
+    from atk.treedecomp import Remainder, descend
 
     for trial in range(10):
         g, td = gen_partial_ktree(rng.randint(80, 200), rng.choice([2, 3]), 0.9, seed=trial)
@@ -428,9 +428,9 @@ def test_separator_soundness_at_split():
                 assert g.neighbors(u) <= local | separator | gone
             gone |= local | separator
         ntd = make_nice(g, td)
-        idx = SubtreeIndex(ntd)
-        t = find_node_by_local_size(ntd, idx, 5, 11)
-        local2 = idx.local_vertices(t)
+        rest = Remainder(g, ntd)
+        t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), 11, floor=5)[0]
+        local2 = rest.local(t)
         bag2 = ntd.bags[t]
         outside2 = g.vertex_set - local2 - bag2
         for u, v in g.edges():
@@ -454,7 +454,7 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
 
         return wrapper
 
-    for name in ("make_nice", "SubtreeIndex", "descend", "_cut_and_contract"):
+    for name in ("make_nice", "Remainder", "descend", "_cut_and_contract"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     monkeypatch.setattr(oracles, "make_nice", counted("make_nice", oracles.make_nice))
     reg = builtin_instances()
@@ -495,6 +495,51 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
             assert calls["make_nice"] == 1, name
         if name in ("vc", "is"):
             assert calls == {"make_nice": 1}
+
+
+def test_ecc_and_etp_build_one_view_per_cutting_step(monkeypatch):
+    # ecc and etp rebuilt their remainder at every cut: remove_vertices, a
+    # whole-tree restrict and a fresh local-set index. A step that cuts now
+    # runs its chain on one view of its decomposition and removes no vertex.
+    import atk.kernels as kernels
+
+    calls = Counter()
+    view, remove, drive = kernels.Remainder, Graph.remove_vertices, kernels._drive
+
+    def counted_view(*args):
+        calls["views"] += 1
+        return view(*args)
+
+    def counted_remove(self, x):
+        calls["remove_vertices"] += 1
+        return remove(self, x)
+
+    def counted_drive(problem, kind, g, td, cfg, step, assemble, bounds):
+        def counted_step(*args):
+            out = step(*args)
+            calls["cutting steps"] += out[2] > 0
+            return out
+
+        return drive(problem, kind, g, td, cfg, counted_step, assemble, bounds)
+
+    monkeypatch.setattr(kernels, "Remainder", counted_view)
+    monkeypatch.setattr(Graph, "remove_vertices", counted_remove)
+    monkeypatch.setattr(kernels, "_drive", counted_drive)
+    runs = {
+        "ecc": lambda: approx_ecc_turing(
+            *gen_connected_partial_ktree(200, 1, 0.8, seed=4),
+            KernelConfig(0.5, trianglefree_ecc_oracle(), 0.05),
+        ),
+        "etp": lambda: approx_etp_turing(
+            *gen_partial_ktree(60, 2, 0.9, seed=3), KernelConfig(1.0, exact_brute_oracle(), 0.1)
+        ),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        rep = run()
+        assert rep.recursion_depth > calls["cutting steps"] > 0, name  # chains of cuts
+        assert calls["views"] == calls["cutting steps"], name
+        assert calls["remove_vertices"] == 0, name
 
 
 def test_cvc_validates_each_remainder_once(monkeypatch):

@@ -6,9 +6,9 @@ from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
 from atk.treedecomp import (
     NiceTreeDecomposition,
-    SubtreeIndex,
+    Remainder,
     TreeDecomposition,
-    find_node_by_local_size,
+    descend,
     heuristic_td,
     make_nice,
     make_subconnected,
@@ -98,17 +98,22 @@ def test_make_nice_empty_and_isolated():
     assert validate(iso, ntd2.as_td()).valid
 
 
+def _v_set(rest, t):
+    return rest.local(t) | rest.ntd.bags[t]
+
+
 def test_subtree_index_basics():
     g = path_graph(5)
     td = TreeDecomposition({i: [i, i + 1] for i in range(1, 5)}, [(i, i + 1) for i in range(1, 4)])
     ntd = make_nice(g, td)
-    idx = SubtreeIndex(ntd)
-    assert idx.v_set(ntd.root) == g.vertex_set
-    assert idx.local_size[ntd.root] == g.n
+    rest = Remainder(g, ntd)
+    assert _v_set(rest, ntd.root) == g.vertex_set
+    assert rest.live_local[ntd.root] == g.n
+    assert rest.width == ntd.width
     for t in range(ntd.n_nodes):
-        assert idx.local_size[t] == len(idx.v_set(t) - ntd.bags[t])
+        assert rest.live_local[t] == len(_v_set(rest, t) - ntd.bags[t])
         if ntd.kinds[t] == "leaf":
-            assert idx.v_set(t) == frozenset()
+            assert _v_set(rest, t) == set()
 
 
 def test_separator_property_of_subtrees():
@@ -116,63 +121,48 @@ def test_separator_property_of_subtrees():
     for trial in range(20):
         g, td = gen_partial_ktree(rng.randint(6, 40), rng.choice([1, 2, 3]), 0.8, seed=trial)
         ntd = make_nice(g, td)
-        idx = SubtreeIndex(ntd)
+        rest = Remainder(g, ntd)
         for t in range(0, ntd.n_nodes, max(1, ntd.n_nodes // 17)):
-            inside = idx.v_set(t) - ntd.bags[t]
-            outside = g.vertex_set - idx.v_set(t)
+            inside = rest.local(t)
+            outside = g.vertex_set - _v_set(rest, t)
             assert not any(
                 (u in inside and v in outside) or (v in inside and u in outside)
                 for u, v in g.edges()
             )
 
 
+def _find_by_local_size(g, lo, hi, td=None):
+    """The node ``descend`` stops at on a fresh view, measured by local size."""
+    rest = Remainder(g, make_nice(g, heuristic_td(g) if td is None else td))
+    t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), hi, floor=lo)[0]
+    return rest, t
+
+
 def test_find_node_window_root_case():
-    g = path_graph(8)
-    ntd = make_nice(g, heuristic_td(g))
-    idx = SubtreeIndex(ntd)
-    assert find_node_by_local_size(ntd, idx, 4, 10) == ntd.root
+    rest, t = _find_by_local_size(path_graph(8), 4, 10)
+    assert t == rest.root
 
 
 def test_find_node_window_path_100():
-    g = path_graph(100)
-    ntd = make_nice(g, heuristic_td(g))
-    idx = SubtreeIndex(ntd)
-    t = find_node_by_local_size(ntd, idx, 10, 20)
-    assert 10 <= idx.local_size[t] <= 20
-    # direct count agrees with the index
-    assert idx.local_size[t] == len(idx.v_set(t) - ntd.bags[t])
+    rest, t = _find_by_local_size(path_graph(100), 10, 20)
+    assert 10 <= rest.live_local[t] <= 20
+    # direct count agrees with the view
+    assert rest.live_local[t] == len(_v_set(rest, t) - rest.ntd.bags[t])
 
 
 def test_find_node_window_star():
-    g = star_graph(50)
-    ntd = make_nice(g, heuristic_td(g))
-    idx = SubtreeIndex(ntd)
-    t = find_node_by_local_size(ntd, idx, 5, 10)
-    assert 5 <= idx.local_size[t] <= 10
+    rest, t = _find_by_local_size(star_graph(50), 5, 10)
+    assert 5 <= rest.live_local[t] <= 10
 
 
 def test_find_node_window_many_random():
     rng = random.Random(13)
     for trial in range(15):
         g, td = gen_partial_ktree(rng.randint(30, 120), rng.choice([1, 2]), 0.85, seed=100 + trial)
-        ntd = make_nice(g, td)
-        idx = SubtreeIndex(ntd)
         lo = rng.randint(1, 8)
         hi = 2 * lo + rng.randint(0, 6)
-        t = find_node_by_local_size(ntd, idx, lo, hi)
-        assert lo <= idx.local_size[t] <= hi
-
-
-def test_find_node_window_preconditions():
-    g = path_graph(6)
-    ntd = make_nice(g, heuristic_td(g))
-    idx = SubtreeIndex(ntd)
-    with pytest.raises(ValueError):
-        find_node_by_local_size(ntd, idx, 0.5, 10)
-    with pytest.raises(ValueError):
-        find_node_by_local_size(ntd, idx, 4, 7)  # hi < 2*lo
-    with pytest.raises(ValueError):
-        find_node_by_local_size(ntd, idx, 50, 100)  # graph too small
+        rest, t = _find_by_local_size(g, lo, hi, td)
+        assert lo <= rest.live_local[t] <= hi
 
 
 def test_make_subconnected_two_triangles_bridge():
