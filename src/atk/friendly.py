@@ -3,8 +3,10 @@
 A friendly problem bundles the four ingredients that make the generic
 separator-splitting Turing kernel work: disjoint-union additivity with
 split/merge, a bounded deletion effect f with an extend algorithm, a
-reduce-and-lift kernel with size function h, and a phi-approximation.
-Six built-in instances are provided; the engine itself is problem-blind.
+reduce-and-lift kernel with size function h, and a phi-approximation with
+a bracket on its value by graph size and width. Six built-in instances are
+provided; the engine itself is problem-blind, and runs phi only on nodes
+whose live local size leaves the split search undecided.
 
 The engine is one step on the engine loop in ``kernels`` that runs the
 whole split chain as a loop over the input's nice decomposition, so the
@@ -56,8 +58,11 @@ class FriendlyProblem:
     ``phi_approx(g, within=None, stop_above=None)`` approximates G[within]
     (all of g by default); with ``stop_above`` set it may stop once its
     value is over that, the value then only certifying the excess.
-    ``psaks`` is the problem's reduce-and-lift kernel, or None where pieces
-    are queried directly.
+    ``phi_range(size, width)`` is a pair (lo, hi) that brackets what a full
+    ``phi_approx`` run returns on any graph with ``size`` vertices and
+    treewidth at most ``width`` (-1 for the empty graph). ``psaks`` is the
+    problem's reduce-and-lift kernel, or None where pieces are queried
+    directly.
     """
 
     name: str
@@ -65,6 +70,7 @@ class FriendlyProblem:
     f: Callable[[float], float]
     phi: Callable[[float, int], float]
     phi_approx: Callable[..., Solution]
+    phi_range: Callable[[int, int], tuple[int, int]]
     psaks: ApproximateKernel | None
     extend: Callable[[Graph, frozenset, Solution], Solution]
 
@@ -138,6 +144,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=vc_2approx,
+            phi_range=lambda s, w: (0, s),
             psaks=vc_nt_kernel(),
             extend=_extend_add_vertices,
         ),
@@ -147,6 +154,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=degeneracy_is,
+            phi_range=lambda s, w: (-(-s // max(w + 1, 1)), s),
             psaks=is_degeneracy_kernel(),
             extend=_extend_identity,
         ),
@@ -156,6 +164,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=_on_piece(clique_cover_trivial),
+            phi_range=lambda s, w: (s, s),
             psaks=clique_cover_kernel(),
             extend=_extend_singletons,
         ),
@@ -165,6 +174,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=_on_piece(fvs_2approx),
+            phi_range=lambda s, w: (0, s),
             psaks=None,
             extend=_extend_add_vertices,
         ),
@@ -174,6 +184,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=eds_2approx,
+            phi_range=lambda s, w: (0, s // 2),
             psaks=None,
             extend=_extend_incident_edges,
         ),
@@ -186,6 +197,7 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             f=lambda x: x,
             phi=(lambda n_h: lambda s, l: n_h * s)(pattern.n),
             phi_approx=_on_piece((lambda pat: lambda g: maximal_h_packing(g, pat))(pattern)),
+            phi_range=(lambda n_h: lambda s, w: (0, s // n_h))(pattern.n),
             psaks=None,
             extend=_extend_identity,
         )
@@ -218,11 +230,16 @@ def find_split_node(
     c(1+delta)-approximate local solution.
 
     The descent walks the remainder's tree to the first node whose phi-value
-    is at most the budget threshold; phi runs on the input graph within the
-    node's live local set and stops once over the threshold, except at the
-    children of a join. At the root, the remainder is solved outright;
-    otherwise the one-child / join case analysis runs at t's parent, whose
-    phi-value exceeds the threshold. The caller then cuts V_t from ``rest``.
+    is at most the budget threshold. A node whose live local size alone puts
+    phi over it (the low end of ``phi_range``) runs no phi and is measured
+    by the high end: with the built-in brackets it beats any join sibling
+    that runs phi, and of two such siblings the larger wins. Only join
+    children whose size leaves the split undecided are measured in full;
+    other nodes run phi within their live local set and stop once over the
+    threshold. At the root, the remainder is solved outright; otherwise the
+    one-child / join case analysis runs at t's parent, whose phi-value
+    exceeds the threshold, with phi run in full wherever its value is used.
+    The caller then cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
@@ -230,8 +247,9 @@ def find_split_node(
     phi_k = problem.phi(k, ell)
     budget = phi_k + ell
     maximize = problem.direction == "max"
+    limit = k if maximize else phi_k
 
-    def measure(t, stop_above):  # phi, cached per node as (value, not cut short)
+    def phi(t, stop_above):  # cached per node as (solution, not cut short)
         hit, p = rest.cache.get(t), ntd.parent[t]
         if hit is None and p is not None and rest.live_local[p] == rest.live_local[t]:
             hit = rest.cache.get(p)  # t's live local set is its parent's
@@ -241,15 +259,19 @@ def find_split_node(
         rest.cache[t] = hit
         return hit[0].value, hit[0]
 
-    t, _, hint = descend(rest, measure, k if maximize else phi_k)
+    def measure(t, stop_above):  # no phi where the live local size decides
+        lo, hi = problem.phi_range(rest.live_local[t], ell)
+        return (hi, None) if lo > limit else phi(t, stop_above)
+
+    t, _, hint = descend(rest, measure, limit)
     p = ntd.parent[t]  # None: the remainder is solved outright
     kids = [] if p is None else rest[p]
     if len(kids) == 2 and maximize:  # split p's full phi solution between its children
-        s1, s2 = problem.split(measure(p, None)[1], *map(rest.local, kids))
+        s1, s2 = problem.split(phi(p, None)[1], *map(rest.local, kids))
         t = kids[0] if s1.value >= s2.value else kids[1]
-    elif len(kids) == 2 and all(rest.cache[c][0].value <= phi_k / 2 for c in kids):
+    elif len(kids) == 2 and all(phi(c, None)[0] <= phi_k / 2 for c in kids):
         t = p
-        hint = problem.merge(rest.cache[kids[0]][0], rest.cache[kids[1]][0])
+        hint = problem.merge(phi(kids[0], None)[1], phi(kids[1], None)[1])
     local = rest.local(t)
     piece = ntd.restrict(local, t, rest.taken)
     sol = _query(problem.kind, g.induced_subgraph(local), piece, oracle, problem.psaks, budget)

@@ -233,7 +233,9 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
     ``friendly.approx_friendly_turing``: every level is a piece on the
     engine loop's stack with its own graph G - V_t and its own decomposition
     rebuilt by ``restrict``, and phi runs in full on each node's induced
-    local graph. Returns the run's report."""
+    local graph, except where the level's local size and width put the low
+    end of ``phi_range`` over the limit: such a node is measured by the high
+    end. Returns the run's report."""
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
     maximize = problem.direction == "max"
@@ -246,28 +248,31 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
         phi_k = problem.phi(k, ell)
         budget = phi_k + ell
+        limit = k if maximize else phi_k
         idx = SubtreeIndex(ntd)
-        sols = {}
 
-        def local_graph(t):
-            return cur_g.induced_subgraph(idx.local_vertices(t))
+        def phi(t):
+            return problem.phi_approx(cur_g.induced_subgraph(idx.local_vertices(t)))
 
         def measure(t, _stop_above):
-            sol = sols[t] = problem.phi_approx(local_graph(t))
+            lo, hi = problem.phi_range(idx.local_size[t], ell)
+            if lo > limit:
+                return hi, None
+            sol = phi(t)
             return sol.value, sol
 
-        t, _, hint = descend(ntd, measure, k if maximize else phi_k)
+        t, _, hint = descend(ntd, measure, limit)
         if t == ntd.root:
             sol = _query(problem.kind, cur_g, ntd, cfg.oracle, problem.psaks, budget)
             return (None, None, sol if maximize else best(sol, hint)), (), False
         p = ntd.parent[t]
         kids = ntd.children[p]
         if len(kids) == 2 and maximize:
-            s1, s2 = problem.split(sols[p], *map(idx.local_vertices, kids))
+            s1, s2 = problem.split(phi(p), *map(idx.local_vertices, kids))
             t = kids[0] if (s1.value, -kids[0]) >= (s2.value, -kids[1]) else kids[1]
-        elif len(kids) == 2 and all(sols[c].value <= phi_k / 2 for c in kids):
+        elif len(kids) == 2 and all(phi(c).value <= phi_k / 2 for c in kids):
             t = p
-            hint = problem.merge(sols[kids[0]], sols[kids[1]])
+            hint = problem.merge(*map(phi, kids))
         local = idx.local_vertices(t)
         piece = cur_g.induced_subgraph(local)
         sol = _query(problem.kind, piece, ntd.restrict(local, t), cfg.oracle, problem.psaks, budget)

@@ -1,9 +1,11 @@
+import dataclasses
 import inspect
 import random
 import sys
 
 import pytest
 
+from atk.approx import degeneracy_is
 from atk.friendly import approx_friendly_turing, builtin_instances, find_split_node
 from atk.generate import gen_partial_ktree
 from atk.graph import Graph
@@ -159,6 +161,39 @@ def test_find_split_node_node_branch_is():
     if opt_local is not None:
         # (1+delta)-approximate local answer with an exact oracle
         assert out.solution.value * 2 >= opt_local
+
+
+def test_friendly_is_on_a_single_edge_and_an_empty_remainder():
+    # the remainder's width reaches -1 here, where is's bracket divides by width + 1
+    g = Graph([0, 1], [(0, 1)])
+    td = heuristic_td(g)
+    rep = approx_friendly_turing(g, td, 1.0, REG["is"], exact_dp_oracle(), 0.05)
+    assert is_feasible(IS, g, rep.solution)
+    rest = Remainder(g, make_nice(g, td))
+    rest.cut(rest.root, {0, 1})
+    assert rest.width == -1
+    out = find_split_node(rest, 1 / 3, REG["is"], exact_dp_oracle())
+    assert out.direct == Solution.of_vertices(())
+
+
+def test_friendly_is_runs_phi_only_in_the_window_band():
+    # A node whose live local size puts phi over the window runs no phi, so
+    # phi sees at most a join of two undecided children, (w+1)k vertices
+    # each, and its total input grows with the number of levels.
+    total = {}
+    for n in (1000, 2000):
+        sizes = []
+
+        def spy(g, within=None, stop_above=None, sizes=sizes):
+            sizes.append(g.n if within is None else len(within))
+            return degeneracy_is(g, within, stop_above)
+
+        g, td = gen_partial_ktree(n, 3, 0.9, 7)
+        problem = dataclasses.replace(REG["is"], phi_approx=spy)
+        rep = approx_friendly_turing(g, td, 0.5, problem, exact_dp_oracle())
+        assert max(sizes) <= 2 * (rep.width + 1) * rep.thresholds["budget_k"] + 1
+        total[n] = sum(sizes)
+    assert total[2000] <= 3.0 * total[1000]
 
 
 def test_friendly_vc_is_end_to_end_default_thresholds():

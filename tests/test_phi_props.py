@@ -5,7 +5,9 @@ Run to the end, each must equal itself on the induced subgraph G[within].
 With ``stop_above`` it must report a value over the threshold exactly when
 the full value is over it, and otherwise the full answer; a cut-short
 greedy independent set is a prefix of the full one. The min-degree order
-must still match the bucket reference in ``helpers``.
+must still match the bucket reference in ``helpers``. Every built-in
+friendly problem's ``phi_range`` must bracket its phi on any live local set
+of a ``Remainder``, before and after cuts, at the view's width.
 """
 
 import random
@@ -14,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atk.approx import _min_degree_order, degeneracy_is, eds_2approx, vc_2approx
+from atk.friendly import builtin_instances
 from atk.generate import gen_partial_ktree
+from atk.treedecomp import Remainder, make_nice
 from helpers import gnp_graph, reference_degeneracy_order
 
 
@@ -65,3 +69,41 @@ def test_matching_phis_within_a_set_and_stopped_early(piece):
         assert (cut.value > stop_above) == (full.value > stop_above)
         if full.value <= stop_above:
             assert cut == full
+
+
+def _view_nodes(rest):
+    """The nodes of a remainder's tree, walked through its live children."""
+    stack, out = [rest.root], []
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        stack.extend(rest[t])
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(builtin_instances())),
+    st.integers(1, 3),
+    st.integers(0, 26),
+    st.floats(0.3, 1.0),
+    st.integers(0, 10_000),
+    st.integers(0, 4),
+)
+def test_phi_range_brackets_phi_on_every_live_local_set(name, k, extra, p, seed, cuts):
+    problem = builtin_instances()[name]
+    g, td = gen_partial_ktree(k + 1 + extra, k, p, seed)
+    rest = Remainder(g, make_nice(g, td))
+    rng = random.Random(seed)
+    for round_ in range(cuts + 1):
+        nodes = _view_nodes(rest)
+        width = rest.width
+        for t in nodes:
+            local = rest.local(t)
+            assert rest.live_local[t] == len(local)
+            lo, hi = problem.phi_range(len(local), width)
+            assert lo <= problem.phi_approx(g, local).value <= hi, (t, len(local), width)
+        if round_ < cuts:  # cut V_t, or its local set only as ecc does
+            t = rng.choice(nodes)
+            bag = rest.ntd.bags[t] & rest.live if rng.random() < 0.5 else set()
+            rest.cut(t, rest.local(t) | bag)
