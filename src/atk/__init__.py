@@ -21,7 +21,6 @@ from .treedecomp import (
     NiceTreeDecomposition,
     TreeDecomposition,
     ValidationReport,
-    descend,
     heuristic_td,
     make_nice,
     make_subconnected,
@@ -40,7 +39,6 @@ from .oracles import (
 )
 from .approx import (
     ApproximateKernel,
-    NTPartition,
     clique_cover_trivial,
     connectify_vertex_cover,
     cvc_2approx,
@@ -61,13 +59,11 @@ from .kernels import (
     approx_etp_turing,
     approx_is_turing,
     approx_vc_turing,
-    solve_etp_small,
 )
 from .friendly import (
     FriendlyProblem,
     approx_friendly_turing,
     builtin_instances,
-    find_split_node,
 )
 from .generate import gen_connected_partial_ktree, gen_partial_ktree
 from .pace import ParseError, parse_gr, parse_td, write_gr, write_td

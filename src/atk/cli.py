@@ -231,14 +231,8 @@ def cmd_td(args: argparse.Namespace) -> int:
         )
         return 0 if report.valid else 1
     ntd = make_nice(g, td)
-    if args.mode == "nice":
-        out_td = ntd.as_td()
-    else:  # subconnected
-        if not g.is_connected():
-            print("subconnected form needs a connected graph", file=sys.stderr)
-            return 1
-        out_td = make_subconnected(g, ntd)
-    text = write_td(out_td, n_vertices=g.n)
+    out = ntd if args.mode == "nice" else make_subconnected(g, ntd)  # needs a connected g
+    text = write_td(out.as_td(), n_vertices=g.n)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -9,16 +9,16 @@ in a bounded window, solves their pieces through ``_query`` (the one place
 that reduces, queries the oracle, lifts and checks) and returns the
 remainders, each with its decomposition cut from the step's own by
 ``NiceTreeDecomposition.restrict`` (ecc's components by one
-``split_components`` pass; cvc contracts its cut bag and makes the rest
-nice again). The direct vc and is engines take a single step, one
-bottom-up pass that cuts every piece (``_window_pass``). ecc, etp and the
-friendly engine run their chains of ``descend`` walks in one step on a
-view of the step's decomposition (``treedecomp.Remainder``), ecc until
-what is left falls apart; cvc (over its subconnected decomposition) makes
-one split per step. The hook combines the solved parts into a solution of
-the input graph. With threshold_scale = 1 every internal threshold equals
-its analysis-given formula, which is what the query-size audit is checked
-against.
+``split_components`` pass). The direct vc and is engines take a single
+step, one bottom-up pass that cuts every piece (``_window_pass``). ecc,
+etp and the friendly engine run their chains of ``descend`` walks in one
+step on a view of the step's decomposition (``treedecomp.Remainder``), ecc
+until what is left falls apart. cvc runs its chain in one step too, on
+one subconnected decomposition that each split cuts and contracts in
+place (``treedecomp.SubconnectedDecomposition``). The hook combines the
+solved parts into a solution of the input graph. With threshold_scale = 1
+every internal threshold equals its analysis-given formula, which is what
+the query-size audit is checked against.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ from .treedecomp import (
     FORGET,
     NiceTreeDecomposition,
     Remainder,
+    SubconnectedDecomposition,
     TreeDecomposition,
-    _preorder,
     descend,
     make_nice,
     make_subconnected,
-    rooted_subtree_vertices,
+    validate,
 )
 
 
@@ -532,7 +532,7 @@ def _contract_local(g: Graph, x_t: frozenset[int], v_set: frozenset[int]) -> Gra
 
 def find_cvc_split_node(
     g: Graph,
-    sc: TreeDecomposition,
+    sc: SubconnectedDecomposition,
     delta: float,
     oracle: Oracle,
     *,
@@ -548,8 +548,7 @@ def find_cvc_split_node(
     internal invariant violation at scale 1 and a flagged union fallback
     otherwise.
     """
-    children, vsets = rooted_subtree_vertices(sc)
-    t = sc.root if sc.root is not None else sc.nodes[0]
+    children, vsets, t = sc.children, sc.vsets, sc.root
     min_size = 10.0 * width / delta * threshold_scale
     while True:  # go down into the first child still certified too big
         results: list[tuple[int, Solution]] = []
@@ -565,7 +564,7 @@ def find_cvc_split_node(
     qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
     if qualifying:
         c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))
-        return c, vsets[c], sol, ()
+        return c, frozenset(vsets[c]), sol, ()
     if threshold_scale == 1.0:
         raise InternalInvariantViolation(
             "cvc descent exhausted: every child answered below the size window"
@@ -582,27 +581,18 @@ def find_cvc_split_node(
     fallback = Solution.of_vertices(payload)
     if not is_feasible(CVC, _contract_local(g, x_t, vsets[t]), fallback):
         raise InternalInvariantViolation("cvc fallback union cover infeasible")
-    return t, vsets[t], fallback, ("cvc-descent-exhausted-fallback",)
-
-
-def _cut_and_contract(sc: TreeDecomposition, t: int, z: int) -> TreeDecomposition:
-    """``sc`` less the nodes strictly below t, with X_t contracted to z: it
-    decomposes the remainder, as every trace of a vertex of X_t holds t."""
-    _, children = sc.rooted_children()
-    below = set(_preorder(children, t)[1:])
-    x_t = sc.bags[t]
-    bags = {s: (b - x_t) | {z} if b & x_t else b for s, b in sc.bags.items() if s not in below}
-    edges = [(a, b) for a, b in sc.tree_edges if a in bags and b in bags]
-    return TreeDecomposition(bags, edges, root=sc.root)
+    return t, frozenset(vsets[t]), fallback, ("cvc-descent-exhausted-fallback",)
 
 
 def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
     """(1+eps)-approximate Turing kernel for connected vertex cover.
 
-    Works over a subconnected decomposition; found pieces are solved with
-    the bag contracted to one vertex, reconnected via connectify, and the
-    remainder recurses with the bag contracted in both graph and
-    decomposition (made nice each level, which validates it once).
+    Works over one subconnected decomposition of the input; found pieces
+    are solved with the bag contracted to one vertex and reconnected via
+    connectify. The split chain runs in one step: each split contracts the
+    bag to a fresh vertex in the remaining graph and cuts the decomposition
+    the same way (``SubconnectedDecomposition.cut``), which is validated
+    against the graph after every cut.
     """
     if not g.is_connected():
         raise ValueError("connected vertex cover needs a connected graph")
@@ -612,28 +602,35 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     contracted: list[int] = []
 
     def step(cur_g, ntd, flags):
-        if cur_g.m == 0:
-            return frozenset(), (), False
-        if not cur_g.is_connected():
-            raise InternalInvariantViolation("cvc recursion lost connectivity")
-        ell = ntd.width
-        res = cvc_obtain_approx(cur_g, delta, cfg.oracle, width=ell, threshold_scale=scale)
-        if res is not TOO_BIG:
-            return res.payload, (), False
-        sc = make_subconnected(cur_g, ntd)
-        t, v_t, s_t, fl = find_cvc_split_node(
-            cur_g, sc, delta, cfg.oracle, width=ell, threshold_scale=scale
-        )
-        flags.update(fl)
-        x_t = sc.bags[t]
-        if not x_t:
-            return s_t.payload, (), True  # the piece was the whole remaining graph
-        piece = connectify_vertex_cover(cur_g.induced_subgraph(v_t), x_t, s_t)
-        z = first_z + len(contracted)
-        contracted.append(z)
-        rest_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
-        rest_ntd = make_nice(rest_g, _cut_and_contract(sc, t, z), InternalInvariantViolation)
-        return piece.payload, [(rest_g, rest_ntd)], True
+        sc, parts, ell = None, [], ntd.width
+        while cur_g.m:
+            if not cur_g.is_connected():
+                raise InternalInvariantViolation("cvc recursion lost connectivity")
+            res = cvc_obtain_approx(cur_g, delta, cfg.oracle, width=ell, threshold_scale=scale)
+            if res is not TOO_BIG:
+                parts.append(res.payload)
+                break
+            if sc is None:
+                sc = make_subconnected(cur_g, ntd)
+            t, v_t, s_t, fl = find_cvc_split_node(
+                cur_g, sc, delta, cfg.oracle, width=ell, threshold_scale=scale
+            )
+            flags.update(fl)
+            x_t = sc.bags[t]
+            if not x_t:  # the piece was the whole remaining graph
+                return _union(parts) | s_t.payload, (), len(contracted) + 1
+            parts.append(connectify_vertex_cover(cur_g.induced_subgraph(v_t), x_t, s_t).payload)
+            z = first_z + len(contracted)
+            contracted.append(z)
+            cur_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
+            sc.cut(t, z)
+            report = validate(cur_g, sc)
+            if not report.valid:
+                raise InternalInvariantViolation(
+                    "invalid tree decomposition: " + "; ".join(report.violations())
+                )
+            ell = report.width
+        return _union(parts), (), len(contracted)
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap

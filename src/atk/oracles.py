@@ -591,43 +591,23 @@ def _canon(item):
 
 
 def _pad_min(kind: ProblemKind, g: Graph, sol: Solution, c: float) -> Solution:
+    """``sol`` with extras that keep it feasible (the first vertex, edge or
+    singleton clique not in it; for cvc one next to it) while within ratio c."""
     payload = set(sol.payload)
     name = kind.name
     while len(payload) + 1 <= c * sol.value:  # no floor(): c * value may be inf
-        added = False
-        if name in ("vc", "fvs"):
-            for v in g.vertices:
-                if v not in payload:
-                    payload.add(v)
-                    added = True
-                    break
-        elif name == "cvc":
-            if not payload:
-                if g.n:
-                    payload.add(g.vertices[0])
-                    added = True
-            else:
-                for v in g.vertices:
-                    if v not in payload and (g.neighbors(v) & payload):
-                        payload.add(v)
-                        added = True
-                        break
-        elif name == "eds":
-            for e in g.edges():
-                fe = frozenset(e)
-                if fe not in payload:
-                    payload.add(fe)
-                    added = True
-                    break
+        if name == "eds":
+            extras = map(frozenset, g.edges())
         elif name in ("ecc", "cc"):
-            for v in g.vertices:
-                s = frozenset([v])
-                if s not in payload:
-                    payload.add(s)
-                    added = True
-                    break
-        if not added:
+            extras = (frozenset([v]) for v in g.vertices)
+        elif name == "cvc":
+            extras = (v for v in g.vertices if not payload or g.neighbors(v) & payload)
+        else:
+            extras = g.vertices if name in ("vc", "fvs") else ()
+        extra = next((x for x in extras if x not in payload), None)
+        if extra is None:
             break
+        payload.add(extra)
     return Solution(frozenset(payload), len(payload))
 
 

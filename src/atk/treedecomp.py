@@ -3,8 +3,9 @@ remainder view and the descent walk.
 
 A tree decomposition is a tree of bags covering the graph; the nice form is
 rooted with empty root/leaf bags and only join/introduce/forget nodes. The
-subconnected form additionally makes every subtree's vertex set induce a
-connected subgraph, with a bounded number of children per node.
+subconnected form is rooted too, and makes every subtree's vertex set V_t
+induce a connected subgraph, with a bounded number of children per node;
+it keeps each V_t, and a cut contracts it in place.
 """
 
 from __future__ import annotations
@@ -68,15 +69,6 @@ class TreeDecomposition:
                     stack.append(s)
         return parent
 
-    def rooted_children(self) -> tuple[int, dict[int, tuple[int, ...]]]:
-        """Orient the tree as ``parents`` does; returns (root, children)."""
-        parent = self.parents()
-        children: dict[int, list[int]] = {t: [] for t in self.bags}
-        for s, p in parent.items():
-            if p is not None:
-                children[p].append(s)
-        return next(iter(parent)), {t: tuple(sorted(c)) for t, c in children.items()}
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -115,8 +107,9 @@ class ValidationReport:
         return out
 
 
-def validate(g: Graph, td: "TreeDecomposition | NiceTreeDecomposition") -> ValidationReport:
-    """Check the three decomposition conditions; violations are data.
+def validate(g: Graph, td) -> ValidationReport:
+    """Check the three decomposition conditions of a plain, nice or
+    subconnected decomposition; violations are data.
 
     Runs in O(sum of bag sizes + m). A vertex's trace is connected iff
     exactly one node holding it has a parent without it, its top node. Two
@@ -380,9 +373,9 @@ def _shrink(td: TreeDecomposition) -> tuple[dict[int, frozenset[int]], dict[int,
     return bags, adj
 
 
-def make_nice(g: Graph, td: TreeDecomposition, error=ValueError) -> NiceTreeDecomposition:
+def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert a valid decomposition to nice form; width is preserved. An
-    invalid one raises ``error``.
+    invalid one raises ValueError.
 
     Node count is O(width * |V(g)|): nested adjacent bags are contracted
     first, then joins are binarized and bag transitions are padded with
@@ -390,7 +383,7 @@ def make_nice(g: Graph, td: TreeDecomposition, error=ValueError) -> NiceTreeDeco
     """
     report = validate(g, td)
     if not report.valid:
-        raise error("invalid tree decomposition: " + "; ".join(report.violations()))
+        raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
     bags, adj = _shrink(td)
     order = sorted(bags)
     root = order[0]
@@ -542,62 +535,101 @@ def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.
 # ---------------------------------------------------------------------------
 
 
-def make_subconnected(g: Graph, ntd: NiceTreeDecomposition) -> TreeDecomposition:
+class SubconnectedDecomposition:
+    """A rooted decomposition in which every node's V_t (the vertices in its
+    subtree's bags) induces a connected subgraph; ``make_subconnected``
+    builds it, and ``cut`` contracts it in place where the cvc engine splits.
+
+    ``bags``, ``children`` (ascending), ``parent`` (None at ``root``) and
+    ``vsets`` (V_t) are keyed by the live nodes.
+    """
+
+    def __init__(self, bags: dict[int, frozenset[int]], children: dict[int, tuple[int, ...]],
+                 vsets: dict[int, set[int]], root: int):
+        self.bags, self.children, self.vsets, self.root = bags, children, vsets, root
+        self.parent: dict[int, int | None] = {root: None}
+        self.occurs: dict[int, list[int]] = {}  # vertex -> the nodes whose bags held it
+        for t, bag in bags.items():
+            self.parent.update((c, t) for c in children[t])
+            for v in bag:
+                self.occurs.setdefault(v, []).append(t)
+
+    @property
+    def width(self) -> int:
+        return max(len(b) for b in self.bags.values()) - 1
+
+    def parents(self) -> dict[int, int | None]:
+        return self.parent
+
+    def as_td(self) -> TreeDecomposition:
+        edges = [(t, c) for t, kids in self.children.items() for c in kids]
+        return TreeDecomposition(self.bags, edges, root=self.root)
+
+    def cut(self, t: int, z: int) -> None:
+        """Drop the nodes strictly below t and contract X_t to the fresh
+        vertex z in every bag and V_s holding a vertex of it; t's and its
+        ancestors' V_a lose all of V_t for z.
+
+        The result decomposes the contracted graph and stays subconnected.
+        Every trace of a vertex of X_t holds t, so z's trace is connected and
+        a V_s off t's path that meets X_t holds it in its bag (found through
+        the occurrence lists); a path of G[V_s] through V_t \\ X_t enters and
+        leaves it through X_t, so it can go through z instead.
+        """
+        x_t, v_t = self.bags[t], self.vsets[t]
+        stack = list(self.children[t])
+        while stack:
+            s = stack.pop()
+            stack.extend(self.children.pop(s))
+            del self.bags[s], self.parent[s], self.vsets[s]
+        self.children[t], self.vsets[t] = (), {z}
+        holders = sorted({s for v in x_t for s in self.occurs.pop(v) if s in self.bags})
+        for s in holders:
+            self.bags[s] = (self.bags[s] - x_t) | {z}
+            self.vsets[s] -= x_t
+            self.vsets[s].add(z)
+        self.occurs[z] = holders
+        a = self.parent[t]
+        while a is not None:
+            self.vsets[a] -= v_t
+            self.vsets[a].add(z)
+            a = self.parent[a]
+
+
+def make_subconnected(g: Graph, ntd: NiceTreeDecomposition) -> SubconnectedDecomposition:
     """Regroup subtrees so G[V_t] is connected at every node.
 
     Bottom-up: a node whose accumulated vertex set splits into p components
     becomes p sibling nodes, each keeping the bag restricted to its
-    component. For connected g every component of G[V_t] meets X_t, which
-    bounds the children of any output node by 2*width+2.
+    component, whose V_t is that component. For connected g every component
+    of G[V_t] meets X_t, which bounds the children of any output node by
+    2*width+2.
     """
     if not g.is_connected():
-        raise ValueError("make_subconnected requires a connected graph")
+        raise ValueError("subconnected form needs a connected graph")
     if g.n == 0:
-        return TreeDecomposition({0: frozenset()}, root=0)
-    new_bags: dict[int, frozenset[int]] = {}
-    new_children: dict[int, list[int]] = {}
-    counter = 0
-    pieces: dict[int, list[tuple[int, frozenset[int]]]] = {}
+        return SubconnectedDecomposition({0: frozenset()}, {0: ()}, {0: set()}, 0)
+    bags: dict[int, frozenset[int]] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    vsets: dict[int, set[int]] = {}
+    pieces: dict[int, list[int]] = {}  # nice node -> the output nodes it became
     for t in ntd.postorder():
-        child_pieces = [p for c in ntd.children[t] for p in pieces[c]]
+        below = [p for c in ntd.children[t] for p in pieces.pop(c)]
         bag = ntd.bags[t]
-        vertex_pool = set(bag)
-        for _, comp in child_pieces:
-            vertex_pool |= comp
-        if not vertex_pool:
-            pieces[t] = []
-            continue
-        comps = _components(g.neighbors, vertex_pool)
-        out: list[tuple[int, frozenset[int]]] = []
+        pool = set(bag).union(*(vsets[p] for p in below))
+        comps = _components(g.neighbors, pool)
+        if len(comps) > 1 and not all(bag & comp for comp in comps):
+            raise InternalInvariantViolation("component without a bag vertex in a connected graph")
+        pieces[t] = []
         for comp in comps:
-            nid = counter
-            counter += 1
-            new_bags[nid] = bag & comp
-            new_children[nid] = [pid for pid, pcomp in child_pieces if next(iter(pcomp)) in comp]
-            if len(comps) > 1 and not (bag & comp):
-                raise InternalInvariantViolation(
-                    "component without a bag vertex in a connected graph"
-                )
-            out.append((nid, comp))
-        pieces[t] = out
-    root_pieces = pieces[ntd.root]
-    if len(root_pieces) != 1:
+            nid = len(bags)
+            bags[nid] = bag & comp
+            children[nid] = tuple(p for p in below if next(iter(vsets[p])) in comp)
+            vsets[nid] = set(comp)
+            pieces[t].append(nid)
+    if len(pieces[ntd.root]) != 1:
         raise InternalInvariantViolation("connected graph produced multiple root pieces")
-    root_id = root_pieces[0][0]
-    edges = [(t, c) for t, kids in new_children.items() for c in kids]
-    return TreeDecomposition(new_bags, edges, root=root_id)
-
-
-def rooted_subtree_vertices(td: TreeDecomposition) -> tuple[dict[int, tuple[int, ...]], dict[int, frozenset[int]]]:
-    """Children map and V_t sets for a rooted (not necessarily nice) decomposition."""
-    root, children = td.rooted_children()
-    vsets: dict[int, frozenset[int]] = {}
-    for t in reversed(_preorder(children, root)):
-        acc = set(td.bags[t])
-        for c in children[t]:
-            acc |= vsets[c]
-        vsets[t] = frozenset(acc)
-    return children, vsets
+    return SubconnectedDecomposition(bags, children, vsets, pieces[ntd.root][0])
 
 
 def _preorder(children, t: int) -> list[int]:

@@ -108,6 +108,40 @@ def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
     )
 
 
+def reference_subtree_vertices(
+    td: TreeDecomposition,
+) -> tuple[dict[int, tuple[int, ...]], dict[int, frozenset[int]]]:
+    """Children (ascending) and V_t of every node of a rooted decomposition,
+    recomputed from its bags; kept as the reference for the children and
+    vsets of ``treedecomp.SubconnectedDecomposition``."""
+    parent = td.parents()
+    root = next(iter(parent))
+    children: dict[int, list[int]] = {t: [] for t in td.bags}
+    for s, p in parent.items():
+        if p is not None:
+            children[p].append(s)
+    kids = {t: tuple(sorted(c)) for t, c in children.items()}
+    vsets: dict[int, frozenset[int]] = {}
+    for t in reversed(_preorder(kids, root)):
+        acc = set(td.bags[t])
+        for c in kids[t]:
+            acc |= vsets[c]
+        vsets[t] = frozenset(acc)
+    return kids, vsets
+
+
+def reference_cut_and_contract(sc: TreeDecomposition, t: int, z: int) -> TreeDecomposition:
+    """``sc`` less the nodes strictly below t, with X_t contracted to z, built
+    as a new decomposition; kept as the reference for
+    ``SubconnectedDecomposition.cut``."""
+    children, _ = reference_subtree_vertices(sc)
+    below = set(_preorder(children, t)[1:])
+    x_t = sc.bags[t]
+    bags = {s: (b - x_t) | {z} if b & x_t else b for s, b in sc.bags.items() if s not in below}
+    edges = [(a, b) for a, b in sc.tree_edges if a in bags and b in bags]
+    return TreeDecomposition(bags, edges, root=sc.root)
+
+
 def query_size(red) -> int:
     """Vertices a reduced instance puts to the oracle; 0 when the kernel
     already has the answer."""

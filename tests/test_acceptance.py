@@ -58,7 +58,6 @@ from atk.treedecomp import (
     heuristic_td,
     make_nice,
     make_subconnected,
-    rooted_subtree_vertices,
     validate,
 )
 from helpers import (
@@ -66,6 +65,7 @@ from helpers import (
     gnp_graph,
     lift_exact,
     reference_degeneracy_order,
+    reference_subtree_vertices,
     triangle_chain,
 )
 
@@ -223,10 +223,11 @@ def test_criterion_06_cvc():
         g, td = gen_connected_partial_ktree(rng.randint(k + 2, 45), k, 0.75, seed=6200 + i)
         ntd = make_nice(g, td)
         sc = make_subconnected(g, ntd)
-        assert validate(g, sc).valid, i
+        assert validate(g, sc).valid and validate(g, sc.as_td()).valid, i
         assert sc.width <= ntd.width, i
-        children, vsets = rooted_subtree_vertices(sc)
-        for t in sc.nodes:
+        children, vsets = reference_subtree_vertices(sc.as_td())
+        assert sc.children == children and sc.vsets == vsets, i
+        for t in children:
             assert len(children[t]) <= 2 * k + 2, (i, t)
             sub = g.induced_subgraph(vsets[t])
             assert sub.n == 0 or sub.is_connected(), (i, t)

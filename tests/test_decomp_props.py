@@ -10,7 +10,9 @@ shape as ``restrict`` builds it, every join must list its lower-id child
 first, and the nice component split must equal ``restrict`` to each
 component. A fresh view must give every node's local set exactly, whatever
 order the nodes are asked in, and ``descend`` must stop where the reference
-walk in ``helpers`` stops.
+walk in ``helpers`` stops. A chain of cuts of a subconnected decomposition
+must leave the bags, children and V_t that the reference in ``helpers``
+rebuilds, and a subconnected decomposition of the contracted graph.
 """
 
 import random
@@ -20,16 +22,23 @@ from hypothesis import strategies as st
 
 from atk.approx import degeneracy_is, greedy_matching, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
-from atk.generate import gen_partial_ktree
+from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.treedecomp import (
     NiceTreeDecomposition,
     Remainder,
     TreeDecomposition,
     descend,
     make_nice,
+    make_subconnected,
     validate,
 )
-from helpers import reference_descend, reference_validate, subtree_nodes
+from helpers import (
+    reference_cut_and_contract,
+    reference_descend,
+    reference_subtree_vertices,
+    reference_validate,
+    subtree_nodes,
+)
 
 CORRUPTIONS = ("drop-vertex", "split-trace", "unshare-edge", "foreign-vertex")
 
@@ -342,3 +351,32 @@ def test_descend_matches_the_reference_walk(inst, piece_measure, limit_frac, flo
         node, local, value, data = ref
         assert new == (node, value, data)
         assert rest.local(node) == local
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 76),
+    st.floats(0.3, 1.0),
+    st.integers(0, 10_000),
+    st.lists(st.integers(0, 10_000), max_size=6),
+)
+def test_subconnected_cuts_match_the_rebuilt_reference(k, extra, p, seed, picks):
+    g, td = gen_connected_partial_ktree(k + 1 + extra, k, p, seed)
+    ntd = make_nice(g, td)
+    sc = make_subconnected(g, ntd)
+    for z, pick in enumerate(picks, start=max(g.vertices) + 1):
+        live = sorted(t for t, bag in sc.bags.items() if bag)
+        if not live:
+            break
+        t = live[pick % len(live)]
+        ref = reference_cut_and_contract(sc.as_td(), t, z)
+        x_t, v_t = sc.bags[t], sc.vsets[t]
+        g = g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
+        sc.cut(t, z)
+        children, vsets = reference_subtree_vertices(ref)
+        assert sc.bags == ref.bags
+        assert sc.children == children and sc.vsets == vsets
+        assert validate(g, sc).valid
+        assert all(g.induced_subgraph(vs).is_connected() for vs in vsets.values())
+        assert all(len(kids) <= 2 * ntd.width + 2 for kids in children.values())

@@ -11,8 +11,8 @@ from atk.graph import Graph
 from atk.oracles import Oracle
 from atk.pace import ParseError, parse_gr, parse_td, write_gr, write_td
 from atk.problems import Solution
-from atk.treedecomp import validate
-from helpers import complete_graph, path_graph
+from atk.treedecomp import TreeDecomposition, validate
+from helpers import complete_graph, path_graph, reference_subtree_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,16 @@ def test_cli_subconnected_empty_graph(tmp_path, capsys):
     assert parse_td(captured.out).bags == {1: frozenset()}
 
 
+def test_cli_subconnected_disconnected_graph(tmp_path, capsys):
+    gr = tmp_path / "d.gr"
+    td = tmp_path / "d.td"
+    gr.write_text("p tw 4 2\n1 2\n3 4\n")
+    td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")
+    assert main(["td", "subconnected", "--graph", str(gr), "--td", str(td)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: subconnected form needs a connected graph\n"
+
+
 def test_cli_td_transforms(tmp_path):
     gr = tmp_path / "g.gr"
     td = tmp_path / "g.td"
@@ -292,6 +302,11 @@ def test_cli_td_transforms(tmp_path):
     assert main(["td", "validate", "--graph", str(gr), "--td", str(nice_out)]) == 0
     assert main(["td", "subconnected", "--graph", str(gr), "--td", str(td), "--out", str(sc_out)]) == 0
     assert main(["td", "validate", "--graph", str(gr), "--td", str(sc_out)]) == 0
+    # make_subconnected numbers its nodes bottom-up, so the file's last node is the root
+    sc = parse_td(sc_out.read_text())
+    g = parse_gr(gr.read_text())
+    _, vsets = reference_subtree_vertices(TreeDecomposition(sc.bags, sc.tree_edges, root=max(sc.bags)))
+    assert all(g.induced_subgraph(vs).is_connected() for vs in vsets.values())
 
 
 def test_cli_errors_exit_code_one(tmp_path):

@@ -46,6 +46,7 @@ from helpers import (
     edgeless_graph,
     gnp_graph,
     path_graph,
+    reference_subtree_vertices,
     restricted,
     star_graph,
     triangle_chain,
@@ -348,12 +349,12 @@ def test_cvc_find_split_caterpillar_scaled():
     g, td = gen_connected_partial_ktree(50, 1, 1.0, seed=33)
     ntd = make_nice(g, td)
     sc = make_subconnected(g, ntd)
+    children, vsets = reference_subtree_vertices(sc.as_td())
+    assert sc.children == children and sc.vsets == vsets
     t, v_t, sol, flags = find_cvc_split_node(
         g, sc, 1 / 3, exact_brute_oracle(), width=1, threshold_scale=0.01
     )
-    from atk.treedecomp import rooted_subtree_vertices
-
-    assert v_t == rooted_subtree_vertices(sc)[1][t]
+    assert v_t == vsets[t]
     x_t = sc.bags[t]
     sub = g.induced_subgraph(v_t)
     gx = sub.identify_vertices(x_t, max(g.vertices) + 1) if x_t else sub
@@ -441,9 +442,11 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
     # Rebuilding the decomposition for each cut made the engines quadratic,
     # and the oracle's rebuild of each query's piece cost more than its DP.
     # Every remainder and component is cut from the input's nice
-    # decomposition; only cvc, which contracts its cut bag, rebuilds.
+    # decomposition, and cvc cuts and contracts one subconnected
+    # decomposition of it, building no tree decomposition per cut.
     import atk.kernels as kernels
     import atk.oracles as oracles
+    import atk.treedecomp as treedecomp
 
     calls = Counter()
 
@@ -454,11 +457,16 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
 
         return wrapper
 
-    for name in ("make_nice", "Remainder", "descend", "_cut_and_contract"):
+    for name in ("make_nice", "Remainder", "descend", "make_subconnected"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     monkeypatch.setattr(oracles, "make_nice", counted("make_nice", oracles.make_nice))
+    monkeypatch.setattr(
+        treedecomp.TreeDecomposition, "__init__",
+        counted("TreeDecomposition", treedecomp.TreeDecomposition.__init__),
+    )
     reg = builtin_instances()
     big, big_td = gen_partial_ktree(1000, 3, 0.9, seed=7)
+    cvc_g, cvc_td = gen_connected_partial_ktree(50, 1, 0.6, seed=0)
     runs = {
         "vc": lambda: approx_vc_turing(big, big_td, KernelConfig(0.5, exact_dp_oracle())),
         "is": lambda: approx_is_turing(big, big_td, KernelConfig(0.5, exact_dp_oracle())),
@@ -480,21 +488,18 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
             *gen_partial_ktree(200, 2, 0.8, seed=1), 0.5, reg["is"], exact_dp_oracle(), 0.3
         ),
         "cvc": lambda: approx_cvc_turing(
-            *gen_connected_partial_ktree(50, 1, 0.6, seed=0),
-            KernelConfig(1.0, exact_brute_oracle(), 0.01),
+            cvc_g, cvc_td, KernelConfig(1.0, exact_brute_oracle(), 0.01)
         ),
     }
     for name, run in runs.items():
         calls.clear()
         rep = run()
         assert rep.recursion_depth > 1, name
-        if name == "cvc":
-            assert calls["_cut_and_contract"] > 0
-            assert calls["make_nice"] == 1 + calls["_cut_and_contract"]
-        else:
-            assert calls["make_nice"] == 1, name
+        assert calls["make_nice"] == 1, name
         if name in ("vc", "is"):
             assert calls == {"make_nice": 1}
+        if name == "cvc":
+            assert calls == {"make_nice": 1, "make_subconnected": 1}
 
 
 def test_ecc_and_etp_build_one_view_per_cutting_step(monkeypatch):
@@ -543,9 +548,9 @@ def test_ecc_and_etp_build_one_view_per_cutting_step(monkeypatch):
 
 
 def test_cvc_validates_each_remainder_once(monkeypatch):
-    # The contracted remainder was validated and then made nice, which
-    # validates it again. make_nice's check is now the only one, and a
-    # remainder it rejects is still an internal invariant violation.
+    # Each cut contracts the one subconnected decomposition in place, and
+    # the result is validated against the contracted graph once; a cut it
+    # rejects is an internal invariant violation.
     import atk.kernels as kernels
     import atk.treedecomp as treedecomp
 
@@ -560,19 +565,20 @@ def test_cvc_validates_each_remainder_once(monkeypatch):
 
     check = counted("validate", treedecomp.validate)
     monkeypatch.setattr(treedecomp, "validate", check)
-    monkeypatch.setattr(kernels, "validate", check, raising=False)
-    cut = kernels._cut_and_contract
-    monkeypatch.setattr(kernels, "_cut_and_contract", counted("level", cut))
+    monkeypatch.setattr(kernels, "validate", check)
+    cut = treedecomp.SubconnectedDecomposition.cut
+    monkeypatch.setattr(treedecomp.SubconnectedDecomposition, "cut", counted("cut", cut))
     g, td = gen_connected_partial_ktree(50, 1, 0.6, seed=0)
     approx_cvc_turing(g, td, KernelConfig(1.0, exact_brute_oracle(), 0.01))
-    assert calls["level"] > 1
-    assert calls["validate"] == 1 + calls["level"]  # the input, then one per contracted level
+    assert calls["cut"] > 1
+    assert calls["validate"] == 1 + calls["cut"]  # the input, then one per cut
 
     def broken(sc, t, z):  # the contraction vertex left in no bag
-        rest = cut(sc, t, z)
-        return TreeDecomposition({s: b - {z} for s, b in rest.bags.items()}, rest.tree_edges)
+        cut(sc, t, z)
+        for s in sc.occurs[z]:
+            sc.bags[s] -= {z}
 
-    monkeypatch.setattr(kernels, "_cut_and_contract", broken)
+    monkeypatch.setattr(treedecomp.SubconnectedDecomposition, "cut", broken)
     with pytest.raises(InternalInvariantViolation, match="invalid tree decomposition"):
         approx_cvc_turing(g, td, KernelConfig(1.0, exact_brute_oracle(), 0.01))
 

@@ -12,10 +12,15 @@ from atk.treedecomp import (
     heuristic_td,
     make_nice,
     make_subconnected,
-    rooted_subtree_vertices,
     validate,
 )
-from helpers import complete_graph, cycle_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_subtree_vertices,
+    star_graph,
+)
 
 
 def test_tree_decomposition_rejects_non_trees():
@@ -169,9 +174,10 @@ def test_make_subconnected_two_triangles_bridge():
     g = Graph(range(1, 7), [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
     ntd = make_nice(g, heuristic_td(g))
     sc = make_subconnected(g, ntd)
-    assert validate(g, sc).valid
-    _children, vsets = rooted_subtree_vertices(sc)
-    for t in sc.nodes:
+    assert validate(g, sc).valid and validate(g, sc.as_td()).valid
+    children, vsets = reference_subtree_vertices(sc.as_td())
+    assert sc.children == children and sc.vsets == vsets
+    for t in children:
         sub = g.induced_subgraph(vsets[t])
         assert sub.n == 0 or sub.is_connected()
 
@@ -180,8 +186,9 @@ def test_make_subconnected_child_bound_on_path():
     g = path_graph(6)
     ntd = make_nice(g, heuristic_td(g))
     sc = make_subconnected(g, ntd)
-    children, _ = rooted_subtree_vertices(sc)
-    assert all(len(children[t]) <= 2 * ntd.width + 2 for t in sc.nodes)
+    children, vsets = reference_subtree_vertices(sc.as_td())
+    assert sc.children == children and sc.vsets == vsets
+    assert all(len(children[t]) <= 2 * ntd.width + 2 for t in children)
 
 
 def test_make_subconnected_contract_random():
@@ -192,10 +199,11 @@ def test_make_subconnected_contract_random():
         g, td = gen_connected_partial_ktree(n, k, 0.7, seed=trial)
         ntd = make_nice(g, td)
         sc = make_subconnected(g, ntd)
-        assert validate(g, sc).valid
+        assert validate(g, sc).valid and validate(g, sc.as_td()).valid
         assert sc.width <= ntd.width
-        children, vsets = rooted_subtree_vertices(sc)
-        for t in sc.nodes:
+        children, vsets = reference_subtree_vertices(sc.as_td())
+        assert sc.children == children and sc.vsets == vsets
+        for t in children:
             assert len(children[t]) <= 2 * ntd.width + 2
             sub = g.induced_subgraph(vsets[t])
             assert sub.n == 0 or sub.is_connected()
