@@ -206,10 +206,11 @@ def degeneracy_is(g: Graph, within=None, stop_above: float | None = None) -> Sol
 # ---------------------------------------------------------------------------
 
 
-def greedy_triangle_packing(g: Graph) -> Solution:
-    """A maximal edge-disjoint triangle packing (ratio 3)."""
-    used: set[frozenset[int]] = set()
-    fam: list[frozenset[int]] = []
+def greedy_triangle_packing(g: Graph, start: frozenset = frozenset()) -> Solution:
+    """A maximal edge-disjoint triangle packing (ratio 3) that extends the
+    edge-disjoint packing ``start`` by every triangle whose edges stay free."""
+    fam = list(start)
+    used = {frozenset(p) for tri in fam for p in combinations(tri, 2)}
     for a, b, c in g.triangles():
         e1, e2, e3 = frozenset((a, b)), frozenset((a, c)), frozenset((b, c))
         if e1 in used or e2 in used or e3 in used:

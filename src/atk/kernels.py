@@ -8,24 +8,23 @@ step and one assembly hook. The step finds nodes whose local optimum sits
 in a bounded window, solves their pieces through ``_query`` (the one place
 that reduces, queries the oracle, lifts and checks) and returns the
 remainders, each with its decomposition cut from the step's own by
-``NiceTreeDecomposition.restrict`` (ecc's components by one
-``split_components`` pass). The direct vc and is engines take a single
-step, one bottom-up pass that cuts every piece (``_window_pass``). ecc,
-etp and the friendly engine run their chains of ``descend`` walks in one
-step on a view of the step's decomposition (``treedecomp.Remainder``), ecc
-until what is left falls apart. cvc runs its chain in one step too, on
+``NiceTreeDecomposition.restrict`` (ecc's components by one call). The
+direct vc and is engines take a single step, one bottom-up pass that cuts
+every piece (``_window_pass``). ecc, etp and the friendly engine run their
+chains of ``descend`` walks in one step on a view of the step's
+decomposition (``treedecomp.Remainder``), ecc until what is left falls
+apart. cvc runs its chain in one step too, on
 one subconnected decomposition that each split cuts and contracts in
 place (``treedecomp.SubconnectedDecomposition``). The hook combines the
 solved parts into a solution of the input graph. With threshold_scale = 1
-every internal threshold equals its analysis-given formula, which is what
-the query-size audit is checked against.
+every internal threshold equals its analysis-given formula, and the driver
+checks the audited query size against the engine's declared bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .approx import (
@@ -125,7 +124,9 @@ def _drive(
     the number of cuts it made): none, one, or one per component are
     pushed, and each cut counts one level of recursion depth. ``assemble``
     gets the solved parts in solving order, and ``bounds(width)`` gives the
-    declared query bound and the reported thresholds.
+    declared query bound and the reported thresholds. At threshold_scale 1
+    an audited query over the declared bound is an internal invariant
+    violation.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
     if not 0 < eps <= 1:
@@ -146,6 +147,10 @@ def _drive(
     solution = assemble(parts)
     _assert_feasible(kind, g, solution, f"{problem} turing kernel")
     declared, thresholds = bounds(td.width)
+    if scale == 1.0 and declared is not None and cfg.audit.max_query_vertices > declared:
+        raise InternalInvariantViolation(
+            f"audited query size {cfg.audit.max_query_vertices} exceeds declared bound {declared}"
+        )
     return RunReport(
         problem=problem,
         epsilon=eps,
@@ -191,7 +196,7 @@ def _query(
     raw = None
     if red.graph is not None:
         if td is not None and red.graph is not g:
-            td = td.restrict(red.graph.vertex_set)
+            [td] = td.restrict([red.graph.vertex_set])
         raw = oracle.solve(kind, red.graph, td)
     sol = red.lift(raw)
     _assert_feasible(kind, g, sol, f"{kind.name} oracle answer")
@@ -230,7 +235,7 @@ def _window_pass(
 
     def cut(c: int) -> None:
         piece = frozenset(state[c][0])
-        q_td = ntd.restrict(piece, c, taken)
+        [q_td] = ntd.restrict([piece], c, taken)
         parts.append(solve(g.induced_subgraph(piece), q_td, ntd.bags[c]))
         deleted.update(ntd.bags[c])
 
@@ -359,8 +364,8 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             return frozenset(), (), False  # isolated vertices carry no edges to cover
         comps = cur_g.connected_components()
         if len(comps) > 1:
-            tds = ntd.split_components(comps)
-            pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, tds) if d is not None]
+            comps = [c for c in comps if len(c) > 1]  # an isolated vertex carries no edge
+            pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, ntd.restrict(comps))]
             return frozenset(), pieces, False
         if cur_g.n <= base(ntd.width):
             return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
@@ -369,7 +374,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), 2.0 * lo, lo)[0]
             local = rest.local(t)
             v_t = local | (ntd.bags[t] & rest.live)
-            piece = ntd.restrict(v_t, t, rest.taken)
+            [piece] = ntd.restrict([v_t], t, rest.taken)
             parts.append(_query(ECC, cur_g.induced_subgraph(v_t), piece, cfg.oracle).payload)
             if t == ntd.root:
                 return _union(parts), (), len(parts)  # the window covered the whole graph
@@ -377,7 +382,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             live, lo = rest.live, max(base(rest.width), 1.0)
             if len(live) <= lo or len(_reach(cur_g.neighbors, min(live), live)) < len(live):
                 # the next step solves what is left outright or splits it into components
-                rest_td = ntd.restrict(live, None, rest.taken)
+                [rest_td] = ntd.restrict([live], None, rest.taken)
                 return _union(parts), [(cur_g.induced_subgraph(live), rest_td)], len(parts)
 
     def bounds(width):
@@ -417,18 +422,6 @@ def solve_etp_small(
         except OracleRefused:
             pass
     return s3, ("etp-kernel-refusal-3approx-fallback",)
-
-
-def _greedy_complete_packing(g: Graph, packing: frozenset) -> Solution:
-    """Add every triangle whose edges are still free (restores maximality)."""
-    packing = set(packing)
-    used = {frozenset(p) for tri in packing for p in combinations(sorted(tri), 2)}
-    for a, b, c in g.triangles():
-        edges = {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))}
-        if not edges & used:
-            packing.add(frozenset((a, b, c)))
-            used |= edges
-    return Solution.of_family(packing)
 
 
 def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -471,7 +464,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             parts.append(sol_t.payload)
             rest.cut(node, local)
             live_g = cur_g.induced_subgraph(rest.live)
-        live_td = ntd.restrict(rest.live, None, rest.taken) if parts else ntd
+        live_td = ntd.restrict([rest.live], None, rest.taken)[0] if parts else ntd
         sol, fl = solve_etp_small(live_g, s3, cfg.oracle, live_td)
         flags.update(fl)
         return _union(parts) | sol.payload, (), len(parts)
@@ -484,7 +477,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 
     return _drive(
         "etp", ETP, g, td, cfg, step,
-        lambda parts: _greedy_complete_packing(g, _union(parts)), bounds,
+        lambda parts: greedy_triangle_packing(g, _union(parts)), bounds,
     )
 
 

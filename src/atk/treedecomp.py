@@ -10,6 +10,7 @@ it keeps each V_t, and a cut contracts it in place.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -199,23 +200,27 @@ class NiceTreeDecomposition:
         return _preorder(self.children, self.root)[::-1]
 
     def restrict(
-        self, keep: frozenset[int], t: int | None = None, taken: set[int] | None = None
-    ) -> "NiceTreeDecomposition":
-        """The subtree of ``t`` (default: the root) without the nodes in
-        ``taken`` (to which its nodes are added), with every bag cut down to
-        ``keep``, as a nice decomposition of its own.
+        self, parts: list[frozenset[int]], t: int | None = None, taken: set[int] | None = None
+    ) -> list["NiceTreeDecomposition"]:
+        """One nice decomposition per set of the disjoint vertex sets
+        ``parts``: the subtree of ``t`` (default: the root) without the nodes
+        in ``taken`` (to which its nodes are added), with every bag cut down
+        to the part, in one post-order walk.
 
-        A node whose cut bag equals its child's is skipped (an introduce or
-        forget of a vertex outside ``keep``, a join left with one child), and
-        a subtree holding no vertex of ``keep`` adds no node. A node left
-        without children grows from a leaf chain; the top forgets up to an
+        A node hands up the top of each part met below it. An introduce or
+        forget updates only its pivot's part, a join merges the smaller
+        ``{part: top}`` map into the larger (a join node where both sides
+        meet the part), and a leaf, or a node with a child in ``taken``,
+        starts a leaf chain for each part its bag meets that has no top yet.
+        So a node whose cut bag equals its child's adds no node, nor does a
+        subtree without a vertex of the part, and each top forgets up to an
         empty root. The kept nodes (the subtree of ``t`` less the subtrees
-        of taken nodes) form a subtree, so the result decomposes G[keep]
-        whenever every vertex of ``keep`` occurs in a kept node: its trace
-        stays connected, and two adjacent vertices of ``keep`` share a kept
-        bag by the Helly property of subtrees. Query pieces meet this, and
-        so do remainders cut from the root with ``taken`` the nodes strictly
-        below t (X_t kept) or the subtree of t (V_t removed).
+        of taken nodes) form a subtree, so a part's tree decomposes G[part]
+        whenever every vertex of the part occurs in a kept node: its trace
+        stays connected, and two adjacent vertices share a kept bag by the
+        Helly property of subtrees. Query pieces meet this, components do,
+        and so do remainders cut from the root with ``taken`` the nodes
+        strictly below t (X_t kept) or the subtree of t (V_t removed).
         """
         start = self.root if t is None else t
         skip = () if taken is None else taken
@@ -224,62 +229,42 @@ class NiceTreeDecomposition:
         while stack:
             s = stack.pop()
             order.append(s)
-            stack.extend(c for c in self.children[s] if c not in skip)
+            for c in self.children[s]:
+                if c not in skip:
+                    stack.append(c)
         if taken is not None:
             taken.update(order)
-        out = _NiceBuilder()
-        top: dict[int, int | None] = {}  # node -> its cut subtree's top, if any
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        out = [_NiceBuilder() for _ in parts]
+        pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}
         for s in reversed(order):
-            bag = self.bags[s] & keep
-            kids = [top[c] for c in self.children[s] if top.get(c) is not None]
-            if not kids:
-                top[s] = out.leaf_chain(bag) if bag else None
-            elif len(kids) == 2:
-                top[s] = out.add(bag, JOIN, None, tuple(kids))
-            elif out.bags[kids[0]] == bag:
-                top[s] = kids[0]
-            else:
-                top[s] = out.add(bag, self.kinds[s], self.pivots[s], (kids[0],))
-        root = top[start]
-        root = out.leaf_chain(frozenset()) if root is None else out.chain_up(root, frozenset())
-        return NiceTreeDecomposition(out.bags, out.kinds, out.pivots, out.children, root)
-
-    def split_components(self, comps: list[frozenset[int]]) -> list["NiceTreeDecomposition | None"]:
-        """``restrict(c)`` for each connected component c, in one post-order
-        pass; a one-vertex component (no edges) gets None. A node hands up
-        the pending top of each component met below it: an introduce or
-        forget changes only its pivot's, and a join merges the smaller map
-        into the larger. The nodes meeting a component form a subtree, so a
-        component whose cut bag empties is done, with that top as its root.
-        """
-        comp_of = {v: i for i, c in enumerate(comps) if len(c) > 1 for v in c}
-        out = [_NiceBuilder() if len(c) > 1 else None for c in comps]
-        roots: list[int | None] = [None] * len(comps)
-        pending: dict[int, dict[int, int]] = {}  # node -> {component: its top}
-        for t in self.postorder():
-            kids = [pending.pop(c) for c in self.children[t]]
-            tops = kids[0] if kids else {}
-            if len(kids) == 2:
-                big = len(kids[0]) >= len(kids[1])
-                tops, other = kids if big else kids[::-1]
+            kids = self.children[s]
+            below = [pending.pop(c) for c in kids if c in pending]
+            tops = below[0] if below else {}
+            if len(below) == 2:
+                big = len(below[0]) >= len(below[1])
+                tops, other = below if big else below[::-1]
                 for i, top in other.items():
                     if i in tops:
                         pair = (tops[i], top) if big else (top, tops[i])
                         top = out[i].add(out[i].bags[top], JOIN, None, pair)
                     tops[i] = top
-            i = comp_of.get(self.pivots[t])
-            if i is not None:
-                b, v, top = out[i], self.pivots[t], tops.pop(i, None)
+            if len(below) < len(kids) or not kids:  # the cut bag grows from a leaf
+                for v in self.bags[s]:
+                    if (i := part_of.get(v)) is not None and i not in tops:
+                        tops[i] = out[i].leaf_chain(self.bags[s] & parts[i])
+            elif (i := part_of.get(self.pivots[s])) is not None:
+                b, v, top = out[i], self.pivots[s], tops.get(i)
                 if top is None:
-                    top = b.leaf_chain(frozenset((v,)))
+                    tops[i] = b.leaf_chain(frozenset((v,)))
                 else:  # an introduce adds v, a forget drops it
-                    top = b.add(b.bags[top] ^ {v}, self.kinds[t], v, (top,))
-                (tops if b.bags[top] else roots)[i] = top  # an emptied cut bag is a root
-            pending[t] = tops
-        return [
-            None if b is None else NiceTreeDecomposition(b.bags, b.kinds, b.pivots, b.children, r)
-            for b, r in zip(out, roots)
-        ]
+                    tops[i] = b.add(b.bags[top] ^ {v}, self.kinds[s], v, (top,))
+            pending[s] = tops
+        tops, trees = pending[start], []
+        for i, b in enumerate(out):
+            root = b.chain_up(tops[i], frozenset()) if i in tops else b.leaf_chain(frozenset())
+            trees.append(NiceTreeDecomposition(b.bags, b.kinds, b.pivots, b.children, root))
+        return trees
 
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t in range(self.n_nodes) for c in self.children[t]]
@@ -434,7 +419,7 @@ class Remainder:
 
     A cut at t removes live vertices (t's live local set, and its live bag
     too where the caller drops X_t) and takes the nodes strictly below t; the
-    remainder's decomposition is the tree ``ntd.restrict(live, None, taken)``
+    remainder's decomposition is the tree ``ntd.restrict([live], None, taken)``
     would build. ``descend`` walks the view itself, with the input's node
     ids, through the live children: untaken ones with a live vertex in
     their bag or local set, whose sizes are kept current. A cut changes the
@@ -644,37 +629,36 @@ def _preorder(children, t: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Greedy min-fill heuristic decomposer
+# Greedy min-degree heuristic decomposer
 # ---------------------------------------------------------------------------
 
 
 def heuristic_td(g: Graph) -> TreeDecomposition:
-    """Greedy min-fill elimination ordering; no width optimality guarantee."""
+    """Greedy min-degree elimination ordering, ties to the lower vertex; no
+    width optimality guarantee. Each pick comes from a (degree, vertex) heap
+    that skips stale entries, so a graph of width w takes O(n w^2 log n).
+    """
     if g.n == 0:
         return TreeDecomposition({0: frozenset()})
     work: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
+    heap = [(len(ns), v) for v, ns in work.items()]
+    heapq.heapify(heap)
     elim_order: list[int] = []
     elim_bags: list[frozenset[int]] = []
-    while work:
-        best_v, best_fill = None, None
-        for v in sorted(work):
-            ns = work[v]
-            fill = 0
-            for x in ns:
-                fill += len(ns - work[x]) - 1  # pairs (x, y) with y not adjacent to x
-            fill //= 2
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-                if fill == 0:
-                    break
-        v = best_v
-        ns = sorted(work[v])
+    while heap:
+        degree, v = heapq.heappop(heap)
+        ns = work.get(v)
+        if ns is None or len(ns) != degree:
+            continue  # v is eliminated, or its degree changed after the push
+        del work[v]
         elim_order.append(v)
         elim_bags.append(frozenset([v, *ns]))
-        for x in ns:
-            work[x].discard(v)
-            work[x].update(set(ns) - {x})
-        del work[v]
+        for x in ns:  # the neighbours become a clique
+            nx = work[x]
+            nx.discard(v)
+            nx |= ns
+            nx.discard(x)
+            heapq.heappush(heap, (len(nx), x))
     pos = {v: i for i, v in enumerate(elim_order)}
     bags = {i: b for i, b in enumerate(elim_bags)}
     edges = []

@@ -11,14 +11,22 @@ from atk.approx import greedy_triangle_packing
 from atk.kernels import (
     KernelConfig,
     _drive,
-    _greedy_complete_packing,
     _query,
     _union,
     solve_etp_small,
 )
 from atk.oracles import brute_force_solve
 from atk.problems import ECC, ETP, Solution
-from atk.treedecomp import FORGET, TreeDecomposition, ValidationReport, _preorder, descend
+from atk.treedecomp import (
+    FORGET,
+    JOIN,
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    ValidationReport,
+    _NiceBuilder,
+    _preorder,
+    descend,
+)
 
 
 def path_graph(n: int, start: int = 1) -> Graph:
@@ -77,6 +85,43 @@ def triangle_chain(count: int) -> Graph:
 def restricted(td: TreeDecomposition, keep: frozenset[int]) -> TreeDecomposition:
     """``td`` with every bag cut down to ``keep``: a plain decomposition of G[keep]."""
     return TreeDecomposition({t: b & keep for t, b in td.bags.items()}, td.tree_edges, root=td.root)
+
+
+def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
+                       taken: set[int] | None = None) -> NiceTreeDecomposition:
+    """The bag-intersection cut, kept as the reference for
+    ``NiceTreeDecomposition.restrict``: the subtree of ``t`` (default: the
+    root) without the nodes in ``taken`` (to which its nodes are added),
+    with every bag cut down to ``keep``. A node whose cut bag equals its
+    child's is skipped, a subtree holding no vertex of ``keep`` adds no
+    node, a node left without children grows from a leaf chain, and the
+    top forgets up to an empty root."""
+    start = ntd.root if t is None else t
+    skip = () if taken is None else taken
+    order = []  # parents before children
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        stack.extend(c for c in ntd.children[s] if c not in skip)
+    if taken is not None:
+        taken.update(order)
+    out = _NiceBuilder()
+    top: dict[int, int | None] = {}  # node -> its cut subtree's top, if any
+    for s in reversed(order):
+        bag = ntd.bags[s] & keep
+        kids = [top[c] for c in ntd.children[s] if top.get(c) is not None]
+        if not kids:
+            top[s] = out.leaf_chain(bag) if bag else None
+        elif len(kids) == 2:
+            top[s] = out.add(bag, JOIN, None, tuple(kids))
+        elif out.bags[kids[0]] == bag:
+            top[s] = kids[0]
+        else:
+            top[s] = out.add(bag, ntd.kinds[s], ntd.pivots[s], (kids[0],))
+    root = top[start]
+    root = out.leaf_chain(frozenset()) if root is None else out.chain_up(root, frozenset())
+    return NiceTreeDecomposition(out.bags, out.kinds, out.pivots, out.children, root)
 
 
 def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -266,10 +311,10 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
     """The per-level friendly engine, kept as the reference for
     ``friendly.approx_friendly_turing``: every level is a piece on the
     engine loop's stack with its own graph G - V_t and its own decomposition
-    rebuilt by ``restrict``, and phi runs in full on each node's induced
-    local graph, except where the level's local size and width put the low
-    end of ``phi_range`` over the limit: such a node is measured by the high
-    end. Returns the run's report."""
+    rebuilt by ``reference_restrict``, and phi runs in full on each node's
+    induced local graph, except where the level's local size and width put
+    the low end of ``phi_range`` over the limit: such a node is measured by
+    the high end. Returns the run's report."""
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
     maximize = problem.direction == "max"
@@ -309,11 +354,12 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
             hint = problem.merge(*map(phi, kids))
         local = idx.local_vertices(t)
         piece = cur_g.induced_subgraph(local)
-        sol = _query(problem.kind, piece, ntd.restrict(local, t), cfg.oracle, problem.psaks, budget)
+        piece_td = reference_restrict(ntd, local, t)
+        sol = _query(problem.kind, piece, piece_td, cfg.oracle, problem.psaks, budget)
         if not maximize:
             sol = best(sol, hint)
         rest_g = cur_g.remove_vertices(idx.v_set(t))
-        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(subtree_nodes(ntd, t)))
+        rest_td = reference_restrict(ntd, rest_g.vertex_set, taken=set(subtree_nodes(ntd, t)))
         return (cur_g, ntd.bags[t], sol), [(rest_g, rest_td)], True
 
     def assemble(parts):
@@ -338,8 +384,8 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
 def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
     """The per-level ecc engine, kept as the reference for
     ``kernels.approx_ecc_turing``: every split is a step of its own whose
-    remainder G - (V_t \\ X_t) gets a decomposition rebuilt by ``restrict``
-    and a fresh local-set index."""
+    remainder G - (V_t \\ X_t) gets a decomposition rebuilt by
+    ``reference_restrict`` and a fresh local-set index."""
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
     def step(cur_g, ntd, flags):
@@ -347,8 +393,9 @@ def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
             return frozenset(), (), False
         comps = cur_g.connected_components()
         if len(comps) > 1:
-            tds = ntd.split_components(comps)
-            pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, tds) if d is not None]
+            pieces = [
+                (cur_g.induced_subgraph(c), reference_restrict(ntd, c)) for c in comps if len(c) > 1
+            ]
             return frozenset(), pieces, False
         base = 2.0 * (1 + eps) / eps * (ntd.width + 1) ** 4 * scale
         if cur_g.n <= base:
@@ -357,11 +404,12 @@ def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
         idx = SubtreeIndex(ntd)
         t = descend(ntd, lambda s, _stop_above: (idx.local_size[s], None), 2.0 * lo, floor=lo)[0]
         v_t = idx.v_set(t)
-        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), ntd.restrict(v_t, t), cfg.oracle)
+        v_td = reference_restrict(ntd, v_t, t)
+        sol_t = _query(ECC, cur_g.induced_subgraph(v_t), v_td, cfg.oracle)
         if t == ntd.root:
             return sol_t.payload, (), True
         rest_g = cur_g.remove_vertices(v_t - ntd.bags[t])
-        rest_td = ntd.restrict(rest_g.vertex_set, taken=set(subtree_nodes(ntd, t)[1:]))
+        rest_td = reference_restrict(ntd, rest_g.vertex_set, taken=set(subtree_nodes(ntd, t)[1:]))
         return sol_t.payload, [(rest_g, rest_td)], True
 
     def bounds(width):
@@ -378,8 +426,8 @@ def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
 def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
     """The per-level etp engine, kept as the reference for
     ``kernels.approx_etp_turing``: every split is a step of its own whose
-    remainder G - (V_t \\ X_t) gets a decomposition rebuilt by ``restrict``
-    and a fresh local-set index."""
+    remainder G - (V_t \\ X_t) gets a decomposition rebuilt by
+    ``reference_restrict`` and a fresh local-set index."""
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
     def step(cur_g, ntd, flags):
@@ -399,7 +447,9 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
             local = idx.local_vertices(node)
             if local:
                 rest_g = cur_g.remove_vertices(local)
-                rest_td = ntd.restrict(rest_g.vertex_set, taken=set(subtree_nodes(ntd, node)[1:]))
+                rest_td = reference_restrict(
+                    ntd, rest_g.vertex_set, taken=set(subtree_nodes(ntd, node)[1:])
+                )
                 return sol_t.payload, [(rest_g, rest_td)], True
             flags.add("etp-empty-split-fallback")
         sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, ntd)
@@ -414,5 +464,5 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
 
     return _drive(
         "etp", ETP, g, td, cfg, step,
-        lambda parts: _greedy_complete_packing(g, _union(parts)), bounds,
+        lambda parts: greedy_triangle_packing(g, _union(parts)), bounds,
     )

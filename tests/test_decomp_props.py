@@ -7,10 +7,11 @@ a nice decomposition of its piece, with or without an earlier piece taken,
 and of both remainder shapes, the engines' view of the input
 (``Remainder``) must show every remainder of a chain of cuts of either
 shape as ``restrict`` builds it, every join must list its lower-id child
-first, and the nice component split must equal ``restrict`` to each
-component. A fresh view must give every node's local set exactly, whatever
-order the nodes are asked in, and ``descend`` must stop where the reference
-walk in ``helpers`` stops. A chain of cuts of a subconnected decomposition
+first, and ``restrict`` must cut each component and any disjoint parts,
+from any node and with any nodes taken, exactly as the bag-intersection
+reference in ``helpers`` cuts each part alone. A fresh view must give
+every node's local set exactly, whatever order the nodes are asked in, and
+``descend`` must stop where the reference walk in ``helpers`` stops. A chain of cuts of a subconnected decomposition
 must leave the bags, children and V_t that the reference in ``helpers``
 rebuilds, and a subconnected decomposition of the contracted graph.
 """
@@ -35,6 +36,7 @@ from atk.treedecomp import (
 from helpers import (
     reference_cut_and_contract,
     reference_descend,
+    reference_restrict,
     reference_subtree_vertices,
     reference_validate,
     subtree_nodes,
@@ -143,7 +145,7 @@ def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_t
         if keep_kind == "local-sample":
             keep = frozenset(v for v in keep if rng.random() < 0.5)
     before = set(taken)
-    piece = ntd.restrict(keep, t, taken if with_taken else None)
+    [piece] = ntd.restrict([keep], t, taken if with_taken else None)
     assert piece.nice_violations() == []
     assert validate(g.induced_subgraph(keep), piece).valid
     for u, kids in enumerate(piece.children):  # every introduce and forget changes its bag
@@ -169,18 +171,41 @@ def test_nice_split_components_cuts_each_component(inst, salt):
     # cutting vertices out leaves several components
     cut = frozenset(rng.sample(g.vertices, g.n // 4))
     rest = g.remove_vertices(cut)
-    whole = make_nice(g, td).restrict(rest.vertex_set)
+    [whole] = make_nice(g, td).restrict([rest.vertex_set])
     comps = rest.connected_components()
-    tds = whole.split_components(comps)
+    tds = whole.restrict(comps)
     assert len(tds) == len(comps)
     for comp, comp_td in zip(comps, tds):
-        if len(comp) == 1:
-            assert comp_td is None
-            continue
         assert _nice_and_valid(rest.induced_subgraph(comp), comp_td)
         # its nodes are the cut nodes that meet the component, as restrict cuts them
         assert {b for b in comp_td.bags if b} == {b & comp for b in whole.bags if b & comp}
-        assert _shape(comp_td) == _shape(whole.restrict(comp))
+        assert _shape(comp_td) == _shape(reference_restrict(whole, comp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.integers(1, 4), st.booleans(), st.floats(0.0, 0.3), st.integers(0, 10_000))
+def test_restrict_matches_the_bag_intersection_reference(inst, n_parts, at_root, p_taken, salt):
+    # Random disjoint parts (a vertex may be in none), a random start node
+    # and random taken nodes: every part's tree is the reference's, node for
+    # node, and both walks take the same nodes.
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(salt)
+    label = {v: rng.randrange(n_parts + 1) for v in g.vertices}
+    parts = [frozenset(v for v in g.vertices if label[v] == i) for i in range(n_parts)]
+    t = None if at_root else rng.randrange(ntd.n_nodes)
+    before = {s for s in range(ntd.n_nodes) if rng.random() < p_taken}
+    taken = set(before)
+    trees = ntd.restrict(parts, t, taken)
+    assert len(trees) == len(parts)
+    for part, tree in zip(parts, trees):
+        ref_taken = set(before)
+        assert _shape(tree) == _shape(reference_restrict(ntd, part, t, ref_taken))
+        assert tree.nice_violations() == []
+        assert taken == ref_taken
+    assert [_shape(tree) for tree in ntd.restrict(parts, t)] == [
+        _shape(reference_restrict(ntd, part, t)) for part in parts
+    ]
 
 
 def _match_view(rest, g, cut):
@@ -235,22 +260,22 @@ def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt
         idx = Remainder(g, ntd)
         assert local == idx.local(t)
         if rng.random() < 0.5:  # a query's cut takes s's subtree; etp's takes none
-            view.ntd.restrict(local, s, view.taken)
+            view.ntd.restrict([local], s, view.taken)
         subtree = subtree_nodes(ntd, t)
         if keep_bag:
             view.cut(s, local)
             g = g.remove_vertices(local)
-            ntd = ntd.restrict(g.vertex_set, taken=set(subtree[1:]))
+            [ntd] = ntd.restrict([g.vertex_set], taken=set(subtree[1:]))
         else:
             removed = local | (view.ntd.bags[s] & view.live)
             assert removed == idx.local(t) | ntd.bags[t]
             view.cut(s, removed)
             g = g.remove_vertices(removed)
-            ntd = ntd.restrict(g.vertex_set, taken=set(subtree))
+            [ntd] = ntd.restrict([g.vertex_set], taken=set(subtree))
         assert _nice_and_valid(g, ntd)
         assert view.live == g.vertex_set
         assert view.width == ntd.width
-        assert _shape(view.ntd.restrict(view.live, None, set(view.taken))) == _shape(ntd)
+        assert _shape(view.ntd.restrict([view.live], None, set(view.taken))[0]) == _shape(ntd)
     _match_view(view, g, ntd)
 
 
@@ -265,7 +290,9 @@ def test_every_join_has_its_lower_id_child_first(inst, salt):
     rng = random.Random(salt)
     keep = frozenset(v for v in g.vertices if rng.random() < 0.7)
     t = rng.randrange(ntd.n_nodes)
-    for tree in (ntd, ntd.restrict(keep), ntd.restrict(keep, t), ntd.restrict(keep, None, {t})):
+    cuts = ntd.restrict([keep, g.vertex_set - keep]) + ntd.restrict([keep], t)
+    cuts += ntd.restrict([keep], None, {t})
+    for tree in (ntd, *cuts):
         assert all(kids[0] < kids[1] for kids in tree.children if len(kids) == 2)
 
 

@@ -189,7 +189,7 @@ def test_cli_solve_without_td_uses_heuristic(tmp_path):
     assert main(["solve", "--problem", "vc", "--eps", "1.0", "--graph", str(gr),
                  "--oracle", "exact-bf", "--out", str(out)]) == 0
     row = strict_json(out.read_text())
-    assert row["td_source"] == "heuristic-min-fill"
+    assert row["td_source"] == "heuristic-min-degree"
     assert row["width"] == 4
 
 
@@ -373,6 +373,20 @@ def test_run_one_ecc_forest_ratio_against_edge_count():
     assert row["opt"] == g.m  # triangle-free identity
     assert row["ratio"] <= 2.0
     assert row["max_query_vertices"] <= row["declared_query_bound"]
+
+
+def test_cli_solve_exits_two_on_a_query_over_its_bound(tmp_path, capsys, monkeypatch):
+    # Without its NT kernel, direct vc queries a 41-vertex star whole, over
+    # the declared bound of 32 at eps 1; the engine loop's gate ends the run.
+    import atk.kernels as kernels
+
+    gr = tmp_path / "star.gr"
+    gr.write_text(write_gr(Graph(range(1, 42), [(1, v) for v in range(2, 42)])))
+    monkeypatch.setattr(kernels, "vc_nt_kernel", lambda: None)
+    argv = ["solve", "--problem", "vc", "--eps", "1.0", "--graph", str(gr), "--oracle", "exact-dp"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "internal invariant violation: audited query size 41 exceeds declared bound 32.0\n"
 
 
 MAPPED = (ParseError, ValueError, OracleRefused, OSError, InternalInvariantViolation)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -18,7 +19,7 @@ from atk.kernels import (
     find_cvc_split_node,
     solve_etp_small,
 )
-from atk.approx import greedy_triangle_packing
+from atk.approx import ApproximateKernel, ReducedInstance, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
 from atk.friendly import approx_friendly_turing, builtin_instances
 from atk.oracles import (
@@ -400,6 +401,16 @@ def test_cvc_engine_descent_scaled():
     assert rep.recursion_depth >= 1
 
 
+def test_cvc_scaled_descent_falls_back_to_the_union_cover():
+    # Every child of the descent answers below the scaled size window, so
+    # the scaled run assembles the children's union cover instead of raising.
+    g, td = gen_connected_partial_ktree(12, 1, 0.461, 474620)
+    rep = approx_cvc_turing(g, td, KernelConfig(1.0, exact_brute_oracle(), 0.001))
+    assert "cvc-descent-exhausted-fallback" in rep.flags
+    assert is_feasible(CVC, g, rep.solution)
+    assert (rep.solution.value, rep.recursion_depth) == (12, 11)
+
+
 # ---------------------------------------------------------------------------
 # Cross-engine invariants
 # ---------------------------------------------------------------------------
@@ -589,6 +600,30 @@ def test_audit_counts_match_report():
     rep = approx_vc_turing(g, td, cfg)
     assert rep.oracle_calls == cfg.audit.call_count
     assert rep.max_query_vertices == cfg.audit.max_query_vertices
+
+
+def test_drive_gates_the_audited_query_at_scale_one(monkeypatch):
+    # Without its NT kernel, direct vc queries a 41-vertex star whole, over
+    # the declared 16(w+1)/eps = 32; so does friendly vc behind a kernel
+    # that declares 1 vertex and reduces nothing. At scale 1 the engine loop
+    # refuses both runs; a scaled run only reports the query.
+    import atk.kernels as kernels
+
+    star = star_graph(40)
+    td = heuristic_td(star)
+    monkeypatch.setattr(kernels, "vc_nt_kernel", lambda: None)
+    with pytest.raises(InternalInvariantViolation, match="query size 41 exceeds declared bound 32.0"):
+        approx_vc_turing(star, td, KernelConfig(1.0, exact_dp_oracle()))
+    rep = approx_vc_turing(star, td, KernelConfig(1.0, exact_dp_oracle(), 0.999))
+    assert rep.max_query_vertices == 41 > rep.declared_query_bound
+    identity = ApproximateKernel(
+        lambda delta, budget: 1.0, lambda g, budget: ReducedInstance(g, lambda s: s)
+    )
+    vc = dataclasses.replace(builtin_instances()["vc"], psaks=identity)
+    with pytest.raises(InternalInvariantViolation, match="exceeds declared bound 1.0"):
+        approx_friendly_turing(star, td, 1.0, vc, exact_dp_oracle())
+    rep = approx_friendly_turing(star, td, 1.0, vc, exact_dp_oracle(), threshold_scale=0.999)
+    assert rep.max_query_vertices > rep.declared_query_bound == 1.0
 
 
 def _recording(inner: Oracle):

@@ -1,7 +1,7 @@
 """Differential tests against networkx, an independent implementation.
 
 Components, pattern containment, the feedback vertex set check, the two
-matching bounds of vertex cover and the min-fill decomposition width are
+matching bounds of vertex cover and the min-degree decomposition width are
 compared on random graphs. networkx is used here only; ``atk`` itself has
 no dependencies.
 """
@@ -11,7 +11,7 @@ import random
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from networkx.algorithms.approximation import treewidth_min_fill_in
+from networkx.algorithms.approximation import treewidth_min_degree
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from atk.approx import nt_reduce, vc_2approx
@@ -83,11 +83,12 @@ def test_vertex_cover_bounds_bracket_a_maximum_matching(g):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 60), st.floats(0.3, 1.0), st.integers(0, 10_000))
-def test_min_fill_width_matches_networkx(k, extra, p, seed):
-    # A k-tree is chordal, and min-fill eliminates a chordal graph without
-    # fill, so both find its treewidth k exactly; on its partial subgraphs
-    # only validity is certain.
+def test_min_degree_width_matches_networkx(k, extra, p, seed):
+    # In a k-tree every vertex of least degree has degree k and is
+    # simplicial, and eliminating it leaves a k-tree, so both find its
+    # treewidth k exactly; on its partial subgraphs only validity is
+    # certain (ties can be broken differently from networkx's).
     full, _ = gen_partial_ktree(k + 1 + extra, k, 1.0, seed)
-    assert heuristic_td(full).width == treewidth_min_fill_in(_nx(full))[0] == k
+    assert heuristic_td(full).width == treewidth_min_degree(_nx(full))[0] == k
     g, _ = gen_partial_ktree(k + 1 + extra, k, p, seed)
     assert validate(g, heuristic_td(g)).valid

@@ -51,10 +51,10 @@ def test_window_pass_meets_the_guarantees(inst, problem, scale, eps):
     cuts = []
     restrict = NiceTreeDecomposition.restrict
 
-    def counting(ntd, keep, t=None, taken=None):
+    def counting(ntd, parts, t=None, taken=None):
         if taken is not None and t != ntd.root:  # the root's piece is the last query, not a cut
             cuts.append(t)
-        return restrict(ntd, keep, t, taken)
+        return restrict(ntd, parts, t, taken)
 
     oracle = Oracle("checking", 1.0, inner.size_cap, checking)
     with mock.patch.object(NiceTreeDecomposition, "restrict", counting):
