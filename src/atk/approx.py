@@ -87,39 +87,39 @@ class NTPartition:
 
 
 def _double_cover_matching(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
-    """Maximum matching of the bipartite double cover (left/right vertex copies)."""
+    """Maximum matching of the bipartite double cover (left/right vertex copies).
+
+    Each left copy is seeded with its lowest free right neighbour, and
+    augmenting paths start only from the copies the seed left free: any
+    maximum matching gives ``nt_reduce`` the same partition (Dulmage-Mendelsohn).
+    """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
+    for u in g.vertices:
+        if free := g.neighbors(u) - match_r.keys():
+            match_l[u] = w = min(free)
+            match_r[w] = u
     for u0 in g.vertices:
-        visited: set[int] = set()
-        parent: dict[int, int] = {}
-        frames = [(u0, iter(sorted(g.neighbors(u0))))]
-        end = None
-        while frames:
+        if u0 in match_l:
+            continue
+        parent: dict[int, int] = {}  # right copy -> the left copy that reached it
+        frames, end = [(u0, iter(sorted(g.neighbors(u0))))], None
+        while frames and end is None:
             u, it = frames[-1]
-            advanced = False
             for w in it:
-                if w in visited:
-                    continue
-                visited.add(w)
-                parent[w] = u
-                nxt = match_r.get(w)
-                if nxt is None:
-                    end = w
-                    frames.clear()
-                    advanced = True
+                if w not in parent:
                     break
-                frames.append((nxt, iter(sorted(g.neighbors(nxt)))))
-                advanced = True
-                break
-            if not advanced:
+            else:
                 frames.pop()
-        while end is not None:
+                continue
+            parent[w] = u
+            if w in match_r:
+                frames.append((match_r[w], iter(sorted(g.neighbors(match_r[w])))))
+            else:
+                end = w
+        while end is not None:  # flip the augmenting path
             u = parent[end]
-            prev = match_l.get(u)
-            match_l[u] = end
-            match_r[end] = u
-            end = prev
+            match_l[u], match_r[end], end = end, u, match_l.get(u)
     return match_l, match_r
 
 

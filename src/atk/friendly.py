@@ -273,8 +273,8 @@ def find_split_node(
         t = p
         hint = problem.merge(phi(kids[0], None)[1], phi(kids[1], None)[1])
     local = rest.local(t)
-    [piece] = ntd.restrict([local], t, rest.taken)
-    sol = _query(problem.kind, g.induced_subgraph(local), piece, oracle, problem.psaks, budget)
+    cut = (t, rest.taken)  # the query's decomposition comes straight from the input's
+    sol = _query(problem.kind, g.induced_subgraph(local), ntd, oracle, problem.psaks, budget, cut)
     if not maximize:  # phi's own solution may be the better one
         sol = min(sol, hint, key=lambda s: s.value)
     if p is None:

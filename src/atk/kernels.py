@@ -6,16 +6,16 @@ keeps a stack of (graph, nice decomposition) pieces, counts the cuts,
 checks the final solution and builds the report. An engine supplies one
 step and one assembly hook. The step finds nodes whose local optimum sits
 in a bounded window, solves their pieces through ``_query`` (the one place
-that reduces, queries the oracle, lifts and checks) and returns the
-remainders, each with its decomposition cut from the step's own by
-``NiceTreeDecomposition.restrict`` (ecc's components by one call). The
-direct vc and is engines take a single step, one bottom-up pass that cuts
-every piece (``_window_pass``). ecc, etp and the friendly engine run their
-chains of ``descend`` walks in one step on a view of the step's
-decomposition (``treedecomp.Remainder``), ecc until what is left falls
-apart. cvc runs its chain in one step too, on
-one subconnected decomposition that each split cuts and contracts in
-place (``treedecomp.SubconnectedDecomposition``). The hook combines the
+that reduces, cuts the query's decomposition from the step's own, queries
+the oracle, lifts and checks) and returns the remainders, each with its
+decomposition cut from the step's own by ``NiceTreeDecomposition.restrict``
+(ecc's components by one call). The direct vc and is engines take a single
+step, one bottom-up pass that cuts every piece (``_window_pass``). ecc, etp
+and the friendly engine run their chains of ``descend`` walks in one step
+on a view of the step's decomposition (``treedecomp.Remainder``), ecc until
+what is left falls apart. cvc runs its chain in one step too, on one
+subconnected decomposition that each split cuts and contracts in place
+(``treedecomp.SubconnectedDecomposition``). The hook combines the
 solved parts into a solution of the input graph. With threshold_scale = 1
 every internal threshold equals its analysis-given formula, and the driver
 checks the audited query size against the engine's declared bound.
@@ -182,22 +182,24 @@ def _query(
     oracle: Oracle,
     kernel: ApproximateKernel | None = None,
     budget: float = math.inf,
+    cut: tuple[int | None, set[int] | None] | None = None,
 ) -> Solution:
     """Solve g through the oracle, behind ``kernel`` if one is given, and
     check the answer on g.
 
-    ``td`` is None or a nice decomposition of g, and the oracle gets the
-    same for the graph it is asked about. The kernel reduces g to g itself,
-    to an induced subgraph (which gets ``td`` restricted to it, still nice),
-    or to no graph at all when it already has the answer; then no query is
-    made and the lift gets None.
+    The kernel reduces g to g itself, to an induced subgraph, or to no
+    graph at all when it already has the answer; then no query is made and
+    the lift gets None. ``td`` is None, or without ``cut`` a nice
+    decomposition of g that the oracle gets as it is (so no kernel may
+    shrink g then). With ``cut`` = (t, taken), g is held by the subtree of
+    t in ``td`` less ``taken``, and one ``restrict`` cuts the oracle's
+    decomposition from it and takes its nodes, whether or not it queries.
     """
     red = ReducedInstance(g, lambda s: s) if kernel is None else kernel.reduce(g, budget)
-    raw = None
-    if red.graph is not None:
-        if td is not None and red.graph is not g:
-            [td] = td.restrict([red.graph.vertex_set])
-        raw = oracle.solve(kind, red.graph, td)
+    if cut is not None:
+        trees = td.restrict([] if red.graph is None else [red.graph.vertex_set], *cut)
+        td = trees[0] if trees else None
+    raw = None if red.graph is None else oracle.solve(kind, red.graph, td)
     sol = red.lift(raw)
     _assert_feasible(kind, g, sol, f"{kind.name} oracle answer")
     return sol
@@ -223,8 +225,8 @@ def _window_pass(
     would go over ``limit`` cuts its larger child c (ties to the lower id)
     unless, with ``matching``, the sorted greedy matching of its live set
     fits; so a cut piece measures over limit/2 - 2. A cut solves G[L_c] by
-    ``solve(piece, its decomposition, X_c)`` and deletes X_c; the root's
-    live set is the last piece."""
+    ``solve(piece, ntd, (c, taken), X_c)``, which takes c's untaken
+    subtree, and deletes X_c; the root's live set is the last piece."""
     state: list = [None] * ntd.n_nodes  # (live set, matched set) of pending nodes
     taken: set[int] = set()  # nodes of earlier pieces' decompositions
     deleted: set[int] = set()
@@ -234,9 +236,7 @@ def _window_pass(
         return len(state[c][1 if matching else 0])
 
     def cut(c: int) -> None:
-        piece = frozenset(state[c][0])
-        [q_td] = ntd.restrict([piece], c, taken)
-        parts.append(solve(g.induced_subgraph(piece), q_td, ntd.bags[c]))
+        parts.append(solve(g.induced_subgraph(state[c][0]), ntd, (c, taken), ntd.bags[c]))
         deleted.update(ntd.bags[c])
 
     for t in ntd.postorder():
@@ -293,8 +293,8 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     eps, scale = cfg.epsilon, cfg.threshold_scale
     kernel = vc_nt_kernel()
 
-    def solve(piece, piece_td, separator):
-        return _query(VC, piece, piece_td, cfg.oracle, kernel).payload | separator
+    def solve(piece, ntd, cut, separator):
+        return _query(VC, piece, ntd, cfg.oracle, kernel, cut=cut).payload | separator
 
     def step(cur_g, ntd, flags):
         return _window_pass(cur_g, ntd, 8.0 * (ntd.width + 1) / eps * scale, True, solve)
@@ -316,8 +316,8 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
-    def solve(piece, piece_td, _separator):
-        return _query(IS, piece, piece_td, cfg.oracle).payload
+    def solve(piece, ntd, cut, _separator):
+        return _query(IS, piece, ntd, cfg.oracle, cut=cut).payload
 
     def step(cur_g, ntd, flags):
         lo = (ntd.width + 1) ** 2 / eps * scale
@@ -374,8 +374,8 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), 2.0 * lo, lo)[0]
             local = rest.local(t)
             v_t = local | (ntd.bags[t] & rest.live)
-            [piece] = ntd.restrict([v_t], t, rest.taken)
-            parts.append(_query(ECC, cur_g.induced_subgraph(v_t), piece, cfg.oracle).payload)
+            sol = _query(ECC, cur_g.induced_subgraph(v_t), ntd, cfg.oracle, cut=(t, rest.taken))
+            parts.append(sol.payload)
             if t == ntd.root:
                 return _union(parts), (), len(parts)  # the window covered the whole graph
             rest.cut(t, local)

@@ -442,6 +442,8 @@ class Remainder:
         self.taken: set[int] = set()
         self.live_local = [e - b for b, e in zip(begin, end)]  # sizes of the live local sets
         self.live_bag = [len(b) for b in ntd.bags]  # and of the live bags
+        self.top = max(self.live_bag)  # the largest live bag, held by at_top nodes
+        self.at_top = self.live_bag.count(self.top)
         self.occurs: dict[int, list[int]] = {v: [] for v in g.vertices}
         for t, bag in enumerate(ntd.bags):
             for v in bag:
@@ -458,7 +460,7 @@ class Remainder:
     def width(self) -> int:
         """The remainder's width: nodes below a cut hold no more of it than
         the cut node does."""
-        return max(self.live_bag) - 1
+        return self.top - 1
 
     def local(self, t: int) -> set[int]:
         """t's live local set: the live vertices that occur only below its bag."""
@@ -469,15 +471,23 @@ class Remainder:
         without its live bag, and take the nodes strictly below t, whether or
         not a query's ``restrict`` has taken t's subtree already."""
         self.live -= removed
+        bag, top, at_top, taken = self.live_bag, self.top, self.at_top, self.taken
         for v in removed:
             for s in self.occurs[v]:
-                self.live_bag[s] -= 1
-        self.taken.discard(t)
-        stack = [c for c in self.ntd.children[t] if c not in self.taken]
+                if bag[s] == top:
+                    at_top -= 1
+                bag[s] -= 1
+        if not at_top:  # the largest size only falls, so this rescan runs <= width+1 times
+            top = max(bag)
+            at_top = bag.count(top)
+        self.top, self.at_top = top, at_top
+        taken.discard(t)
+        stack = [t]
         while stack:
-            s = stack.pop()
-            self.taken.add(s)
-            stack.extend(c for c in self.ntd.children[s] if c not in self.taken)
+            for c in self.ntd.children[stack.pop()]:
+                if c not in taken:
+                    taken.add(c)
+                    stack.append(c)
         while t is not None:  # t's and its ancestors' local sets lose removed less their bags
             self.live_local[t] -= len(removed) - len(removed & self.ntd.bags[t])
             self.cache.pop(t, None)

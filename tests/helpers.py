@@ -342,7 +342,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
 
         t, _, hint = descend(ntd, measure, limit)
         if t == ntd.root:
-            sol = _query(problem.kind, cur_g, ntd, cfg.oracle, problem.psaks, budget)
+            sol = _query(problem.kind, cur_g, ntd, cfg.oracle, problem.psaks, budget, (None, None))
             return (None, None, sol if maximize else best(sol, hint)), (), False
         p = ntd.parent[t]
         kids = ntd.children[p]
@@ -355,7 +355,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         local = idx.local_vertices(t)
         piece = cur_g.induced_subgraph(local)
         piece_td = reference_restrict(ntd, local, t)
-        sol = _query(problem.kind, piece, piece_td, cfg.oracle, problem.psaks, budget)
+        sol = _query(problem.kind, piece, piece_td, cfg.oracle, problem.psaks, budget, (None, None))
         if not maximize:
             sol = best(sol, hint)
         rest_g = cur_g.remove_vertices(idx.v_set(t))

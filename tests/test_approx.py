@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atk.approx import (
     clique_cover_kernel,
@@ -202,6 +205,51 @@ def test_nt_partition_legality_and_persistence():
         assert len(nt.vhalf) <= 2 * opt
         inner = brute_force_solve(VC, g.induced_subgraph(nt.vhalf)).value
         assert opt == len(nt.v1) + inner
+
+
+@st.composite
+def nt_graphs(draw):
+    """Disjoint unions of isolated vertices, stars, odd cycles and partial
+    k-trees, relabelled by a random permutation."""
+    parts = []
+    for family in draw(st.lists(st.sampled_from(("isolated", "star", "odd", "ktree")), max_size=4)):
+        if family == "isolated":
+            parts.append(edgeless_graph(draw(st.integers(1, 3))))
+        elif family == "star":
+            parts.append(star_graph(draw(st.integers(1, 6))))
+        elif family == "odd":
+            parts.append(cycle_graph(2 * draw(st.integers(1, 4)) + 1))
+        else:
+            k = draw(st.integers(1, 3))
+            n, p = draw(st.integers(k + 1, 16)), draw(st.floats(0.3, 1.0))
+            parts.append(gen_partial_ktree(n, k, p, draw(st.integers(0, 999)))[0])
+    vertices, edges = [], []
+    for part in parts:
+        shift = {v: len(vertices) + i for i, v in enumerate(part.vertices)}
+        vertices += shift.values()
+        edges += [(shift[u], shift[v]) for u, v in part.edges()]
+    perm = draw(st.permutations(vertices))
+    return Graph(perm, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(nt_graphs())
+def test_nt_reduce_matches_networkx_koenig_cover(g):
+    # The double cover's Koenig cover from networkx's Hopcroft-Karp matching
+    # gives every vertex the same count of covered copies as nt_reduce.
+    dc = nx.Graph()
+    left = [("l", v) for v in g.vertices]
+    dc.add_nodes_from(left)
+    dc.add_nodes_from(("r", v) for v in g.vertices)
+    dc.add_edges_from((("l", u), ("r", w)) for u in g.vertices for w in g.neighbors(u))
+    matching = nx.bipartite.hopcroft_karp_matching(dc, top_nodes=left)
+    cover = nx.bipartite.to_vertex_cover(dc, matching, top_nodes=left)
+    counts = {v: (("l", v) in cover) + (("r", v) in cover) for v in g.vertices}
+    nt = nt_reduce(g)
+    assert nt.v0 == {v for v, c in counts.items() if c == 0}
+    assert nt.vhalf == {v for v, c in counts.items() if c == 1}
+    assert nt.v1 == {v for v, c in counts.items() if c == 2}
+    assert nt.lp_value == Fraction(len(cover), 2)
 
 
 def test_solve_vc_small_examples():

@@ -11,9 +11,12 @@ first, and ``restrict`` must cut each component and any disjoint parts,
 from any node and with any nodes taken, exactly as the bag-intersection
 reference in ``helpers`` cuts each part alone. A fresh view must give
 every node's local set exactly, whatever order the nodes are asked in, and
-``descend`` must stop where the reference walk in ``helpers`` stops. A chain of cuts of a subconnected decomposition
-must leave the bags, children and V_t that the reference in ``helpers``
-rebuilds, and a subconnected decomposition of the contracted graph.
+``descend`` must stop where the reference walk in ``helpers`` stops.
+Restricting a piece's tree to a subset builds the tree one ``restrict``
+from the input builds, so a query's decomposition is cut once. A chain of
+cuts of a subconnected decomposition must leave the bags, children and V_t
+that the reference in ``helpers`` rebuilds, and a subconnected
+decomposition of the contracted graph.
 """
 
 import random
@@ -208,6 +211,34 @@ def test_restrict_matches_the_bag_intersection_reference(inst, n_parts, at_root,
     ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.booleans(), st.floats(0.0, 0.3), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_restrict_of_a_restrict_is_one_restrict_from_the_input(
+    inst, at_root, p_taken, p_keep, salt
+):
+    # A query's decomposition is cut once, from the input's: for keep a
+    # subset of piece, restricting the piece's tree to keep builds the same
+    # tree, ids included, as restricting the input's to keep, and both take
+    # the same nodes.
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(salt)
+    t = None if at_root else rng.randrange(ntd.n_nodes)
+    before = {s for s in range(ntd.n_nodes) if rng.random() < p_taken}
+    if t is None:
+        piece = frozenset(v for v in g.vertices if rng.random() < 0.7)
+    else:  # t's local set, as the engines' pieces are, or all of V_t
+        piece = frozenset(Remainder(g, ntd).local(t))
+        piece |= ntd.bags[t] if rng.random() < 0.5 else frozenset()
+    keep = frozenset(v for v in piece if rng.random() < p_keep)
+    once, twice = set(before), set(before)
+    [direct] = ntd.restrict([keep], t, once)
+    [piece_td] = ntd.restrict([piece], t, twice)
+    [chained] = piece_td.restrict([keep])
+    assert _shape(direct) == _shape(chained)
+    assert once == twice
+
+
 def _match_view(rest, g, cut):
     """Walk the restrict-built remainder ``cut`` of g and the view ``rest``
     of the input together. Each node of ``cut`` stands for a chain of view
@@ -274,7 +305,7 @@ def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt
             [ntd] = ntd.restrict([g.vertex_set], taken=set(subtree))
         assert _nice_and_valid(g, ntd)
         assert view.live == g.vertex_set
-        assert view.width == ntd.width
+        assert view.width == ntd.width == max(view.live_bag) - 1
         assert _shape(view.ntd.restrict([view.live], None, set(view.taken))[0]) == _shape(ntd)
     _match_view(view, g, ntd)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -67,7 +68,7 @@ def _vc_cuts(g, td, limit):
     """(piece, separator) of every cut the vc pass makes, in cut order."""
     seen = []
 
-    def solve(piece, piece_td, separator):
+    def solve(piece, _ntd, _cut, separator):
         seen.append((piece, separator))
         return frozenset()
 
@@ -156,6 +157,40 @@ def test_vc_query_decompositions_are_sized_by_their_piece(n):
     rep = approx_vc_turing(g, td, KernelConfig(0.5, Oracle("rec", 1.0, inner.size_cap, recording)))
     assert rep.recursion_depth > 0 and per_vertex
     assert max(per_vertex) <= 4 * (rep.width + 1)
+
+
+@pytest.mark.parametrize("engine, p, scale", [("direct", 0.9, 1.0), ("direct", 0.3, 0.1),
+                                              ("friendly", 0.9, 1.0)])
+def test_vc_cuts_each_query_decomposition_once_from_the_input(engine, p, scale):
+    # Every restrict call cuts the run's input nice decomposition, one per
+    # piece: the cuts, then the root's piece. A call with no part is a piece
+    # the kernel answered without a query (at scale 0.1 some are); the
+    # others are the queries.
+    g, td = gen_partial_ktree(600, 3, p, seed=7)
+    made, calls = [], []
+    nice, restrict = make_nice, NiceTreeDecomposition.restrict
+
+    def recording(*args):
+        made.append(nice(*args))
+        return made[-1]
+
+    def counting(ntd, parts, t=None, taken=None):
+        calls.append((ntd, len(parts), t))
+        return restrict(ntd, parts, t, taken)
+
+    with mock.patch("atk.kernels.make_nice", recording), \
+            mock.patch.object(NiceTreeDecomposition, "restrict", counting):
+        if engine == "direct":
+            rep = approx_vc_turing(g, td, KernelConfig(0.5, exact_dp_oracle(), scale))
+        else:
+            vc = builtin_instances()["vc"]
+            rep = approx_friendly_turing(g, td, 0.5, vc, exact_dp_oracle())
+    [ntd] = made
+    assert all(cut is ntd for cut, _, _ in calls)
+    assert rep.recursion_depth > 0
+    assert [t == ntd.root for _, _, t in calls] == [False] * rep.recursion_depth + [True]
+    assert sum(n_parts for _, n_parts, _ in calls) == rep.oracle_calls
+    assert (scale < 1) == (rep.oracle_calls < len(calls))
 
 
 def test_vc_engine_rejects_invalid_td():
