@@ -219,18 +219,23 @@ def _window_pass(
 
     A node keeps its live local set (V_t \\ X_t without earlier pieces and
     separators), measured by its size or with ``matching`` by the vertices
-    of a maximal matching of it. That grows with the pass: a forgotten
-    vertex is matched to its lowest unmatched live neighbour, and a join
-    unites its children's matchings (no edge crosses the bag). A node that
-    would go over ``limit`` cuts its larger child c (ties to the lower id)
-    unless, with ``matching``, the sorted greedy matching of its live set
-    fits; so a cut piece measures over limit/2 - 2. A cut solves G[L_c] by
-    ``solve(piece, ntd, (c, taken), X_c)``, which takes c's untaken
-    subtree, and deletes X_c; the root's live set is the last piece."""
+    of a maximal matching of it; every node ends within ``limit``. A leaf
+    starts with empty sets. An introduce, or a forget of a deleted vertex,
+    hands its child's sets up as they are, so it cannot go over. A forget
+    of a live vertex v adds v to its child's sets in place, and with
+    ``matching`` matches v to its lowest unmatched live neighbour w, adding
+    both. A join unites its children's sets into the larger (no edge crosses
+    the bag). A forget or join that would go over ``limit`` cuts its larger
+    child c (ties to the lower id) unless, with ``matching``, the sorted
+    greedy matching of its live set fits; so a cut piece measures over
+    limit/2 - 2. A cut solves G[L_c] by ``solve(piece, ntd, (c, taken),
+    X_c)``, which takes c's untaken subtree, and deletes X_c; the root's
+    live set is the last piece."""
     state: list = [None] * ntd.n_nodes  # (live set, matched set) of pending nodes
     taken: set[int] = set()  # nodes of earlier pieces' decompositions
     deleted: set[int] = set()
     parts: list[frozenset] = []
+    children, kinds, pivots = ntd.children, ntd.kinds, ntd.pivots
 
     def measure(c: int) -> int:
         return len(state[c][1 if matching else 0])
@@ -240,8 +245,14 @@ def _window_pass(
         deleted.update(ntd.bags[c])
 
     for t in ntd.postorder():
-        kids = ntd.children[t]
-        v = ntd.pivots[t] if ntd.kinds[t] == FORGET and ntd.pivots[t] not in deleted else None
+        kids = children[t]
+        v = pivots[t] if kinds[t] == FORGET and pivots[t] not in deleted else None
+        if not kids:
+            state[t] = (set(), set())
+            continue
+        if v is None and len(kids) == 1:  # an introduce, or a forget of a deleted vertex:
+            state[t], state[kids[0]] = state[kids[0]], None  # nothing changes, so no cut
+            continue
         w = None  # v's partner in the matching, among its child's live set
         if v is not None and matching:
             live, mate = state[kids[0]]
@@ -257,8 +268,8 @@ def _window_pass(
                 cut(c)
                 kids = [k for k in kids if k != c]
                 v = w = None  # v is in X_c
-        live, mate = set(), set()
-        for c in kids:
+        live, mate = state[kids[0]] if kids else (set(), set())
+        for c in kids[1:]:
             live, mate = _unite(live, state[c][0]), _unite(mate, state[c][1])
         if v is not None:
             live.add(v)
@@ -267,7 +278,7 @@ def _window_pass(
         elif w is not None:
             mate.update((v, w))
         state[t] = (live, mate)
-        for c in ntd.children[t]:
+        for c in children[t]:
             state[c] = None
     cuts = len(parts)
     if state[ntd.root][0]:
@@ -520,7 +531,7 @@ def cvc_obtain_approx(
 def _contract_local(g: Graph, x_t: frozenset[int], v_set: frozenset[int]) -> Graph:
     """G_t: G[V_t] with the bag X_t contracted to one fresh vertex."""
     sub = g.induced_subgraph(v_set)
-    return sub.identify_vertices(x_t, max(g.vertices) + 1) if x_t else sub
+    return sub.identify_vertices(x_t, g.vertices[-1] + 1) if x_t else sub
 
 
 def find_cvc_split_node(
@@ -569,7 +580,7 @@ def find_cvc_split_node(
             sol = connectify_vertex_cover(g.induced_subgraph(vsets[c]), sc.bags[c], sol)
         assembled |= sol.payload
     x_t = sc.bags[t]
-    z = max(g.vertices) + 1  # same fresh id _contract_local picks
+    z = g.vertices[-1] + 1  # same fresh id _contract_local picks
     payload = (assembled - x_t) | ({z} if x_t else set())
     fallback = Solution.of_vertices(payload)
     if not is_feasible(CVC, _contract_local(g, x_t, vsets[t]), fallback):
@@ -591,7 +602,7 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         raise ValueError("connected vertex cover needs a connected graph")
     eps, scale = cfg.epsilon, cfg.threshold_scale
     delta = eps / 3.0
-    first_z = (max(g.vertices) + 1) if g.n else 0
+    first_z = g.vertices[-1] + 1 if g.n else 0
     contracted: list[int] = []
 
     def step(cur_g, ntd, flags):

@@ -133,9 +133,9 @@ def is_feasible(kind: ProblemKind, g: Graph, sol: Solution) -> bool:
         if not all(isinstance(v, int) and g.has_vertex(v) for v in payload):
             return False
     if name == "vc":
-        return all(u in payload or v in payload for u, v in g.edges())
+        return all(v in payload or g.neighbors(v) <= payload for v in g.vertices)
     if name == "is":
-        return not any(u in payload and v in payload for u, v in g.edges())
+        return all(g.neighbors(v).isdisjoint(payload) for v in payload)
     if name == "cvc":
         if not all(u in payload or v in payload for u, v in g.edges()):
             return False

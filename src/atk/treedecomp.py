@@ -208,7 +208,8 @@ class NiceTreeDecomposition:
         to the part, in one post-order walk.
 
         A node hands up the top of each part met below it. An introduce or
-        forget updates only its pivot's part, a join merges the smaller
+        forget with a kept child updates only its pivot's part in the map
+        its child hands up (no other work), a join merges the smaller
         ``{part: top}`` map into the larger (a join node where both sides
         meet the part), and a leaf, or a node with a child in ``taken``,
         starts a leaf chain for each part its bag meets that has no top yet.
@@ -237,28 +238,32 @@ class NiceTreeDecomposition:
         part_of = {v: i for i, part in enumerate(parts) for v in part}
         out = [_NiceBuilder() for _ in parts]
         pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}
+        children, pivots = self.children, self.pivots
         for s in reversed(order):
-            kids = self.children[s]
-            below = [pending.pop(c) for c in kids if c in pending]
-            tops = below[0] if below else {}
-            if len(below) == 2:
-                big = len(below[0]) >= len(below[1])
-                tops, other = below if big else below[::-1]
-                for i, top in other.items():
-                    if i in tops:
-                        pair = (tops[i], top) if big else (top, tops[i])
-                        top = out[i].add(out[i].bags[top], JOIN, None, pair)
-                    tops[i] = top
-            if len(below) < len(kids) or not kids:  # the cut bag grows from a leaf
-                for v in self.bags[s]:
-                    if (i := part_of.get(v)) is not None and i not in tops:
-                        tops[i] = out[i].leaf_chain(self.bags[s] & parts[i])
-            elif (i := part_of.get(self.pivots[s])) is not None:
-                b, v, top = out[i], self.pivots[s], tops.get(i)
-                if top is None:
-                    tops[i] = b.leaf_chain(frozenset((v,)))
-                else:  # an introduce adds v, a forget drops it
-                    tops[i] = b.add(b.bags[top] ^ {v}, self.kinds[s], v, (top,))
+            kids = children[s]
+            if len(kids) == 1 and kids[0] in pending:  # an introduce or a forget
+                tops = pending.pop(kids[0])
+                if (i := part_of.get(pivots[s])) is not None:
+                    b, v, top = out[i], pivots[s], tops.get(i)
+                    if top is None:
+                        tops[i] = b.leaf_chain(frozenset((v,)))
+                    else:  # an introduce adds v, a forget drops it
+                        tops[i] = b.add(b.bags[top] ^ {v}, self.kinds[s], v, (top,))
+            else:
+                below = [pending.pop(c) for c in kids if c in pending]
+                tops = below[0] if below else {}
+                if len(below) == 2:
+                    big = len(below[0]) >= len(below[1])
+                    tops, other = below if big else below[::-1]
+                    for i, top in other.items():
+                        if i in tops:
+                            pair = (tops[i], top) if big else (top, tops[i])
+                            top = out[i].add(out[i].bags[top], JOIN, None, pair)
+                        tops[i] = top
+                else:  # a leaf, or a node with a taken child: the cut bag grows from a leaf
+                    for v in self.bags[s]:
+                        if (i := part_of.get(v)) is not None and i not in tops:
+                            tops[i] = out[i].leaf_chain(self.bags[s] & parts[i])
             pending[s] = tops
         tops, trees = pending[start], []
         for i, b in enumerate(out):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 from atk.errors import InternalInvariantViolation
 from atk.graph import Graph, _reach
-from atk.approx import greedy_triangle_packing
+from atk.approx import greedy_matching, greedy_triangle_packing
 from atk.kernels import (
     KernelConfig,
     _drive,
@@ -124,6 +124,55 @@ def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
     return NiceTreeDecomposition(out.bags, out.kinds, out.pivots, out.children, root)
 
 
+def reference_restrict_walk(ntd: NiceTreeDecomposition, parts: list[frozenset[int]],
+                            t: int | None = None,
+                            taken: set[int] | None = None) -> list[NiceTreeDecomposition]:
+    """The multi-part walk that built a list of its children's maps at every
+    node, kept as the reference for ``NiceTreeDecomposition.restrict``: it
+    must give the same trees, node ids included, and take the same nodes."""
+    start = ntd.root if t is None else t
+    skip = () if taken is None else taken
+    order = []  # parents before children
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        stack.extend(c for c in ntd.children[s] if c not in skip)
+    if taken is not None:
+        taken.update(order)
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    out = [_NiceBuilder() for _ in parts]
+    pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}
+    for s in reversed(order):
+        kids = ntd.children[s]
+        below = [pending.pop(c) for c in kids if c in pending]
+        tops = below[0] if below else {}
+        if len(below) == 2:
+            big = len(below[0]) >= len(below[1])
+            tops, other = below if big else below[::-1]
+            for i, top in other.items():
+                if i in tops:
+                    pair = (tops[i], top) if big else (top, tops[i])
+                    top = out[i].add(out[i].bags[top], JOIN, None, pair)
+                tops[i] = top
+        if len(below) < len(kids) or not kids:  # the cut bag grows from a leaf
+            for v in ntd.bags[s]:
+                if (i := part_of.get(v)) is not None and i not in tops:
+                    tops[i] = out[i].leaf_chain(ntd.bags[s] & parts[i])
+        elif (i := part_of.get(ntd.pivots[s])) is not None:
+            b, v, top = out[i], ntd.pivots[s], tops.get(i)
+            if top is None:
+                tops[i] = b.leaf_chain(frozenset((v,)))
+            else:  # an introduce adds v, a forget drops it
+                tops[i] = b.add(b.bags[top] ^ {v}, ntd.kinds[s], v, (top,))
+        pending[s] = tops
+    tops, trees = pending[start], []
+    for i, b in enumerate(out):
+        root = b.chain_up(tops[i], frozenset()) if i in tops else b.leaf_chain(frozenset())
+        trees.append(NiceTreeDecomposition(b.bags, b.kinds, b.pivots, b.children, root))
+    return trees
+
+
 def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
     """The BFS-per-trace validation, kept as the reference for ``validate``."""
     occurs: dict[int, list[int]] = {}
@@ -210,6 +259,22 @@ def reference_ecc_feasible(g: Graph, payload) -> bool:
     return all(any(u in c and v in c for c in payload) for u, v in g.edges())
 
 
+def reference_vc_feasible(g: Graph, payload) -> bool:
+    """The edge-by-edge vertex cover check over ``g.edges()``, kept as the
+    reference for ``is_feasible``."""
+    if not all(isinstance(v, int) and g.has_vertex(v) for v in payload):
+        return False
+    return all(u in payload or v in payload for u, v in g.edges())
+
+
+def reference_is_feasible(g: Graph, payload) -> bool:
+    """The edge-by-edge independent set check over ``g.edges()``, kept as
+    the reference for ``is_feasible``."""
+    if not all(isinstance(v, int) and g.has_vertex(v) for v in payload):
+        return False
+    return not any(u in payload and v in payload for u, v in g.edges())
+
+
 def subtree_nodes(ntd, t: int) -> list[int]:
     """The subtree of ``t`` in a nice decomposition, parents before children."""
     return _preorder(ntd.children, t)
@@ -276,6 +341,63 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
             pending, node, local = m2, kids[1], set(s2)
         if pending[0] < floor:
             raise InternalInvariantViolation("join split lost the window (both children too small)")
+
+
+def reference_window_pass(g: Graph, ntd, limit: float, matching: bool, solve):
+    """The window pass that built fresh live and matched sets at every node,
+    kept as the reference for ``kernels._window_pass``: it must make the
+    same cuts, in the same order, and return the same result."""
+    state: list = [None] * ntd.n_nodes  # (live set, matched set) of pending nodes
+    taken: set[int] = set()
+    deleted: set[int] = set()
+    parts: list[frozenset] = []
+
+    def measure(c: int) -> int:
+        return len(state[c][1 if matching else 0])
+
+    def cut(c: int) -> None:
+        parts.append(solve(g.induced_subgraph(state[c][0]), ntd, (c, taken), ntd.bags[c]))
+        deleted.update(ntd.bags[c])
+
+    def unite(x: set[int], y: set[int]) -> set[int]:
+        x, y = (x, y) if len(x) >= len(y) else (y, x)
+        x |= y
+        return x
+
+    for t in ntd.postorder():
+        kids = ntd.children[t]
+        v = ntd.pivots[t] if ntd.kinds[t] == FORGET and ntd.pivots[t] not in deleted else None
+        w = None
+        if v is not None and matching:
+            live, mate = state[kids[0]]
+            w = next((u for u in sorted(g.neighbors(v)) if u in live and u not in mate), None)
+        grown = sum(map(measure, kids)) + (2 * (w is not None) if matching else v is not None)
+        fits = None
+        if grown > limit:
+            if matching:
+                pool = set().union(*(state[c][0] for c in kids), [v] if v is not None else [])
+                _, fits, _ = greedy_matching(g, pool, limit)
+            if fits is None:
+                c = min(kids, key=lambda c: (-measure(c), c))
+                cut(c)
+                kids = [k for k in kids if k != c]
+                v = w = None
+        live, mate = set(), set()
+        for c in kids:
+            live, mate = unite(live, state[c][0]), unite(mate, state[c][1])
+        if v is not None:
+            live.add(v)
+        if fits is not None:
+            mate = set(fits)
+        elif w is not None:
+            mate.update((v, w))
+        state[t] = (live, mate)
+        for c in ntd.children[t]:
+            state[c] = None
+    cuts = len(parts)
+    if state[ntd.root][0]:
+        cut(ntd.root)
+    return frozenset().union(*parts), (), cuts
 
 
 def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:

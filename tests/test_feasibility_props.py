@@ -1,8 +1,10 @@
-"""Property test for the edge clique cover feasibility check.
+"""Property tests for the feasibility checks.
 
 ``is_feasible`` for ecc builds the set of covered vertex pairs once; it must
 give the verdict of the edge-against-every-clique reference in ``helpers``
-on intact covers and on corrupted ones.
+on intact covers and on corrupted ones. For vc and is it works on
+neighbourhood sets; it must give the verdict of the edge-by-edge references
+in ``helpers`` on feasible payloads, on corrupted ones and on random ones.
 """
 
 import random
@@ -10,8 +12,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atk.problems import ECC, Solution, is_feasible
-from helpers import gnp_graph, reference_ecc_feasible
+from atk.problems import ECC, IS, VC, Solution, is_feasible
+from helpers import gnp_graph, reference_ecc_feasible, reference_is_feasible, reference_vc_feasible
 
 CORRUPTIONS = (None, "drop-clique", "non-clique", "foreign-vertex", "empty-clique")
 
@@ -57,3 +59,47 @@ def test_ecc_feasibility_matches_reference(n, p, seed, corruptions):
         _corrupt(g, family, kind, rng)
     payload = frozenset(family)
     assert is_feasible(ECC, g, Solution(payload, len(payload))) == reference_ecc_feasible(g, payload)
+
+
+def _vertex_payload(g, kind, rng):
+    """A maximal independent set grown in a random order, or its complement
+    (a vertex cover), or a random vertex subset."""
+    if kind == "random":
+        return {v for v in g.vertices if rng.random() < 0.5}
+    order = list(g.vertices)
+    rng.shuffle(order)
+    indep = set()
+    for v in order:
+        if g.neighbors(v).isdisjoint(indep):
+            indep.add(v)
+    return indep if kind == "is" else set(g.vertices) - indep
+
+
+VERTEX_CORRUPTIONS = (None, "drop", "add", "foreign-vertex", "non-int")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 14),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    start=st.sampled_from(["vc", "is", "random"]),
+    corruptions=st.lists(st.sampled_from(VERTEX_CORRUPTIONS), max_size=3),
+)
+def test_vc_and_is_feasibility_match_reference(n, p, seed, start, corruptions):
+    rng = random.Random(seed)
+    g = gnp_graph(rng, n, p)
+    payload = _vertex_payload(g, start, rng)
+    for kind in corruptions:
+        if kind == "drop" and payload:
+            payload.discard(rng.choice(sorted(payload, key=str)))
+        elif kind == "add" and g.n:
+            payload.add(rng.choice(g.vertices))
+        elif kind == "foreign-vertex":
+            payload.add(n + 1 + rng.randrange(3))
+        elif kind == "non-int":
+            payload.add("1")
+    payload = frozenset(payload)
+    sol = Solution(payload, len(payload))
+    assert is_feasible(VC, g, sol) == reference_vc_feasible(g, payload)
+    assert is_feasible(IS, g, sol) == reference_is_feasible(g, payload)

@@ -34,6 +34,10 @@ from atk.oracles import (
 )
 from atk.problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
 from atk.treedecomp import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
     heuristic_td,
@@ -100,6 +104,36 @@ def test_vc_pass_cut_window_verified_by_dp():
         # brackets the optimum: cover/2 <= opt <= cover
         assert opt_local <= limit
         assert 2 * opt_local > limit / 2 - 2
+
+
+@pytest.mark.parametrize("matching", [True, False])
+def test_window_pass_cuts_the_lower_id_on_a_tie_whatever_the_join_lists_first(matching):
+    # two branches, each forgetting one edge, under a join that lists the
+    # higher id first; each measures 2, together 4 > limit 3
+    g = Graph([1, 2, 3, 4], [(1, 2), (3, 4)])
+    e = frozenset()
+    bags, kinds, pivots, children = [], [], [], []
+    for a, b in ((1, 2), (3, 4)):
+        base = len(bags)
+        bags += [e, frozenset({a}), e, frozenset({b}), e]
+        kinds += [LEAF, INTRODUCE, FORGET, INTRODUCE, FORGET]
+        pivots += [None, a, a, b, b]
+        children += [(), (base,), (base + 1,), (base + 2,), (base + 3,)]
+    bags.append(e)
+    kinds.append(JOIN)
+    pivots.append(None)
+    children.append((9, 4))
+    ntd = NiceTreeDecomposition(bags, kinds, pivots, children, 10)
+    assert not ntd.nice_violations()
+    seen = []
+
+    def solve(piece, _ntd, cut, _separator):
+        seen.append((cut[0], piece.vertex_set))
+        return frozenset()
+
+    _, _, cuts = _window_pass(g, ntd, 3, matching, solve)
+    assert cuts == 1
+    assert seen == [(4, frozenset({1, 2})), (10, frozenset({3, 4}))]
 
 
 # ---------------------------------------------------------------------------

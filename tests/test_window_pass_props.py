@@ -5,18 +5,25 @@ scale, a run must return a feasible solution, give every query a valid
 decomposition of its graph and report one recursion level per cut. At
 scale 1 the audited query must stay within the declared bound and the
 value within 1+eps of the optimum ``td_dp_solve`` finds.
+
+Two differential tests hold the pass and ``NiceTreeDecomposition.restrict``
+to the walks kept in ``helpers``, which built fresh sets or lists at every
+node: the pass must make the same cuts in the same order and take the same
+nodes, and ``restrict`` must build the same trees, node ids included.
 """
 
+import random
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atk.generate import gen_partial_ktree
-from atk.kernels import KernelConfig, approx_is_turing, approx_vc_turing
+from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
+from atk.kernels import KernelConfig, _window_pass, approx_is_turing, approx_vc_turing
 from atk.oracles import Oracle, exact_dp_oracle, td_dp_solve
 from atk.problems import IS, VC, is_feasible
 from atk.treedecomp import NiceTreeDecomposition, make_nice, validate
+from helpers import reference_restrict_walk, reference_window_pass, subtree_nodes
 
 ENGINES = {"vc": (approx_vc_turing, VC), "is": (approx_is_turing, IS)}
 
@@ -28,6 +35,21 @@ def instances(draw):
     p = draw(st.floats(0.3, 1.0))
     seed = draw(st.integers(0, 10_000))
     return gen_partial_ktree(n, k, p, seed)
+
+
+@st.composite
+def any_instances(draw):
+    """Partial k-trees, k <= 3, connected or not."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 120))
+    p = draw(st.floats(0.3, 1.0))
+    seed = draw(st.integers(0, 10_000))
+    gen = gen_connected_partial_ktree if draw(st.booleans()) else gen_partial_ktree
+    return gen(n, k, p, seed)
+
+
+def _tree(ntd):
+    return ntd.bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,3 +91,76 @@ def test_window_pass_meets_the_guarantees(inst, problem, scale, eps):
             assert rep.solution.value <= (1 + eps) * opt
         else:
             assert (1 + eps) * rep.solution.value >= opt
+
+
+def _recorded_pass(pass_fn, restrict, g, ntd, limit, matching):
+    """Run ``pass_fn`` with a solve that cuts each piece's tree by
+    ``restrict``; returns the result, every cut and the taken nodes."""
+    seen, taken = [], set()
+
+    def solve(piece, tree, cut, separator):
+        t, taken_now = cut
+        trees = restrict(tree, [piece.vertex_set], t, taken_now)
+        seen.append((piece.vertex_set, t, separator, _tree(trees[0])))
+        taken.add(id(taken_now))
+        return piece.vertex_set | separator
+
+    out = pass_fn(g, ntd, limit, matching, solve)
+    assert len(taken) <= 1  # one taken set per pass
+    return out, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    any_instances(),
+    st.booleans(),
+    st.sampled_from([1.0, 0.1, 0.01]),
+    st.sampled_from([0.5, 1.0]),
+)
+def test_window_pass_matches_reference(inst, matching, scale, eps):
+    g, td = inst
+    ntd = make_nice(g, td)
+    w = ntd.width
+    if matching:  # the vc engine's window
+        limit = 8.0 * (w + 1) / eps * scale
+    else:  # the is engine's clamped window
+        lo = (w + 1) ** 2 / eps * scale
+        limit = max(10.0 * lo, 2.0 * max(lo, 1.0))
+    took = {}
+
+    def restrict(tree, parts, t, taken):
+        took["change"] = taken
+        return NiceTreeDecomposition.restrict(tree, parts, t, taken)
+
+    def reference(tree, parts, t, taken):
+        took["reference"] = taken
+        return reference_restrict_walk(tree, parts, t, taken)
+
+    got, seen = _recorded_pass(_window_pass, restrict, g, ntd, limit, matching)
+    want, want_seen = _recorded_pass(reference_window_pass, reference, g, ntd, limit, matching)
+    assert got == want
+    assert seen == want_seen
+    assert took.get("change") == took.get("reference")
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_instances(), st.integers(0, 10_000))
+def test_restrict_matches_reference_walk(inst, seed):
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(seed)
+    n_parts = rng.randint(1, 3)
+    labels = {v: rng.randrange(-1, n_parts) for v in g.vertices}  # -1: in no part
+    parts = [frozenset(v for v, i in labels.items() if i == j) for j in range(n_parts)]
+    t = rng.choice([None, rng.randrange(ntd.n_nodes)])
+    taken = None
+    if rng.random() < 0.7:
+        taken = set()
+        for s in rng.sample(range(ntd.n_nodes), rng.randint(0, 4)):
+            taken.update(subtree_nodes(ntd, s) if rng.random() < 0.5 else (s,))
+    mine = None if taken is None else set(taken)
+    theirs = None if taken is None else set(taken)
+    got = ntd.restrict(parts, t, mine)
+    want = reference_restrict_walk(ntd, parts, t, theirs)
+    assert [_tree(x) for x in got] == [_tree(x) for x in want]
+    assert mine == theirs
