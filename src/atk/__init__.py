@@ -13,7 +13,6 @@ from .problems import (
     VC,
     ProblemKind,
     Solution,
-    evaluate,
     h_packing,
     is_feasible,
 )

@@ -67,7 +67,7 @@ def eds_2approx(g: Graph, within=None, stop_above: float | None = None) -> Solut
     """A maximal matching of G[within], which edge-dominates every edge
     (ratio 2); ``stop_above`` as for ``vc_2approx``."""
     value, _, edges = greedy_matching(g, within, None if stop_above is None else 2 * stop_above)
-    return Solution(frozenset(), value // 2) if edges is None else Solution.of_edges(edges)
+    return Solution(frozenset(), value // 2) if edges is None else Solution.of_family(edges)
 
 
 # ---------------------------------------------------------------------------

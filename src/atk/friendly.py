@@ -43,9 +43,7 @@ from .problems import (
     VC,
     ProblemKind,
     Solution,
-    evaluate,
     h_packing,
-    is_feasible,
     is_minimization,
 )
 from .treedecomp import Remainder, TreeDecomposition, descend
@@ -73,16 +71,6 @@ class FriendlyProblem:
     phi_range: Callable[[int, int], tuple[int, int]]
     psaks: ApproximateKernel | None
     extend: Callable[[Graph, frozenset, Solution], Solution]
-
-    @property
-    def direction(self) -> str:
-        return "min" if is_minimization(self.kind) else "max"
-
-    def feasible(self, g: Graph, sol: Solution) -> bool:
-        return is_feasible(self.kind, g, sol)
-
-    def evaluate(self, g: Graph, sol: Solution) -> float:
-        return evaluate(self.kind, g, sol.payload)
 
     def restrict_payload(self, payload: frozenset, keep: frozenset[int]) -> frozenset:
         if self.kind.name in ("vc", "is", "fvs"):
@@ -118,7 +106,7 @@ def _extend_incident_edges(g: Graph, x: frozenset, sol: Solution) -> Solution:
         nbrs = g.neighbors(v)
         if nbrs:
             added.add(frozenset((v, min(nbrs))))
-    return Solution.of_edges(added)
+    return Solution.of_family(added)
 
 
 def _on_piece(phi_approx: Callable[[Graph], Solution]) -> Callable[..., Solution]:
@@ -209,25 +197,17 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplitOutcome:
-    direct: Solution | None
-    node: int | None
-    solution: Solution | None
-    v_set: frozenset | None
-    bag: frozenset | None
-
-
 def find_split_node(
     rest: Remainder,
     delta: float,
     problem: FriendlyProblem,
     oracle: Oracle,
     threshold_scale: float = 1.0,
-) -> SplitOutcome:
+) -> tuple[int | None, Solution, set[int]]:
     """Either solve the remainder outright through the kernel slot, or find
     a node t whose local optimum is at least f(width+1)/delta along with a
-    c(1+delta)-approximate local solution.
+    c(1+delta)-approximate local solution. Returns (t, the solution, t's
+    live local set), with t None where the remainder was solved outright.
 
     The descent walks the remainder's tree to the first node whose phi-value
     is at most the budget threshold. A node whose live local size alone puts
@@ -246,7 +226,7 @@ def find_split_node(
     k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
     phi_k = problem.phi(k, ell)
     budget = phi_k + ell
-    maximize = problem.direction == "max"
+    maximize = not is_minimization(problem.kind)
     limit = k if maximize else phi_k
 
     def phi(t, stop_above):  # cached per node as (solution, not cut short)
@@ -277,10 +257,7 @@ def find_split_node(
     sol = _query(problem.kind, g.induced_subgraph(local), ntd, oracle, problem.psaks, budget, cut)
     if not maximize:  # phi's own solution may be the better one
         sol = min(sol, hint, key=lambda s: s.value)
-    if p is None:
-        return SplitOutcome(sol, None, None, None, None)
-    bag = ntd.bags[t] & rest.live
-    return SplitOutcome(None, t, sol, frozenset(local | bag), bag)
+    return (None if p is None else t), sol, local
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +284,23 @@ def approx_friendly_turing(
     """
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
+    minimize = is_minimization(problem.kind)
 
     def step(cur_g, ntd, flags):
         rest = Remainder(cur_g, ntd)
-        levels = []
-        while (out := find_split_node(rest, delta, problem, cfg.oracle, threshold_scale)).direct is None:
-            levels.append(out)
-            rest.cut(out.node, out.v_set)
-        solution = out.direct
-        for level in reversed(levels):
-            rest.live |= level.v_set  # the level's graph is G[live]
-            solution = problem.merge(solution, level.solution)
-            if problem.direction == "min":
-                solution = problem.extend(cur_g.induced_subgraph(rest.live), level.bag, solution)
+        levels = []  # (V_t, live X_t, solution) per level
+        while True:
+            t, solution, local = find_split_node(rest, delta, problem, cfg.oracle, threshold_scale)
+            if t is None:
+                break
+            bag = ntd.bags[t] & rest.live
+            levels.append((local | bag, bag, solution))
+            rest.cut(t, local | bag)
+        for v_t, bag, part in reversed(levels):
+            rest.live |= v_t  # the level's graph is G[live]
+            solution = problem.merge(solution, part)
+            if minimize:
+                solution = problem.extend(cur_g.induced_subgraph(rest.live), bag, solution)
         return solution, (), len(levels)
 
     def bounds(width):

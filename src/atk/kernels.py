@@ -135,7 +135,9 @@ def _drive(
         raise ValueError("threshold_scale must be finite and positive")
     ntd = make_nice(g, td)  # raises ValueError on an invalid td
     cfg.audit.reset()
-    flags: set[str] = {"threshold-scale-override"} if scale != 1.0 else set()
+    flags: set[str] = set()
+    if scale != 1.0:
+        flags.add("threshold-scale-override")
     parts: list = []
     depth = 0
     work = [(g, ntd)]
@@ -416,23 +418,25 @@ def solve_etp_small(
     g: Graph,
     s3: Solution,
     oracle: Oracle,
+    flags: set[str],
     td: NiceTreeDecomposition | None = None,
-) -> tuple[Solution, tuple[str, ...]]:
+) -> Solution:
     """Pack triangles in g through the oracle, keeping the better of its
     answer and the caller's 3-approximation ``s3``.
 
     A graph with more vertices than the oracle's size cap is not queried,
     and a query the oracle refuses (exhaustive search also caps etp by
-    edges) does not fail the run: ``s3`` itself is returned with a
-    degraded-ratio flag instead.
+    edges) does not fail the run: ``s3`` itself is returned, and a
+    degraded-ratio flag is added to ``flags``.
     """
     if g.n <= oracle.size_cap:
         try:
             sol = _query(ETP, g, td, oracle)
-            return (sol if sol.value >= s3.value else s3), ()
+            return sol if sol.value >= s3.value else s3
         except OracleRefused:
             pass
-    return s3, ("etp-kernel-refusal-3approx-fallback",)
+    flags.add("etp-kernel-refusal-3approx-fallback")
+    return s3
 
 
 def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -466,18 +470,11 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             if s3.value <= 18.0 * unit:
                 break
             node, _, (s3_t, gt) = descend(rest, measure, 6.0 * unit, floor=unit)
-            sol_t, fl = solve_etp_small(gt, s3_t, cfg.oracle)
-            flags.update(fl)
-            local = rest.local(node)
-            if not local:
-                flags.add("etp-empty-split-fallback")
-                break
-            parts.append(sol_t.payload)
-            rest.cut(node, local)
+            parts.append(solve_etp_small(gt, s3_t, cfg.oracle, flags).payload)
+            rest.cut(node, rest.local(node))
             live_g = cur_g.induced_subgraph(rest.live)
         live_td = ntd.restrict([rest.live], None, rest.taken)[0] if parts else ntd
-        sol, fl = solve_etp_small(live_g, s3, cfg.oracle, live_td)
-        flags.update(fl)
+        sol = solve_etp_small(live_g, s3, cfg.oracle, flags, live_td)
         return _union(parts) | sol.payload, (), len(parts)
 
     def bounds(width):
@@ -497,16 +494,6 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 # ---------------------------------------------------------------------------
 
 
-class _TooBig:
-    """Certificate that the optimum exceeds the descent guard."""
-
-    def __repr__(self) -> str:
-        return "TOO_BIG"
-
-
-TOO_BIG = _TooBig()
-
-
 def cvc_obtain_approx(
     g: Graph,
     delta: float,
@@ -514,16 +501,17 @@ def cvc_obtain_approx(
     *,
     width: int,
     threshold_scale: float = 1.0,
-):
-    """A min(c, 2)-approximate connected cover, or TOO_BIG.
+) -> Solution | None:
+    """A min(c, 2)-approximate connected cover, or None.
 
-    TOO_BIG certifies the optimum exceeds 100*width^2/delta (scaled).
+    None certifies that the optimum exceeds 100*width^2/delta (scaled), the
+    guard over which the descent goes on.
     """
     if g.m == 0:
         return Solution.of_vertices(())
     s2 = cvc_2approx(g)
     if s2.value > 200.0 * width * width / delta * threshold_scale:
-        return TOO_BIG
+        return None
     sol = _query(CVC, g, None, oracle)
     return sol if sol.value <= s2.value else s2
 
@@ -539,18 +527,19 @@ def find_cvc_split_node(
     sc: SubconnectedDecomposition,
     delta: float,
     oracle: Oracle,
+    flags: set[str],
     *,
     width: int,
     threshold_scale: float = 1.0,
-) -> tuple[int, frozenset[int], Solution, tuple[str, ...]]:
+) -> tuple[int, frozenset[int], Solution]:
     """Descend the subconnected decomposition to a child whose contracted
     local instance yields an approximate cover of size >= 10*width/delta.
-    Returns the node, its V_t, the cover and the flags raised.
+    Returns the node, its V_t and the cover.
 
     Recurses into any child whose optimum is still certified too big; if
     every child answers small, the analysis is contradicted, which is an
-    internal invariant violation at scale 1 and a flagged union fallback
-    otherwise.
+    internal invariant violation at scale 1 and otherwise a union fallback
+    that adds its flag to ``flags``.
     """
     children, vsets, t = sc.children, sc.vsets, sc.root
     min_size = 10.0 * width / delta * threshold_scale
@@ -559,7 +548,7 @@ def find_cvc_split_node(
         for c in children[t]:
             gc = _contract_local(g, sc.bags[c], vsets[c])
             res = cvc_obtain_approx(gc, delta, oracle, width=width, threshold_scale=threshold_scale)
-            if res is TOO_BIG:
+            if res is None:
                 t = c
                 break
             results.append((c, res))
@@ -568,7 +557,7 @@ def find_cvc_split_node(
     qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
     if qualifying:
         c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))
-        return c, frozenset(vsets[c]), sol, ()
+        return c, frozenset(vsets[c]), sol
     if threshold_scale == 1.0:
         raise InternalInvariantViolation(
             "cvc descent exhausted: every child answered below the size window"
@@ -585,7 +574,8 @@ def find_cvc_split_node(
     fallback = Solution.of_vertices(payload)
     if not is_feasible(CVC, _contract_local(g, x_t, vsets[t]), fallback):
         raise InternalInvariantViolation("cvc fallback union cover infeasible")
-    return t, frozenset(vsets[t]), fallback, ("cvc-descent-exhausted-fallback",)
+    flags.add("cvc-descent-exhausted-fallback")
+    return t, frozenset(vsets[t]), fallback
 
 
 def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -611,15 +601,14 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             if not cur_g.is_connected():
                 raise InternalInvariantViolation("cvc recursion lost connectivity")
             res = cvc_obtain_approx(cur_g, delta, cfg.oracle, width=ell, threshold_scale=scale)
-            if res is not TOO_BIG:
+            if res is not None:
                 parts.append(res.payload)
                 break
             if sc is None:
                 sc = make_subconnected(cur_g, ntd)
-            t, v_t, s_t, fl = find_cvc_split_node(
-                cur_g, sc, delta, cfg.oracle, width=ell, threshold_scale=scale
+            t, v_t, s_t = find_cvc_split_node(
+                cur_g, sc, delta, cfg.oracle, flags, width=ell, threshold_scale=scale
             )
-            flags.update(fl)
             x_t = sc.bags[t]
             if not x_t:  # the piece was the whole remaining graph
                 return _union(parts) | s_t.payload, (), len(contracted) + 1

@@ -450,7 +450,7 @@ def brute_force_solve(kind: ProblemKind, g: Graph) -> Solution:
     if name == "fvs":
         return Solution.of_vertices(_min_fvs(g))
     if name == "eds":
-        return Solution.of_edges(_min_eds(g))
+        return Solution.of_family(_min_eds(g))
     if name == "ecc":
         return Solution.of_family(_min_ecc(g))
     if name == "cc":

@@ -124,6 +124,8 @@ def parse_td(text: str) -> TreeDecomposition:
         edges.append((a, b))
     if num_bags is None:
         raise ParseError(0, "missing header")
+    if len(edges) != num_bags - 1:  # before the header's count sizes anything
+        raise ParseError(0, f"{num_bags} bags need {num_bags - 1} tree edges, found {len(edges)}")
     all_bags = {i: bags.get(i, frozenset()) for i in range(1, num_bags + 1)}
     try:
         return TreeDecomposition(all_bags, edges)

@@ -2,8 +2,8 @@
 
 A solution is a tagged payload (vertex set, edge set, or family of vertex
 sets) together with its objective value; the value always equals the
-evaluator's recomputation on the payload, except for the infeasible
-sentinel whose value is +inf.
+payload's size, for every kind here, except for the infeasible sentinel
+whose value is +inf.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class Solution:
         return Solution(p, len(p))
 
     @staticmethod
-    def of_edges(es: Iterable[Iterable[int]]) -> "Solution":
-        p = frozenset(frozenset(e) for e in es)
-        return Solution(p, len(p))
-
-    @staticmethod
     def of_family(fam: Iterable[Iterable[int]]) -> "Solution":
         p = frozenset(frozenset(c) for c in fam)
         return Solution(p, len(p))
@@ -98,11 +93,6 @@ class Solution:
     @property
     def infeasible(self) -> bool:
         return self.value == math.inf
-
-
-def evaluate(kind: ProblemKind, g: Graph, payload: frozenset) -> int:
-    """Objective value of a payload (the cardinality, for every kind here)."""
-    return len(payload)
 
 
 def _induces_clique(g: Graph, vs: frozenset[int]) -> bool:

@@ -16,7 +16,7 @@ from atk.kernels import (
     solve_etp_small,
 )
 from atk.oracles import brute_force_solve
-from atk.problems import ECC, ETP, Solution
+from atk.problems import ECC, ETP, Solution, is_minimization
 from atk.treedecomp import (
     FORGET,
     JOIN,
@@ -439,7 +439,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
     the high end. Returns the run's report."""
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
-    maximize = problem.direction == "max"
+    maximize = not is_minimization(problem.kind)
 
     def best(a, b):
         return a if a.value <= b.value else b
@@ -564,8 +564,7 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
                 return packing.value, (packing, gt)
 
             node, _, (s3_t, gt) = descend(ntd, measure, 6.0 * unit, floor=unit)
-            sol_t, fl = solve_etp_small(gt, s3_t, cfg.oracle)
-            flags.update(fl)
+            sol_t = solve_etp_small(gt, s3_t, cfg.oracle, flags)
             local = idx.local_vertices(node)
             if local:
                 rest_g = cur_g.remove_vertices(local)
@@ -574,8 +573,7 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
                 )
                 return sol_t.payload, [(rest_g, rest_td)], True
             flags.add("etp-empty-split-fallback")
-        sol, fl = solve_etp_small(cur_g, s3, cfg.oracle, ntd)
-        flags.update(fl)
+        sol = solve_etp_small(cur_g, s3, cfg.oracle, flags, ntd)
         return sol.payload, (), False
 
     def bounds(width):

@@ -52,6 +52,7 @@ from atk.problems import (
     Solution,
     h_packing,
     is_feasible,
+    is_minimization,
 )
 from atk.treedecomp import (
     TreeDecomposition,
@@ -252,7 +253,7 @@ def test_criterion_07_friendly_framework():
                       list(g1.edges()) + list(g2.edges()))
             s1, s2 = prob.phi_approx(g1), prob.phi_approx(g2)
             merged = prob.merge(s1, s2)
-            assert prob.feasible(g, merged)
+            assert is_feasible(prob.kind, g, merged)
             assert merged.value == s1.value + s2.value
             b1, b2 = prob.split(merged, g1.vertex_set, g2.vertex_set)
             assert b1.value + b2.value == merged.value
@@ -261,12 +262,12 @@ def test_criterion_07_friendly_framework():
             g = gnp_graph(rng, rng.randint(2, 8), 0.4)
             x = frozenset(rng.sample(g.vertices, rng.randint(1, min(5, g.n))))
             s_rest = prob.phi_approx(g.remove_vertices(x))
-            if prob.direction == "min":
+            if is_minimization(prob.kind):
                 out = prob.extend(g, x, s_rest)
-                assert prob.feasible(g, out)
+                assert is_feasible(prob.kind, g, out)
                 assert out.value <= s_rest.value + prob.f(len(x))
             else:
-                assert prob.feasible(g, s_rest)
+                assert is_feasible(prob.kind, g, s_rest)
         # condition 4 on the phi function itself
         for ell in (0, 1, 3):
             for kk in (0.0, 2.0, 9.0):
@@ -278,7 +279,7 @@ def test_criterion_07_friendly_framework():
             ell = heuristic_td(g).width
             sol = prob.phi_approx(g)
             opt = brute_force_solve(prob.kind, g).value
-            if prob.direction == "min":
+            if is_minimization(prob.kind):
                 assert sol.value <= prob.phi(opt, ell) + 1e-9
             else:
                 assert prob.phi(sol.value, ell) >= opt - 1e-9
@@ -291,7 +292,7 @@ def test_criterion_07_friendly_framework():
                 budget = max(opt, 1) if name == "vc" else opt + width
                 red = prob.psaks.reduce(g, budget)
                 lifted = lift_exact(red, prob.kind)
-                assert prob.feasible(g, lifted)
+                assert is_feasible(prob.kind, g, lifted)
                 assert min(lifted.value, budget + 1) == min(opt, budget + 1)
     # end-to-end: vc and is at default thresholds with the DP oracle
     for i, (n, eps) in enumerate([(240, 0.5), (240, 1.0), (320, 0.5), (320, 1.0), (400, 0.5), (400, 1.0)]):
@@ -311,8 +312,8 @@ def test_criterion_07_friendly_framework():
             eps = rng.choice([0.5, 1.0])
             rep = approx_friendly_turing(g, td, eps, prob, exact_brute_oracle())
             opt = brute_force_solve(prob.kind, g).value
-            assert prob.feasible(g, rep.solution)
-            if prob.direction == "min":
+            assert is_feasible(prob.kind, g, rep.solution)
+            if is_minimization(prob.kind):
                 assert rep.solution.value <= (1 + eps) * opt + 1e-9
             else:
                 assert rep.solution.value * (1 + eps) >= opt - 1e-9

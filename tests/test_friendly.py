@@ -11,7 +11,7 @@ from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import approx_vc_turing, KernelConfig
 from atk.oracles import brute_force_solve, exact_brute_oracle, exact_dp_oracle, td_dp_solve
-from atk.problems import IS, VC, Solution, is_feasible
+from atk.problems import IS, VC, Solution, is_feasible, is_minimization
 from atk.treedecomp import Remainder, heuristic_td, make_nice
 from helpers import gnp_graph, lift_exact, path_graph, query_size, star_graph
 
@@ -50,11 +50,11 @@ def test_condition1_union_additivity(name):
         s1 = prob.phi_approx(g1)
         s2 = prob.phi_approx(g2)
         merged = prob.merge(s1, s2)
-        assert prob.feasible(g, merged)
-        assert prob.evaluate(g, merged) == s1.value + s2.value
+        assert is_feasible(prob.kind, g, merged)
+        assert len(merged.payload) == merged.value == s1.value + s2.value
         back1, back2 = prob.split(merged, g1.vertex_set, g2.vertex_set)
         assert back1.value + back2.value == merged.value
-        assert prob.feasible(g1, back1) and prob.feasible(g2, back2)
+        assert is_feasible(prob.kind, g1, back1) and is_feasible(prob.kind, g2, back2)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -67,14 +67,14 @@ def test_condition2_extend_bound(name):
         x = frozenset(rng.sample(g.vertices, size))
         rest = g.remove_vertices(x)
         s_rest = prob.phi_approx(rest)
-        if prob.direction == "min":
+        if is_minimization(prob.kind):
             out = prob.extend(g, x, s_rest)
-            assert prob.feasible(g, out)
+            assert is_feasible(prob.kind, g, out)
             assert out.value <= s_rest.value + prob.f(len(x))
         else:
             # any solution of G - X is one of G with equal value
-            assert prob.feasible(g, s_rest)
-            assert prob.evaluate(g, s_rest) == s_rest.value
+            assert is_feasible(prob.kind, g, s_rest)
+            assert len(s_rest.payload) == s_rest.value
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -95,9 +95,9 @@ def test_phi_approx_contract(name):
         g = gnp_graph(rng, rng.randint(1, 9), 0.35)
         ell = heuristic_td(g).width
         sol = prob.phi_approx(g)
-        assert prob.feasible(g, sol)
+        assert is_feasible(prob.kind, g, sol)
         opt = brute_force_solve(prob.kind, g).value
-        if prob.direction == "min":
+        if is_minimization(prob.kind):
             assert sol.value <= prob.phi(opt, ell) + 1e-9
         else:
             assert prob.phi(sol.value, ell) >= opt - 1e-9
@@ -115,7 +115,7 @@ def test_psaks_one_safety(name):
         red = prob.psaks.reduce(g, budget)
         assert query_size(red) <= max(prob.psaks.size_fn(0.5, budget), 2)
         lifted = lift_exact(red, prob.kind)
-        assert prob.feasible(g, lifted)
+        assert is_feasible(prob.kind, g, lifted)
         assert min(lifted.value, budget + 1) == min(opt, budget + 1)
 
 
@@ -132,9 +132,9 @@ def test_builtin_examples():
     # eds extend on a star adds one incident edge for the centre
     eds = REG["eds"]
     star = star_graph(4)
-    out = eds.extend(star, frozenset({0}), Solution.of_edges(()))
+    out = eds.extend(star, frozenset({0}), Solution.of_family(()))
     assert len(out.payload) == 1
-    assert eds.feasible(star, out)
+    assert is_feasible(eds.kind, star, out)
 
 
 def test_find_split_node_direct_branch_small():
@@ -142,9 +142,9 @@ def test_find_split_node_direct_branch_small():
     g = path_graph(6)
     td = heuristic_td(g)
     ntd = make_nice(g, td)
-    out = find_split_node(Remainder(g, ntd), 1 / 3, vc, exact_brute_oracle())
-    assert out.direct is not None
-    assert out.direct.value == brute_force_solve(VC, g).value
+    t, sol, _ = find_split_node(Remainder(g, ntd), 1 / 3, vc, exact_brute_oracle())
+    assert t is None
+    assert sol.value == brute_force_solve(VC, g).value
 
 
 def test_find_split_node_node_branch_is():
@@ -153,14 +153,16 @@ def test_find_split_node_node_branch_is():
     td = heuristic_td(g)
     ntd = make_nice(g, td)
     is_p = REG["is"]
-    out = find_split_node(Remainder(g, ntd), 1.0, is_p, exact_brute_oracle())
-    assert out.direct is None
-    sub = g.induced_subgraph(out.v_set - out.bag)
+    rest = Remainder(g, ntd)
+    t, sol, local = find_split_node(rest, 1.0, is_p, exact_brute_oracle())
+    assert t is not None
+    assert local == rest.local(t) and local.isdisjoint(ntd.bags[t])
+    sub = g.induced_subgraph(local)
     opt_local = brute_force_solve(IS, sub).value if sub.n <= 18 else None
-    assert out.solution is not None and is_feasible(IS, sub, out.solution)
+    assert sol is not None and is_feasible(IS, sub, sol)
     if opt_local is not None:
         # (1+delta)-approximate local answer with an exact oracle
-        assert out.solution.value * 2 >= opt_local
+        assert sol.value * 2 >= opt_local
 
 
 def test_friendly_is_on_a_single_edge_and_an_empty_remainder():
@@ -172,8 +174,8 @@ def test_friendly_is_on_a_single_edge_and_an_empty_remainder():
     rest = Remainder(g, make_nice(g, td))
     rest.cut(rest.root, {0, 1})
     assert rest.width == -1
-    out = find_split_node(rest, 1 / 3, REG["is"], exact_dp_oracle())
-    assert out.direct == Solution.of_vertices(())
+    t, sol, _ = find_split_node(rest, 1 / 3, REG["is"], exact_dp_oracle())
+    assert t is None and sol == Solution.of_vertices(())
 
 
 def test_friendly_is_runs_phi_only_in_the_window_band():
@@ -232,8 +234,8 @@ def test_friendly_end_to_end_bruteforceable(name):
         eps = rng.choice([0.5, 1.0])
         rep = approx_friendly_turing(g, td, eps, prob, exact_brute_oracle())
         opt = brute_force_solve(prob.kind, g).value
-        assert prob.feasible(g, rep.solution)
-        if prob.direction == "min":
+        assert is_feasible(prob.kind, g, rep.solution)
+        if is_minimization(prob.kind):
             assert rep.solution.value <= (1 + eps) * opt + 1e-9
         else:
             assert rep.solution.value * (1 + eps) >= opt - 1e-9

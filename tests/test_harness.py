@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,9 @@ def test_parse_td_errors():
         parse_td("b 1 1\n")  # content before header
     with pytest.raises(ParseError):
         parse_td("s td 3 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")  # forest, not a tree
+    # a header's bag count sizes nothing until the edge lines can form a tree of that many bags
+    with pytest.raises(ParseError, match="1000000000 bags need 999999999 tree edges, found 0"):
+        parse_td("s td 1000000000 1 1\nb 1 1\n")
 
 
 def test_td_round_trip_random():
@@ -309,7 +314,7 @@ def test_cli_td_transforms(tmp_path):
     assert all(g.induced_subgraph(vs).is_connected() for vs in vsets.values())
 
 
-def test_cli_errors_exit_code_one(tmp_path):
+def test_cli_errors_exit_code_one(tmp_path, capsys):
     gr = tmp_path / "bad.gr"
     gr.write_text("1 2\n")
     assert main(["solve", "--problem", "vc", "--eps", "0.5", "--graph", str(gr)]) == 1
@@ -320,6 +325,12 @@ def test_cli_errors_exit_code_one(tmp_path):
     td = tmp_path / "bad.td"
     td.write_text("s td 1 1 4\nb 1 1\n")
     assert main(["td", "validate", "--graph", str(good), "--td", str(td)]) == 1
+    # a bag count the edge lines cannot match, too large to build, ends in one line
+    capsys.readouterr()
+    td.write_text("s td 1000000000 1 1\nb 1 1\n")
+    assert main(["td", "validate", "--graph", str(good), "--td", str(td)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_bench(tmp_path):
@@ -429,3 +440,22 @@ def test_cli_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, err
     assert "Traceback" not in err
     prefix = "internal invariant violation: " if code == 2 else "error: "
     assert err.startswith(prefix + str(raised.value))
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def test_readme_flag_table_lists_exactly_the_raised_flags():
+    root = Path(__file__).resolve().parents[1]
+    raised = {
+        flag
+        for path in (root / "src" / "atk").glob("*.py")
+        for flag in re.findall(r'flags\.add\("([a-z0-9-]+)"\)', path.read_text())
+    }
+    readme = (root / "README.md").read_text()
+    table = readme.split("| flag | raised by | when |", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == raised

@@ -8,7 +8,6 @@ import pytest
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import (
-    TOO_BIG,
     KernelConfig,
     _window_pass,
     approx_cvc_turing,
@@ -310,25 +309,27 @@ def test_ecc_engine_components_add_up():
 
 
 def test_solve_etp_small_examples():
-    oracle = exact_brute_oracle()
-    sol, flags = solve_etp_small(path_graph(5), greedy_triangle_packing(path_graph(5)), oracle)
+    oracle, flags = exact_brute_oracle(), set()
+    sol = solve_etp_small(path_graph(5), greedy_triangle_packing(path_graph(5)), oracle, flags)
     assert sol.value == 0 and not flags
-    sol, _ = solve_etp_small(complete_graph(4), greedy_triangle_packing(complete_graph(4)), oracle)
+    sol = solve_etp_small(complete_graph(4), greedy_triangle_packing(complete_graph(4)), oracle, flags)
     assert sol.value == 1
     two = Graph(range(1, 7), [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    sol, _ = solve_etp_small(two, greedy_triangle_packing(two), oracle)
-    assert sol.value == 2
+    sol = solve_etp_small(two, greedy_triangle_packing(two), oracle, flags)
+    assert sol.value == 2 and not flags
 
 
 def test_solve_etp_small_kernel_refusal_falls_back():
     g = triangle_chain(12)  # 25 vertices, over the oracle's size cap of 18
-    sol, flags = solve_etp_small(g, greedy_triangle_packing(g), exact_brute_oracle())
+    flags = set()
+    sol = solve_etp_small(g, greedy_triangle_packing(g), exact_brute_oracle(), flags)
     assert "etp-kernel-refusal-3approx-fallback" in flags
     assert is_feasible(ETP, g, sol)
     assert sol.value >= 12 / 3
     k9 = complete_graph(9)  # 9 vertices but 36 edges, over exhaustive search's etp cap of 30
-    sol, flags = solve_etp_small(k9, greedy_triangle_packing(k9), exact_brute_oracle())
-    assert flags == ("etp-kernel-refusal-3approx-fallback",)
+    flags = set()
+    sol = solve_etp_small(k9, greedy_triangle_packing(k9), exact_brute_oracle(), flags)
+    assert flags == {"etp-kernel-refusal-3approx-fallback"}
     assert sol == greedy_triangle_packing(k9)
 
 
@@ -407,12 +408,12 @@ def test_cvc_obtain_approx_too_big_signal():
     # default guard 200*width^2/delta = 600
     g = path_graph(1400)
     res = cvc_obtain_approx(g, 1 / 3, exact_brute_oracle(), width=1)
-    assert res is TOO_BIG
+    assert res is None
     # a scaled-down guard triggers the same certificate on desk-size graphs
     res2 = cvc_obtain_approx(
         path_graph(40), 1 / 3, exact_brute_oracle(), width=1, threshold_scale=0.001
     )
-    assert res2 is TOO_BIG
+    assert res2 is None
 
 
 def test_cvc_find_split_caterpillar_scaled():
@@ -421,8 +422,8 @@ def test_cvc_find_split_caterpillar_scaled():
     sc = make_subconnected(g, ntd)
     children, vsets = reference_subtree_vertices(sc.as_td())
     assert sc.children == children and sc.vsets == vsets
-    t, v_t, sol, flags = find_cvc_split_node(
-        g, sc, 1 / 3, exact_brute_oracle(), width=1, threshold_scale=0.01
+    t, v_t, sol = find_cvc_split_node(
+        g, sc, 1 / 3, exact_brute_oracle(), set(), width=1, threshold_scale=0.01
     )
     assert v_t == vsets[t]
     x_t = sc.bags[t]
