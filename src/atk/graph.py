@@ -96,9 +96,8 @@ class Graph:
 
     def _require_vertices(self, s: Iterable[int]) -> frozenset[int]:
         s = frozenset(s)
-        missing = s - self._adj.keys()
-        if missing:
-            raise ValueError(f"unknown vertices: {sorted(missing)}")
+        if not self._adj.keys() >= s:  # O(|s|); s - keys() would copy every key
+            raise ValueError(f"unknown vertices: {sorted(s - self._adj.keys())}")
         return s
 
     # -- surgeries -----------------------------------------------------

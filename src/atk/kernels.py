@@ -37,7 +37,7 @@ from .approx import (
     vc_nt_kernel,
 )
 from .errors import InternalInvariantViolation, OracleRefused
-from .graph import Graph, _reach
+from .graph import Graph
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
@@ -360,12 +360,14 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
 def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
     """(1+eps)-approximate Turing kernel for edge clique cover.
 
-    Components are handled independently; the split keeps the separator on
-    both sides (the oracle sees G[V_t], the remainder keeps X_t), so
-    queries have at most 4(1+eps)/eps*(width+1)^4 + width+1 vertices. A
-    component over the base size splits on a view of its decomposition
-    until what is left is within the base size or falls apart, and hands
-    that back to the engine loop.
+    Components are handled independently: one ``restrict`` cuts their
+    decompositions, and those within the base size are answered in the
+    same step. The split keeps the separator on both sides (the oracle sees
+    G[V_t], the remainder keeps X_t), so queries have at most
+    4(1+eps)/eps*(width+1)^4 + width+1 vertices. A larger component splits
+    on a view of its decomposition until what is left is within the base
+    size or falls apart (then each part holds a vertex of the cut bag), and
+    hands that back to the engine loop.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
@@ -376,10 +378,12 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         if cur_g.m == 0:
             return frozenset(), (), False  # isolated vertices carry no edges to cover
         comps = cur_g.connected_components()
-        if len(comps) > 1:
+        if len(comps) > 1:  # answer the components within the base size, push the others
             comps = [c for c in comps if len(c) > 1]  # an isolated vertex carries no edge
             pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, ntd.restrict(comps))]
-            return frozenset(), pieces, False
+            small = [_query(ECC, q, d, cfg.oracle).payload
+                     for q, d in pieces if q.n <= base(d.width)]
+            return _union(small), [(q, d) for q, d in pieces if q.n > base(d.width)], False
         if cur_g.n <= base(ntd.width):
             return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
         rest, parts, lo = Remainder(cur_g, ntd), [], max(base(ntd.width), 1.0)
@@ -393,7 +397,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
                 return _union(parts), (), len(parts)  # the window covered the whole graph
             rest.cut(t, local)
             live, lo = rest.live, max(base(rest.width), 1.0)
-            if len(live) <= lo or len(_reach(cur_g.neighbors, min(live), live)) < len(live):
+            if len(live) <= lo or _apart(cur_g.neighbors, live, ntd.bags[t] & live):
                 # the next step solves what is left outright or splits it into components
                 [rest_td] = ntd.restrict([live], None, rest.taken)
                 return _union(parts), [(cur_g.induced_subgraph(live), rest_td)], len(parts)
@@ -407,6 +411,21 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     return _drive(
         "ecc", ECC, g, td, cfg, step, lambda parts: Solution.of_family(_union(parts)), bounds
     )
+
+
+def _apart(neighbors, live: set[int], x: set[int]) -> bool:
+    """Whether the vertices of x, a non-empty subset of ``live``, lie in more than
+    one component of G[live]: a search from one that stops once it has them all."""
+    x = set(x)
+    stack = [x.pop()]
+    seen = set(stack)
+    while stack and x:
+        for w in neighbors(stack.pop()):
+            if w in live and w not in seen:
+                seen.add(w)
+                stack.append(w)
+                x.discard(w)
+    return bool(x)
 
 
 # ---------------------------------------------------------------------------

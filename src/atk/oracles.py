@@ -475,7 +475,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     """
     if kind.name not in ("vc", "is"):
         raise ValueError("treewidth DP supports vc and is only")
-    bad = ntd.nice_violations()
+    order, bad = ntd.checked_postorder()
     if bad:
         raise ValueError("not a nice tree decomposition: " + "; ".join(bad))
     report = validate(g, ntd)
@@ -485,7 +485,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     better = max if maximize else min
     tables: list[dict[frozenset[int], int]] = [dict() for _ in range(ntd.n_nodes)]
     forget_choice: list[dict[frozenset[int], frozenset[int]]] = [dict() for _ in range(ntd.n_nodes)]
-    for t in ntd.postorder():
+    for t in order:
         node_kind = ntd.kinds[t]
         if node_kind == LEAF:
             tables[t] = {frozenset(): 0}

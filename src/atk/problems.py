@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable
 
 from .graph import Graph
@@ -95,11 +95,6 @@ class Solution:
         return self.value == math.inf
 
 
-def _induces_clique(g: Graph, vs: frozenset[int]) -> bool:
-    vs = sorted(vs)
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
-
-
 def contains_pattern(g: Graph, vs: frozenset[int], pattern: Graph) -> bool:
     """True if g[vs] contains ``pattern`` as a (not necessarily induced) subgraph."""
     if len(vs) != pattern.n:
@@ -145,19 +140,23 @@ def is_feasible(kind: ProblemKind, g: Graph, sol: Solution) -> bool:
         covered = {v for e in payload for v in e}
         return all(u in covered or v in covered for u, v in g.edges())
     if name in ("ecc", "cc"):
+        around: dict[int, set[int]] = {}  # vertex -> the union of the cliques holding it
         for c in payload:
-            if not c or not all(g.has_vertex(v) for v in c) or not _induces_clique(g, c):
+            if not c:
                 return False
-        if name == "ecc":
-            covered_pairs = {p for c in payload for p in combinations(sorted(c), 2)}
-            return covered_pairs.issuperset(g.edges())
-        covered = {v for c in payload for v in c}
-        return covered >= g.vertex_set
+            for v in c:  # every other member of a clique is a neighbour of v
+                if not g.has_vertex(v) or c - g.neighbors(v) != {v}:
+                    return False
+                around.setdefault(v, set()).update(c)
+        if name == "cc":
+            return len(around) == g.n
+        return all(g.neighbors(v) <= around[v] if v in around else not g.neighbors(v)
+                   for v in g.vertices)
     if name == "etp":
         used: set[frozenset[int]] = set()
         for t in payload:
             t = frozenset(t)
-            if len(t) != 3 or not _induces_clique(g, t):
+            if len(t) != 3 or not all(g.has_vertex(v) and t - g.neighbors(v) == {v} for v in t):
                 return False
             a, b, c = sorted(t)
             for e in (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))):

@@ -189,7 +189,7 @@ class NiceTreeDecomposition:
         for t, kids in enumerate(children):
             for c in kids:
                 self.parent[c] = t
-        self.width = max(len(b) for b in bags) - 1
+        self.width = max(map(len, bags)) - 1
 
     @property
     def n_nodes(self) -> int:
@@ -225,32 +225,43 @@ class NiceTreeDecomposition:
         """
         start = self.root if t is None else t
         skip = () if taken is None else taken
+        children, pivots, kinds, bags = self.children, self.pivots, self.kinds, self.bags
         order = []  # parents before children
         stack = [start]
         while stack:
             s = stack.pop()
             order.append(s)
-            for c in self.children[s]:
+            for c in children[s]:
                 if c not in skip:
                     stack.append(c)
         if taken is not None:
             taken.update(order)
         part_of = {v: i for i, part in enumerate(parts) for v in part}
-        out = [_NiceBuilder() for _ in parts]
-        pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}
-        children, pivots = self.children, self.pivots
-        for s in reversed(order):
+        out = [([], [], [], []) for _ in parts]  # each part's bags, kinds, pivots, children
+        pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}, for a later parent
+        last, tops = None, {}  # the node walked last and its map
+        for s in reversed(order):  # a post-order: a node comes right after its last kept child
             kids = children[s]
-            if len(kids) == 1 and kids[0] in pending:  # an introduce or a forget
-                tops = pending.pop(kids[0])
-                if (i := part_of.get(pivots[s])) is not None:
-                    b, v, top = out[i], pivots[s], tops.get(i)
-                    if top is None:
-                        tops[i] = b.leaf_chain(frozenset((v,)))
-                    else:  # an introduce adds v, a forget drops it
-                        tops[i] = b.add(b.bags[top] ^ {v}, self.kinds[s], v, (top,))
+            if len(kids) == 1 and kids[0] == last:  # an introduce or a forget
+                v = pivots[s]
+                if (i := part_of.get(v)) is not None:
+                    top = tops.get(i)
+                    if top is None:  # v's introduce above a new leaf
+                        top = _chain(out[i], None, _EMPTY, frozenset((v,)))
+                    else:  # add or drop v; s's own bag if its child's was whole
+                        nb, nk, np_, nc = out[i]
+                        cut = nb[top]
+                        nb.append(bags[s] if len(cut) == len(bags[last]) else cut ^ {v})
+                        nk.append(kinds[s])
+                        np_.append(v)
+                        nc.append((top,))
+                        top = len(nb) - 1
+                    tops[i] = top
             else:
-                below = [pending.pop(c) for c in kids if c in pending]
+                if last is not None and last not in kids:
+                    pending[last] = tops
+                below = [tops if c == last else pending.pop(c) for c in kids
+                         if c == last or c in pending]
                 tops = below[0] if below else {}
                 if len(below) == 2:
                     big = len(below[0]) >= len(below[1])
@@ -258,17 +269,18 @@ class NiceTreeDecomposition:
                     for i, top in other.items():
                         if i in tops:
                             pair = (tops[i], top) if big else (top, tops[i])
-                            top = out[i].add(out[i].bags[top], JOIN, None, pair)
+                            top = _node(out[i], out[i][0][top], JOIN, None, pair)
                         tops[i] = top
                 else:  # a leaf, or a node with a taken child: the cut bag grows from a leaf
-                    for v in self.bags[s]:
+                    for v in bags[s]:
                         if (i := part_of.get(v)) is not None and i not in tops:
-                            tops[i] = out[i].leaf_chain(self.bags[s] & parts[i])
-            pending[s] = tops
-        tops, trees = pending[start], []
-        for i, b in enumerate(out):
-            root = b.chain_up(tops[i], frozenset()) if i in tops else b.leaf_chain(frozenset())
-            trees.append(NiceTreeDecomposition(b.bags, b.kinds, b.pivots, b.children, root))
+                            tops[i] = _chain(out[i], None, _EMPTY, bags[s] & parts[i])
+            last = s
+        trees = []
+        for i, tree in enumerate(out):
+            top = tops.get(i)
+            root = _chain(tree, top, tree[0][top] if top is not None else _EMPTY, _EMPTY)
+            trees.append(NiceTreeDecomposition(*tree, root))
         return trees
 
     def as_td(self) -> TreeDecomposition:
@@ -278,65 +290,75 @@ class NiceTreeDecomposition:
         )
 
     def nice_violations(self) -> list[str]:
+        return self.checked_postorder()[1]
+
+    def checked_postorder(self) -> tuple[list[int], list[str]]:
+        """The post-order and every violation of the nice form from one walk;
+        no order when the children do not form a tree below the root."""
         kids = sorted(c for cs in self.children for c in cs)
         one_parent_each = kids == [t for t in range(self.n_nodes) if t != self.root]
-        if not one_parent_each or len(self.postorder()) != self.n_nodes:
-            return ["children do not form a tree below the root"]
-        out = []
-        if self.bags[self.root]:
+        order = self.postorder() if one_parent_each else []
+        if len(order) != self.n_nodes:
+            return [], ["children do not form a tree below the root"]
+        bags, out = self.bags, []
+        if bags[self.root]:
             out.append("root bag not empty")
-        for t in range(self.n_nodes):
-            kids = self.children[t]
-            kind = self.kinds[t]
+        for t, (kind, kids, v) in enumerate(zip(self.kinds, self.children, self.pivots)):
             if kind == LEAF:
                 if kids:
                     out.append(f"leaf {t} has children")
-                if self.bags[t]:
+                if bags[t]:
                     out.append(f"leaf {t} has a non-empty bag")
             elif kind == JOIN:
-                if len(kids) != 2 or any(self.bags[c] != self.bags[t] for c in kids):
+                if len(kids) != 2 or any(bags[c] != bags[t] for c in kids):
                     out.append(f"join {t} lacks two equal-bag children")
-            elif kind == INTRODUCE:
-                if len(kids) != 1 or self.bags[t] != self.bags[kids[0]] | {self.pivots[t]}:
-                    out.append(f"introduce {t} inconsistent")
-            elif kind == FORGET:
-                if len(kids) != 1 or self.bags[kids[0]] != self.bags[t] | {self.pivots[t]}:
-                    out.append(f"forget {t} inconsistent")
+            elif kind == INTRODUCE or kind == FORGET:  # the larger bag is the smaller one and v
+                below = bags[kids[0]] if len(kids) == 1 else None
+                big, small = (bags[t], below) if kind == INTRODUCE else (below, bags[t])
+                if (below is None or v not in big or v in small
+                        or len(big) != len(small) + 1 or not small < big):
+                    out.append(f"{kind} {t} inconsistent")
             else:
                 out.append(f"unknown kind at {t}")
-        return out
+        return order, out
 
 
-class _NiceBuilder:
-    def __init__(self):
-        self.bags: list[frozenset[int]] = []
-        self.kinds: list[str] = []
-        self.pivots: list[int | None] = []
-        self.children: list[tuple[int, ...]] = []
+_EMPTY: frozenset[int] = frozenset()
 
-    def add(self, bag: frozenset[int], kind: str, pivot: int | None = None,
-            children: tuple[int, ...] = ()) -> int:
-        self.bags.append(bag)
-        self.kinds.append(kind)
-        self.pivots.append(pivot)
-        self.children.append(children)
-        return len(self.bags) - 1
 
-    def chain_up(self, node: int, target: frozenset[int]) -> int:
-        """Grow a node chain from ``node`` upward until its bag equals ``target``."""
-        cur = node
-        bag = self.bags[cur]
-        for v in sorted(bag - target):
-            cur = self.add(bag - {v}, FORGET, v, (cur,))
-            bag = self.bags[cur]
-        for v in sorted(target - bag):
-            cur = self.add(bag | {v}, INTRODUCE, v, (cur,))
-            bag = self.bags[cur]
-        return cur
+def _node(tree: tuple[list, list, list, list], bag, kind: str, pivot, kids: tuple) -> int:
+    """Append a node to ``tree``, its bags, kinds, pivots and children lists."""
+    tree[0].append(bag)
+    tree[1].append(kind)
+    tree[2].append(pivot)
+    tree[3].append(kids)
+    return len(tree[0]) - 1
 
-    def leaf_chain(self, target: frozenset[int]) -> int:
-        cur = self.add(frozenset(), LEAF)
-        return self.chain_up(cur, target)
+
+def _chain(tree: tuple[list, list, list, list], cur: int | None, have: frozenset[int],
+           target: frozenset[int]) -> int:
+    """Append to ``tree`` the forgets, then the introduces, each in vertex
+    order, that lead from node ``cur`` with bag ``have`` up to ``target``,
+    starting from a new leaf when ``cur`` is None; returns the top node."""
+    bags, kinds, pivots, children = tree
+    if cur is None:
+        cur = _node(tree, _EMPTY, LEAF, None, ())
+    gone, new = have - target, target - have
+    for v in gone if len(gone) < 2 else sorted(gone):
+        have = have - {v}
+        children.append((cur,))
+        cur = len(bags)
+        bags.append(have)
+        kinds.append(FORGET)
+        pivots.append(v)
+    for v in new if len(new) < 2 else sorted(new):
+        have = have | {v}
+        children.append((cur,))
+        cur = len(bags)
+        bags.append(have)
+        kinds.append(INTRODUCE)
+        pivots.append(v)
+    return cur
 
 
 def _shrink(td: TreeDecomposition) -> tuple[dict[int, frozenset[int]], dict[int, set[int]]]:
@@ -375,36 +397,36 @@ def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
     if not report.valid:
         raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
     bags, adj = _shrink(td)
-    order = sorted(bags)
-    root = order[0]
-    builder = _NiceBuilder()
-
-    # Iterative post-order over the shrunk tree.
-    parent: dict[int, int | None] = {root: None}
+    root = min(bags)
+    # Iterative DFS over the shrunk tree, each node's children ascending.
+    kids_of: dict[int, list[int]] = {}
     dfs_order = [root]
-    stack = [root]
+    stack = [(root, None)]
     while stack:
-        t = stack.pop()
-        for s in sorted(adj[t], reverse=True):
-            if s != parent[t]:
-                parent[s] = t
-                dfs_order.append(s)
-                stack.append(s)
+        t, p = stack.pop()
+        kids_of[t] = kids = sorted(adj[t])
+        if p is not None:
+            kids.remove(p)
+        for s in reversed(kids):
+            dfs_order.append(s)
+            stack.append((s, t))
+    tree: tuple[list, list, list, list] = ([], [], [], [])  # bags, kinds, pivots, children
     tops: dict[int, int] = {}
     for t in reversed(dfs_order):
-        kids = sorted(s for s in adj[t] if s != parent[t])
         bag = bags[t]
-        if not kids:
-            tops[t] = builder.leaf_chain(bag)
+        lifted = []
+        for c in kids_of[t]:
+            top = tops.pop(c)
+            lifted.append(top if (have := tree[0][top]) == bag else _chain(tree, top, have, bag))
+        if not lifted:
+            tops[t] = _chain(tree, None, _EMPTY, bag)
             continue
-        lifted = [builder.chain_up(tops[c], bag) for c in kids]
-        while len(lifted) > 1:
+        while len(lifted) > 1:  # binarize: join the last two
             right = lifted.pop()
-            left = lifted.pop()
-            lifted.append(builder.add(bag, JOIN, None, (left, right)))
+            lifted.append(_node(tree, bag, JOIN, None, (lifted.pop(), right)))
         tops[t] = lifted[0]
-    top = builder.chain_up(tops[root], frozenset())
-    return NiceTreeDecomposition(builder.bags, builder.kinds, builder.pivots, builder.children, top)
+    top = _chain(tree, tops[root], tree[0][tops[root]], _EMPTY)
+    return NiceTreeDecomposition(*tree, top)
 
 
 # ---------------------------------------------------------------------------

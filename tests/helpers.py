@@ -19,13 +19,16 @@ from atk.oracles import brute_force_solve
 from atk.problems import ECC, ETP, Solution, is_minimization
 from atk.treedecomp import (
     FORGET,
+    INTRODUCE,
     JOIN,
+    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
     ValidationReport,
-    _NiceBuilder,
     _preorder,
+    _shrink,
     descend,
+    validate,
 )
 
 
@@ -85,6 +88,77 @@ def triangle_chain(count: int) -> Graph:
 def restricted(td: TreeDecomposition, keep: frozenset[int]) -> TreeDecomposition:
     """``td`` with every bag cut down to ``keep``: a plain decomposition of G[keep]."""
     return TreeDecomposition({t: b & keep for t, b in td.bags.items()}, td.tree_edges, root=td.root)
+
+
+class _NiceBuilder:
+    """The node-at-a-time nice tree builder, kept as the reference for the
+    build loops of ``make_nice`` and ``NiceTreeDecomposition.restrict``."""
+
+    def __init__(self):
+        self.bags: list[frozenset[int]] = []
+        self.kinds: list[str] = []
+        self.pivots: list[int | None] = []
+        self.children: list[tuple[int, ...]] = []
+
+    def add(self, bag: frozenset[int], kind: str, pivot: int | None = None,
+            children: tuple[int, ...] = ()) -> int:
+        self.bags.append(bag)
+        self.kinds.append(kind)
+        self.pivots.append(pivot)
+        self.children.append(children)
+        return len(self.bags) - 1
+
+    def chain_up(self, node: int, target: frozenset[int]) -> int:
+        """Grow a node chain from ``node`` upward until its bag equals ``target``."""
+        cur = node
+        bag = self.bags[cur]
+        for v in sorted(bag - target):
+            cur = self.add(bag - {v}, FORGET, v, (cur,))
+            bag = self.bags[cur]
+        for v in sorted(target - bag):
+            cur = self.add(bag | {v}, INTRODUCE, v, (cur,))
+            bag = self.bags[cur]
+        return cur
+
+    def leaf_chain(self, target: frozenset[int]) -> int:
+        cur = self.add(frozenset(), LEAF)
+        return self.chain_up(cur, target)
+
+
+def reference_make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
+    """``make_nice`` built one ``_NiceBuilder.add`` call per node, kept as its
+    reference: it must give the same tree, node ids included."""
+    report = validate(g, td)
+    if not report.valid:
+        raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
+    bags, adj = _shrink(td)
+    root = min(bags)
+    builder = _NiceBuilder()
+    parent: dict[int, int | None] = {root: None}
+    dfs_order = [root]
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        for s in sorted(adj[t], reverse=True):
+            if s != parent[t]:
+                parent[s] = t
+                dfs_order.append(s)
+                stack.append(s)
+    tops: dict[int, int] = {}
+    for t in reversed(dfs_order):
+        kids = sorted(s for s in adj[t] if s != parent[t])
+        bag = bags[t]
+        if not kids:
+            tops[t] = builder.leaf_chain(bag)
+            continue
+        lifted = [builder.chain_up(tops[c], bag) for c in kids]
+        while len(lifted) > 1:
+            right = lifted.pop()
+            left = lifted.pop()
+            lifted.append(builder.add(bag, JOIN, None, (left, right)))
+        tops[t] = lifted[0]
+    top = builder.chain_up(tops[root], frozenset())
+    return NiceTreeDecomposition(builder.bags, builder.kinds, builder.pivots, builder.children, top)
 
 
 def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
@@ -257,6 +331,17 @@ def reference_ecc_feasible(g: Graph, payload) -> bool:
         if not all(g.has_edge(u, v) for u, v in combinations(sorted(c), 2)):
             return False
     return all(any(u in c and v in c for c in payload) for u, v in g.edges())
+
+
+def reference_cc_feasible(g: Graph, payload) -> bool:
+    """The pair-by-pair clique cover check, kept as the reference for
+    ``is_feasible``: every member is a clique of g, every vertex is in one."""
+    for c in payload:
+        if not c or not all(g.has_vertex(v) for v in c):
+            return False
+        if not all(g.has_edge(u, v) for u, v in combinations(sorted(c), 2)):
+            return False
+    return all(any(v in c for c in payload) for v in g.vertices)
 
 
 def reference_vc_feasible(g: Graph, payload) -> bool:

@@ -1,5 +1,9 @@
-"""Property tests for decomposition checking, per-piece decompositions and
-the descent walk.
+"""Property tests for decomposition checking, the nice form, per-piece
+decompositions and the descent walk.
+
+``make_nice`` must build the tree of the node-at-a-time reference in
+``helpers``, node ids included, on partial k-trees and on decompositions
+padded with nested neighbouring bags and nodes of high degree.
 
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
 on generated decompositions, intact and corrupted; ``restrict`` must cut
@@ -27,11 +31,13 @@ from hypothesis import strategies as st
 from atk.approx import degeneracy_is, greedy_matching, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
+from atk.graph import Graph
 from atk.treedecomp import (
     NiceTreeDecomposition,
     Remainder,
     TreeDecomposition,
     descend,
+    heuristic_td,
     make_nice,
     make_subconnected,
     validate,
@@ -39,6 +45,7 @@ from atk.treedecomp import (
 from helpers import (
     reference_cut_and_contract,
     reference_descend,
+    reference_make_nice,
     reference_restrict,
     reference_subtree_vertices,
     reference_validate,
@@ -112,6 +119,52 @@ def test_validate_nice_matches_reference(inst, corrupt, salt):
             bags[t] = bags[t] - {rng.choice(sorted(bags[t]))}
         ntd = NiceTreeDecomposition(bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root)
     assert validate(g, ntd) == reference_validate(g, ntd.as_td())
+
+
+@st.composite
+def padded_decompositions(draw):
+    """A partial k-tree with its generator's or the min-degree decomposition,
+    padded at random nodes: fresh vertices hung on part of a bag (nodes of
+    degree over 3, so joins are binarized), leaves with a bag nested in
+    their neighbour's, and tree edges subdivided by the two bags'
+    intersection (both of which ``_shrink`` contracts)."""
+    g, td = draw(instances())
+    if draw(st.booleans()):
+        td = heuristic_td(g)
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    vertices, edges = list(g.vertices), list(g.edges())
+    bags = {t: set(b) for t, b in td.bags.items()}
+    tree_edges = list(td.tree_edges)
+    for _ in range(draw(st.integers(0, 15))):
+        t, new = rng.choice(sorted(bags)), max(bags) + 1
+        pad = rng.randrange(3)
+        if pad == 0:  # a fresh vertex adjacent to part of t's bag
+            v = max(vertices) + 1
+            nbrs = {u for u in bags[t] if rng.random() < 0.6}
+            vertices.append(v)
+            edges += [(u, v) for u in nbrs]
+            bags[new] = nbrs | {v}
+            tree_edges.append((t, new))
+        elif pad == 1:  # a leaf with part of t's bag
+            bags[new] = {u for u in bags[t] if rng.random() < 0.5}
+            tree_edges.append((t, new))
+        elif tree_edges:  # a tree edge subdivided
+            a, b = tree_edges.pop(rng.randrange(len(tree_edges)))
+            bags[new] = bags[a] & bags[b]
+            tree_edges += [(a, new), (new, b)]
+    return Graph(vertices, edges), TreeDecomposition(bags, tree_edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_decompositions())
+def test_make_nice_matches_the_builder_reference(inst):
+    g, td = inst
+    ntd, ref = make_nice(g, td), reference_make_nice(g, td)
+    assert ntd.bags == ref.bags
+    assert ntd.kinds == ref.kinds
+    assert ntd.pivots == ref.pivots
+    assert ntd.children == ref.children
+    assert ntd.root == ref.root
 
 
 @settings(max_examples=100, deadline=None)

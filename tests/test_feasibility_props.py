@@ -1,8 +1,9 @@
 """Property tests for the feasibility checks.
 
-``is_feasible`` for ecc builds the set of covered vertex pairs once; it must
-give the verdict of the edge-against-every-clique reference in ``helpers``
-on intact covers and on corrupted ones. For vc and is it works on
+``is_feasible`` for ecc and cc checks each clique on its members'
+neighbourhoods, and ecc's coverage as N(v) within the union of the cliques
+holding v; it must give the verdict of the pair-by-pair references in
+``helpers`` on intact covers and on corrupted ones. For vc and is it works on
 neighbourhood sets; it must give the verdict of the edge-by-edge references
 in ``helpers`` on feasible payloads, on corrupted ones and on random ones.
 """
@@ -12,8 +13,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atk.problems import ECC, IS, VC, Solution, is_feasible
-from helpers import gnp_graph, reference_ecc_feasible, reference_is_feasible, reference_vc_feasible
+from atk.problems import CLIQUE_COVER, ECC, IS, VC, Solution, is_feasible
+from helpers import (
+    gnp_graph,
+    reference_cc_feasible,
+    reference_ecc_feasible,
+    reference_is_feasible,
+    reference_vc_feasible,
+)
 
 CORRUPTIONS = (None, "drop-clique", "non-clique", "foreign-vertex", "empty-clique")
 
@@ -58,7 +65,9 @@ def test_ecc_feasibility_matches_reference(n, p, seed, corruptions):
     for kind in corruptions:
         _corrupt(g, family, kind, rng)
     payload = frozenset(family)
-    assert is_feasible(ECC, g, Solution(payload, len(payload))) == reference_ecc_feasible(g, payload)
+    sol = Solution(payload, len(payload))
+    assert is_feasible(ECC, g, sol) == reference_ecc_feasible(g, payload)
+    assert is_feasible(CLIQUE_COVER, g, sol) == reference_cc_feasible(g, payload)
 
 
 def _vertex_payload(g, kind, rng):

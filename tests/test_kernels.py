@@ -731,6 +731,37 @@ def test_every_query_gets_a_decomposition_of_its_graph():
             assert validate(q, q_td).valid, (engine, problem)
 
 
+def test_ecc_answers_small_components_where_it_splits_them(monkeypatch):
+    # Each component used to take a step of its own, which ran
+    # connected_components again before querying it. Components within the
+    # base size are now answered in the step that cuts their decompositions.
+    calls = Counter()
+    restrict, components = NiceTreeDecomposition.restrict, Graph.connected_components
+
+    def counted_restrict(self, *args):
+        calls["restrict"] += 1
+        return restrict(self, *args)
+
+    def counted_components(self):
+        calls["connected_components"] += 1
+        return components(self)
+
+    monkeypatch.setattr(NiceTreeDecomposition, "restrict", counted_restrict)
+    monkeypatch.setattr(Graph, "connected_components", counted_components)
+    g, td = gen_partial_ktree(300, 1, 0.6, seed=3)
+    comps = [c for c in components(g) if len(c) > 1]
+    assert len(comps) > 40 and max(map(len, comps)) <= 2.0 * 1.5 / 0.5 * 2**4  # base(1)
+    oracle, queries = _recording(trianglefree_ecc_oracle())
+    rep = approx_ecc_turing(g, td, KernelConfig(0.5, oracle))
+    assert calls == {"restrict": 1, "connected_components": 1}
+    assert rep.oracle_calls == len(queries) == len(comps)
+    assert sorted(sorted(q.vertices) for q, _ in queries) == sorted(map(sorted, comps))
+    for q, q_td in queries:
+        assert isinstance(q_td, NiceTreeDecomposition)
+        assert q_td.nice_violations() == []
+        assert validate(q, q_td).valid
+
+
 def test_infeasible_oracle_answer_is_an_internal_invariant_violation():
     g = cycle_graph(7)
     for engine, bad_answer in (

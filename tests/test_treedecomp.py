@@ -252,3 +252,13 @@ def test_nice_violations_rejects_children_that_are_not_a_tree():
     detached = NiceTreeDecomposition(empty, ["leaf", "forget", "forget"], [None] * 3, [(), (2,), (1,)], 0)
     for bad in (twice, detached):
         assert bad.nice_violations() == ["children do not form a tree below the root"]
+
+
+def test_nice_violations_rejects_a_pivot_in_neither_bag():
+    bags = [frozenset(), frozenset({1}), frozenset()]
+    introduce_2 = NiceTreeDecomposition(bags, ["leaf", "introduce", "forget"], [None, 2, 1], [(), (0,), (1,)], 2)
+    forget_3 = NiceTreeDecomposition(bags, ["leaf", "introduce", "forget"], [None, 1, 3], [(), (0,), (1,)], 2)
+    assert introduce_2.nice_violations() == ["introduce 1 inconsistent"]
+    assert forget_3.nice_violations() == ["forget 2 inconsistent"]
+    fine = NiceTreeDecomposition(bags, ["leaf", "introduce", "forget"], [None, 1, 1], [(), (0,), (1,)], 2)
+    assert fine.checked_postorder() == ([0, 1, 2], [])
