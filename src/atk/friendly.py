@@ -213,13 +213,14 @@ def find_split_node(
     is at most the budget threshold. A node whose live local size alone puts
     phi over it (the low end of ``phi_range``) runs no phi and is measured
     by the high end: with the built-in brackets it beats any join sibling
-    that runs phi, and of two such siblings the larger wins. Only join
-    children whose size leaves the split undecided are measured in full;
-    other nodes run phi within their live local set and stop once over the
-    threshold. At the root, the remainder is solved outright; otherwise the
-    one-child / join case analysis runs at t's parent, whose phi-value
-    exceeds the threshold, with phi run in full wherever its value is used.
-    The caller then cuts V_t from ``rest``.
+    that runs phi, and of two such siblings the larger wins. A join child
+    whose high end is below its sibling's low end loses, also without phi.
+    Only join children whose sizes leave the split undecided are measured
+    in full; other nodes run phi within their live local set and stop once
+    over the threshold. At the root, the remainder is solved outright;
+    otherwise the one-child / join case analysis runs at t's parent, whose
+    phi-value exceeds the threshold, with phi run in full wherever its value
+    is used. The caller then cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
@@ -239,9 +240,11 @@ def find_split_node(
         rest.cache[t] = hit
         return hit[0].value, hit[0]
 
-    def measure(t, stop_above):  # no phi where the live local size decides
+    def measure(t, stop_above):  # no phi where the live local sizes decide
         lo, hi = problem.phi_range(rest.live_local[t], ell)
-        return (hi, None) if lo > limit else phi(t, stop_above)
+        sibs = rest[ntd.parent[t]] if stop_above is None else ()  # t is a join child
+        loses = any(hi < problem.phi_range(rest.live_local[s], ell)[0] for s in sibs if s != t)
+        return (hi, None) if lo > limit or loses else phi(t, stop_above)
 
     t, _, hint = descend(rest, measure, limit)
     p = ntd.parent[t]  # None: the remainder is solved outright

@@ -23,6 +23,7 @@ checks the audited query size against the engine's declared bound.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -126,46 +127,56 @@ def _drive(
     gets the solved parts in solving order, and ``bounds(width)`` gives the
     declared query bound and the reported thresholds. At threshold_scale 1
     an audited query over the declared bound is an internal invariant
-    violation.
+    violation. The cyclic collector is paused from ``make_nice`` to the
+    report, and is left as the caller had it: it resumes as the run
+    returns, when reference counting frees the run's trees before any
+    collection walks them.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
     if not 0 < eps <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("threshold_scale must be finite and positive")
-    ntd = make_nice(g, td)  # raises ValueError on an invalid td
-    cfg.audit.reset()
-    flags: set[str] = set()
-    if scale != 1.0:
-        flags.add("threshold-scale-override")
-    parts: list = []
-    depth = 0
-    work = [(g, ntd)]
-    while work:
-        part, rest, split = step(*work.pop(), flags)
-        parts.append(part)
-        work.extend(reversed(rest))
-        depth += split
-    solution = assemble(parts)
-    _assert_feasible(kind, g, solution, f"{problem} turing kernel")
-    declared, thresholds = bounds(td.width)
-    if scale == 1.0 and declared is not None and cfg.audit.max_query_vertices > declared:
-        raise InternalInvariantViolation(
-            f"audited query size {cfg.audit.max_query_vertices} exceeds declared bound {declared}"
+    collecting = gc.isenabled()
+    gc.disable()  # a run makes no reference cycles, so a collection only re-walks live trees
+    try:
+        ntd = make_nice(g, td)  # raises ValueError on an invalid td
+        cfg.audit.reset()
+        flags: set[str] = set()
+        if scale != 1.0:
+            flags.add("threshold-scale-override")
+        parts: list = []
+        depth = 0
+        work = [(g, ntd)]
+        while work:
+            part, rest, split = step(*work.pop(), flags)
+            parts.append(part)
+            work.extend(reversed(rest))
+            depth += split
+        solution = assemble(parts)
+        _assert_feasible(kind, g, solution, f"{problem} turing kernel")
+        declared, thresholds = bounds(td.width)
+        if scale == 1.0 and declared is not None and cfg.audit.max_query_vertices > declared:
+            raise InternalInvariantViolation(
+                f"audited query size {cfg.audit.max_query_vertices} "
+                f"exceeds declared bound {declared}"
+            )
+        return RunReport(
+            problem=problem,
+            epsilon=eps,
+            threshold_scale=scale,
+            width=td.width,
+            solution=solution,
+            recursion_depth=depth,
+            oracle_calls=cfg.audit.call_count,
+            max_query_vertices=cfg.audit.max_query_vertices,
+            declared_query_bound=declared,
+            thresholds=thresholds,
+            flags=tuple(sorted(flags)),
         )
-    return RunReport(
-        problem=problem,
-        epsilon=eps,
-        threshold_scale=scale,
-        width=td.width,
-        solution=solution,
-        recursion_depth=depth,
-        oracle_calls=cfg.audit.call_count,
-        max_query_vertices=cfg.audit.max_query_vertices,
-        declared_query_bound=declared,
-        thresholds=thresholds,
-        flags=tuple(sorted(flags)),
-    )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _union(parts) -> frozenset:
@@ -565,8 +576,9 @@ def find_cvc_split_node(
     while True:  # go down into the first child still certified too big
         results: list[tuple[int, Solution]] = []
         for c in children[t]:
-            gc = _contract_local(g, sc.bags[c], vsets[c])
-            res = cvc_obtain_approx(gc, delta, oracle, width=width, threshold_scale=threshold_scale)
+            contracted = _contract_local(g, sc.bags[c], vsets[c])
+            res = cvc_obtain_approx(contracted, delta, oracle, width=width,
+                                    threshold_scale=threshold_scale)
             if res is None:
                 t = c
                 break

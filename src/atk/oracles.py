@@ -119,14 +119,14 @@ def _max_independent_set(g: Graph) -> frozenset[int]:
     n = len(verts)
     best_mask = 0
     best_size = 0
-
-    def rec(avail: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_mask, best_size
+    stack = [((1 << n) - 1, 0, 0)]  # (avail, cur_mask, cur_size); the branch searched next on top
+    while stack:
+        avail, cur_mask, cur_size = stack.pop()
         if cur_size + avail.bit_count() <= best_size:
-            return
+            continue
         if avail == 0:
             best_mask, best_size = cur_mask, cur_size
-            return
+            continue
         # Degree-<=1 closure: remaining graph is a partial matching.
         max_v, max_deg = -1, -1
         bits = avail
@@ -147,12 +147,10 @@ def _max_independent_set(g: Graph) -> frozenset[int]:
                 rest &= ~(b | (nbr[i] & avail))
             if size > best_size:
                 best_mask, best_size = mask, size
-            return
+            continue
         v_bit = 1 << max_v
-        rec(avail & ~(v_bit | nbr[max_v]), cur_mask | v_bit, cur_size + 1)
-        rec(avail & ~v_bit, cur_mask, cur_size)
-
-    rec((1 << n) - 1, 0, 0)
+        stack.append((avail & ~v_bit, cur_mask, cur_size))
+        stack.append((avail & ~(v_bit | nbr[max_v]), cur_mask | v_bit, cur_size + 1))
     return frozenset(verts[i] for i in range(n) if best_mask >> i & 1)
 
 
@@ -181,21 +179,21 @@ def _min_connected_vertex_cover(g: Graph) -> Solution:
             seen |= frontier
         return seen == mask
 
-    def rec(avail: int, picked: int, picked_count: int) -> None:
+    stack = [(full, 0, 0)]  # (avail, picked, picked_count); the branch searched next on top
+    while stack:
+        avail, picked, picked_count = stack.pop()
         cover_floor = n - picked_count - avail.bit_count()
         if cover_floor >= best[1]:
-            return
+            continue
         if avail == 0:
             cover = full & ~picked
             if cover.bit_count() < best[1] and connected(cover):
                 best[0], best[1] = cover, cover.bit_count()
-            return
+            continue
         b = avail & -avail
         i = b.bit_length() - 1
-        rec(avail & ~(b | nbr[i]), picked | b, picked_count + 1)
-        rec(avail & ~b, picked, picked_count)
-
-    rec(full, 0, 0)
+        stack.append((avail & ~b, picked, picked_count))
+        stack.append((avail & ~(b | nbr[i]), picked | b, picked_count + 1))
     if best[0] is None:
         return Solution.no_solution()
     return Solution.of_vertices(verts[i] for i in range(n) if best[0] >> i & 1)
@@ -236,20 +234,17 @@ def _find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
 
 def _min_fvs(g: Graph) -> frozenset[int]:
     best: list = [None, g.n + 1]
-    adj0 = {v: set(g.neighbors(v)) for v in g.vertices}
-
-    def rec(adj: dict[int, set[int]], removed: frozenset[int]) -> None:
+    stack = [({v: set(g.neighbors(v)) for v in g.vertices}, frozenset())]
+    while stack:  # depth first, the next branch on top
+        adj, removed = stack.pop()
         if len(removed) >= best[1]:
-            return
+            continue
         cyc = _find_cycle(adj)
         if cyc is None:
             best[0], best[1] = removed, len(removed)
-            return
-        for v in sorted(cyc):
-            adj2 = {u: ns - {v} for u, ns in adj.items() if u != v}
-            rec(adj2, removed | {v})
-
-    rec(adj0, frozenset())
+            continue
+        for v in sorted(cyc, reverse=True):
+            stack.append(({u: ns - {v} for u, ns in adj.items() if u != v}, removed | {v}))
     return best[0]
 
 
@@ -265,10 +260,11 @@ def _min_eds(g: Graph) -> frozenset[frozenset[int]]:
             used |= e
     best: list = [frozenset(greedy), len(greedy)]
     incident = {v: [e for e in edges if v in e] for v in g.vertices}
-
-    def rec(chosen: list[frozenset[int]]) -> None:
+    stack: list[tuple[frozenset[int], ...]] = [()]
+    while stack:  # depth first, the next branch on top
+        chosen = stack.pop()
         if len(chosen) >= best[1]:
-            return
+            continue
         covered = {v for e in chosen for v in e}
         target = None
         for e in edges:
@@ -277,36 +273,30 @@ def _min_eds(g: Graph) -> frozenset[frozenset[int]]:
                 break
         if target is None:
             best[0], best[1] = frozenset(chosen), len(chosen)
-            return
+            continue
         cands: list[frozenset[int]] = []
         for v in sorted(target):
             for f in incident[v]:
                 if f not in cands:
                     cands.append(f)
-        for f in cands:
-            chosen.append(f)
-            rec(chosen)
-            chosen.pop()
-
-    rec([])
+        stack.extend(chosen + (f,) for f in reversed(cands))
     return best[0]
 
 
 def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
     out: list[frozenset[int]] = []
-
-    def bk(r: set[int], p: set[int], x: set[int]) -> None:
+    stack = [(set(), set(g.vertices), set())]
+    while stack:  # Bron-Kerbosch with pivoting; each branch gets its own r, p and x
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(frozenset(r))
-            return
+            continue
         pivot_pool = p | x
         pivot = max(sorted(pivot_pool), key=lambda u: len(g.neighbors(u) & p))
         for v in sorted(p - g.neighbors(pivot)):
-            bk(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
+            stack.append((r | {v}, p & g.neighbors(v), x & g.neighbors(v)))
             p.discard(v)
             x.add(v)
-
-    bk(set(), set(g.vertices), set())
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
@@ -319,10 +309,11 @@ def _min_ecc(g: Graph) -> frozenset[frozenset[int]]:
         c: frozenset(frozenset(p) for p in combinations(sorted(c), 2)) for c in cliques
     }
     best: list = [frozenset(edges), len(edges)]
-
-    def rec(covered: frozenset[frozenset[int]], chosen: list[frozenset[int]]) -> None:
+    stack: list[tuple[frozenset, tuple]] = [(frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        covered, chosen = stack.pop()
         if len(chosen) >= best[1]:
-            return
+            continue
         target = None
         for e in edges:
             if e not in covered:
@@ -330,14 +321,9 @@ def _min_ecc(g: Graph) -> frozenset[frozenset[int]]:
                 break
         if target is None:
             best[0], best[1] = frozenset(chosen), len(chosen)
-            return
-        for c in cliques:
-            if target <= c:
-                chosen.append(c)
-                rec(covered | clique_edges[c], chosen)
-                chosen.pop()
-
-    rec(frozenset(), [])
+            continue
+        stack.extend((covered | clique_edges[c], chosen + (c,))
+                     for c in reversed(cliques) if target <= c)
     return best[0]
 
 
@@ -346,22 +332,17 @@ def _min_clique_cover(g: Graph) -> frozenset[frozenset[int]]:
         return frozenset()
     cliques = _maximal_cliques(g)
     best: list = [frozenset(frozenset([v]) for v in g.vertices), g.n]
-
-    def rec(covered: frozenset[int], chosen: list[frozenset[int]]) -> None:
+    stack: list[tuple[frozenset[int], tuple]] = [(frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        covered, chosen = stack.pop()
         if len(chosen) >= best[1]:
-            return
+            continue
         rest = g.vertex_set - covered
         if not rest:
             best[0], best[1] = frozenset(chosen), len(chosen)
-            return
+            continue
         v = min(rest)
-        for c in cliques:
-            if v in c:
-                chosen.append(c)
-                rec(covered | c, chosen)
-                chosen.pop()
-
-    rec(frozenset(), [])
+        stack.extend((covered | c, chosen + (c,)) for c in reversed(cliques) if v in c)
     return best[0]
 
 
@@ -371,23 +352,20 @@ def _max_etp(g: Graph) -> frozenset[frozenset[int]]:
         (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))) for a, b, c in tris
     ]
     best: list = [frozenset(), 0]
-
-    def rec(idx: int, used: frozenset[frozenset[int]], chosen: list[int]) -> None:
+    stack: list[tuple[int, frozenset, tuple[int, ...]]] = [(0, frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        idx, used, chosen = stack.pop()
         if len(chosen) + (len(tris) - idx) <= best[1]:
-            return
+            continue
         if idx == len(tris):
             if len(chosen) > best[1]:
                 best[0] = frozenset(frozenset(tris[i]) for i in chosen)
                 best[1] = len(chosen)
-            return
+            continue
         e1, e2, e3 = tri_edges[idx]
+        stack.append((idx + 1, used, chosen))
         if e1 not in used and e2 not in used and e3 not in used:
-            chosen.append(idx)
-            rec(idx + 1, used | {e1, e2, e3}, chosen)
-            chosen.pop()
-        rec(idx + 1, used, chosen)
-
-    rec(0, frozenset(), [])
+            stack.append((idx + 1, used | {e1, e2, e3}, chosen + (idx,)))
     return best[0]
 
 
@@ -404,27 +382,23 @@ def _max_hpacking(g: Graph, pattern: Graph) -> frozenset[frozenset[int]]:
             by_vertex[v].append(c)
     order = g.vertices
     best: list = [frozenset(), 0]
-
-    def rec(pos: int, used: frozenset[int], chosen: list[frozenset[int]]) -> None:
+    stack: list[tuple[int, frozenset[int], tuple]] = [(0, frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        pos, used, chosen = stack.pop()
         free_after = sum(1 for v in order[pos:] if v not in used)
         if len(chosen) + free_after // k <= best[1]:
-            return
+            continue
         i = pos
         while i < len(order) and order[i] in used:
             i += 1
         if i == len(order):
             if len(chosen) > best[1]:
                 best[0], best[1] = frozenset(chosen), len(chosen)
-            return
+            continue
         v = order[i]
-        for c in by_vertex[v]:
-            if not (c & used):
-                chosen.append(c)
-                rec(i + 1, used | c, chosen)
-                chosen.pop()
-        rec(i + 1, used | {v}, chosen)
-
-    rec(0, frozenset(), [])
+        stack.append((i + 1, used | {v}, chosen))
+        stack.extend((i + 1, used | c, chosen + (c,))
+                     for c in reversed(by_vertex[v]) if not (c & used))
     return best[0]
 
 

@@ -456,7 +456,7 @@ class Remainder:
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
         self.g, self.ntd = g, ntd
-        self.root, self.children = ntd.root, self  # what descend reads
+        self.root = ntd.root  # descend reads it and children
         n = ntd.n_nodes
         self.forgotten, self.begin, self.end = forgotten, begin, end = [], [0] * n, [0] * n
         for t in ntd.postorder():
@@ -476,6 +476,8 @@ class Remainder:
             for v in bag:
                 self.occurs[v].append(t)
         self.cache: dict[int, object] = {}
+
+    children = property(lambda self: self)  # the view, stored nowhere, so no cycle
 
     def __getitem__(self, t: int) -> list[int]:
         return [
