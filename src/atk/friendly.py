@@ -60,7 +60,10 @@ class FriendlyProblem:
     ``phi_approx`` run returns on any graph with ``size`` vertices and
     treewidth at most ``width`` (-1 for the empty graph). ``psaks`` is the
     problem's reduce-and-lift kernel, or None where pieces are queried
-    directly.
+    directly. A maximization problem's ``phi_approx`` must be additive over
+    disjoint unions: on two vertex sets with no edge between them, the part
+    of its answer on their union that ``split`` gives each set must have the
+    value of its answer on that set alone.
     """
 
     name: str
@@ -217,10 +220,12 @@ def find_split_node(
     whose high end is below its sibling's low end loses, also without phi.
     Only join children whose sizes leave the split undecided are measured
     in full; other nodes run phi within their live local set and stop once
-    over the threshold. At the root, the remainder is solved outright;
-    otherwise the one-child / join case analysis runs at t's parent, whose
-    phi-value exceeds the threshold, with phi run in full wherever its value
-    is used. The caller then cuts V_t from ``rest``.
+    over the threshold. At the root, the remainder is solved outright. For
+    a minimization problem whose t is a join child, the join itself is cut
+    when the full phi of both children is at most phi_k/2. For maximization
+    the descent's choice stands: phi is additive over a join's two sides, so
+    splitting the join's phi solution between them picks the same child.
+    The caller then cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
@@ -248,11 +253,8 @@ def find_split_node(
 
     t, _, hint = descend(rest, measure, limit)
     p = ntd.parent[t]  # None: the remainder is solved outright
-    kids = [] if p is None else rest[p]
-    if len(kids) == 2 and maximize:  # split p's full phi solution between its children
-        s1, s2 = problem.split(phi(p, None)[1], *map(rest.local, kids))
-        t = kids[0] if s1.value >= s2.value else kids[1]
-    elif len(kids) == 2 and all(phi(c, None)[0] <= phi_k / 2 for c in kids):
+    kids = [] if p is None or maximize else rest[p]
+    if len(kids) == 2 and all(phi(c, None)[0] <= phi_k / 2 for c in kids):
         t = p
         hint = problem.merge(phi(kids[0], None)[1], phi(kids[1], None)[1])
     local = rest.local(t)
@@ -304,7 +306,7 @@ def approx_friendly_turing(
             solution = problem.merge(solution, part)
             if minimize:
                 solution = problem.extend(cur_g.induced_subgraph(rest.live), bag, solution)
-        return solution, (), len(levels)
+        return solution, len(levels)
 
     def bounds(width):
         declared = None
@@ -314,4 +316,4 @@ def approx_friendly_turing(
         budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
         return declared, {"budget_k": budget_k}
 
-    return _drive(problem.name, problem.kind, g, td, cfg, step, lambda parts: parts[0], bounds)
+    return _drive(problem.name, problem.kind, g, td, cfg, step, bounds)

@@ -2,23 +2,22 @@
 
 Every engine, the generic one in ``friendly`` included, runs on ``_drive``.
 The driver checks the inputs, makes the input's decomposition nice once,
-keeps a stack of (graph, nice decomposition) pieces, counts the cuts,
-checks the final solution and builds the report. An engine supplies one
-step and one assembly hook. The step finds nodes whose local optimum sits
-in a bounded window, solves their pieces through ``_query`` (the one place
-that reduces, cuts the query's decomposition from the step's own, queries
-the oracle, lifts and checks) and returns the remainders, each with its
-decomposition cut from the step's own by ``NiceTreeDecomposition.restrict``
-(ecc's components by one call). The direct vc and is engines take a single
-step, one bottom-up pass that cuts every piece (``_window_pass``). ecc, etp
-and the friendly engine run their chains of ``descend`` walks in one step
-on a view of the step's decomposition (``treedecomp.Remainder``), ecc until
-what is left falls apart. cvc runs its chain in one step too, on one
-subconnected decomposition that each split cuts and contracts in place
-(``treedecomp.SubconnectedDecomposition``). The hook combines the
-solved parts into a solution of the input graph. With threshold_scale = 1
-every internal threshold equals its analysis-given formula, and the driver
-checks the audited query size against the engine's declared bound.
+runs the engine's one step on the input graph and that decomposition,
+checks the solution the step returns and builds the report. The step finds
+nodes whose local optimum sits in a bounded window, solves their pieces
+through ``_query`` (the one place that reduces, cuts the query's
+decomposition from the step's own, queries the oracle, lifts and checks)
+and combines them into a solution of the input graph. The direct vc and is
+engines cut every piece in one bottom-up pass (``_window_pass``). ecc, etp
+and the friendly engine run chains of ``descend`` walks on a view of a
+decomposition (``treedecomp.Remainder``): ecc one chain per connected piece
+over its base size, until what is left falls apart or fits, when one
+``NiceTreeDecomposition.restrict`` cuts the decompositions of its
+components. cvc runs its chain on one subconnected decomposition that each
+split cuts and contracts in place (``treedecomp.SubconnectedDecomposition``).
+With threshold_scale = 1 every internal threshold equals its
+analysis-given formula, and the driver checks the audited query size
+against the engine's declared bound.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .approx import (
     vc_nt_kernel,
 )
 from .errors import InternalInvariantViolation, OracleRefused
-from .graph import Graph
+from .graph import Graph, _components
 from .oracles import Oracle, _canon, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
@@ -114,20 +113,17 @@ def _drive(
     g: Graph,
     td: TreeDecomposition,
     cfg: KernelConfig,
-    step: Callable[[Graph, NiceTreeDecomposition, set[str]], tuple],
-    assemble: Callable[[list], Solution],
+    step: Callable[[Graph, NiceTreeDecomposition, set[str]], tuple[Solution, int]],
     bounds: Callable[[int], tuple[float | None, dict[str, float]]],
 ) -> RunReport:
-    """Run ``step`` over a stack of pieces, starting from g and td made nice.
+    """Run ``step`` once, on g and td made nice, and check and report its
+    solution.
 
-    ``step(graph, ntd, flags)`` gets a nice decomposition of its graph,
-    solves part of it and returns (the solved part, the remainders to push,
-    the number of cuts it made): none, one, or one per component are
-    pushed, and each cut counts one level of recursion depth. ``assemble``
-    gets the solved parts in solving order, and ``bounds(width)`` gives the
-    declared query bound and the reported thresholds. At threshold_scale 1
-    an audited query over the declared bound is an internal invariant
-    violation. The cyclic collector is paused from ``make_nice`` to the
+    ``step(g, ntd, flags)`` returns (a solution of g, the number of cuts it
+    made); each cut counts one level of recursion depth. ``bounds(width)``
+    gives the declared query bound and the reported thresholds. At
+    threshold_scale 1 an audited query over the declared bound is an
+    internal invariant violation. The cyclic collector is paused from ``make_nice`` to the
     report, and is left as the caller had it: it resumes as the run
     returns, when reference counting frees the run's trees before any
     collection walks them.
@@ -145,15 +141,7 @@ def _drive(
         flags: set[str] = set()
         if scale != 1.0:
             flags.add("threshold-scale-override")
-        parts: list = []
-        depth = 0
-        work = [(g, ntd)]
-        while work:
-            part, rest, split = step(*work.pop(), flags)
-            parts.append(part)
-            work.extend(reversed(rest))
-            depth += split
-        solution = assemble(parts)
+        solution, depth = step(g, ntd, flags)
         _assert_feasible(kind, g, solution, f"{problem} turing kernel")
         declared, thresholds = bounds(td.width)
         if scale == 1.0 and declared is not None and cfg.audit.max_query_vertices > declared:
@@ -225,10 +213,10 @@ def _query(
 
 def _window_pass(
     g: Graph, ntd: NiceTreeDecomposition, limit: float, matching: bool, solve: Callable
-) -> tuple[frozenset, tuple, int]:
+) -> tuple[Solution, int]:
     """Cut g into pieces whose measure is at most ``limit`` in one post-order
     pass over its nice decomposition, after Kundu and Misra's linear-time tree
-    partitioning (1977). Returns a step's (solution, no remainders, cuts).
+    partitioning (1977). Returns a step's (vertex solution, cuts).
 
     A node keeps its live local set (V_t \\ X_t without earlier pieces and
     separators), measured by its size or with ``matching`` by the vertices
@@ -296,7 +284,7 @@ def _window_pass(
     cuts = len(parts)
     if state[ntd.root][0]:
         cut(ntd.root)
-    return _union(parts), (), cuts
+    return Solution.of_vertices(_union(parts)), cuts
 
 
 def _unite(x: set[int], y: set[int]) -> set[int]:
@@ -326,9 +314,7 @@ def approx_vc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
     def bounds(width):
         return 16.0 * (width + 1) / eps, {"easy_guard": 8.0 * (width + 1) / eps * scale}
 
-    return _drive(
-        "vc", VC, g, td, cfg, step, lambda parts: Solution.of_vertices(_union(parts)), bounds
-    )
+    return _drive("vc", VC, g, td, cfg, step, bounds)
 
 
 def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
@@ -358,9 +344,7 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
             "window_hi": 10.0 * (width + 1) ** 2 / eps * scale,
         }
 
-    return _drive(
-        "is", IS, g, td, cfg, step, lambda parts: Solution.of_vertices(_union(parts)), bounds
-    )
+    return _drive("is", IS, g, td, cfg, step, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +356,62 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     """(1+eps)-approximate Turing kernel for edge clique cover.
 
     Components are handled independently: one ``restrict`` cuts their
-    decompositions, and those within the base size are answered in the
-    same step. The split keeps the separator on both sides (the oracle sees
-    G[V_t], the remainder keeps X_t), so queries have at most
+    decompositions, and those within the base size are answered at once.
+    The split keeps the separator on both sides (the oracle sees G[V_t],
+    the remainder keeps X_t), so queries have at most
     4(1+eps)/eps*(width+1)^4 + width+1 vertices. A larger component splits
     on a view of its decomposition until what is left is within the base
     size or falls apart (then each part holds a vertex of the cut bag), and
-    hands that back to the engine loop.
+    what is left is handled as components in turn, the first one next.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
     def base(width):
         return 2.0 * (1 + eps) / eps * (width + 1) ** 4 * scale
 
-    def step(cur_g, ntd, flags):
-        if cur_g.m == 0:
-            return frozenset(), (), False  # isolated vertices carry no edges to cover
-        comps = cur_g.connected_components()
-        if len(comps) > 1:  # answer the components within the base size, push the others
+    def step(g, ntd, flags):
+        parts: list[frozenset] = []
+        work: list[tuple[Graph, NiceTreeDecomposition]] = []  # connected pieces over the base size
+
+        def settle(pieces):  # answer the pieces within the base size, stack the others
+            big = []
+            for q, d in pieces:
+                if q.n <= base(d.width):
+                    parts.append(_query(ECC, q, d, cfg.oracle).payload)
+                else:
+                    big.append((q, d))
+            work.extend(reversed(big))
+
+        def components(cur_g, tree, comps, taken):
             comps = [c for c in comps if len(c) > 1]  # an isolated vertex carries no edge
-            pieces = [(cur_g.induced_subgraph(c), d) for c, d in zip(comps, ntd.restrict(comps))]
-            small = [_query(ECC, q, d, cfg.oracle).payload
-                     for q, d in pieces if q.n <= base(d.width)]
-            return _union(small), [(q, d) for q, d in pieces if q.n > base(d.width)], False
-        if cur_g.n <= base(ntd.width):
-            return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
-        rest, parts, lo = Remainder(cur_g, ntd), [], max(base(ntd.width), 1.0)
-        while True:
-            t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), 2.0 * lo, lo)[0]
-            local = rest.local(t)
-            v_t = local | (ntd.bags[t] & rest.live)
-            sol = _query(ECC, cur_g.induced_subgraph(v_t), ntd, cfg.oracle, cut=(t, rest.taken))
-            parts.append(sol.payload)
-            if t == ntd.root:
-                return _union(parts), (), len(parts)  # the window covered the whole graph
-            rest.cut(t, local)
-            live, lo = rest.live, max(base(rest.width), 1.0)
-            if len(live) <= lo or _apart(cur_g.neighbors, live, ntd.bags[t] & live):
-                # the next step solves what is left outright or splits it into components
-                [rest_td] = ntd.restrict([live], None, rest.taken)
-                return _union(parts), [(cur_g.induced_subgraph(live), rest_td)], len(parts)
+            settle(zip(map(cur_g.induced_subgraph, comps), tree.restrict(comps, None, taken)))
+
+        def chain(cur_g, tree):  # split until what is left falls apart or fits; returns the cuts
+            rest, lo, cuts = Remainder(cur_g, tree), max(base(tree.width), 1.0), 0
+            while True:
+                t = descend(rest, lambda s, _: (rest.live_local[s], None), 2.0 * lo, lo)[0]
+                local = rest.local(t)
+                q = cur_g.induced_subgraph(local | (tree.bags[t] & rest.live))
+                parts.append(_query(ECC, q, tree, cfg.oracle, cut=(t, rest.taken)).payload)
+                cuts += 1
+                if t == tree.root:
+                    return cuts  # the window covered the whole piece
+                rest.cut(t, local)
+                live, lo = rest.live, max(base(rest.width), 1.0)
+                if len(live) <= lo or _apart(cur_g.neighbors, live, tree.bags[t] & live):
+                    taken, rest = rest.taken, None  # the view goes before the components' trees
+                    components(cur_g, tree, _components(cur_g.neighbors, live), taken)
+                    return cuts
+
+        comps = g.connected_components()
+        if len(comps) == 1 and g.m:
+            settle([(g, ntd)])
+        else:
+            components(g, ntd, comps, None)
+        cuts = 0
+        while work:
+            cuts += chain(*work.pop())
+        return Solution.of_family(_union(parts)), cuts
 
     def bounds(width):
         return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1), {
@@ -419,9 +419,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             "window_hi": 4.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
         }
 
-    return _drive(
-        "ecc", ECC, g, td, cfg, step, lambda parts: Solution.of_family(_union(parts)), bounds
-    )
+    return _drive("ecc", ECC, g, td, cfg, step, bounds)
 
 
 def _apart(neighbors, live: set[int], x: set[int]) -> bool:
@@ -505,7 +503,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             live_g = cur_g.induced_subgraph(rest.live)
         live_td = ntd.restrict([rest.live], None, rest.taken)[0] if parts else ntd
         sol = solve_etp_small(live_g, s3, cfg.oracle, flags, live_td)
-        return _union(parts) | sol.payload, (), len(parts)
+        return greedy_triangle_packing(cur_g, _union(parts) | sol.payload), len(parts)
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap
@@ -513,10 +511,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             "local_guard": 6.0 * (width + 1) ** 2 / eps * scale,
         }
 
-    return _drive(
-        "etp", ETP, g, td, cfg, step,
-        lambda parts: greedy_triangle_packing(g, _union(parts)), bounds,
-    )
+    return _drive("etp", ETP, g, td, cfg, step, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +618,10 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         raise ValueError("connected vertex cover needs a connected graph")
     eps, scale = cfg.epsilon, cfg.threshold_scale
     delta = eps / 3.0
-    first_z = g.vertices[-1] + 1 if g.n else 0
-    contracted: list[int] = []
 
     def step(cur_g, ntd, flags):
-        sc, parts, ell = None, [], ntd.width
+        sc, parts, ell, cuts = None, [], ntd.width, 0
+        first_z = cur_g.vertices[-1] + 1 if cur_g.n else 0  # contracted bags get ids from here up
         while cur_g.m:
             if not cur_g.is_connected():
                 raise InternalInvariantViolation("cvc recursion lost connectivity")
@@ -640,12 +634,12 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             t, v_t, s_t = find_cvc_split_node(
                 cur_g, sc, delta, cfg.oracle, flags, width=ell, threshold_scale=scale
             )
-            x_t = sc.bags[t]
+            x_t, z = sc.bags[t], first_z + cuts
+            cuts += 1
             if not x_t:  # the piece was the whole remaining graph
-                return _union(parts) | s_t.payload, (), len(contracted) + 1
+                parts.append(s_t.payload)
+                break
             parts.append(connectify_vertex_cover(cur_g.induced_subgraph(v_t), x_t, s_t).payload)
-            z = first_z + len(contracted)
-            contracted.append(z)
             cur_g = cur_g.remove_vertices(v_t - x_t).identify_vertices(x_t, z)
             sc.cut(t, z)
             report = validate(cur_g, sc)
@@ -654,7 +648,7 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
                     "invalid tree decomposition: " + "; ".join(report.violations())
                 )
             ell = report.width
-        return _union(parts), (), len(contracted)
+        return Solution.of_vertices(v for v in _union(parts) if v < first_z), cuts
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap
@@ -662,7 +656,4 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             "piece_min_size": 10.0 * width / delta * scale,
         }
 
-    return _drive(
-        "cvc", CVC, g, td, cfg, step,
-        lambda parts: Solution.of_vertices(_union(parts) - frozenset(contracted)), bounds,
-    )
+    return _drive("cvc", CVC, g, td, cfg, step, bounds)

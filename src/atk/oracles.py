@@ -300,49 +300,23 @@ def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
-def _min_ecc(g: Graph) -> frozenset[frozenset[int]]:
-    edges = [frozenset(e) for e in g.edges()]
-    if not edges:
-        return frozenset()
-    cliques = [c for c in _maximal_cliques(g) if len(c) >= 2]
-    clique_edges = {
-        c: frozenset(frozenset(p) for p in combinations(sorted(c), 2)) for c in cliques
-    }
-    best: list = [frozenset(edges), len(edges)]
+def _min_clique_family(items: list, covers: dict, fallback: frozenset) -> frozenset:
+    """The fewest cliques of ``covers`` (clique -> the items it covers, in
+    branch order) that cover every item, or ``fallback`` where none is
+    smaller: depth first, each branch adding a clique that covers the first
+    uncovered item."""
+    best: list = [fallback, len(fallback)]
     stack: list[tuple[frozenset, tuple]] = [(frozenset(), ())]
     while stack:  # depth first, the next branch on top
         covered, chosen = stack.pop()
         if len(chosen) >= best[1]:
             continue
-        target = None
-        for e in edges:
-            if e not in covered:
-                target = e
-                break
+        target = next((x for x in items if x not in covered), None)
         if target is None:
             best[0], best[1] = frozenset(chosen), len(chosen)
             continue
-        stack.extend((covered | clique_edges[c], chosen + (c,))
-                     for c in reversed(cliques) if target <= c)
-    return best[0]
-
-
-def _min_clique_cover(g: Graph) -> frozenset[frozenset[int]]:
-    if g.n == 0:
-        return frozenset()
-    cliques = _maximal_cliques(g)
-    best: list = [frozenset(frozenset([v]) for v in g.vertices), g.n]
-    stack: list[tuple[frozenset[int], tuple]] = [(frozenset(), ())]
-    while stack:  # depth first, the next branch on top
-        covered, chosen = stack.pop()
-        if len(chosen) >= best[1]:
-            continue
-        rest = g.vertex_set - covered
-        if not rest:
-            best[0], best[1] = frozenset(chosen), len(chosen)
-            continue
-        v = min(rest)
-        stack.extend((covered | c, chosen + (c,)) for c in reversed(cliques) if v in c)
+        stack.extend((covered | got, chosen + (c,))
+                     for c, got in reversed(covers.items()) if target in got)
     return best[0]
 
 
@@ -425,10 +399,15 @@ def brute_force_solve(kind: ProblemKind, g: Graph) -> Solution:
         return Solution.of_vertices(_min_fvs(g))
     if name == "eds":
         return Solution.of_family(_min_eds(g))
-    if name == "ecc":
-        return Solution.of_family(_min_ecc(g))
-    if name == "cc":
-        return Solution.of_family(_min_clique_cover(g))
+    if name == "ecc":  # cliques covering edges; at worst every edge is one
+        edges = [frozenset(e) for e in g.edges()]
+        covers = {c: frozenset(map(frozenset, combinations(sorted(c), 2)))
+                  for c in _maximal_cliques(g) if len(c) >= 2}
+        return Solution.of_family(_min_clique_family(edges, covers, frozenset(edges)))
+    if name == "cc":  # cliques covering vertices; at worst every vertex is one
+        singletons = frozenset(frozenset([v]) for v in g.vertices)
+        covers = {c: c for c in _maximal_cliques(g)}
+        return Solution.of_family(_min_clique_family(g.vertices, covers, singletons))
     if name == "etp":
         return Solution.of_family(_max_etp(g))
     if name == "hpack":

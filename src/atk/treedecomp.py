@@ -118,10 +118,8 @@ def validate(g: Graph, td) -> ValidationReport:
     covered iff one endpoint is in the bag of the other's top node. Edges
     at a vertex with a broken trace fall back to intersecting the traces.
     """
-    if isinstance(td, NiceTreeDecomposition):
-        bags, nodes, parent = td.bags, range(td.n_nodes), td.parent
-    else:
-        bags, nodes, parent = td.bags, td.bags, td.parents()
+    bags, parent = td.bags, td.parents() if isinstance(td, TreeDecomposition) else td.parent
+    nodes = range(td.n_nodes) if isinstance(td, NiceTreeDecomposition) else bags
     top: dict[int, int] = {}
     broken: set[int] = set()
     for t in nodes:
@@ -581,9 +579,6 @@ class SubconnectedDecomposition:
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
-
-    def parents(self) -> dict[int, int | None]:
-        return self.parent
 
     def as_td(self) -> TreeDecomposition:
         edges = [(t, c) for t, kids in self.children.items() for c in kids]

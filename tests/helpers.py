@@ -15,7 +15,7 @@ from atk.kernels import (
     _union,
     solve_etp_small,
 )
-from atk.oracles import brute_force_solve
+from atk.oracles import _maximal_cliques, brute_force_solve
 from atk.problems import ECC, ETP, Solution, is_minimization
 from atk.treedecomp import (
     FORGET,
@@ -482,7 +482,57 @@ def reference_window_pass(g: Graph, ntd, limit: float, matching: bool, solve):
     cuts = len(parts)
     if state[ntd.root][0]:
         cut(ntd.root)
-    return frozenset().union(*parts), (), cuts
+    return Solution.of_vertices(frozenset().union(*parts)), cuts
+
+
+def reference_min_ecc(g: Graph) -> frozenset[frozenset[int]]:
+    """The exhaustive edge clique cover search of its own, kept as the
+    reference for the clique-family search ``brute_force_solve`` runs."""
+    edges = [frozenset(e) for e in g.edges()]
+    if not edges:
+        return frozenset()
+    cliques = [c for c in _maximal_cliques(g) if len(c) >= 2]
+    clique_edges = {
+        c: frozenset(frozenset(p) for p in combinations(sorted(c), 2)) for c in cliques
+    }
+    best: list = [frozenset(edges), len(edges)]
+    stack: list[tuple[frozenset, tuple]] = [(frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        covered, chosen = stack.pop()
+        if len(chosen) >= best[1]:
+            continue
+        target = None
+        for e in edges:
+            if e not in covered:
+                target = e
+                break
+        if target is None:
+            best[0], best[1] = frozenset(chosen), len(chosen)
+            continue
+        stack.extend((covered | clique_edges[c], chosen + (c,))
+                     for c in reversed(cliques) if target <= c)
+    return best[0]
+
+
+def reference_min_clique_cover(g: Graph) -> frozenset[frozenset[int]]:
+    """The exhaustive clique cover search of its own, kept as the reference
+    for the clique-family search ``brute_force_solve`` runs."""
+    if g.n == 0:
+        return frozenset()
+    cliques = _maximal_cliques(g)
+    best: list = [frozenset(frozenset([v]) for v in g.vertices), g.n]
+    stack: list[tuple[frozenset[int], tuple]] = [(frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        covered, chosen = stack.pop()
+        if len(chosen) >= best[1]:
+            continue
+        rest = g.vertex_set - covered
+        if not rest:
+            best[0], best[1] = frozenset(chosen), len(chosen)
+            continue
+        v = min(rest)
+        stack.extend((covered | c, chosen + (c,)) for c in reversed(cliques) if v in c)
+    return best[0]
 
 
 def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:
@@ -514,14 +564,38 @@ def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:
     return order, degeneracy
 
 
+def reference_levels(step, assemble):
+    """The engine loop that kept a stack of pieces, as a step for ``_drive``;
+    kept for the per-level reference engines below.
+
+    ``step(graph, ntd, flags)`` solves part of a piece and returns (the
+    solved part, the remainders to push, whether it cut): none, one, or one
+    per component are pushed, the first on top, and each cut counts one
+    level of recursion depth. ``assemble`` gets the solved parts in solving
+    order and returns the solution."""
+
+    def run(g, ntd, flags):
+        parts, depth, work = [], 0, [(g, ntd)]
+        while work:
+            part, rest, split = step(*work.pop(), flags)
+            parts.append(part)
+            work.extend(reversed(rest))
+            depth += split
+        return assemble(parts), depth
+
+    return run
+
+
 def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, threshold_scale: float = 1.0):
     """The per-level friendly engine, kept as the reference for
     ``friendly.approx_friendly_turing``: every level is a piece on the
-    engine loop's stack with its own graph G - V_t and its own decomposition
-    rebuilt by ``reference_restrict``, and phi runs in full on each node's
-    induced local graph, except where the level's local size and width put
-    the low end of ``phi_range`` over the limit: such a node is measured by
-    the high end. Returns the run's report."""
+    stack of ``reference_levels`` with its own graph G - V_t and its own
+    decomposition rebuilt by ``reference_restrict``, and phi runs in full on
+    each node's induced local graph, except where the level's local size and
+    width put the low end of ``phi_range`` over the limit: such a node is
+    measured by the high end. For maximization it still splits a join's phi
+    solution between the children to pick one, which the engine leaves to
+    the descent. Returns the run's report."""
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
     maximize = not is_minimization(problem.kind)
@@ -585,7 +659,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
         return declared, {"budget_k": budget_k}
 
-    return _drive(problem.name, problem.kind, g, td, cfg, step, assemble, bounds)
+    return _drive(problem.name, problem.kind, g, td, cfg, reference_levels(step, assemble), bounds)
 
 
 def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
@@ -625,9 +699,8 @@ def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
             "window_hi": 4.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
         }
 
-    return _drive(
-        "ecc", ECC, g, td, cfg, step, lambda parts: Solution.of_family(_union(parts)), bounds
-    )
+    levels = reference_levels(step, lambda parts: Solution.of_family(_union(parts)))
+    return _drive("ecc", ECC, g, td, cfg, levels, bounds)
 
 
 def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
@@ -667,7 +740,5 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
             "local_guard": 6.0 * (width + 1) ** 2 / eps * scale,
         }
 
-    return _drive(
-        "etp", ETP, g, td, cfg, step,
-        lambda parts: greedy_triangle_packing(g, _union(parts)), bounds,
-    )
+    levels = reference_levels(step, lambda parts: greedy_triangle_packing(g, _union(parts)))
+    return _drive("etp", ETP, g, td, cfg, levels, bounds)

@@ -5,11 +5,12 @@ search, and the friendly vc, is and cc run on random partial k-trees
 (k <= 3, n <= 60; n <= 18, the vertex cap, where queries go to exhaustive
 search, and k = 1 for cvc, whose guard splits no wider graph that small)
 at scale 1 and at two small scales, the smaller one so that etp and cvc
-split too. A run must return a
-feasible solution, and every decomposition a step receives must be nice
-and valid for its graph. At scale 1 the audited query must stay within the
-declared bound where one is declared, and the value within 1+eps of
-``cli.compute_opt`` where that finds the optimum.
+split too. A run must return a feasible solution and run its engine's step
+once, on a nice decomposition valid for the input, and every tree
+``restrict`` cuts during the run must be nice and valid for G[part]. At
+scale 1 the audited query must stay within the declared bound where one is
+declared, and the value within 1+eps of ``cli.compute_opt`` where that
+finds the optimum.
 """
 
 from unittest import mock
@@ -47,21 +48,32 @@ def runs(draw):
     return name, gen(n, k, p, seed)
 
 
-def _checking(received):
-    """A ``_drive`` that records, for every step, whether its decomposition
-    is nice and valid for its graph."""
-    drive = kernels._drive
+def _nice_and_valid(g, ntd):
+    return (
+        isinstance(ntd, NiceTreeDecomposition)
+        and ntd.nice_violations() == []
+        and validate(g, ntd).valid
+    )
 
-    def checking_drive(problem, kind, g, td, cfg, step, assemble, bounds):
+
+def _checking(steps, cut):
+    """A ``_drive`` that records, for every step, whether its decomposition
+    is nice and valid for its graph, and for every tree ``restrict`` cuts,
+    whether it is nice and valid for G[part]."""
+    drive, restrict = kernels._drive, NiceTreeDecomposition.restrict
+
+    def checking_drive(problem, kind, g, td, cfg, step, bounds):
         def checked(cur_g, ntd, flags):
-            received.append(
-                isinstance(ntd, NiceTreeDecomposition)
-                and ntd.nice_violations() == []
-                and validate(cur_g, ntd).valid
-            )
+            steps.append(_nice_and_valid(cur_g, ntd))
             return step(cur_g, ntd, flags)
 
-        return drive(problem, kind, g, td, cfg, checked, assemble, bounds)
+        def checked_restrict(ntd, parts, t=None, taken=None):
+            trees = restrict(ntd, parts, t, taken)
+            cut.extend(_nice_and_valid(g.induced_subgraph(p), d) for p, d in zip(parts, trees))
+            return trees
+
+        with mock.patch.object(NiceTreeDecomposition, "restrict", checked_restrict):
+            return drive(problem, kind, g, td, cfg, checked, bounds)
 
     return checking_drive
 
@@ -72,8 +84,8 @@ def test_split_engines_meet_the_guarantees(run, scale, eps):
     name, (g, td) = run
     engine, problem, kind, oracle_name, *_ = CASES[name]
     oracle = build_oracle(oracle_name, problem)
-    received = []
-    drive = _checking(received)
+    steps, cut = [], []
+    drive = _checking(steps, cut)
     with mock.patch.object(kernels, "_drive", drive), mock.patch.object(friendly, "_drive", drive):
         if engine == "direct":
             run_engine = getattr(kernels, f"approx_{problem}_turing")
@@ -81,7 +93,8 @@ def test_split_engines_meet_the_guarantees(run, scale, eps):
         else:
             instance = friendly.builtin_instances()[problem]
             rep = friendly.approx_friendly_turing(g, td, eps, instance, oracle, scale)
-    assert received and all(received)
+    assert steps == [True]
+    assert all(cut)
     assert is_feasible(kind, g, rep.solution)
     if scale != 1.0:
         return

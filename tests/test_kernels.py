@@ -75,7 +75,7 @@ def _vc_cuts(g, td, limit):
         seen.append((piece, separator))
         return frozenset()
 
-    _, _, cuts = _window_pass(g, make_nice(g, td), limit, True, solve)
+    _, cuts = _window_pass(g, make_nice(g, td), limit, True, solve)
     return seen[:cuts]
 
 
@@ -130,7 +130,7 @@ def test_window_pass_cuts_the_lower_id_on_a_tie_whatever_the_join_lists_first(ma
         seen.append((cut[0], piece.vertex_set))
         return frozenset()
 
-    _, _, cuts = _window_pass(g, ntd, 3, matching, solve)
+    _, cuts = _window_pass(g, ntd, 3, matching, solve)
     assert cuts == 1
     assert seen == [(4, frozenset({1, 2})), (10, frozenset({3, 4}))]
 
@@ -583,14 +583,17 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
             assert calls == {"make_nice": 1, "make_subconnected": 1}
 
 
-def test_ecc_and_etp_build_one_view_per_cutting_step(monkeypatch):
+def test_ecc_and_etp_build_one_view_per_chain(monkeypatch):
     # ecc and etp rebuilt their remainder at every cut: remove_vertices, a
-    # whole-tree restrict and a fresh local-set index. A step that cuts now
-    # runs its chain on one view of its decomposition and removes no vertex.
+    # whole-tree restrict and a fresh local-set index. A chain of cuts now
+    # runs on one view of its decomposition and removes no vertex: etp runs
+    # one chain, and ecc one per connected piece over its base size, whose
+    # queries all cut their trees with the taken set of the chain's view.
     import atk.kernels as kernels
 
-    calls = Counter()
-    view, remove, drive = kernels.Remainder, Graph.remove_vertices, kernels._drive
+    calls, chains = Counter(), []  # chains: the taken sets ecc's queries cut with
+    view, remove = kernels.Remainder, Graph.remove_vertices
+    restrict = NiceTreeDecomposition.restrict
 
     def counted_view(*args):
         calls["views"] += 1
@@ -600,32 +603,60 @@ def test_ecc_and_etp_build_one_view_per_cutting_step(monkeypatch):
         calls["remove_vertices"] += 1
         return remove(self, x)
 
-    def counted_drive(problem, kind, g, td, cfg, step, assemble, bounds):
-        def counted_step(*args):
-            out = step(*args)
-            calls["cutting steps"] += out[2] > 0
-            return out
-
-        return drive(problem, kind, g, td, cfg, counted_step, assemble, bounds)
+    def counted_restrict(ntd, parts, t=None, taken=None):
+        if t is not None and all(taken is not seen for seen in chains):
+            chains.append(taken)
+        return restrict(ntd, parts, t, taken)
 
     monkeypatch.setattr(kernels, "Remainder", counted_view)
     monkeypatch.setattr(Graph, "remove_vertices", counted_remove)
-    monkeypatch.setattr(kernels, "_drive", counted_drive)
-    runs = {
-        "ecc": lambda: approx_ecc_turing(
-            *gen_connected_partial_ktree(200, 1, 0.8, seed=4),
-            KernelConfig(0.5, trianglefree_ecc_oracle(), 0.05),
-        ),
-        "etp": lambda: approx_etp_turing(
-            *gen_partial_ktree(60, 2, 0.9, seed=3), KernelConfig(1.0, exact_brute_oracle(), 0.1)
-        ),
-    }
-    for name, run in runs.items():
-        calls.clear()
-        rep = run()
-        assert rep.recursion_depth > calls["cutting steps"] > 0, name  # chains of cuts
-        assert calls["views"] == calls["cutting steps"], name
-        assert calls["remove_vertices"] == 0, name
+    monkeypatch.setattr(NiceTreeDecomposition, "restrict", counted_restrict)
+    rep = approx_ecc_turing(
+        *gen_partial_ktree(300, 2, 0.5, seed=0), KernelConfig(0.5, exact_brute_oracle(), 0.01)
+    )
+    assert rep.recursion_depth > len(chains) > 1  # chains of cuts
+    assert calls == {"views": len(chains)}
+    calls.clear()
+    rep = approx_etp_turing(
+        *gen_partial_ktree(60, 2, 0.9, seed=3), KernelConfig(1.0, exact_brute_oracle(), 0.1)
+    )
+    assert rep.recursion_depth > 1
+    assert calls == {"views": 1}
+
+
+def test_each_ecc_fall_apart_costs_one_restrict(monkeypatch):
+    # Where a chain's remainder falls apart or fits the base size, one
+    # restrict cuts the trees of its components from the chain's own tree;
+    # it used to cut the tree of G[live] first and then split that tree.
+    # A chain ends at its root's query or in that one component cut, and
+    # one more cuts the components of the input.
+    import atk.kernels as kernels
+
+    calls = Counter()
+    apart, view, restrict = kernels._apart, kernels.Remainder, NiceTreeDecomposition.restrict
+
+    def counted_apart(*args):
+        out = apart(*args)
+        calls["fell apart"] += out
+        return out
+
+    def counted_view(*args):
+        calls["chains"] += 1
+        return view(*args)
+
+    def counted_restrict(ntd, parts, t=None, taken=None):
+        calls["component cuts" if t is None else "queries"] += 1
+        calls["root queries"] += t == ntd.root
+        return restrict(ntd, parts, t, taken)
+
+    monkeypatch.setattr(kernels, "_apart", counted_apart)
+    monkeypatch.setattr(kernels, "Remainder", counted_view)
+    monkeypatch.setattr(NiceTreeDecomposition, "restrict", counted_restrict)
+    g, td = gen_partial_ktree(300, 2, 0.5, seed=0)
+    rep = approx_ecc_turing(g, td, KernelConfig(0.5, exact_brute_oracle(), 0.01))
+    assert calls["fell apart"] > 1
+    assert calls["queries"] == rep.recursion_depth
+    assert calls["component cuts"] == 1 + calls["chains"] - calls["root queries"]
 
 
 def test_cvc_validates_each_remainder_once(monkeypatch):

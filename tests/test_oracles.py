@@ -2,10 +2,15 @@ import random
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atk.errors import OracleRefused
+from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.oracles import (
+    BRUTE_EDGE_CAP,
+    BRUTE_VERTEX_CAP,
     audited,
     brute_force_solve,
     exact_brute_oracle,
@@ -33,6 +38,8 @@ from helpers import (
     edgeless_graph,
     gnp_graph,
     path_graph,
+    reference_min_clique_cover,
+    reference_min_ecc,
     triangle_chain,
 )
 
@@ -105,6 +112,20 @@ def test_brute_against_enumeration_random():
         assert brute_force_solve(IS, g).value == enum_max_is(g)
         if g.m <= 8:
             assert brute_force_solve(ECC, g).value == enum_min_ecc(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, BRUTE_VERTEX_CAP - 4), st.floats(0.1, 1.0),
+       st.booleans())
+def test_clique_family_search_matches_the_two_searches(seed, n, p, ktree):
+    # ecc and cc share one exhaustive search, which must find the very
+    # families the two searches it replaced found
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    g = gen_partial_ktree(n + k + 1, k, p, seed)[0] if ktree else gnp_graph(rng, n, p / 2)
+    assert brute_force_solve(CLIQUE_COVER, g).payload == reference_min_clique_cover(g)
+    if g.m <= BRUTE_EDGE_CAP:
+        assert brute_force_solve(ECC, g).payload == reference_min_ecc(g)
 
 
 def test_brute_solutions_feasible_across_kinds():

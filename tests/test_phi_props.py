@@ -7,7 +7,9 @@ the full value is over it, and otherwise the full answer; a cut-short
 greedy independent set is a prefix of the full one. The min-degree order
 must still match the bucket reference in ``helpers``. Every built-in
 friendly problem's ``phi_range`` must bracket its phi on any live local set
-of a ``Remainder``, before and after cuts, at the view's width.
+of a ``Remainder``, before and after cuts, at the view's width. The phi of
+each built-in maximization problem must be additive over two vertex sets
+with no edge between them, as the friendly engine's join split relies on.
 """
 
 import random
@@ -69,6 +71,18 @@ def test_matching_phis_within_a_set_and_stopped_early(piece):
         assert (cut.value > stop_above) == (full.value > stop_above)
         if full.value <= stop_above:
             assert cut == full
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["is", "hpack:k2", "hpack:k3", "hpack:p3"]), pieces())
+def test_maximizing_phis_are_additive_over_unions_without_crossing_edges(name, piece):
+    # B is a random set of vertices neither in A nor adjacent to it
+    g, a, _ = piece
+    rng = random.Random(len(a))
+    b = {v for v in g.vertices if v not in a and not g.neighbors(v) & a and rng.random() < 0.7}
+    problem = builtin_instances()[name]
+    parts = problem.split(problem.phi_approx(g, a | b), a, b)
+    assert parts == (problem.phi_approx(g, a), problem.phi_approx(g, b))
 
 
 def _view_nodes(rest):
