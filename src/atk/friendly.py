@@ -6,7 +6,8 @@ split/merge, a bounded deletion effect f with an extend algorithm, a
 reduce-and-lift kernel with size function h, and a phi-approximation with
 a bracket on its value by graph size and width. Six built-in instances are
 provided; the engine itself is problem-blind, and runs phi only on nodes
-whose live local size leaves the split search undecided.
+whose live local size leaves the split search undecided (for maximization,
+once per vertex set that no join splits).
 
 The engine is one step on the engine loop in ``kernels`` that runs the
 whole split chain as a loop over the input's nice decomposition, so the
@@ -63,7 +64,9 @@ class FriendlyProblem:
     directly. A maximization problem's ``phi_approx`` must be additive over
     disjoint unions: on two vertex sets with no edge between them, the part
     of its answer on their union that ``split`` gives each set must have the
-    value of its answer on that set alone.
+    value of its answer on that set alone. The split search relies on it:
+    it merges a join's phi from the answers on the join's two sides, which
+    no edge joins, and never runs phi on their union.
     """
 
     name: str
@@ -200,6 +203,37 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
 # ---------------------------------------------------------------------------
 
 
+def _additive_phi(rest: Remainder, problem: FriendlyProblem, t: int) -> Solution:
+    """The full phi of t's live local set for a maximization problem, from
+    one walk below t that runs phi once per vertex set no join splits.
+
+    A node whose one live child has its live local size has that child's
+    set and takes its answer; a join of two live children takes the merge
+    of theirs, since no edge joins its two sides and phi is additive over
+    them; any other node runs phi on its own set. Children are read through
+    the view only, as a taken node keeps a stale size. Every node walked is
+    cached in ``rest.cache`` as complete.
+    """
+    cache, size = rest.cache, rest.live_local
+    order, stack = [], [t]
+    while stack:  # parents before children
+        s = stack.pop()
+        if s in cache:  # only this walk fills the cache of a maximization run
+            continue
+        kids = rest[s]
+        if len(kids) == 1 and size[kids[0]] != size[s]:
+            kids = []
+        order.append((s, kids))
+        stack.extend(kids)
+    for s, kids in reversed(order):
+        if len(kids) == 2:
+            sol = problem.merge(cache[kids[0]][0], cache[kids[1]][0])
+        else:
+            sol = cache[kids[0]][0] if kids else problem.phi_approx(rest.g, rest.local(s))
+        cache[s] = sol, True
+    return cache[t][0]
+
+
 def find_split_node(
     rest: Remainder,
     delta: float,
@@ -218,14 +252,18 @@ def find_split_node(
     by the high end: with the built-in brackets it beats any join sibling
     that runs phi, and of two such siblings the larger wins. A join child
     whose high end is below its sibling's low end loses, also without phi.
-    Only join children whose sizes leave the split undecided are measured
-    in full; other nodes run phi within their live local set and stop once
-    over the threshold. At the root, the remainder is solved outright. For
-    a minimization problem whose t is a join child, the join itself is cut
-    when the full phi of both children is at most phi_k/2. For maximization
-    the descent's choice stands: phi is additive over a join's two sides, so
-    splitting the join's phi solution between them picks the same child.
-    The caller then cuts V_t from ``rest``.
+    For maximization, every other node gets its full phi from
+    ``_additive_phi``: phi is additive over a join's two sides, so a join's
+    answer is the merge of its children's, and phi runs once per vertex set
+    that no join splits, each answer cached until a cut changes the set.
+    For minimization, only join children whose sizes leave the split
+    undecided are measured in full; other nodes run phi within their live
+    local set and stop once over the threshold. At the root, the remainder
+    is solved outright. For a minimization problem whose t is a join child,
+    the join itself is cut when the full phi of both children is at most
+    phi_k/2. For maximization the descent's choice stands: splitting the
+    join's phi solution between its sides picks the same child. The caller
+    then cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
@@ -236,6 +274,9 @@ def find_split_node(
     limit = k if maximize else phi_k
 
     def phi(t, stop_above):  # cached per node as (solution, not cut short)
+        if maximize:
+            sol = _additive_phi(rest, problem, t)
+            return sol.value, sol
         hit, p = rest.cache.get(t), ntd.parent[t]
         if hit is None and p is not None and rest.live_local[p] == rest.live_local[t]:
             hit = rest.cache.get(p)  # t's live local set is its parent's

@@ -448,8 +448,9 @@ class Remainder:
     would build. ``descend`` walks the view itself, with the input's node
     ids, through the live children: untaken ones with a live vertex in
     their bag or local set, whose sizes are kept current. A cut changes the
-    local sets of t and its ancestors only, and drops their entries from
-    ``cache``, where a caller may keep per-node values.
+    local sets of t and its ancestors only, and drops their entries and
+    those of the nodes it takes from ``cache``, where a caller may keep
+    per-node values; so ``cache`` holds values of untaken nodes only.
     """
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
@@ -474,6 +475,7 @@ class Remainder:
             for v in bag:
                 self.occurs[v].append(t)
         self.cache: dict[int, object] = {}
+        self.cut_at: set[int] = set()  # the nodes cut so far; the nodes below them are taken
 
     children = property(lambda self: self)  # the view, stored nowhere, so no cycle
 
@@ -509,11 +511,13 @@ class Remainder:
             at_top = bag.count(top)
         self.top, self.at_top = top, at_top
         taken.discard(t)
-        stack = [t]
+        stack = [] if t in self.cut_at else [t]  # an earlier cut took t's subtree and its entries
+        self.cut_at.add(t)
         while stack:
             for c in self.ntd.children[stack.pop()]:
-                if c not in taken:
-                    taken.add(c)
+                taken.add(c)
+                self.cache.pop(c, None)
+                if c not in self.cut_at:
                     stack.append(c)
         while t is not None:  # t's and its ancestors' local sets lose removed less their bags
             self.live_local[t] -= len(removed) - len(removed & self.ntd.bags[t])

@@ -9,7 +9,10 @@ must still match the bucket reference in ``helpers``. Every built-in
 friendly problem's ``phi_range`` must bracket its phi on any live local set
 of a ``Remainder``, before and after cuts, at the view's width. The phi of
 each built-in maximization problem must be additive over two vertex sets
-with no edge between them, as the friendly engine's join split relies on.
+with no edge between them, as the friendly engine's split search relies on:
+its one walk below a node (``friendly._additive_phi``) must give every live
+node the answer a fresh phi gives on its live local set, and leave in the
+view's cache only untaken nodes with such answers.
 """
 
 import random
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atk.approx import _min_degree_order, degeneracy_is, eds_2approx, vc_2approx
-from atk.friendly import builtin_instances
+from atk.friendly import _additive_phi, builtin_instances
 from atk.generate import gen_partial_ktree
 from atk.treedecomp import Remainder, make_nice
 from helpers import gnp_graph, reference_degeneracy_order
@@ -121,3 +124,42 @@ def test_phi_range_brackets_phi_on_every_live_local_set(name, k, extra, p, seed,
             t = rng.choice(nodes)
             bag = rest.ntd.bags[t] & rest.live if rng.random() < 0.5 else set()
             rest.cut(t, rest.local(t) | bag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["is", "hpack:k2", "hpack:k3", "hpack:p3"]),
+    st.integers(1, 3),
+    st.integers(0, 56),
+    st.floats(0.3, 1.0),
+    st.integers(0, 10_000),
+    st.integers(0, 4),
+)
+def test_additive_phi_of_every_live_node_is_a_fresh_phi(name, k, extra, p, seed, cuts):
+    problem = builtin_instances()[name]
+    if name in ("hpack:k3", "hpack:p3"):  # their phi tries every triple of the set
+        extra //= 2
+    g, td = gen_partial_ktree(k + 1 + extra, k, p, seed)
+    rest = Remainder(g, make_nice(g, td))
+    rng = random.Random(seed)
+    fresh = {}  # a fresh phi per vertex set
+
+    def phi(within):
+        key = frozenset(within)
+        if key not in fresh:
+            fresh[key] = problem.phi_approx(g, within)
+        return fresh[key]
+
+    for round_ in range(cuts + 1):
+        nodes = _view_nodes(rest)
+        for t in rng.sample(nodes, len(nodes)):  # any order, over what earlier walks and cuts cached
+            assert _additive_phi(rest, problem, t) == phi(rest.local(t)), t
+        for s, (sol, complete) in rest.cache.items():
+            assert s not in rest.taken and complete, s
+            assert sol == phi(rest.local(s)), s
+        if round_ < cuts:  # a friendly cut: V_t leaves with t's live bag
+            t = rng.choice(nodes)
+            v_t = rest.local(t) | (rest.ntd.bags[t] & rest.live)
+            if rng.random() < 0.5:  # as a query does, whose restrict takes t's subtree first
+                rest.ntd.restrict([frozenset(v_t)], t, rest.taken)
+            rest.cut(t, v_t)
