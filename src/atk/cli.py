@@ -36,7 +36,7 @@ from .oracles import (
     trianglefree_ecc_oracle,
 )
 from .pace import ParseError, parse_gr, parse_td, write_gr, write_td
-from .problems import KINDS, ProblemKind
+from .problems import ECC, KINDS
 from .treedecomp import (
     TreeDecomposition,
     heuristic_td,
@@ -54,15 +54,6 @@ DIRECT_ENGINES = {
 }
 
 
-def _kind_by_name(name: str) -> ProblemKind:
-    if name in KINDS:
-        return KINDS[name]
-    reg = builtin_instances()
-    if name in reg:
-        return reg[name].kind
-    raise ValueError(f"unknown problem {name!r}")
-
-
 def build_oracle(name: str, problem: str) -> Oracle:
     if name == "exact-bf":
         return exact_brute_oracle()
@@ -72,21 +63,22 @@ def build_oracle(name: str, problem: str) -> Oracle:
         return trianglefree_ecc_oracle()
     if name.startswith("lossy:"):
         c = float(name.split(":", 1)[1])
-        inner = exact_dp_oracle() if problem in ("vc", "is") else exact_brute_oracle()
-        return lossy_wrap(inner, c)
+        dp = problem in KINDS and KINDS[problem].record.exact_dp
+        return lossy_wrap(exact_dp_oracle() if dp else exact_brute_oracle(), c)
     raise ValueError(f"unknown oracle {name!r} (exact-bf | exact-dp | exact-tf-ecc | lossy:<c>)")
 
 
 def compute_opt(problem: str, g: Graph, td: TreeDecomposition) -> float | None:
-    """Exact optimum when within reach: treewidth DP for vc/is, the
-    triangle-free identity OPT_ECC = |E| where it applies, exhaustive
-    search under its caps otherwise."""
-    if problem in ("vc", "is"):
-        return td_dp_solve(_kind_by_name(problem), g, make_nice(g, td)).value
-    if problem == "ecc" and not any(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()):
+    """Exact optimum when within reach: treewidth DP where it answers the
+    problem, the triangle-free identity OPT_ECC = |E| where it applies,
+    exhaustive search under its caps otherwise."""
+    kind = KINDS[problem]
+    if kind.record.exact_dp:
+        return td_dp_solve(kind, g, make_nice(g, td)).value
+    if kind == ECC and not any(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()):
         return g.m
     try:
-        sol = brute_force_solve(_kind_by_name(problem), g)
+        sol = brute_force_solve(kind, g)
     except OracleRefused:
         return None
     return None if sol.infeasible else sol.value

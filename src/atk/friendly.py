@@ -41,10 +41,10 @@ from .problems import (
     EDS,
     FVS,
     IS,
+    KINDS,
     VC,
     ProblemKind,
     Solution,
-    h_packing,
     is_minimization,
 )
 from .treedecomp import Remainder, TreeDecomposition, descend
@@ -79,9 +79,9 @@ class FriendlyProblem:
     extend: Callable[[Graph, frozenset, Solution], Solution]
 
     def restrict_payload(self, payload: frozenset, keep: frozenset[int]) -> frozenset:
-        if self.kind.name in ("vc", "is", "fvs"):
-            return frozenset(v for v in payload if v in keep)
-        return frozenset(c for c in payload if c <= keep)
+        if self.kind.record.family:
+            return frozenset(c for c in payload if c <= keep)
+        return frozenset(v for v in payload if v in keep)
 
     def split(self, sol: Solution, keep1, keep2) -> tuple[Solution, Solution]:
         """The parts of ``sol`` within the vertex sets ``keep1`` and ``keep2``."""
@@ -128,9 +128,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
     The kernel slots of vc, is and cc are real reductions; H-packing, fvs
     and eds have no kernel here and query their pieces directly.
     """
-    k2 = Graph([0, 1], [(0, 1)])
-    k3 = Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
-    p3 = Graph([0, 1, 2], [(0, 1), (1, 2)])
     reg = {
         "vc": FriendlyProblem(
             name="vc",
@@ -183,15 +180,15 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             extend=_extend_incident_edges,
         ),
     }
-    for label, pattern in (("k2", k2), ("k3", k3), ("p3", p3)):
-        kind = h_packing(pattern)
-        reg[f"hpack:{label}"] = FriendlyProblem(
-            name=f"hpack:{label}",
+    for name in ("hpack:k2", "hpack:k3", "hpack:p3"):
+        kind = KINDS[name]
+        reg[name] = FriendlyProblem(
+            name=name,
             kind=kind,
             f=lambda x: x,
-            phi=(lambda n_h: lambda s, l: n_h * s)(pattern.n),
-            phi_approx=_on_piece((lambda pat: lambda g: maximal_h_packing(g, pat))(pattern)),
-            phi_range=(lambda n_h: lambda s, w: (0, s // n_h))(pattern.n),
+            phi=(lambda n_h: lambda s, l: n_h * s)(kind.pattern.n),
+            phi_approx=_on_piece((lambda pat: lambda g: maximal_h_packing(g, pat))(kind.pattern)),
+            phi_range=(lambda n_h: lambda s, w: (0, s // n_h))(kind.pattern.n),
             psaks=None,
             extend=_extend_identity,
         )

@@ -38,7 +38,7 @@ from .approx import (
 )
 from .errors import InternalInvariantViolation, OracleRefused
 from .graph import Graph, _components
-from .oracles import Oracle, _canon, audited
+from .oracles import Oracle, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
     FORGET,
@@ -85,14 +85,14 @@ class RunReport:
     flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        payload = sorted(self.solution.payload, key=_canon)
         return {
             "problem": self.problem,
             "epsilon": self.epsilon,
             "threshold_scale": self.threshold_scale,
             "width": self.width,
             "value": self.solution.value,
-            "solution": [sorted(x) if isinstance(x, frozenset) else x for x in payload],
+            "solution": sorted(sorted(x) if isinstance(x, frozenset) else x
+                               for x in self.solution.payload),
             "recursion_depth": self.recursion_depth,
             "oracle_calls": self.oracle_calls,
             "max_query_vertices": self.max_query_vertices,

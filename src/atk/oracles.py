@@ -18,12 +18,7 @@ from typing import Callable
 
 from .errors import OracleRefused
 from .graph import Graph
-from .problems import (
-    ProblemKind,
-    Solution,
-    contains_pattern,
-    is_minimization,
-)
+from .problems import ECC, ProblemKind, Solution, contains_pattern
 from .treedecomp import (
     FORGET,
     INTRODUCE,
@@ -300,11 +295,18 @@ def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
-def _min_clique_family(items: list, covers: dict, fallback: frozenset) -> frozenset:
-    """The fewest cliques of ``covers`` (clique -> the items it covers, in
-    branch order) that cover every item, or ``fallback`` where none is
-    smaller: depth first, each branch adding a clique that covers the first
+def _min_clique_cover(g: Graph, of_edges: bool) -> Solution:
+    """The fewest maximal cliques that cover every edge (``of_edges``) or
+    every vertex, or each edge or vertex as its own clique where none are
+    fewer: depth first, each branch adding a clique that covers the first
     uncovered item."""
+    if of_edges:
+        items = [frozenset(e) for e in g.edges()]
+        covers = {c: frozenset(map(frozenset, combinations(sorted(c), 2)))
+                  for c in _maximal_cliques(g) if len(c) >= 2}  # clique -> the items it covers
+    else:
+        items, covers = g.vertices, {c: c for c in _maximal_cliques(g)}
+    fallback = frozenset(x if of_edges else frozenset([x]) for x in items)
     best: list = [fallback, len(fallback)]
     stack: list[tuple[frozenset, tuple]] = [(frozenset(), ())]
     while stack:  # depth first, the next branch on top
@@ -317,7 +319,7 @@ def _min_clique_family(items: list, covers: dict, fallback: frozenset) -> frozen
             continue
         stack.extend((covered | got, chosen + (c,))
                      for c, got in reversed(covers.items()) if target in got)
-    return best[0]
+    return Solution.of_family(best[0])
 
 
 def _max_etp(g: Graph) -> frozenset[frozenset[int]]:
@@ -376,43 +378,32 @@ def _max_hpacking(g: Graph, pattern: Graph) -> frozenset[frozenset[int]]:
     return best[0]
 
 
+# Kind name -> (its exhaustive search, whether its cap counts edges): the one place a name picks.
+SEARCHES: dict[str, tuple[Callable[[ProblemKind, Graph], Solution], bool]] = {
+    "vc": (lambda kind, g: Solution.of_vertices(g.vertex_set - _max_independent_set(g)), False),
+    "is": (lambda kind, g: Solution.of_vertices(_max_independent_set(g)), False),
+    "cvc": (lambda kind, g: _min_connected_vertex_cover(g), False),
+    "fvs": (lambda kind, g: Solution.of_vertices(_min_fvs(g)), False),
+    "eds": (lambda kind, g: Solution.of_family(_min_eds(g)), False),
+    "ecc": (lambda kind, g: _min_clique_cover(g, True), True),
+    "cc": (lambda kind, g: _min_clique_cover(g, False), False),
+    "etp": (lambda kind, g: Solution.of_family(_max_etp(g)), True),
+    "hpack": (lambda kind, g: Solution.of_family(_max_hpacking(g, kind.pattern)), False),
+}
+
+
 def brute_force_solve(kind: ProblemKind, g: Graph) -> Solution:
     """Exact optimum by exhaustive search, refusing over-cap instances.
 
     A refusal signals that the calling Turing kernel violated its own size
-    discipline. ETP and ECC instances are capped by edge count instead of
-    vertex count.
+    discipline.
     """
-    name = kind.name
-    if name in ("etp", "ecc"):
-        if g.m > BRUTE_EDGE_CAP:
-            raise OracleRefused(f"{name} query with {g.m} edges exceeds cap {BRUTE_EDGE_CAP}")
-    elif g.n > BRUTE_VERTEX_CAP:
-        raise OracleRefused(f"{name} query with {g.n} vertices exceeds cap {BRUTE_VERTEX_CAP}")
-    if name == "vc":
-        return Solution.of_vertices(g.vertex_set - _max_independent_set(g))
-    if name == "is":
-        return Solution.of_vertices(_max_independent_set(g))
-    if name == "cvc":
-        return _min_connected_vertex_cover(g)
-    if name == "fvs":
-        return Solution.of_vertices(_min_fvs(g))
-    if name == "eds":
-        return Solution.of_family(_min_eds(g))
-    if name == "ecc":  # cliques covering edges; at worst every edge is one
-        edges = [frozenset(e) for e in g.edges()]
-        covers = {c: frozenset(map(frozenset, combinations(sorted(c), 2)))
-                  for c in _maximal_cliques(g) if len(c) >= 2}
-        return Solution.of_family(_min_clique_family(edges, covers, frozenset(edges)))
-    if name == "cc":  # cliques covering vertices; at worst every vertex is one
-        singletons = frozenset(frozenset([v]) for v in g.vertices)
-        covers = {c: c for c in _maximal_cliques(g)}
-        return Solution.of_family(_min_clique_family(g.vertices, covers, singletons))
-    if name == "etp":
-        return Solution.of_family(_max_etp(g))
-    if name == "hpack":
-        return Solution.of_family(_max_hpacking(g, kind.pattern))
-    raise ValueError(f"unknown problem kind {name}")
+    search, by_edges = SEARCHES[kind.name]
+    size, unit, cap = (g.m, "edges", BRUTE_EDGE_CAP) if by_edges else (
+        g.n, "vertices", BRUTE_VERTEX_CAP)
+    if size > cap:
+        raise OracleRefused(f"{kind.name} query with {size} {unit} exceeds cap {cap}")
+    return search(kind, g)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +417,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     Runtime is exponential only in the decomposition width, which makes
     exact optima reachable at full-scale thresholds in tests.
     """
-    if kind.name not in ("vc", "is"):
+    if not kind.record.exact_dp:
         raise ValueError("treewidth DP supports vc and is only")
     order, bad = ntd.checked_postorder()
     if bad:
@@ -434,8 +425,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     report = validate(g, ntd)
     if not report.valid:
         raise ValueError("invalid tree decomposition: " + "; ".join(report.violations()))
-    maximize = kind.name == "is"
-    better = max if maximize else min
+    maximize = not kind.record.minimize
     tables: list[dict[frozenset[int], int]] = [dict() for _ in range(ntd.n_nodes)]
     forget_choice: list[dict[frozenset[int], frozenset[int]]] = [dict() for _ in range(ntd.n_nodes)]
     for t in order:
@@ -464,7 +454,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
             for mask, val in tables[c].items():
                 key = mask - {v}
                 cur = tab.get(key)
-                if cur is None or (better(cur, val) == val and cur != val):
+                if cur is None or (val > cur if maximize else val < cur):
                     tab[key] = val
                     choice[key] = mask
             tables[t] = tab
@@ -513,9 +503,9 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
 def lossy_wrap(inner: Oracle, target_c: float) -> Oracle:
     """Degrade an oracle to ratio ``target_c`` while staying feasible.
 
-    Minimization solutions are padded with feasibility-preserving extras up
-    to floor(target_c * value); maximization solutions are truncated to
-    ceil(value / target_c).
+    Minimization solutions are padded up to floor(target_c * value), each
+    time with the first extra of the kind's record that they lack;
+    maximization solutions are truncated to ceil(value / target_c).
     """
     if not math.isfinite(target_c):
         raise ValueError("target ratio must be finite")
@@ -528,40 +518,20 @@ def lossy_wrap(inner: Oracle, target_c: float) -> Oracle:
         sol = inner.solve(kind, g, td)
         if sol.infeasible:
             return sol
-        if is_minimization(kind):
-            return _pad_min(kind, g, sol, target_c)
-        target = math.ceil(sol.value / target_c)
-        kept = sorted(sol.payload, key=_canon)[:target]
-        return Solution(frozenset(kept), len(kept))
+        record = kind.record
+        if not record.minimize:
+            kept = sorted(sol.payload, key=sorted if record.family else None)
+            kept = kept[:math.ceil(sol.value / target_c)]
+            return Solution(frozenset(kept), len(kept))
+        payload = set(sol.payload)
+        while len(payload) + 1 <= target_c * sol.value:  # no floor(): c * value may be inf
+            extra = next((x for x in record.pad(g, payload) if x not in payload), None)
+            if extra is None:
+                break
+            payload.add(extra)
+        return Solution(frozenset(payload), len(payload))
 
     return Oracle(f"lossy({target_c}, {inner.name})", target_c, inner.size_cap, fn)
-
-
-def _canon(item):
-    if isinstance(item, frozenset):
-        return tuple(sorted(item))
-    return (item,)
-
-
-def _pad_min(kind: ProblemKind, g: Graph, sol: Solution, c: float) -> Solution:
-    """``sol`` with extras that keep it feasible (the first vertex, edge or
-    singleton clique not in it; for cvc one next to it) while within ratio c."""
-    payload = set(sol.payload)
-    name = kind.name
-    while len(payload) + 1 <= c * sol.value:  # no floor(): c * value may be inf
-        if name == "eds":
-            extras = map(frozenset, g.edges())
-        elif name in ("ecc", "cc"):
-            extras = (frozenset([v]) for v in g.vertices)
-        elif name == "cvc":
-            extras = (v for v in g.vertices if not payload or g.neighbors(v) & payload)
-        else:
-            extras = g.vertices if name in ("vc", "fvs") else ()
-        extra = next((x for x in extras if x not in payload), None)
-        if extra is None:
-            break
-        payload.add(extra)
-    return Solution(frozenset(payload), len(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +545,7 @@ def exact_brute_oracle() -> Oracle:
 
 def exact_dp_oracle() -> Oracle:
     def fn(kind, g, td):
-        if kind.name not in ("vc", "is"):  # refuse before building a decomposition
+        if not kind.record.exact_dp:  # refuse before building a decomposition
             raise ValueError("exact-dp supports vc and is only")
         return td_dp_solve(kind, g, td if td is not None else make_nice(g, heuristic_td(g)))
 
@@ -586,7 +556,7 @@ def trianglefree_ecc_oracle() -> Oracle:
     """Exact ECC for triangle-free graphs: every edge is its own clique."""
 
     def fn(kind, g, td):
-        if kind.name != "ecc":
+        if kind != ECC:
             raise ValueError("this oracle answers ecc only")
         for u, v in g.edges():
             if g.neighbors(u) & g.neighbors(v):

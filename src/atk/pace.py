@@ -74,7 +74,7 @@ def write_gr(g: Graph) -> str:
 def parse_td(text: str) -> TreeDecomposition:
     num_bags = None
     bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], None] = {}  # a dict keeps the file's order
     declared_n = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -121,7 +121,11 @@ def parse_td(text: str) -> TreeDecomposition:
             raise ParseError(lineno, "non-integer tree edge") from None
         if not (1 <= a <= num_bags and 1 <= b <= num_bags):
             raise ParseError(lineno, f"tree edge endpoint outside 1..{num_bags}")
-        edges.append((a, b))
+        if a == b:
+            raise ParseError(lineno, f"bad tree edge ({a}, {b})")
+        if (a, b) in edges or (b, a) in edges:
+            raise ParseError(lineno, f"duplicate tree edge ({a}, {b})")
+        edges[a, b] = None
     if num_bags is None:
         raise ParseError(0, "missing header")
     if len(edges) != num_bags - 1:  # before the header's count sizes anything

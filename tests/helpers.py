@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
+
 from atk.errors import InternalInvariantViolation
 from atk.graph import Graph, _reach
 from atk.approx import greedy_matching, greedy_triangle_packing
@@ -358,6 +361,63 @@ def reference_is_feasible(g: Graph, payload) -> bool:
     if not all(isinstance(v, int) and g.has_vertex(v) for v in payload):
         return False
     return not any(u in payload and v in payload for u, v in g.edges())
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices)
+    out.add_edges_from(g.edges())
+    return out
+
+
+def reference_cvc_feasible(g: Graph, payload) -> bool:
+    """A vertex cover whose induced graph networkx finds connected, kept as
+    the reference for ``is_feasible``."""
+    if not reference_vc_feasible(g, payload):
+        return False
+    return not payload or nx.is_connected(to_networkx(g).subgraph(payload))
+
+
+def reference_fvs_feasible(g: Graph, payload) -> bool:
+    """Vertices of g whose removal leaves what networkx calls a forest, kept
+    as the reference for ``is_feasible``."""
+    if not all(isinstance(v, int) and g.has_vertex(v) for v in payload):
+        return False
+    rest = to_networkx(g)
+    rest.remove_nodes_from(payload)
+    return rest.number_of_nodes() == 0 or nx.is_forest(rest)  # networkx has no empty forest
+
+
+def reference_eds_feasible(g: Graph, payload) -> bool:
+    """Edges of g, every edge of g touching one of them, checked on the
+    networkx graph, kept as the reference for ``is_feasible``."""
+    nxg = to_networkx(g)
+    if not all(len(e) == 2 and nxg.has_edge(*e) for e in payload):
+        return False
+    return all(any(u in e or v in e for e in payload) for u, v in nxg.edges())
+
+
+def reference_etp_feasible(g: Graph, payload) -> bool:
+    """Triangles of g, no two with two vertices (an edge) in common, kept as
+    the reference for ``is_feasible``."""
+    nxg = to_networkx(g)
+    if not all(len(t) == 3 and all(nxg.has_edge(a, b) for a, b in combinations(t, 2))
+               for t in payload):
+        return False
+    return all(len(s & t) <= 1 for s, t in combinations(payload, 2))
+
+
+def reference_hpack_feasible(g: Graph, payload, pattern: Graph) -> bool:
+    """Pairwise disjoint vertex sets of g, each inducing a graph that has
+    ``pattern`` as a subgraph by networkx's ``subgraph_is_monomorphic``,
+    kept as the reference for ``is_feasible``."""
+    nxg, nxh = to_networkx(g), to_networkx(pattern)
+    for copy in payload:
+        if len(copy) != pattern.n or not all(v in nxg for v in copy):
+            return False
+        if not GraphMatcher(nxg.subgraph(copy), nxh).subgraph_is_monomorphic():
+            return False
+    return all(not (s & t) for s, t in combinations(payload, 2))
 
 
 def subtree_nodes(ntd, t: int) -> list[int]:

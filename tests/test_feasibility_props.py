@@ -5,19 +5,29 @@ neighbourhoods, and ecc's coverage as N(v) within the union of the cliques
 holding v; it must give the verdict of the pair-by-pair references in
 ``helpers`` on intact covers and on corrupted ones. For vc and is it works on
 neighbourhood sets; it must give the verdict of the edge-by-edge references
-in ``helpers`` on feasible payloads, on corrupted ones and on random ones.
+in ``helpers`` on feasible payloads, on corrupted ones and on random ones, and
+so must cvc and fvs against references built on networkx. eds, etp and the
+H-packings are checked against networkx references on greedy families and
+corrupted ones.
 """
 
 import random
+from functools import partial
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atk.problems import CLIQUE_COVER, ECC, IS, VC, Solution, is_feasible
+from atk.problems import CLIQUE_COVER, CVC, ECC, FVS, IS, KINDS, VC, Solution, is_feasible
 from helpers import (
     gnp_graph,
     reference_cc_feasible,
+    reference_cvc_feasible,
     reference_ecc_feasible,
+    reference_eds_feasible,
+    reference_etp_feasible,
+    reference_fvs_feasible,
+    reference_hpack_feasible,
     reference_is_feasible,
     reference_vc_feasible,
 )
@@ -112,3 +122,56 @@ def test_vc_and_is_feasibility_match_reference(n, p, seed, start, corruptions):
     sol = Solution(payload, len(payload))
     assert is_feasible(VC, g, sol) == reference_vc_feasible(g, payload)
     assert is_feasible(IS, g, sol) == reference_is_feasible(g, payload)
+    assert is_feasible(CVC, g, sol) == reference_cvc_feasible(g, payload)
+    assert is_feasible(FVS, g, sol) == reference_fvs_feasible(g, payload)
+
+
+FAMILY_KINDS = ("eds", "etp", "hpack:k2", "hpack:k3", "hpack:p3")
+FAMILY_CORRUPTIONS = (None, "drop", "random-member", "foreign-vertex", "empty-member")
+
+
+def _greedy_family(g, size, fits, rng):
+    """Members of ``size`` vertices that ``fits(member, family)`` accepts,
+    tried over every vertex set of that size in a random order."""
+    members = [frozenset(c) for c in combinations(g.vertices, size)]
+    rng.shuffle(members)
+    family = set()
+    for member in members:
+        if fits(member, family):
+            family.add(member)
+    return family
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    name=st.sampled_from(FAMILY_KINDS),
+    corruptions=st.lists(st.sampled_from(FAMILY_CORRUPTIONS), max_size=3),
+)
+def test_family_feasibility_matches_reference(n, p, seed, name, corruptions):
+    """eds, etp and the H-packings: a greedy packing or edge cover, then corrupted."""
+    rng = random.Random(seed)
+    g = gnp_graph(rng, n, p)
+    kind = KINDS[name]
+    if name == "eds":
+        size, reference = 2, reference_eds_feasible
+        family = {frozenset(e) for e in g.edges() if rng.random() < 0.5}
+    else:
+        if name == "etp":
+            size, reference = 3, reference_etp_feasible
+        else:
+            size, reference = kind.pattern.n, partial(reference_hpack_feasible, pattern=kind.pattern)
+        family = _greedy_family(g, size, lambda c, fam: reference(g, fam | {c}), rng)
+    for corruption in corruptions:
+        if corruption == "drop" and family:
+            family.discard(rng.choice(sorted(family, key=sorted)))
+        elif corruption == "random-member" and g.n >= size:
+            family.add(frozenset(rng.sample(g.vertices, size)))
+        elif corruption == "foreign-vertex":
+            family.add(frozenset(rng.sample(g.vertices, min(size - 1, g.n))) | {n + 1})
+        elif corruption == "empty-member":
+            family.add(frozenset())
+    payload = frozenset(family)
+    assert is_feasible(kind, g, Solution(payload, len(payload))) == reference(g, payload)

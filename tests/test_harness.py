@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -10,9 +11,10 @@ from atk.cli import main, run_one
 from atk.errors import InternalInvariantViolation, OracleRefused
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
-from atk.oracles import Oracle
 from atk.pace import ParseError, parse_gr, parse_td, write_gr, write_td
-from atk.problems import Solution
+from atk.friendly import builtin_instances
+from atk.oracles import SEARCHES, Oracle
+from atk.problems import KINDS, RECORDS, Solution
 from atk.treedecomp import TreeDecomposition, validate
 from helpers import complete_graph, path_graph, reference_subtree_vertices
 
@@ -83,14 +85,20 @@ def test_parse_td_two_bags():
 
 
 def test_parse_td_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 5: duplicate tree edge"):
         parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n2 1\n")  # cyclic
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 6: duplicate tree edge"):
+        parse_td("s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 3\n1 2\n1 2\n")  # the same edge twice
+    with pytest.raises(ParseError, match=r"line 4: bad tree edge \(1, 1\)"):
+        parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 1\n")  # a loop
+    with pytest.raises(ParseError, match="line 2"):
         parse_td("s td 2 2 3\nb 3 1\n1 2\n")  # bag index out of range
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 1"):
         parse_td("b 1 1\n")  # content before header
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 0: 3 bags need 2 tree edges"):
         parse_td("s td 3 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")  # forest, not a tree
+    with pytest.raises(ParseError, match="line 0: tree edges do not form a tree"):
+        parse_td("s td 4 2 3\nb 1 1\nb 2 2\nb 3 3\nb 4 3\n1 2\n2 3\n1 3\n")  # cycle, bag 4 apart
     # a header's bag count sizes nothing until the edge lines can form a tree of that many bags
     with pytest.raises(ParseError, match="1000000000 bags need 999999999 tree edges, found 0"):
         parse_td("s td 1000000000 1 1\nb 1 1\n")
@@ -459,3 +467,43 @@ def test_readme_flag_table_lists_exactly_the_raised_flags():
     documented = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE)
     assert len(documented) == len(set(documented))
     assert set(documented) == raised
+
+
+# ---------------------------------------------------------------------------
+# Problem records
+# ---------------------------------------------------------------------------
+
+PROBLEM_NAMES = {"vc", "is", "ecc", "etp", "cvc", "fvs", "eds", "cc", "hpack"}
+NAME_TABLES = {"problems.py": "RECORDS", "oracles.py": "SEARCHES"}
+
+
+def _names_in(node) -> bool:
+    """Whether ``node`` is a problem-name string, or a literal collection holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_names_in, node.elts))
+    return isinstance(node, ast.Constant) and node.value in PROBLEM_NAMES
+
+
+def test_no_problem_name_is_tested_outside_the_record_tables():
+    """What sets a problem apart is read from its record (``problems.RECORDS``)
+    or, for its exhaustive search, from ``oracles.SEARCHES``: no comparison
+    anywhere else in the package holds a problem's name."""
+    tests = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "atk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and NAME_TABLES.get(path.name) in {t.id for t in (
+                      node.targets if isinstance(node, ast.Assign) else [node.target])
+                      if isinstance(t, ast.Name)}]
+        tests += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(_names_in, [node.left, *node.comparators]))
+                  and not any(node.lineno in lines for lines in exempt)]
+    assert tests == []
+
+
+def test_every_problem_record_has_one_exhaustive_search():
+    assert set(SEARCHES) == set(RECORDS)
+    assert {kind.record for kind in KINDS.values()} <= set(RECORDS.values())
+    assert all(problem.kind == KINDS[name] for name, problem in builtin_instances().items())

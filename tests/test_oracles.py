@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import chain, combinations
 
@@ -11,6 +12,7 @@ from atk.graph import Graph
 from atk.oracles import (
     BRUTE_EDGE_CAP,
     BRUTE_VERTEX_CAP,
+    Oracle,
     audited,
     brute_force_solve,
     exact_brute_oracle,
@@ -28,8 +30,10 @@ from atk.problems import (
     FVS,
     IS,
     VC,
+    Solution,
     h_packing,
     is_feasible,
+    is_minimization,
 )
 from atk.treedecomp import heuristic_td, make_nice
 from helpers import (
@@ -219,7 +223,9 @@ def test_lossy_is_truncation():
 
 def test_lossy_ratio_contract_random():
     rng = random.Random(3)
-    kinds = (VC, IS, FVS, EDS, ETP, ECC, CLIQUE_COVER)
+    packings = [h_packing(pattern) for pattern in (
+        complete_graph(2, start=0), complete_graph(3, start=0), path_graph(3, start=0))]
+    kinds = [VC, IS, CVC, FVS, EDS, ETP, ECC, CLIQUE_COVER, *packings]
     for _ in range(40):
         g = gnp_graph(rng, rng.randint(1, 9), 0.35)
         c = rng.choice([1.3, 1.5, 2.0])
@@ -227,11 +233,22 @@ def test_lossy_ratio_contract_random():
         for kind in kinds:
             opt = brute_force_solve(kind, g).value
             sol = lossy.solve(kind, g)
+            if opt == math.inf:  # cvc on a disconnected graph: no answer to pad
+                assert sol.infeasible
+                continue
             assert is_feasible(kind, g, sol) or (opt == 0 and sol.value == 0)
-            if kind.name in ("vc", "fvs", "eds", "ecc", "cc"):
+            if is_minimization(kind):
                 assert sol.value <= c * opt
             else:
                 assert sol.value * c >= opt
+
+
+def test_lossy_cvc_pads_next_to_the_cover():
+    # vertex 1 is isolated: the first vertex outside the cover {3} is not next to it
+    g = Graph([1, 2, 3, 4], [(2, 3), (3, 4)])
+    inner = Oracle("stub", 1.0, math.inf, lambda kind, g, td: Solution.of_vertices({3}))
+    sol = lossy_wrap(inner, 2.0).solve(CVC, g)
+    assert sol.payload == {2, 3} and is_feasible(CVC, g, sol)
 
 
 def test_lossy_rejects_bad_ratio():
