@@ -55,19 +55,17 @@ def greedy_matching(
     return 2 * len(edges), frozenset(matched), edges
 
 
-def vc_2approx(g: Graph, within=None, stop_above: float | None = None) -> Solution:
+def vc_2approx(g: Graph, within=None) -> Solution:
     """Both endpoints of a greedy maximal matching of G[within] (all of g by
-    default): a 2-approximate cover. One found over ``stop_above`` comes
-    back empty, its value only a certificate of excess."""
-    value, cover, _ = greedy_matching(g, within, stop_above)
-    return Solution(frozenset() if cover is None else cover, value)
+    default): a 2-approximate cover."""
+    value, cover, _ = greedy_matching(g, within)
+    return Solution(cover, value)
 
 
-def eds_2approx(g: Graph, within=None, stop_above: float | None = None) -> Solution:
+def eds_2approx(g: Graph, within=None) -> Solution:
     """A maximal matching of G[within], which edge-dominates every edge
-    (ratio 2); ``stop_above`` as for ``vc_2approx``."""
-    value, _, edges = greedy_matching(g, within, None if stop_above is None else 2 * stop_above)
-    return Solution(frozenset(), value // 2) if edges is None else Solution.of_family(edges)
+    (ratio 2)."""
+    return Solution.of_family(greedy_matching(g, within)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +178,9 @@ def _min_degree_order(g: Graph, within=None):
                 heapq.heappush(heap, (deg[w], w))
 
 
-def degeneracy_is(g: Graph, within=None, stop_above: float | None = None) -> Solution:
+def degeneracy_is(g: Graph, within=None) -> Solution:
     """Greedy independent set of G[within] (all of g by default) along a
-    degeneracy order, generated as the picks go: with ``stop_above`` set,
-    the run ends once the set holds more vertices than that.
+    degeneracy order, generated as the picks go.
 
     For degeneracy d the result has at least |V|/(d+1) vertices: each pick
     discards at most d still-available neighbors.
@@ -194,8 +191,6 @@ def degeneracy_is(g: Graph, within=None, stop_above: float | None = None) -> Sol
         if v in removed:
             continue
         picked.append(v)
-        if stop_above is not None and len(picked) > stop_above:
-            break
         removed.add(v)
         removed |= g.neighbors(v)
     return Solution.of_vertices(picked)

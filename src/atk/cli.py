@@ -69,15 +69,15 @@ def build_oracle(name: str, problem: str) -> Oracle:
 
 
 def compute_opt(problem: str, g: Graph, td: TreeDecomposition) -> float | None:
-    """Exact optimum when within reach: treewidth DP where it answers the
-    problem, the triangle-free identity OPT_ECC = |E| where it applies,
-    exhaustive search under its caps otherwise."""
+    """Exact optimum when within reach: treewidth DP under its width cap
+    where it answers the problem, the triangle-free identity OPT_ECC = |E|
+    where it applies, exhaustive search under its caps otherwise."""
     kind = KINDS[problem]
-    if kind.record.exact_dp:
-        return td_dp_solve(kind, g, make_nice(g, td)).value
     if kind == ECC and not any(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()):
         return g.m
     try:
+        if kind.record.exact_dp:
+            return td_dp_solve(kind, g, make_nice(g, td)).value
         sol = brute_force_solve(kind, g)
     except OracleRefused:
         return None
@@ -317,8 +317,13 @@ def _write_csv(rows: list[dict], path: str) -> None:
         fh.write(buf.getvalue())
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, with argparse's exit code 2
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atk",
         description="Approximate Turing kernelization for graph problems "
         "parameterized by treewidth.",

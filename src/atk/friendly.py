@@ -6,8 +6,8 @@ split/merge, a bounded deletion effect f with an extend algorithm, a
 reduce-and-lift kernel with size function h, and a phi-approximation with
 a bracket on its value by graph size and width. Six built-in instances are
 provided; the engine itself is problem-blind, and runs phi only on nodes
-whose live local size leaves the split search undecided (for maximization,
-once per vertex set that no join splits).
+whose live local size leaves the split search undecided, once per vertex
+set that no join splits.
 
 The engine is one step on the engine loop in ``kernels`` that runs the
 whole split chain as a loop over the input's nice decomposition, so the
@@ -54,19 +54,17 @@ from .treedecomp import Remainder, TreeDecomposition, descend
 class FriendlyProblem:
     """A problem descriptor satisfying the four friendliness conditions.
 
-    ``phi_approx(g, within=None, stop_above=None)`` approximates G[within]
-    (all of g by default); with ``stop_above`` set it may stop once its
-    value is over that, the value then only certifying the excess.
-    ``phi_range(size, width)`` is a pair (lo, hi) that brackets what a full
-    ``phi_approx`` run returns on any graph with ``size`` vertices and
+    ``phi_approx(g, within=None)`` approximates G[within] (all of g by
+    default). ``phi_range(size, width)`` is a pair (lo, hi) that brackets
+    what ``phi_approx`` returns on any graph with ``size`` vertices and
     treewidth at most ``width`` (-1 for the empty graph). ``psaks`` is the
     problem's reduce-and-lift kernel, or None where pieces are queried
-    directly. A maximization problem's ``phi_approx`` must be additive over
-    disjoint unions: on two vertex sets with no edge between them, the part
-    of its answer on their union that ``split`` gives each set must have the
-    value of its answer on that set alone. The split search relies on it:
-    it merges a join's phi from the answers on the join's two sides, which
-    no edge joins, and never runs phi on their union.
+    directly. Every problem's ``phi_approx`` must be additive over disjoint
+    unions: on two vertex sets with no edge between them, the part of its
+    answer on their union that ``split`` gives each set must be its answer
+    on that set alone. The split search relies on it: it merges a join's
+    phi from the answers on the join's two sides, which no edge joins, and
+    never runs phi on their union.
     """
 
     name: str
@@ -116,8 +114,8 @@ def _extend_incident_edges(g: Graph, x: frozenset, sol: Solution) -> Solution:
 
 
 def _on_piece(phi_approx: Callable[[Graph], Solution]) -> Callable[..., Solution]:
-    """A phi-approximation run on G[within] itself, never stopping early."""
-    return lambda g, within=None, stop_above=None: phi_approx(
+    """A phi-approximation run on G[within] itself."""
+    return lambda g, within=None: phi_approx(
         g if within is None else g.induced_subgraph(within)
     )
 
@@ -201,21 +199,21 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
 
 
 def _additive_phi(rest: Remainder, problem: FriendlyProblem, t: int) -> Solution:
-    """The full phi of t's live local set for a maximization problem, from
-    one walk below t that runs phi once per vertex set no join splits.
+    """The full phi of t's live local set, from one walk below t that runs
+    phi once per vertex set no join splits.
 
     A node whose one live child has its live local size has that child's
     set and takes its answer; a join of two live children takes the merge
     of theirs, since no edge joins its two sides and phi is additive over
     them; any other node runs phi on its own set. Children are read through
     the view only, as a taken node keeps a stale size. Every node walked is
-    cached in ``rest.cache`` as complete.
+    cached in ``rest.cache``.
     """
     cache, size = rest.cache, rest.live_local
     order, stack = [], [t]
     while stack:  # parents before children
         s = stack.pop()
-        if s in cache:  # only this walk fills the cache of a maximization run
+        if s in cache:  # only this walk fills the cache
             continue
         kids = rest[s]
         if len(kids) == 1 and size[kids[0]] != size[s]:
@@ -224,11 +222,10 @@ def _additive_phi(rest: Remainder, problem: FriendlyProblem, t: int) -> Solution
         stack.extend(kids)
     for s, kids in reversed(order):
         if len(kids) == 2:
-            sol = problem.merge(cache[kids[0]][0], cache[kids[1]][0])
+            cache[s] = problem.merge(cache[kids[0]], cache[kids[1]])
         else:
-            sol = cache[kids[0]][0] if kids else problem.phi_approx(rest.g, rest.local(s))
-        cache[s] = sol, True
-    return cache[t][0]
+            cache[s] = cache[kids[0]] if kids else problem.phi_approx(rest.g, rest.local(s))
+    return cache[t]
 
 
 def find_split_node(
@@ -249,18 +246,16 @@ def find_split_node(
     by the high end: with the built-in brackets it beats any join sibling
     that runs phi, and of two such siblings the larger wins. A join child
     whose high end is below its sibling's low end loses, also without phi.
-    For maximization, every other node gets its full phi from
-    ``_additive_phi``: phi is additive over a join's two sides, so a join's
-    answer is the merge of its children's, and phi runs once per vertex set
-    that no join splits, each answer cached until a cut changes the set.
-    For minimization, only join children whose sizes leave the split
-    undecided are measured in full; other nodes run phi within their live
-    local set and stop once over the threshold. At the root, the remainder
-    is solved outright. For a minimization problem whose t is a join child,
-    the join itself is cut when the full phi of both children is at most
-    phi_k/2. For maximization the descent's choice stands: splitting the
-    join's phi solution between its sides picks the same child. The caller
-    then cuts V_t from ``rest``.
+    Every other node gets its full phi from ``_additive_phi``: phi is
+    additive over a join's two sides, so a join's answer is the merge of its
+    children's, and phi runs once per vertex set that no join splits, each
+    answer cached until a cut changes the set. At the root, the remainder
+    is solved outright. The descent's choice stands. For minimization, a
+    join the walk goes below measures over the threshold, and with the
+    built-in brackets that value is the sum of its children's phi, so the
+    two are never both within half of it and the join is never cut whole.
+    For maximization, splitting the join's phi solution between its sides
+    picks the same child. The caller then cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
@@ -270,37 +265,23 @@ def find_split_node(
     maximize = not is_minimization(problem.kind)
     limit = k if maximize else phi_k
 
-    def phi(t, stop_above):  # cached per node as (solution, not cut short)
-        if maximize:
-            sol = _additive_phi(rest, problem, t)
-            return sol.value, sol
-        hit, p = rest.cache.get(t), ntd.parent[t]
-        if hit is None and p is not None and rest.live_local[p] == rest.live_local[t]:
-            hit = rest.cache.get(p)  # t's live local set is its parent's
-        if hit is None or not (hit[1] or stop_above is not None and hit[0].value > stop_above):
-            sol = problem.phi_approx(g, rest.local(t), stop_above)
-            hit = sol, stop_above is None or sol.value <= stop_above
-        rest.cache[t] = hit
-        return hit[0].value, hit[0]
-
-    def measure(t, stop_above):  # no phi where the live local sizes decide
+    def measure(t):  # no phi where the live local sizes decide
         lo, hi = problem.phi_range(rest.live_local[t], ell)
-        sibs = rest[ntd.parent[t]] if stop_above is None else ()  # t is a join child
+        p = ntd.parent[t]
+        sibs = () if p is None else rest[p]  # t alone unless t is a join child
         loses = any(hi < problem.phi_range(rest.live_local[s], ell)[0] for s in sibs if s != t)
-        return (hi, None) if lo > limit or loses else phi(t, stop_above)
+        if lo > limit or loses:
+            return hi, None
+        sol = _additive_phi(rest, problem, t)
+        return sol.value, sol
 
     t, _, hint = descend(rest, measure, limit)
-    p = ntd.parent[t]  # None: the remainder is solved outright
-    kids = [] if p is None or maximize else rest[p]
-    if len(kids) == 2 and all(phi(c, None)[0] <= phi_k / 2 for c in kids):
-        t = p
-        hint = problem.merge(phi(kids[0], None)[1], phi(kids[1], None)[1])
     local = rest.local(t)
     cut = (t, rest.taken)  # the query's decomposition comes straight from the input's
     sol = _query(problem.kind, g.induced_subgraph(local), ntd, oracle, problem.psaks, budget, cut)
     if not maximize:  # phi's own solution may be the better one
         sol = min(sol, hint, key=lambda s: s.value)
-    return (None if p is None else t), sol, local
+    return (None if t == ntd.root else t), sol, local
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         def chain(cur_g, tree):  # split until what is left falls apart or fits; returns the cuts
             rest, lo, cuts = Remainder(cur_g, tree), max(base(tree.width), 1.0), 0
             while True:
-                t = descend(rest, lambda s, _: (rest.live_local[s], None), 2.0 * lo, lo)[0]
+                t = descend(rest, lambda s: (rest.live_local[s], None), 2.0 * lo, lo)[0]
                 local = rest.local(t)
                 q = cur_g.induced_subgraph(local | (tree.bags[t] & rest.live))
                 parts.append(_query(ECC, q, tree, cfg.oracle, cut=(t, rest.taken)).payload)
@@ -486,7 +486,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     def step(cur_g, ntd, flags):
         rest, parts, live_g = Remainder(cur_g, ntd), [], cur_g
 
-        def measure(t, _stop_above):  # the 3-approximation of t's local packing graph
+        def measure(t):  # the 3-approximation of t's local packing graph
             bag = ntd.bags[t] & rest.live
             gt = cur_g.induced_subgraph(rest.local(t) | bag).delete_edges_within(bag)
             s3 = greedy_triangle_packing(gt)

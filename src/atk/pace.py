@@ -12,6 +12,11 @@ from .graph import Graph
 from .treedecomp import TreeDecomposition
 
 
+# A graph costs about 600 bytes per vertex, isolated or not, so a header over
+# this bound is refused before a 16-byte file can ask for gigabytes.
+MAX_GR_VERTICES = 1_000_000
+
+
 class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
@@ -38,6 +43,8 @@ def parse_gr(text: str) -> Graph:
                 raise ParseError(lineno, "non-integer header fields") from None
             if n < 0 or m < 0:
                 raise ParseError(lineno, "negative header fields")
+            if n > MAX_GR_VERTICES:
+                raise ParseError(lineno, f"{n} vertices exceed the limit {MAX_GR_VERTICES}")
             continue
         if n is None:
             raise ParseError(lineno, "edge line before header")

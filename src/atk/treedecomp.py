@@ -530,26 +530,24 @@ def descend(ntd: NiceTreeDecomposition, measure, limit: float, floor: float = 0.
     ``limit``; every split search is this walk with its own measure.
 
     ``ntd`` needs only a ``root`` and a ``children`` lookup, so the walk can
-    run on a view of a decomposition. ``measure(t, stop_above)`` returns
-    (value, data) for node t. A node the walk reaches gets ``stop_above`` =
-    ``limit``, so the measure may give up once the value is over it, and a
-    one-child node is left for its child unconditionally. The two children
-    of a join are measured in full; the walk follows the larger value, ties
-    to the first child (the lower id in every tree ``make_nice`` and
-    ``restrict`` build), and that value must stay at least ``floor``.
-    Returns (node, value, data).
+    run on a view of a decomposition. ``measure(t)`` returns (value, data)
+    for node t. A one-child node over ``limit`` is left for its child
+    unconditionally. At a join over it both children are measured, and the
+    walk follows the larger value, ties to the first child (the lower id in
+    every tree ``make_nice`` and ``restrict`` build); that value must stay
+    at least ``floor``. Returns (node, value, data).
     """
     t = ntd.root
-    value, data = measure(t, limit)
+    value, data = measure(t)
     while value > limit:
         kids = ntd.children[t]
         if not kids:
             raise InternalInvariantViolation("leaf reached above the window")
         if len(kids) == 1:
             t = kids[0]
-            value, data = measure(t, limit)
+            value, data = measure(t)
             continue
-        (v1, d1), (v2, d2) = measure(kids[0], None), measure(kids[1], None)
+        (v1, d1), (v2, d2) = measure(kids[0]), measure(kids[1])
         t, value, data = (kids[0], v1, d1) if v1 >= v2 else (kids[1], v2, d2)
         if value < floor:
             raise InternalInvariantViolation("join split lost the window (both children too small)")

@@ -454,14 +454,14 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
     """The walk that kept its own local set and rescanned the first child's
     subtree at every join, kept as the reference for ``treedecomp.descend``.
 
-    ``measure(local, bag, stop_above)`` gets the local set V_t \\ X_t and
-    the bag of the node. Returns (node, local, value, data).
+    ``measure(local, bag)`` gets the local set V_t \\ X_t and the bag of
+    the node. Returns (node, local, value, data).
     """
     node, local = ntd.root, set(g.vertex_set)
     pending = None
     while True:
         frozen = frozenset(local)
-        value, data = pending if pending is not None else measure(frozen, ntd.bags[node], limit)
+        value, data = pending if pending is not None else measure(frozen, ntd.bags[node])
         pending = None
         if value <= limit:
             return node, frozen, value, data
@@ -478,8 +478,8 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
             acc |= ntd.bags[s]
         s1 = frozenset(acc - ntd.bags[kids[0]])
         s2 = frozenset(local - s1)
-        m1 = measure(s1, ntd.bags[kids[0]], None)
-        m2 = measure(s2, ntd.bags[kids[1]], None)
+        m1 = measure(s1, ntd.bags[kids[0]])
+        m2 = measure(s2, ntd.bags[kids[1]])
         if (m1[0], -kids[0]) >= (m2[0], -kids[1]):
             pending, node, local = m1, kids[0], set(s1)
         else:
@@ -674,7 +674,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         def phi(t):
             return problem.phi_approx(cur_g.induced_subgraph(idx.local_vertices(t)))
 
-        def measure(t, _stop_above):
+        def measure(t):
             lo, hi = problem.phi_range(idx.local_size[t], ell)
             if lo > limit:
                 return hi, None
@@ -743,7 +743,7 @@ def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
             return _query(ECC, cur_g, ntd, cfg.oracle).payload, (), False
         lo = max(base, 1.0)
         idx = SubtreeIndex(ntd)
-        t = descend(ntd, lambda s, _stop_above: (idx.local_size[s], None), 2.0 * lo, floor=lo)[0]
+        t = descend(ntd, lambda s: (idx.local_size[s], None), 2.0 * lo, floor=lo)[0]
         v_t = idx.v_set(t)
         v_td = reference_restrict(ntd, v_t, t)
         sol_t = _query(ECC, cur_g.induced_subgraph(v_t), v_td, cfg.oracle)
@@ -776,7 +776,7 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
         if s3.value > 18.0 * unit:
             idx = SubtreeIndex(ntd)
 
-            def measure(t, _stop_above):
+            def measure(t):
                 gt = cur_g.induced_subgraph(idx.v_set(t)).delete_edges_within(ntd.bags[t])
                 packing = greedy_triangle_packing(gt)
                 return packing.value, (packing, gt)

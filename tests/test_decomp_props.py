@@ -24,6 +24,7 @@ decomposition of the contracted graph.
 """
 
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -408,21 +409,21 @@ def test_subtree_index_matches_a_fresh_scan_in_any_order(inst, salt):
             assert rest.live_local[t] == len(scan[t][0])
 
 
-def _size(g, local, bag, stop_above):
+def _size(g, local, bag):
     return len(local), None
 
 
-def _vc_cover(g, local, bag, stop_above):
-    value, cover, _ = greedy_matching(g, local, stop_above=stop_above)
+def _vc_cover(g, local, bag):
+    value, cover, _ = greedy_matching(g, local)
     return value, cover
 
 
-def _etp_packing(g, local, bag, stop_above):
+def _etp_packing(g, local, bag):
     s3 = greedy_triangle_packing(g.induced_subgraph(local | bag).delete_edges_within(bag))
     return s3.value, s3.payload
 
 
-def _is_phi(g, local, bag, stop_above):
+def _is_phi(g, local, bag):
     sol = degeneracy_is(g.induced_subgraph(local))
     return sol.value, sol.payload
 
@@ -448,14 +449,11 @@ def test_descend_matches_the_reference_walk(inst, piece_measure, limit_frac, flo
     limit = limit_frac * g.n
     floor = floor_frac * limit
 
-    def by_node(t, stop_above):
-        return piece_measure(g, rest.local(t), ntd.bags[t], stop_above)
-
-    def by_piece(local, bag, stop_above):
-        return piece_measure(g, local, bag, stop_above)
+    def by_node(t):
+        return piece_measure(g, rest.local(t), ntd.bags[t])
 
     new = _walk(lambda: descend(ntd, by_node, limit, floor))
-    ref = _walk(lambda: reference_descend(g, ntd, by_piece, limit, floor))
+    ref = _walk(lambda: reference_descend(g, ntd, partial(piece_measure, g), limit, floor))
     if isinstance(ref, str):
         assert new == ref
     else:

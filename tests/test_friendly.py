@@ -188,9 +188,9 @@ def test_friendly_is_runs_phi_only_in_the_window_band():
     for n in (1000, 2000):
         sizes = []
 
-        def spy(g, within=None, stop_above=None, sizes=sizes):
+        def spy(g, within=None, sizes=sizes):
             sizes.append(g.n if within is None else len(within))
-            return degeneracy_is(g, within, stop_above)
+            return degeneracy_is(g, within)
 
         g, td = gen_partial_ktree(n, 3, 0.9, 7)
         problem = dataclasses.replace(REG["is"], phi_approx=spy)

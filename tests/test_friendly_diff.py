@@ -1,9 +1,8 @@
 """Differential test of the friendly engine against the per-level engine.
 
 The engine runs its whole split chain on a view of the input's nice
-decomposition, with phi cached per node: cut off at the window for a
-minimization problem, merged from a join's two sides for a maximization
-problem. The reference in ``helpers`` rebuilds each level's graph and
+decomposition, with phi cached per node and merged from a join's two
+sides. The reference in ``helpers`` rebuilds each level's graph and
 decomposition and measures phi in full on each node's own set. Both skip
 phi on a node whose local size puts the low end of ``phi_range`` over the
 window, and measure it by the high end. On random partial k-trees
@@ -21,7 +20,9 @@ from atk.friendly import approx_friendly_turing, builtin_instances
 from atk.generate import gen_partial_ktree
 from helpers import reference_friendly_turing
 
-ORACLES = {"is": "exact-dp", "vc": "exact-dp", "cc": "exact-bf", "eds": "exact-bf"}
+ORACLES = {
+    "is": "exact-dp", "vc": "exact-dp", "cc": "exact-bf", "eds": "exact-bf", "fvs": "exact-bf",
+}
 H_PACKING = ["hpack:k2", "hpack:k3", "hpack:p3"]  # exact-bf, on their own grid
 
 

@@ -511,7 +511,7 @@ def test_separator_soundness_at_split():
             gone |= local | separator
         ntd = make_nice(g, td)
         rest = Remainder(g, ntd)
-        t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), 11, floor=5)[0]
+        t = descend(rest, lambda s: (rest.live_local[s], None), 11, floor=5)[0]
         local2 = rest.local(t)
         bag2 = ntd.bags[t]
         outside2 = g.vertex_set - local2 - bag2

@@ -139,7 +139,7 @@ def test_separator_property_of_subtrees():
 def _find_by_local_size(g, lo, hi, td=None):
     """The node ``descend`` stops at on a fresh view, measured by local size."""
     rest = Remainder(g, make_nice(g, heuristic_td(g) if td is None else td))
-    t = descend(rest, lambda s, _stop_above: (rest.live_local[s], None), hi, floor=lo)[0]
+    t = descend(rest, lambda s: (rest.live_local[s], None), hi, floor=lo)[0]
     return rest, t
 
 
