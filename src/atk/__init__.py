@@ -36,20 +36,7 @@ from .oracles import (
     td_dp_solve,
     trianglefree_ecc_oracle,
 )
-from .approx import (
-    ApproximateKernel,
-    clique_cover_trivial,
-    connectify_vertex_cover,
-    cvc_2approx,
-    degeneracy_is,
-    eds_2approx,
-    fvs_2approx,
-    greedy_triangle_packing,
-    maximal_h_packing,
-    nt_reduce,
-    vc_2approx,
-    vc_nt_kernel,
-)
+from .approx import ApproximateKernel
 from .kernels import (
     KernelConfig,
     RunReport,

@@ -1,13 +1,13 @@
 """The friendly-problem meta-framework.
 
 A friendly problem bundles the four ingredients that make the generic
-separator-splitting Turing kernel work: disjoint-union additivity with
-split/merge, a bounded deletion effect f with an extend algorithm, a
-reduce-and-lift kernel with size function h, and a phi-approximation with
-a bracket on its value by graph size and width. Six built-in instances are
-provided; the engine itself is problem-blind, and runs phi only on nodes
-whose live local size leaves the split search undecided, once per vertex
-set that no join splits.
+separator-splitting Turing kernel work: additivity over disjoint unions,
+a bounded deletion effect f with an extend algorithm, a reduce-and-lift
+kernel with size function h, and a phi-approximation with a bracket on its
+value by graph size and width. Six built-in instances are provided; the
+engine itself is problem-blind, and runs phi only on nodes whose live
+local size leaves the split search undecided, once per vertex set that no
+join splits.
 
 The engine is one step on the engine loop in ``kernels`` that runs the
 whole split chain as a loop over the input's nice decomposition, so the
@@ -60,11 +60,12 @@ class FriendlyProblem:
     treewidth at most ``width`` (-1 for the empty graph). ``psaks`` is the
     problem's reduce-and-lift kernel, or None where pieces are queried
     directly. Every problem's ``phi_approx`` must be additive over disjoint
-    unions: on two vertex sets with no edge between them, the part of its
-    answer on their union that ``split`` gives each set must be its answer
-    on that set alone. The split search relies on it: it merges a join's
-    phi from the answers on the join's two sides, which no edge joins, and
-    never runs phi on their union.
+    unions: on two vertex sets A and B with no edge between them, its answer
+    on A | B must be the union of its answers on A and on B, each of which
+    holds only vertices of its own set. The split search relies on it: it
+    takes a join's phi as the ``Solution.union`` of the answers on the
+    join's two sides, which no edge joins, and never runs phi on their
+    union.
     """
 
     name: str
@@ -75,21 +76,6 @@ class FriendlyProblem:
     phi_range: Callable[[int, int], tuple[int, int]]
     psaks: ApproximateKernel | None
     extend: Callable[[Graph, frozenset, Solution], Solution]
-
-    def restrict_payload(self, payload: frozenset, keep: frozenset[int]) -> frozenset:
-        if self.kind.record.family:
-            return frozenset(c for c in payload if c <= keep)
-        return frozenset(v for v in payload if v in keep)
-
-    def split(self, sol: Solution, keep1, keep2) -> tuple[Solution, Solution]:
-        """The parts of ``sol`` within the vertex sets ``keep1`` and ``keep2``."""
-        p1 = self.restrict_payload(sol.payload, keep1)
-        p2 = self.restrict_payload(sol.payload, keep2)
-        return Solution(p1, len(p1)), Solution(p2, len(p2))
-
-    def merge(self, s1: Solution, s2: Solution) -> Solution:
-        payload = s1.payload | s2.payload
-        return Solution(payload, len(payload))
 
 
 def _extend_add_vertices(g: Graph, x: frozenset, sol: Solution) -> Solution:
@@ -198,36 +184,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
 # ---------------------------------------------------------------------------
 
 
-def _additive_phi(rest: Remainder, problem: FriendlyProblem, t: int) -> Solution:
-    """The full phi of t's live local set, from one walk below t that runs
-    phi once per vertex set no join splits.
-
-    A node whose one live child has its live local size has that child's
-    set and takes its answer; a join of two live children takes the merge
-    of theirs, since no edge joins its two sides and phi is additive over
-    them; any other node runs phi on its own set. Children are read through
-    the view only, as a taken node keeps a stale size. Every node walked is
-    cached in ``rest.cache``.
-    """
-    cache, size = rest.cache, rest.live_local
-    order, stack = [], [t]
-    while stack:  # parents before children
-        s = stack.pop()
-        if s in cache:  # only this walk fills the cache
-            continue
-        kids = rest[s]
-        if len(kids) == 1 and size[kids[0]] != size[s]:
-            kids = []
-        order.append((s, kids))
-        stack.extend(kids)
-    for s, kids in reversed(order):
-        if len(kids) == 2:
-            cache[s] = problem.merge(cache[kids[0]], cache[kids[1]])
-        else:
-            cache[s] = cache[kids[0]] if kids else problem.phi_approx(rest.g, rest.local(s))
-    return cache[t]
-
-
 def find_split_node(
     rest: Remainder,
     delta: float,
@@ -246,16 +202,17 @@ def find_split_node(
     by the high end: with the built-in brackets it beats any join sibling
     that runs phi, and of two such siblings the larger wins. A join child
     whose high end is below its sibling's low end loses, also without phi.
-    Every other node gets its full phi from ``_additive_phi``: phi is
-    additive over a join's two sides, so a join's answer is the merge of its
-    children's, and phi runs once per vertex set that no join splits, each
-    answer cached until a cut changes the set. At the root, the remainder
-    is solved outright. The descent's choice stands. For minimization, a
-    join the walk goes below measures over the threshold, and with the
-    built-in brackets that value is the sum of its children's phi, so the
-    two are never both within half of it and the join is never cut whole.
-    For maximization, splitting the join's phi solution between its sides
-    picks the same child. The caller then cuts V_t from ``rest``.
+    Every other node gets its full phi from the view's one measure walk
+    (``Remainder.additive``): phi is additive over a join's two sides, so a
+    join's answer is the union of its children's, and phi runs once per
+    vertex set that no join splits, each answer cached until a cut changes
+    the set. At the root, the remainder is solved outright. The descent's
+    choice stands. For minimization, a join the walk goes below measures
+    over the threshold, and with the built-in brackets that value is the
+    sum of its children's phi, so the two are never both within half of it
+    and the join is never cut whole. For maximization, splitting the join's
+    phi solution between its sides picks the same child. The caller then
+    cuts V_t from ``rest``.
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
@@ -272,7 +229,7 @@ def find_split_node(
         loses = any(hi < problem.phi_range(rest.live_local[s], ell)[0] for s in sibs if s != t)
         if lo > limit or loses:
             return hi, None
-        sol = _additive_phi(rest, problem, t)
+        sol = rest.additive(t, lambda s: problem.phi_approx(g, rest.local(s)))
         return sol.value, sol
 
     t, _, hint = descend(rest, measure, limit)
@@ -322,7 +279,7 @@ def approx_friendly_turing(
             rest.cut(t, local | bag)
         for v_t, bag, part in reversed(levels):
             rest.live |= v_t  # the level's graph is G[live]
-            solution = problem.merge(solution, part)
+            solution = solution.union(part)
             if minimize:
                 solution = problem.extend(cur_g.induced_subgraph(rest.live), bag, solution)
         return solution, len(levels)

@@ -480,29 +480,35 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     steps lose at most width+1 packed triangles, and at a join the local
     graphs split edge-disjointly, so the larger child's measured packing
     stays above the lower window bound.
+
+    The packings come from the view's measure walk (``Remainder.additive``):
+    a join's sorted greedy packing is the union of its children's, as each
+    of its triangles has at most one bag vertex, and an introduce adds an
+    isolated vertex. The root's packing, of G[live], decides each level.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
     def step(cur_g, ntd, flags):
-        rest, parts, live_g = Remainder(cur_g, ntd), [], cur_g
+        rest, parts = Remainder(cur_g, ntd), []
+
+        def local_graph(t):  # G[V_t] less the edges inside t's live bag
+            bag = ntd.bags[t] & rest.live
+            return cur_g.induced_subgraph(rest.local(t) | bag).delete_edges_within(bag)
 
         def measure(t):  # the 3-approximation of t's local packing graph
-            bag = ntd.bags[t] & rest.live
-            gt = cur_g.induced_subgraph(rest.local(t) | bag).delete_edges_within(bag)
-            s3 = greedy_triangle_packing(gt)
-            return s3.value, (s3, gt)
+            s3 = rest.additive(t, lambda s: greedy_triangle_packing(local_graph(s)))
+            return s3.value, s3
 
         while True:
             unit = (rest.width + 1) ** 2 / eps * scale
-            s3 = greedy_triangle_packing(live_g)
-            if s3.value <= 18.0 * unit:
+            value, s3 = measure(ntd.root)  # the root's bag is empty: a packing of G[live]
+            if value <= 18.0 * unit:
                 break
-            node, _, (s3_t, gt) = descend(rest, measure, 6.0 * unit, floor=unit)
-            parts.append(solve_etp_small(gt, s3_t, cfg.oracle, flags).payload)
+            node, _, s3_t = descend(rest, measure, 6.0 * unit, floor=unit)
+            parts.append(solve_etp_small(local_graph(node), s3_t, cfg.oracle, flags).payload)
             rest.cut(node, rest.local(node))
-            live_g = cur_g.induced_subgraph(rest.live)
         live_td = ntd.restrict([rest.live], None, rest.taken)[0] if parts else ntd
-        sol = solve_etp_small(live_g, s3, cfg.oracle, flags, live_td)
+        sol = solve_etp_small(cur_g.induced_subgraph(rest.live), s3, cfg.oracle, flags, live_td)
         return greedy_triangle_packing(cur_g, _union(parts) | sol.payload), len(parts)
 
     def bounds(width):
@@ -532,11 +538,16 @@ def cvc_obtain_approx(
     None certifies that the optimum exceeds 100*width^2/delta (scaled), the
     guard over which the descent goes on.
     """
-    if g.m == 0:
-        return Solution.of_vertices(())
-    s2 = cvc_2approx(g)
+    s2 = cvc_2approx(g) if g.m else Solution.of_vertices(())
     if s2.value > 200.0 * width * width / delta * threshold_scale:
         return None
+    return _cvc_better(g, s2, oracle)
+
+
+def _cvc_better(g: Graph, s2: Solution, oracle: Oracle) -> Solution:
+    """The smaller of the oracle's connected cover of g and ``s2``, g's 2-approximation."""
+    if not g.m:
+        return s2
     sol = _query(CVC, g, None, oracle)
     return sol if sol.value <= s2.value else s2
 
@@ -561,25 +572,27 @@ def find_cvc_split_node(
     local instance yields an approximate cover of size >= 10*width/delta.
     Returns the node, its V_t and the cover.
 
-    Recurses into any child whose optimum is still certified too big; if
-    every child answers small, the analysis is contradicted, which is an
-    internal invariant violation at scale 1 and otherwise a union fallback
-    that adds its flag to ``flags``.
+    Goes down into the first child whose optimum ``cvc_2approx`` alone
+    certifies too big, and queries only the children of the node where the
+    descent stops; if every one of them answers small, the analysis is
+    contradicted, which is an internal invariant violation at scale 1 and
+    otherwise a union fallback that adds its flag to ``flags``.
     """
     children, vsets, t = sc.children, sc.vsets, sc.root
     min_size = 10.0 * width / delta * threshold_scale
+    guard = 200.0 * width * width / delta * threshold_scale
     while True:  # go down into the first child still certified too big
-        results: list[tuple[int, Solution]] = []
+        pieces = []
         for c in children[t]:
             contracted = _contract_local(g, sc.bags[c], vsets[c])
-            res = cvc_obtain_approx(contracted, delta, oracle, width=width,
-                                    threshold_scale=threshold_scale)
-            if res is None:
+            s2 = cvc_2approx(contracted) if contracted.m else Solution.of_vertices(())
+            if s2.value > guard:
                 t = c
                 break
-            results.append((c, res))
+            pieces.append((c, contracted, s2))
         else:
             break
+    results = [(c, _cvc_better(q, s2, oracle)) for c, q, s2 in pieces]
     qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
     if qualifying:
         c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))

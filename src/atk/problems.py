@@ -72,6 +72,11 @@ class Solution:
     def infeasible(self) -> bool:
         return self.value == math.inf
 
+    def union(self, other: "Solution") -> "Solution":
+        """The solution holding both payloads, as of a disjoint union."""
+        payload = self.payload | other.payload
+        return Solution(payload, len(payload))
+
 
 def contains_pattern(g: Graph, vs: frozenset[int], pattern: Graph) -> bool:
     """True if g[vs] contains ``pattern`` as a (not necessarily induced) subgraph."""

@@ -449,8 +449,9 @@ class Remainder:
     ids, through the live children: untaken ones with a live vertex in
     their bag or local set, whose sizes are kept current. A cut changes the
     local sets of t and its ancestors only, and drops their entries and
-    those of the nodes it takes from ``cache``, where a caller may keep
-    per-node values; so ``cache`` holds values of untaken nodes only.
+    those of the nodes it takes from ``cache``, which ``additive`` alone
+    fills; so ``cache`` holds measures of untaken nodes only, and a view
+    serves one measure.
     """
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition):
@@ -494,6 +495,31 @@ class Remainder:
     def local(self, t: int) -> set[int]:
         """t's live local set: the live vertices that occur only below its bag."""
         return self.live.intersection(self.forgotten[self.begin[t]:self.end[t]])
+
+    def additive(self, t: int, solve):
+        """t's measure, a ``Solution``, from one walk below t that caches every
+        node it walks. The measure must be additive: a one-child node whose
+        live local set is its child's takes the child's measure, a join of two
+        live children the union of theirs (no edge joins its two sides), and
+        any other node s ``solve(s)``. Children are read through the view
+        only, as a taken node keeps a stale size."""
+        cache, size = self.cache, self.live_local
+        order, stack = [], [t]
+        while stack:  # parents before children
+            s = stack.pop()
+            if s in cache:
+                continue
+            kids = self[s]
+            if len(kids) == 1 and size[kids[0]] != size[s]:
+                kids = []
+            order.append((s, kids))
+            stack.extend(kids)
+        for s, kids in reversed(order):
+            if len(kids) == 2:
+                cache[s] = cache[kids[0]].union(cache[kids[1]])
+            else:
+                cache[s] = cache[kids[0]] if kids else solve(s)
+        return cache[t]
 
     def cut(self, t: int, removed) -> None:
         """Remove the live vertices ``removed``, t's live local set with or

@@ -646,6 +646,17 @@ def reference_levels(step, assemble):
     return run
 
 
+def split_solution(problem, sol: Solution, *keeps) -> tuple[Solution, ...]:
+    """The parts of a friendly problem's solution ``sol`` within each vertex
+    set of ``keeps``: its vertices there, or for a family its sets there."""
+    family = problem.kind.record.family
+    return tuple(
+        Solution.of_family(c for c in sol.payload if c <= keep) if family
+        else Solution.of_vertices(v for v in sol.payload if v in keep)
+        for keep in keeps
+    )
+
+
 def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, threshold_scale: float = 1.0):
     """The per-level friendly engine, kept as the reference for
     ``friendly.approx_friendly_turing``: every level is a piece on the
@@ -688,11 +699,11 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         p = ntd.parent[t]
         kids = ntd.children[p]
         if len(kids) == 2 and maximize:
-            s1, s2 = problem.split(phi(p), *map(idx.local_vertices, kids))
+            s1, s2 = split_solution(problem, phi(p), *map(idx.local_vertices, kids))
             t = kids[0] if (s1.value, -kids[0]) >= (s2.value, -kids[1]) else kids[1]
         elif len(kids) == 2 and all(phi(c).value <= phi_k / 2 for c in kids):
             t = p
-            hint = problem.merge(*map(phi, kids))
+            hint = phi(kids[0]).union(phi(kids[1]))
         local = idx.local_vertices(t)
         piece = cur_g.induced_subgraph(local)
         piece_td = reference_restrict(ntd, local, t)
@@ -706,7 +717,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
     def assemble(parts):
         *levels, (_, _, solution) = parts
         for cur_g, bag, part in reversed(levels):
-            solution = problem.merge(solution, part)
+            solution = solution.union(part)
             if not maximize:
                 solution = problem.extend(cur_g, bag, solution)
         return solution

@@ -9,7 +9,9 @@ A run's entry is ``RunReport.to_dict()``, or the type and message of the
 exception it raised; an engine's digest is a SHA-256 of its entries in grid
 order. Two checkouts print the same digest lines exactly when every run
 reports the same, so running it at a parent commit and at a change shows
-whether the change moved any report:
+whether the change moved any report. The second digest of a row leaves out
+the query counts (``oracle_calls`` and ``max_query_vertices``), so a change
+that only saves queries still shows the same outcomes there:
 
     PYTHONPATH=src python tests/report_digest.py
 
@@ -78,9 +80,13 @@ def entry(engine: str, problem: str, oracle_name: str, g, td, eps: float, scale:
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def digest(engine, problem, oracle, sizes, k, p, connected, scales) -> tuple[str, int, int]:
-    """A grid row's digest, its number of runs and how many of them raised."""
-    h, runs, errors = hashlib.sha256(), 0, 0
+QUERY_COUNTS = ("oracle_calls", "max_query_vertices")
+
+
+def digest(engine, problem, oracle, sizes, k, p, connected, scales) -> tuple[str, str, int, int]:
+    """A grid row's digest, its digest without the query counts, its number
+    of runs and how many of them raised."""
+    h, outcomes, runs, errors = hashlib.sha256(), hashlib.sha256(), 0, 0
     for conn in connected:
         gen = gen_connected_partial_ktree if conn else gen_partial_ktree
         for n in sizes:
@@ -90,17 +96,19 @@ def digest(engine, problem, oracle, sizes, k, p, connected, scales) -> tuple[str
                     for eps in EPSILONS:
                         out = entry(engine, problem, oracle, g, td, eps, scale)
                         h.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+                        kept = {key: v for key, v in out.items() if key not in QUERY_COUNTS}
+                        outcomes.update(json.dumps(kept, sort_keys=True).encode() + b"\n")
                         runs += 1
                         errors += "error" in out
-    return h.hexdigest()[:16], runs, errors
+    return h.hexdigest()[:16], outcomes.hexdigest()[:16], runs, errors
 
 
 def main() -> None:
     start = time.perf_counter()
     for row in GRID:
-        value, runs, errors = digest(*row)
+        value, outcomes, runs, errors = digest(*row)
         label = f"{row[0]}/{row[1]} {row[2]} k={row[4]}"
-        print(f"{label:<32} {value}  {runs} runs, {errors} errors")
+        print(f"{label:<32} {value}  {runs} runs, {errors} errors  {outcomes}")
     print(f"# {time.perf_counter() - start:.1f} s")
 
 

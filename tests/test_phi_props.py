@@ -6,10 +6,12 @@ order must still match the bucket reference in ``helpers``. Every built-in
 friendly problem's ``phi_range`` must bracket its phi on any live local set
 of a ``Remainder``, before and after cuts, at the view's width. The phi of
 every built-in friendly problem must be additive over two vertex sets with
-no edge between them, as the friendly engine's split search relies on: its
-one walk below a node (``friendly._additive_phi``) must give every live
-node the answer a fresh phi gives on its live local set, and leave in the
-view's cache only untaken nodes with such answers.
+no edge between them, as the friendly engine's split search relies on: the
+view's one measure walk (``Remainder.additive``) must give every live node
+the answer a fresh phi gives on its live local set, and leave in the view's
+cache only untaken nodes with such answers. The same walk measures etp's
+nodes by the greedy triangle packing of their local packing graphs, under
+etp's cuts, which keep the cut node's bag.
 """
 
 import random
@@ -17,11 +19,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atk.approx import _min_degree_order, degeneracy_is, eds_2approx, vc_2approx
-from atk.friendly import _additive_phi, builtin_instances
+from atk.approx import (
+    _min_degree_order,
+    degeneracy_is,
+    eds_2approx,
+    greedy_triangle_packing,
+    vc_2approx,
+)
+from atk.friendly import builtin_instances
 from atk.generate import gen_partial_ktree
 from atk.treedecomp import Remainder, make_nice
-from helpers import gnp_graph, reference_degeneracy_order
+from helpers import gnp_graph, reference_degeneracy_order, split_solution
 
 
 @st.composite
@@ -69,7 +77,7 @@ def test_every_phi_is_additive_over_unions_without_crossing_edges(name, piece):
     rng = random.Random(len(a))
     b = {v for v in g.vertices if v not in a and not g.neighbors(v) & a and rng.random() < 0.7}
     problem = builtin_instances()[name]
-    parts = problem.split(problem.phi_approx(g, a | b), a, b)
+    parts = split_solution(problem, problem.phi_approx(g, a | b), a, b)
     assert parts == (problem.phi_approx(g, a), problem.phi_approx(g, b))
 
 
@@ -138,7 +146,7 @@ def test_additive_phi_of_every_live_node_is_a_fresh_phi(name, k, extra, p, seed,
     for round_ in range(cuts + 1):
         nodes = _view_nodes(rest)
         for t in rng.sample(nodes, len(nodes)):  # any order, over what earlier walks and cuts cached
-            assert _additive_phi(rest, problem, t) == phi(rest.local(t)), t
+            assert rest.additive(t, lambda s: phi(rest.local(s))) == phi(rest.local(t)), t
         for s, sol in rest.cache.items():
             assert s not in rest.taken, s
             assert sol == phi(rest.local(s)), s
@@ -148,3 +156,28 @@ def test_additive_phi_of_every_live_node_is_a_fresh_phi(name, k, extra, p, seed,
             if rng.random() < 0.5:  # as a query does, whose restrict takes t's subtree first
                 rest.ntd.restrict([frozenset(v_t)], t, rest.taken)
             rest.cut(t, v_t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 70), st.floats(0.5, 1.0), st.integers(0, 10_000), st.integers(0, 5))
+def test_additive_packing_of_every_live_node_is_a_fresh_packing(extra, p, seed, cuts):
+    g, td = gen_partial_ktree(3 + extra, 2, p, seed)
+    rest = Remainder(g, make_nice(g, td))
+    rng = random.Random(seed)
+
+    def packing(t):  # a fresh greedy packing of t's local packing graph
+        bag = rest.ntd.bags[t] & rest.live
+        return greedy_triangle_packing(
+            g.induced_subgraph(rest.local(t) | bag).delete_edges_within(bag)
+        )
+
+    for round_ in range(cuts + 1):
+        nodes = _view_nodes(rest)
+        for t in rng.sample(nodes, len(nodes)):  # any order, over what earlier walks and cuts cached
+            assert rest.additive(t, packing) == packing(t), t
+        for s, sol in rest.cache.items():
+            assert s not in rest.taken, s
+            assert sol == packing(s), s
+        if round_ < cuts:  # an etp cut: t's live local set leaves, its bag stays
+            t = rng.choice(nodes)
+            rest.cut(t, rest.local(t))
