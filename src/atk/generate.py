@@ -12,11 +12,12 @@ import random
 from itertools import combinations
 
 from .graph import Graph
-from .pace import MAX_GR_VERTICES
 from .treedecomp import TreeDecomposition
 
 # The clique pool holds (k+1) + (n-k-1)*k sets of k vertices. At this many
 # vertex slots a sample peaks at 0.29 GB with k = 3 and 0.54 GB with k = 2.
+# With k >= 1 the pool has at least n slots, so the bound also keeps n within
+# pace.MAX_GR_VERTICES (the same 10^6), the most a .gr may declare.
 MAX_POOL_SLOTS = 1_000_000
 
 
@@ -47,8 +48,6 @@ def _partial_ktree(
         raise ValueError("edge-keep probability must be in [0, 1]")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if n > MAX_GR_VERTICES:  # its .gr could not be read back
-        raise ValueError(f"{n} vertices exceed the limit {MAX_GR_VERTICES}")
     slots = k * (k + 1 + (n - k - 1) * k)
     if slots > MAX_POOL_SLOTS:
         raise ValueError(f"a {k}-tree on {n} vertices needs {slots} clique-pool slots, "

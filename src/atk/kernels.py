@@ -167,10 +167,6 @@ def _drive(
             gc.enable()
 
 
-def _union(parts) -> frozenset:
-    return frozenset().union(*parts)
-
-
 def _assert_feasible(kind, g: Graph, sol: Solution, context: str) -> None:
     if not is_feasible(kind, g, sol):
         raise InternalInvariantViolation(f"{context}: infeasible solution produced")
@@ -284,7 +280,7 @@ def _window_pass(
     cuts = len(parts)
     if state[ntd.root][0]:
         cut(ntd.root)
-    return Solution.of_vertices(_union(parts)), cuts
+    return Solution.of_vertices(frozenset().union(*parts)), cuts
 
 
 def _unite(x: set[int], y: set[int]) -> set[int]:
@@ -411,7 +407,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
         cuts = 0
         while work:
             cuts += chain(*work.pop())
-        return Solution.of_family(_union(parts)), cuts
+        return Solution.of_family(frozenset().union(*parts)), cuts
 
     def bounds(width):
         return 4.0 * (1 + eps) / eps * (width + 1) ** 4 + (width + 1), {
@@ -484,7 +480,8 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     The packings come from the view's measure walk (``Remainder.additive``):
     a join's sorted greedy packing is the union of its children's, as each
     of its triangles has at most one bag vertex, and an introduce adds an
-    isolated vertex. The root's packing, of G[live], decides each level.
+    isolated vertex. The root's packing, of G[live], decides every level
+    but the first, which packs G itself and so copies no graph.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
 
@@ -499,17 +496,19 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             s3 = rest.additive(t, lambda s: greedy_triangle_packing(local_graph(s)))
             return s3.value, s3
 
+        s3 = greedy_triangle_packing(cur_g)  # the first level's check packs G, copying nothing
         while True:
             unit = (rest.width + 1) ** 2 / eps * scale
-            value, s3 = measure(ntd.root)  # the root's bag is empty: a packing of G[live]
-            if value <= 18.0 * unit:
+            if s3.value <= 18.0 * unit:
                 break
             node, _, s3_t = descend(rest, measure, 6.0 * unit, floor=unit)
             parts.append(solve_etp_small(local_graph(node), s3_t, cfg.oracle, flags).payload)
             rest.cut(node, rest.local(node))
+            _, s3 = measure(ntd.root)  # the root's bag is empty: a packing of G[live]
+        live_g = cur_g.induced_subgraph(rest.live) if parts else cur_g
         live_td = ntd.restrict([rest.live], None, rest.taken)[0] if parts else ntd
-        sol = solve_etp_small(cur_g.induced_subgraph(rest.live), s3, cfg.oracle, flags, live_td)
-        return greedy_triangle_packing(cur_g, _union(parts) | sol.payload), len(parts)
+        sol = solve_etp_small(live_g, s3, cfg.oracle, flags, live_td)
+        return greedy_triangle_packing(cur_g, sol.payload.union(*parts)), len(parts)
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap
@@ -528,12 +527,13 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 def cvc_obtain_approx(
     g: Graph,
     delta: float,
-    oracle: Oracle,
+    oracle: Oracle | None,
     *,
     width: int,
     threshold_scale: float = 1.0,
 ) -> Solution | None:
-    """A min(c, 2)-approximate connected cover, or None.
+    """A min(c, 2)-approximate connected cover, or None; with no oracle,
+    g's 2-approximation alone, or None.
 
     None certifies that the optimum exceeds 100*width^2/delta (scaled), the
     guard over which the descent goes on.
@@ -541,7 +541,7 @@ def cvc_obtain_approx(
     s2 = cvc_2approx(g) if g.m else Solution.of_vertices(())
     if s2.value > 200.0 * width * width / delta * threshold_scale:
         return None
-    return _cvc_better(g, s2, oracle)
+    return s2 if oracle is None else _cvc_better(g, s2, oracle)
 
 
 def _cvc_better(g: Graph, s2: Solution, oracle: Oracle) -> Solution:
@@ -580,13 +580,13 @@ def find_cvc_split_node(
     """
     children, vsets, t = sc.children, sc.vsets, sc.root
     min_size = 10.0 * width / delta * threshold_scale
-    guard = 200.0 * width * width / delta * threshold_scale
     while True:  # go down into the first child still certified too big
         pieces = []
         for c in children[t]:
             contracted = _contract_local(g, sc.bags[c], vsets[c])
-            s2 = cvc_2approx(contracted) if contracted.m else Solution.of_vertices(())
-            if s2.value > guard:
+            s2 = cvc_obtain_approx(contracted, delta, None, width=width,
+                                   threshold_scale=threshold_scale)
+            if s2 is None:
                 t = c
                 break
             pieces.append((c, contracted, s2))
@@ -661,7 +661,7 @@ def approx_cvc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
                     "invalid tree decomposition: " + "; ".join(report.violations())
                 )
             ell = report.width
-        return Solution.of_vertices(v for v in _union(parts) if v < first_z), cuts
+        return Solution.of_vertices(v for v in frozenset().union(*parts) if v < first_z), cuts
 
     def bounds(width):
         return None, {  # queries are bounded by the oracle's size cap

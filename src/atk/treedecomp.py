@@ -501,8 +501,9 @@ class Remainder:
         node it walks. The measure must be additive: a one-child node whose
         live local set is its child's takes the child's measure, a join of two
         live children the union of theirs (no edge joins its two sides), and
-        any other node s ``solve(s)``. Children are read through the view
-        only, as a taken node keeps a stale size."""
+        any other node s ``solve(s)``. The walk goes below neither a cached
+        node nor one it solves. Children are read through the view only, as a
+        taken node keeps a stale size."""
         cache, size = self.cache, self.live_local
         order, stack = [], [t]
         while stack:  # parents before children

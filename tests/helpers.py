@@ -15,7 +15,6 @@ from atk.kernels import (
     KernelConfig,
     _drive,
     _query,
-    _union,
     solve_etp_small,
 )
 from atk.oracles import _maximal_cliques, brute_force_solve
@@ -770,7 +769,7 @@ def reference_ecc_turing(g: Graph, td, cfg: KernelConfig):
             "window_hi": 4.0 * (1 + eps) / eps * (width + 1) ** 4 * scale,
         }
 
-    levels = reference_levels(step, lambda parts: Solution.of_family(_union(parts)))
+    levels = reference_levels(step, lambda parts: Solution.of_family(frozenset().union(*parts)))
     return _drive("ecc", ECC, g, td, cfg, levels, bounds)
 
 
@@ -811,5 +810,7 @@ def reference_etp_turing(g: Graph, td, cfg: KernelConfig):
             "local_guard": 6.0 * (width + 1) ** 2 / eps * scale,
         }
 
-    levels = reference_levels(step, lambda parts: greedy_triangle_packing(g, _union(parts)))
+    levels = reference_levels(
+        step, lambda parts: greedy_triangle_packing(g, frozenset().union(*parts))
+    )
     return _drive("etp", ETP, g, td, cfg, levels, bounds)

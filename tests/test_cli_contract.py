@@ -9,8 +9,9 @@ and non-UTF-8 bytes. A usage error leaves through argparse's ``SystemExit``,
 which the console script turns into its exit code, so that counts as one.
 A ``.gr`` header over ``MAX_GR_VERTICES`` and a decomposition wider than
 the treewidth DP's ``DP_WIDTH_CAP`` are refused before anything is built,
-and so are an ``atk gen`` of more vertices than ``MAX_GR_VERTICES`` and one
-whose clique pool exceeds ``generate.MAX_POOL_SLOTS``. Run in a subprocess
+and so is an ``atk gen`` whose clique pool exceeds ``generate.MAX_POOL_SLOTS``,
+which holds at least n slots, be it one of more vertices than
+``MAX_GR_VERTICES`` or one of a wide pool. Run in a subprocess
 whose address space is limited to 600 MB (``RLIMIT_AS``, set in the child
 only), each must end ``atk solve`` or ``atk gen`` with exit 1 and one line,
 fast.

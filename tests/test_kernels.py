@@ -383,6 +383,24 @@ def test_etp_engine_descent_via_scale_override():
             assert any(e in used for e in tri_edges)
 
 
+def test_etp_without_a_cut_packs_g_twice_and_copies_no_graph():
+    # a path with a triangle on every 100th spine edge: 30 triangles, under the
+    # easy guard, on the path-shaped decomposition of the min-degree order
+    n = 3000
+    g = Graph(range(n), [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(0, n, 100)])
+    packed = []
+
+    def counting(h, *args):
+        packed.append(h)
+        return greedy_triangle_packing(h, *args)
+
+    with mock.patch("atk.kernels.greedy_triangle_packing", counting), \
+            mock.patch.object(Graph, "induced_subgraph", side_effect=AssertionError("copied")):
+        rep = approx_etp_turing(g, heuristic_td(g), KernelConfig(1.0, exact_brute_oracle()))
+    assert rep.recursion_depth == 0 and rep.solution.value == 30
+    assert len(packed) == 2 and all(h is g for h in packed)  # the level check and the completion
+
+
 def _pairs(tri):
     a, b, c = sorted(tri)
     return ((a, b), (a, c), (b, c))
