@@ -224,8 +224,6 @@ def cvc_2approx(g: Graph) -> Solution:
     """Internal vertices of a DFS tree: a connected 2-approximate cover."""
     if g.m == 0:
         raise ValueError("cvc_2approx needs at least one edge")
-    if not g.is_connected():
-        raise ValueError("cvc_2approx needs a connected graph")
     root = g.vertices[0]
     parent: dict[int, int | None] = {root: None}
     has_child: set[int] = set()
@@ -242,6 +240,8 @@ def cvc_2approx(g: Graph) -> Solution:
                 break
         if not advanced:
             frames.pop()
+    if len(parent) < g.n:
+        raise ValueError("cvc_2approx needs a connected graph")
     return Solution.of_vertices(has_child)
 
 

@@ -1,7 +1,7 @@
 """Command-line harness: solve, td utilities, instance generation, benches.
 
-Exit codes: 0 success, 1 parse/contract error, 2 internal invariant
-violation.
+Exit codes: 0 success, 1 parse/contract error or out of memory, 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -377,6 +377,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OracleRefused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, SystemError):  # CPython 3.11 may turn a MemoryError into SystemError
+        pass  # reported below, once the failed call's frames and their data are freed
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 
 A friendly problem bundles the four ingredients that make the generic
 separator-splitting Turing kernel work: additivity over disjoint unions,
-a bounded deletion effect f with an extend algorithm, a reduce-and-lift
-kernel with size function h, and a phi-approximation with a bracket on its
-value by graph size and width. Six built-in instances are provided; the
-engine itself is problem-blind, and runs phi only on nodes whose live
-local size leaves the split search undecided, once per vertex set that no
-join splits.
+a deletion effect of at most |X| with an extend algorithm (minimization
+only), a reduce-and-lift kernel with size function h, and a
+phi-approximation with a bracket on its value by graph size and width. Six
+built-in instances are provided; the engine itself is problem-blind, and
+runs phi only on nodes whose live local size leaves the split search
+undecided, once per vertex set that no join splits.
 
 The engine is one step on the engine loop in ``kernels`` that runs the
 whole split chain as a loop over the input's nice decomposition, so the
@@ -66,34 +66,34 @@ class FriendlyProblem:
     takes a join's phi as the ``Solution.union`` of the answers on the
     join's two sides, which no edge joins, and never runs phi on their
     union.
+
+    Only a minimization problem declares ``extend(g, live, x, sol)``: it
+    turns a solution of G[live] - X into one of G[live] worth at most |X|
+    more, reading g only inside ``live``. For maximization, a solution of
+    G - X already is one of G.
     """
 
     name: str
     kind: ProblemKind
-    f: Callable[[float], float]
     phi: Callable[[float, int], float]
     phi_approx: Callable[..., Solution]
     phi_range: Callable[[int, int], tuple[int, int]]
     psaks: ApproximateKernel | None
-    extend: Callable[[Graph, frozenset, Solution], Solution]
+    extend: Callable[[Graph, set, frozenset, Solution], Solution] | None = None
 
 
-def _extend_add_vertices(g: Graph, x: frozenset, sol: Solution) -> Solution:
+def _extend_add_vertices(g: Graph, live: set, x: frozenset, sol: Solution) -> Solution:
     return Solution.of_vertices(sol.payload | x)
 
 
-def _extend_identity(g: Graph, x: frozenset, sol: Solution) -> Solution:
-    return sol
-
-
-def _extend_singletons(g: Graph, x: frozenset, sol: Solution) -> Solution:
+def _extend_singletons(g: Graph, live: set, x: frozenset, sol: Solution) -> Solution:
     return Solution.of_family(set(sol.payload) | {frozenset([v]) for v in x})
 
 
-def _extend_incident_edges(g: Graph, x: frozenset, sol: Solution) -> Solution:
+def _extend_incident_edges(g: Graph, live: set, x: frozenset, sol: Solution) -> Solution:
     added = set(sol.payload)
     for v in sorted(x):
-        nbrs = g.neighbors(v)
+        nbrs = g.neighbors(v) & live
         if nbrs:
             added.add(frozenset((v, min(nbrs))))
     return Solution.of_family(added)
@@ -116,7 +116,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         "vc": FriendlyProblem(
             name="vc",
             kind=VC,
-            f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=vc_2approx,
             phi_range=lambda s, w: (0, s),
@@ -126,17 +125,14 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         "is": FriendlyProblem(
             name="is",
             kind=IS,
-            f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=degeneracy_is,
             phi_range=lambda s, w: (-(-s // max(w + 1, 1)), s),
             psaks=is_degeneracy_kernel(),
-            extend=_extend_identity,
         ),
         "cc": FriendlyProblem(
             name="cc",
             kind=CLIQUE_COVER,
-            f=lambda x: x,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=_on_piece(clique_cover_trivial),
             phi_range=lambda s, w: (s, s),
@@ -146,7 +142,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         "fvs": FriendlyProblem(
             name="fvs",
             kind=FVS,
-            f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=_on_piece(fvs_2approx),
             phi_range=lambda s, w: (0, s),
@@ -156,7 +151,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         "eds": FriendlyProblem(
             name="eds",
             kind=EDS,
-            f=lambda x: x,
             phi=lambda s, l: 2.0 * s,
             phi_approx=eds_2approx,
             phi_range=lambda s, w: (0, s // 2),
@@ -169,12 +163,10 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
         reg[name] = FriendlyProblem(
             name=name,
             kind=kind,
-            f=lambda x: x,
             phi=(lambda n_h: lambda s, l: n_h * s)(kind.pattern.n),
             phi_approx=_on_piece((lambda pat: lambda g: maximal_h_packing(g, pat))(kind.pattern)),
             phi_range=(lambda n_h: lambda s, w: (0, s // n_h))(kind.pattern.n),
             psaks=None,
-            extend=_extend_identity,
         )
     return reg
 
@@ -192,7 +184,7 @@ def find_split_node(
     threshold_scale: float = 1.0,
 ) -> tuple[int | None, Solution, set[int]]:
     """Either solve the remainder outright through the kernel slot, or find
-    a node t whose local optimum is at least f(width+1)/delta along with a
+    a node t whose local optimum is at least (width+1)/delta along with a
     c(1+delta)-approximate local solution. Returns (t, the solution, t's
     live local set), with t None where the remainder was solved outright.
 
@@ -216,7 +208,7 @@ def find_split_node(
     """
     g, ntd = rest.g, rest.ntd
     ell = rest.width
-    k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
+    k = (2.0 * (ell + 1) / delta + 1) * threshold_scale
     phi_k = problem.phi(k, ell)
     budget = phi_k + ell
     maximize = not is_minimization(problem.kind)
@@ -260,12 +252,12 @@ def approx_friendly_turing(
     decomposition: each level splits at the node the find-node subroutine
     returns and leaves G - V_t as a view of the input (``Remainder``).
     The solutions are then folded back innermost first: plain union for
-    maximization, and the problem's extend algorithm over each level's
-    graph and bag for minimization.
+    maximization; for minimization, the problem's extend adds each level's
+    live bag over the level's graph G[live], read through the view's
+    ``live`` set as the fold restores it, so the fold builds no graph.
     """
     cfg = KernelConfig(eps, oracle, threshold_scale)
     delta = eps / 3.0
-    minimize = is_minimization(problem.kind)
 
     def step(cur_g, ntd, flags):
         rest = Remainder(cur_g, ntd)
@@ -278,18 +270,18 @@ def approx_friendly_turing(
             levels.append((local | bag, bag, solution))
             rest.cut(t, local | bag)
         for v_t, bag, part in reversed(levels):
-            rest.live |= v_t  # the level's graph is G[live]
             solution = solution.union(part)
-            if minimize:
-                solution = problem.extend(cur_g.induced_subgraph(rest.live), bag, solution)
+            if problem.extend:
+                rest.live |= v_t  # the level's graph is G[live]
+                solution = problem.extend(cur_g, rest.live, bag, solution)
         return solution, len(levels)
 
     def bounds(width):
         declared = None
         if problem.psaks is not None:
-            k0 = 6.0 * problem.f(width + 1) / eps + problem.f(1)
+            k0 = 6.0 * (width + 1) / eps + 1
             declared = problem.psaks.size_fn(delta, problem.phi(k0, width) + width)
-        budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
+        budget_k = (2.0 * (width + 1) / delta + 1) * threshold_scale
         return declared, {"budget_k": budget_k}
 
     return _drive(problem.name, problem.kind, g, td, cfg, step, bounds)

@@ -675,7 +675,7 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
 
     def step(cur_g, ntd, flags):
         ell = ntd.width
-        k = (2.0 * problem.f(ell + 1) / delta + problem.f(1)) * threshold_scale
+        k = (2.0 * (ell + 1) / delta + 1) * threshold_scale
         phi_k = problem.phi(k, ell)
         budget = phi_k + ell
         limit = k if maximize else phi_k
@@ -718,15 +718,15 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
         for cur_g, bag, part in reversed(levels):
             solution = solution.union(part)
             if not maximize:
-                solution = problem.extend(cur_g, bag, solution)
+                solution = problem.extend(cur_g, cur_g.vertex_set, bag, solution)
         return solution
 
     def bounds(width):
         declared = None
         if problem.psaks is not None:
-            k0 = 6.0 * problem.f(width + 1) / eps + problem.f(1)
+            k0 = 6.0 * (width + 1) / eps + 1
             declared = problem.psaks.size_fn(delta, problem.phi(k0, width) + width)
-        budget_k = (2.0 * problem.f(width + 1) / delta + problem.f(1)) * threshold_scale
+        budget_k = (2.0 * (width + 1) / delta + 1) * threshold_scale
         return declared, {"budget_k": budget_k}
 
     return _drive(problem.name, problem.kind, g, td, cfg, reference_levels(step, assemble), bounds)

@@ -8,6 +8,8 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from atk.approx import (
     connectify_vertex_cover,
     cvc_2approx,
@@ -19,6 +21,7 @@ from atk.approx import (
     nt_reduce,
     vc_2approx,
 )
+from atk.cli import compute_opt
 from atk.friendly import approx_friendly_turing, builtin_instances
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
@@ -48,6 +51,7 @@ from atk.problems import (
     ETP,
     FVS,
     IS,
+    KINDS,
     VC,
     Solution,
     h_packing,
@@ -118,6 +122,30 @@ def test_criterion_02_composition_law():
         if opt:
             worst = max(worst, rep.solution.value / opt)
     _announce(2, "lossy-composition", started, 120, f"60 runs, worst ratio {worst:.4f}")
+
+
+@pytest.mark.parametrize("engine", ["is", "ecc", "friendly-vc", "friendly-is"])
+def test_criterion_02_composition_where_the_engines_split(engine):
+    """A c = 2 oracle at scale 1, on inputs where the engine cuts at least
+    once: every run is within (1+eps)*c of the optimum."""
+    c, eps = 2.0, 0.5
+    friendly = builtin_instances()
+    for seed in range(3):
+        if engine == "ecc":
+            g, td = gen_connected_partial_ktree(1000, 1, 0.9, seed)
+            rep = approx_ecc_turing(g, td, KernelConfig(eps, lossy_wrap(trianglefree_ecc_oracle(), c)))
+        else:
+            g, td = gen_partial_ktree(500 if engine == "friendly-is" else 1000, 3, 0.9, seed)
+            oracle = lossy_wrap(exact_dp_oracle(), c)
+            if engine == "is":
+                rep = approx_is_turing(g, td, KernelConfig(eps, oracle))
+            else:
+                rep = approx_friendly_turing(g, td, eps, friendly[engine[9:]], oracle)
+        opt = compute_opt(rep.problem, g, td)
+        value = rep.solution.value
+        assert rep.recursion_depth >= 1, (engine, seed)
+        assert is_feasible(KINDS[rep.problem], g, rep.solution), (engine, seed)
+        assert max(value / opt, opt / value) <= (1 + eps) * c, (engine, seed, value, opt)
 
 
 def test_criterion_03_is_turing_kernel():
@@ -264,9 +292,9 @@ def test_criterion_07_friendly_framework():
             x = frozenset(rng.sample(g.vertices, rng.randint(1, min(5, g.n))))
             s_rest = prob.phi_approx(g.remove_vertices(x))
             if is_minimization(prob.kind):
-                out = prob.extend(g, x, s_rest)
+                out = prob.extend(g, g.vertex_set, x, s_rest)
                 assert is_feasible(prob.kind, g, out)
-                assert out.value <= s_rest.value + prob.f(len(x))
+                assert out.value <= s_rest.value + len(x)
             else:
                 assert is_feasible(prob.kind, g, s_rest)
         # condition 4 on the phi function itself

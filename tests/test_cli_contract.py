@@ -162,7 +162,7 @@ def _limited():
 
 
 @pytest.mark.parametrize("make", ["oversized_header", "wide_dp", "gen_many_vertices",
-                                  "gen_wide_pool"])
+                                  "gen_wide_pool", "gen_out_of_memory"])
 def test_oversized_input_exits_one_in_one_line_under_a_memory_limit(make, tmp_path):
     path = tmp_path / "g.gr"
     argv = [sys.executable, "-m", "atk.cli", "solve", "--problem", "is", "--eps", "0.5",
@@ -171,8 +171,10 @@ def test_oversized_input_exits_one_in_one_line_under_a_memory_limit(make, tmp_pa
         path.write_text("p tw 10000000 0\n")
     elif make == "wide_dp":
         path.write_text(write_gr(_wide_graph()))
-    else:  # a hundred million vertices, or one k-tree clique of 3000
-        n, k = ("100000000", "1") if make == "gen_many_vertices" else ("3000", "2999")
+    else:  # a hundred million vertices, one k-tree clique of 3000 (both refused), or a
+        # million-vertex tree: within every bound, but its 1.7 GB peak is over the limit
+        n, k = {"gen_many_vertices": ("100000000", "1"), "gen_wide_pool": ("3000", "2999"),
+                "gen_out_of_memory": ("1000000", "1")}[make]
         argv = [sys.executable, "-m", "atk.cli", "gen", "--n", n, "--k", k, "--p", "0.5",
                 "--seed", "1", "--out", str(path)]
     start = time.perf_counter()
@@ -180,4 +182,5 @@ def test_oversized_input_exits_one_in_one_line_under_a_memory_limit(make, tmp_pa
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert time.perf_counter() - start < 5.0  # well under 1 s on a quiet host
+    # well under 1 s on a quiet host; running out of memory takes about 6 s
+    assert time.perf_counter() - start < (30.0 if make == "gen_out_of_memory" else 5.0)

@@ -1,16 +1,24 @@
 import dataclasses
 import inspect
+import math
 import random
 import sys
 
 import pytest
 
-from atk.approx import degeneracy_is
+from atk import friendly
+from atk.approx import degeneracy_is, eds_2approx
 from atk.friendly import approx_friendly_turing, builtin_instances, find_split_node
 from atk.generate import gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import approx_vc_turing, KernelConfig
-from atk.oracles import brute_force_solve, exact_brute_oracle, exact_dp_oracle, td_dp_solve
+from atk.oracles import (
+    Oracle,
+    brute_force_solve,
+    exact_brute_oracle,
+    exact_dp_oracle,
+    td_dp_solve,
+)
 from atk.problems import IS, VC, Solution, is_feasible, is_minimization
 from atk.treedecomp import Remainder, heuristic_td, make_nice
 from helpers import gnp_graph, lift_exact, path_graph, query_size, split_solution, star_graph
@@ -68,9 +76,9 @@ def test_condition2_extend_bound(name):
         rest = g.remove_vertices(x)
         s_rest = prob.phi_approx(rest)
         if is_minimization(prob.kind):
-            out = prob.extend(g, x, s_rest)
+            out = prob.extend(g, g.vertex_set, x, s_rest)
             assert is_feasible(prob.kind, g, out)
-            assert out.value <= s_rest.value + prob.f(len(x))
+            assert out.value <= s_rest.value + len(x)
         else:
             # any solution of G - X is one of G with equal value
             assert is_feasible(prob.kind, g, s_rest)
@@ -123,18 +131,50 @@ def test_builtin_examples():
     # vertex cover: extend is plain union with X
     vc = REG["vc"]
     g = path_graph(4)
-    out = vc.extend(g, frozenset({1}), Solution.of_vertices({3}))
+    out = vc.extend(g, g.vertex_set, frozenset({1}), Solution.of_vertices({3}))
     assert out.payload == frozenset({1, 3})
-    assert vc.f(7) == 7
-    # independent set: max problems keep solutions unchanged
-    is_p = REG["is"]
-    assert is_p.extend(g, frozenset({1}), Solution.of_vertices({3})).payload == frozenset({3})
-    # eds extend on a star adds one incident edge for the centre
+    # only minimization problems declare an extend
+    assert [n for n, p in REG.items() if p.extend is None] == [
+        n for n, p in REG.items() if not is_minimization(p.kind)]
+    # eds extend on a star adds one incident edge for the centre, to its
+    # lowest neighbour inside the level's live set
     eds = REG["eds"]
     star = star_graph(4)
-    out = eds.extend(star, frozenset({0}), Solution.of_family(()))
-    assert len(out.payload) == 1
+    out = eds.extend(star, star.vertex_set, frozenset({0}), Solution.of_family(()))
+    assert out.payload == frozenset({frozenset({0, 1})})
     assert is_feasible(eds.kind, star, out)
+    live = star.vertex_set - {1}
+    out = eds.extend(star, live, frozenset({0}), Solution.of_family(()))
+    assert out.payload == frozenset({frozenset({0, 2})})
+    assert is_feasible(eds.kind, star.induced_subgraph(live), out)
+
+
+def test_the_fold_builds_no_level_graph(monkeypatch):
+    """The minimization fold reads each level's graph G[live] through the
+    view's live set: a run builds no induced subgraph larger than the
+    largest piece it queries (before the piece's kernel)."""
+    built, pieces = [], []
+    induced, query = Graph.induced_subgraph, friendly._query
+
+    def spy_induced(self, s):
+        sub = induced(self, s)
+        built.append(sub.n)
+        return sub
+
+    def spy_query(kind, g, *args):
+        pieces.append(g.n)
+        return query(kind, g, *args)
+
+    monkeypatch.setattr(Graph, "induced_subgraph", spy_induced)
+    monkeypatch.setattr(friendly, "_query", spy_query)
+    stand_in = Oracle("eds-2approx", 2.0, math.inf, lambda kind, g, td: eds_2approx(g))
+    for name, oracle in (("vc", exact_dp_oracle()), ("eds", stand_in)):
+        g, td = gen_partial_ktree(300, 3, 0.9, 1)
+        built.clear()
+        pieces.clear()
+        rep = approx_friendly_turing(g, td, 0.5, REG[name], oracle, 0.1)
+        assert rep.recursion_depth >= 3, name
+        assert max(built) <= max(pieces) < g.n, (name, max(built), max(pieces))
 
 
 def test_find_split_node_direct_branch_small():
