@@ -4,10 +4,10 @@ A friendly problem bundles the four ingredients that make the generic
 separator-splitting Turing kernel work: additivity over disjoint unions,
 a deletion effect of at most |X| with an extend algorithm (minimization
 only), a reduce-and-lift kernel with size function h, and a
-phi-approximation with a bracket on its value by graph size and width. Six
-built-in instances are provided; the engine itself is problem-blind, and
-runs phi only on nodes whose live local size leaves the split search
-undecided, once per vertex set that no join splits.
+phi-approximation, with a floor on its value by graph size and width where
+one is known. Six built-in instances are provided; the engine itself is
+problem-blind, and runs phi only on nodes whose live local size leaves the
+split search undecided, once per vertex set that no join splits.
 
 The engine is one step on the engine loop in ``kernels`` that runs the
 whole split chain as a loop over the input's nice decomposition, so the
@@ -55,17 +55,17 @@ class FriendlyProblem:
     """A problem descriptor satisfying the four friendliness conditions.
 
     ``phi_approx(g, within=None)`` approximates G[within] (all of g by
-    default). ``phi_range(size, width)`` is a pair (lo, hi) that brackets
-    what ``phi_approx`` returns on any graph with ``size`` vertices and
-    treewidth at most ``width`` (-1 for the empty graph). ``psaks`` is the
-    problem's reduce-and-lift kernel, or None where pieces are queried
-    directly. Every problem's ``phi_approx`` must be additive over disjoint
-    unions: on two vertex sets A and B with no edge between them, its answer
-    on A | B must be the union of its answers on A and on B, each of which
-    holds only vertices of its own set. The split search relies on it: it
-    takes a join's phi as the ``Solution.union`` of the answers on the
-    join's two sides, which no edge joins, and never runs phi on their
-    union.
+    default), and returns at most the graph's vertex count. ``phi_floor(size,
+    width)``, where declared, is at most what ``phi_approx`` returns on any
+    graph with ``size`` vertices and treewidth at most ``width`` (-1 for
+    the empty graph). ``psaks`` is the problem's reduce-and-lift kernel, or
+    None where pieces are queried directly. Every problem's ``phi_approx``
+    must be additive over disjoint unions: on two vertex sets A and B with
+    no edge between them, its answer on A | B must be the union of its
+    answers on A and on B, each of which holds only vertices of its own
+    set. The split search relies on it: it takes a join's phi as the
+    ``Solution.union`` of the answers on the join's two sides, which no edge
+    joins, and never runs phi on their union.
 
     Only a minimization problem declares ``extend(g, live, x, sol)``: it
     turns a solution of G[live] - X into one of G[live] worth at most |X|
@@ -77,8 +77,8 @@ class FriendlyProblem:
     kind: ProblemKind
     phi: Callable[[float, int], float]
     phi_approx: Callable[..., Solution]
-    phi_range: Callable[[int, int], tuple[int, int]]
     psaks: ApproximateKernel | None
+    phi_floor: Callable[[int, int], int] | None = None
     extend: Callable[[Graph, set, frozenset, Solution], Solution] | None = None
 
 
@@ -118,7 +118,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=VC,
             phi=lambda s, l: 2.0 * s,
             phi_approx=vc_2approx,
-            phi_range=lambda s, w: (0, s),
             psaks=vc_nt_kernel(),
             extend=_extend_add_vertices,
         ),
@@ -127,16 +126,16 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=IS,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=degeneracy_is,
-            phi_range=lambda s, w: (-(-s // max(w + 1, 1)), s),
             psaks=is_degeneracy_kernel(),
+            phi_floor=lambda s, w: -(-s // max(w + 1, 1)),
         ),
         "cc": FriendlyProblem(
             name="cc",
             kind=CLIQUE_COVER,
             phi=lambda s, l: (l + 1.0) * s,
             phi_approx=_on_piece(clique_cover_trivial),
-            phi_range=lambda s, w: (s, s),
             psaks=clique_cover_kernel(),
+            phi_floor=lambda s, w: s,
             extend=_extend_singletons,
         ),
         "fvs": FriendlyProblem(
@@ -144,7 +143,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=FVS,
             phi=lambda s, l: 2.0 * s,
             phi_approx=_on_piece(fvs_2approx),
-            phi_range=lambda s, w: (0, s),
             psaks=None,
             extend=_extend_add_vertices,
         ),
@@ -153,7 +151,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=EDS,
             phi=lambda s, l: 2.0 * s,
             phi_approx=eds_2approx,
-            phi_range=lambda s, w: (0, s // 2),
             psaks=None,
             extend=_extend_incident_edges,
         ),
@@ -165,7 +162,6 @@ def builtin_instances() -> dict[str, FriendlyProblem]:
             kind=kind,
             phi=(lambda n_h: lambda s, l: n_h * s)(kind.pattern.n),
             phi_approx=_on_piece((lambda pat: lambda g: maximal_h_packing(g, pat))(kind.pattern)),
-            phi_range=(lambda n_h: lambda s, w: (0, s // n_h))(kind.pattern.n),
             psaks=None,
         )
     return reg
@@ -190,17 +186,18 @@ def find_split_node(
 
     The descent walks the remainder's tree to the first node whose phi-value
     is at most the budget threshold. A node whose live local size alone puts
-    phi over it (the low end of ``phi_range``) runs no phi and is measured
-    by the high end: with the built-in brackets it beats any join sibling
-    that runs phi, and of two such siblings the larger wins. A join child
-    whose high end is below its sibling's low end loses, also without phi.
+    phi over it (by ``phi_floor``, where declared) runs no phi and is
+    measured by that size, which phi never exceeds: with the built-in floors
+    it beats any join sibling that runs phi, and of two such siblings the
+    larger wins. A join child whose size is below its sibling's floor loses,
+    also without phi.
     Every other node gets its full phi from the view's one measure walk
     (``Remainder.additive``): phi is additive over a join's two sides, so a
     join's answer is the union of its children's, and phi runs once per
     vertex set that no join splits, each answer cached until a cut changes
     the set. At the root, the remainder is solved outright. The descent's
     choice stands. For minimization, a join the walk goes below measures
-    over the threshold, and with the built-in brackets that value is the
+    over the threshold, and with the built-in floors that value is the
     sum of its children's phi, so the two are never both within half of it
     and the join is never cut whole. For maximization, splitting the join's
     phi solution between its sides picks the same child. The caller then
@@ -214,13 +211,16 @@ def find_split_node(
     maximize = not is_minimization(problem.kind)
     limit = k if maximize else phi_k
 
-    def measure(t):  # no phi where the live local sizes decide
-        lo, hi = problem.phi_range(rest.live_local[t], ell)
-        p = ntd.parent[t]
-        sibs = () if p is None else rest[p]  # t alone unless t is a join child
-        loses = any(hi < problem.phi_range(rest.live_local[s], ell)[0] for s in sibs if s != t)
-        if lo > limit or loses:
-            return hi, None
+    floor = problem.phi_floor
+
+    def measure(t):  # no phi where the floor decides on live local sizes
+        if floor is not None:
+            size = rest.live_local[t]
+            p = ntd.parent[t]
+            sibs = () if p is None else rest[p]  # t alone unless t is a join child
+            if floor(size, ell) > limit or any(
+                    size < floor(rest.live_local[s], ell) for s in sibs if s != t):
+                return size, None
         sol = rest.additive(t, lambda s: problem.phi_approx(g, rest.local(s)))
         return sol.value, sol
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .errors import OracleRefused
+from .approx import greedy_matching
+from .errors import InternalInvariantViolation, OracleRefused
 from .graph import Graph
 from .problems import ECC, ProblemKind, Solution, contains_pattern
 from .treedecomp import (
@@ -103,18 +104,18 @@ def audited(inner: Oracle) -> tuple[Oracle, OracleAudit]:
 # ---------------------------------------------------------------------------
 
 
-def _bit_adjacency(g: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
+def _bit_adjacency(g: Graph) -> tuple[tuple[int, ...], list[int]]:
     verts = g.vertices
     pos = {v: i for i, v in enumerate(verts)}
     nbr = [0] * len(verts)
     for u, v in g.edges():
         nbr[pos[u]] |= 1 << pos[v]
         nbr[pos[v]] |= 1 << pos[u]
-    return verts, pos, nbr
+    return verts, nbr
 
 
 def _max_independent_set(g: Graph) -> frozenset[int]:
-    verts, _pos, nbr = _bit_adjacency(g)
+    verts, nbr = _bit_adjacency(g)
     n = len(verts)
     best_mask = 0
     best_size = 0
@@ -158,7 +159,7 @@ def _min_connected_vertex_cover(g: Graph) -> Solution:
         return Solution.no_solution()
     if g.m == 0:
         return Solution.of_vertices(())
-    verts, _pos, nbr = _bit_adjacency(g)
+    verts, nbr = _bit_adjacency(g)
     n = len(verts)
     full = (1 << n) - 1
     best: list = [None, n + 1]
@@ -247,41 +248,6 @@ def _min_fvs(g: Graph) -> frozenset[int]:
     return best[0]
 
 
-def _min_eds(g: Graph) -> frozenset[frozenset[int]]:
-    edges = [frozenset(e) for e in g.edges()]
-    if not edges:
-        return frozenset()
-    greedy: list[frozenset[int]] = []
-    used: set[int] = set()
-    for e in edges:
-        if not (e & used):
-            greedy.append(e)
-            used |= e
-    best: list = [frozenset(greedy), len(greedy)]
-    incident = {v: [e for e in edges if v in e] for v in g.vertices}
-    stack: list[tuple[frozenset[int], ...]] = [()]
-    while stack:  # depth first, the next branch on top
-        chosen = stack.pop()
-        if len(chosen) >= best[1]:
-            continue
-        covered = {v for e in chosen for v in e}
-        target = None
-        for e in edges:
-            if not (e & covered):
-                target = e
-                break
-        if target is None:
-            best[0], best[1] = frozenset(chosen), len(chosen)
-            continue
-        cands: list[frozenset[int]] = []
-        for v in sorted(target):
-            for f in incident[v]:
-                if f not in cands:
-                    cands.append(f)
-        stack.extend(chosen + (f,) for f in reversed(cands))
-    return best[0]
-
-
 def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
     out: list[frozenset[int]] = []
     stack = [(set(), set(g.vertices), set())]
@@ -299,54 +265,66 @@ def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
+def _min_cover(n_items: int, cands: list[list[tuple[object, int]]], start: frozenset) -> frozenset:
+    """The fewest covers that together hold items 0 .. n_items - 1, or
+    ``start`` where none are fewer: depth first over bitmasks of covered
+    items, each branch adding one ``(cover, mask of the items it holds)``
+    of ``cands[i]``, in list order, for the lowest uncovered item i."""
+    full = (1 << n_items) - 1
+    best, best_size = start, len(start)
+    stack: list[tuple[int, tuple]] = [(0, ())]
+    while stack:  # depth first, the next branch on top
+        covered, chosen = stack.pop()
+        if len(chosen) >= best_size:
+            continue
+        if covered == full:
+            best, best_size = frozenset(chosen), len(chosen)
+            continue
+        target = (~covered & (covered + 1)).bit_length() - 1
+        stack.extend((covered | mask, chosen + (c,)) for c, mask in reversed(cands[target]))
+    return best
+
+
 def _min_clique_cover(g: Graph, of_edges: bool) -> Solution:
     """The fewest maximal cliques that cover every edge (``of_edges``) or
     every vertex, or each edge or vertex as its own clique where none are
-    fewer: depth first, each branch adding a clique that covers the first
-    uncovered item."""
-    if of_edges:
-        items = [frozenset(e) for e in g.edges()]
-        covers = {c: frozenset(map(frozenset, combinations(sorted(c), 2)))
-                  for c in _maximal_cliques(g) if len(c) >= 2}  # clique -> the items it covers
-    else:
-        items, covers = g.vertices, {c: c for c in _maximal_cliques(g)}
-    fallback = frozenset(x if of_edges else frozenset([x]) for x in items)
-    best: list = [fallback, len(fallback)]
-    stack: list[tuple[frozenset, tuple]] = [(frozenset(), ())]
-    while stack:  # depth first, the next branch on top
-        covered, chosen = stack.pop()
-        if len(chosen) >= best[1]:
-            continue
-        target = next((x for x in items if x not in covered), None)
-        if target is None:
-            best[0], best[1] = frozenset(chosen), len(chosen)
-            continue
-        stack.extend((covered | got, chosen + (c,))
-                     for c, got in reversed(covers.items()) if target in got)
-    return Solution.of_family(best[0])
+    fewer."""
+    items = [frozenset(e) for e in g.edges()] if of_edges else [frozenset([v]) for v in g.vertices]
+    cands: list[list[tuple[object, int]]] = [[] for _ in items]
+    for c in _maximal_cliques(g):  # an isolated vertex's clique holds no edge: no ecc candidate
+        held = [i for i, x in enumerate(items) if x <= c]
+        mask = sum(1 << i for i in held)
+        for i in held:
+            cands[i].append((c, mask))
+    return Solution.of_family(_min_cover(len(items), cands, frozenset(items)))
 
 
-def _max_etp(g: Graph) -> frozenset[frozenset[int]]:
+def _edge_dominators(g: Graph) -> list[list[tuple[frozenset[int], int]]]:
+    """Per edge uv, in ``g.edges()`` order, the edges that share an
+    endpoint with it (those at u, then the rest of those at v), each with
+    the mask of the edges it shares an endpoint with."""
+    edges = list(g.edges())
+    at: dict[int, list[int]] = {v: [] for v in g.vertices}  # vertex -> its edges' indices
+    for i, e in enumerate(edges):
+        for v in e:
+            at[v].append(i)
+    inc = {v: sum(1 << i for i in ids) for v, ids in at.items()}
+    dom = [(frozenset(e), inc[e[0]] | inc[e[1]]) for e in edges]
+    return [[dom[j] for j in at[u] + [j for j in at[v] if j != i]]
+            for i, (u, v) in enumerate(edges)]
+
+
+def _triangle_packing(g: Graph) -> Solution:
+    """The most edge-disjoint triangles: a maximum independent set of the
+    graph on the triangles that joins two sharing an edge."""
     tris = list(g.triangles())
-    tri_edges = [
-        (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))) for a, b, c in tris
-    ]
-    best: list = [frozenset(), 0]
-    stack: list[tuple[int, frozenset, tuple[int, ...]]] = [(0, frozenset(), ())]
-    while stack:  # depth first, the next branch on top
-        idx, used, chosen = stack.pop()
-        if len(chosen) + (len(tris) - idx) <= best[1]:
-            continue
-        if idx == len(tris):
-            if len(chosen) > best[1]:
-                best[0] = frozenset(frozenset(tris[i]) for i in chosen)
-                best[1] = len(chosen)
-            continue
-        e1, e2, e3 = tri_edges[idx]
-        stack.append((idx + 1, used, chosen))
-        if e1 not in used and e2 not in used and e3 not in used:
-            stack.append((idx + 1, used | {e1, e2, e3}, chosen + (idx,)))
-    return best[0]
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, c) in enumerate(tris):
+        for e in ((a, b), (a, c), (b, c)):
+            by_edge.setdefault(e, []).append(i)
+    pairs = (p for ids in by_edge.values() for p in combinations(ids, 2))
+    conflicts = Graph(range(len(tris)), pairs)
+    return Solution.of_family(frozenset(tris[i]) for i in _max_independent_set(conflicts))
 
 
 def _max_hpacking(g: Graph, pattern: Graph) -> frozenset[frozenset[int]]:
@@ -388,10 +366,11 @@ SEARCHES: dict[str, tuple[Callable[[ProblemKind, Graph], Solution], bool]] = {
     "is": (lambda kind, g: Solution.of_vertices(_max_independent_set(g)), False),
     "cvc": (lambda kind, g: _min_connected_vertex_cover(g), False),
     "fvs": (lambda kind, g: Solution.of_vertices(_min_fvs(g)), False),
-    "eds": (lambda kind, g: Solution.of_family(_min_eds(g)), False),
+    "eds": (lambda kind, g: Solution.of_family(
+        _min_cover(g.m, _edge_dominators(g), frozenset(greedy_matching(g)[2]))), False),
     "ecc": (lambda kind, g: _min_clique_cover(g, True), True),
     "cc": (lambda kind, g: _min_clique_cover(g, False), False),
-    "etp": (lambda kind, g: Solution.of_family(_max_etp(g)), True),
+    "etp": (lambda kind, g: _triangle_packing(g), True),
     "hpack": (lambda kind, g: Solution.of_family(_max_hpacking(g, kind.pattern)), False),
 }
 
@@ -399,8 +378,9 @@ SEARCHES: dict[str, tuple[Callable[[ProblemKind, Graph], Solution], bool]] = {
 def brute_force_solve(kind: ProblemKind, g: Graph) -> Solution:
     """Exact optimum by exhaustive search, refusing over-cap instances.
 
-    A refusal signals that the calling Turing kernel violated its own size
-    discipline.
+    A refused engine query broke the engine's size bound, except where the
+    caller catches the refusal by design: ``kernels.solve_etp_small`` falls
+    back to its 3-approximation, and ``cli.compute_opt`` reports no optimum.
     """
     search, by_edges = SEARCHES[kind.name]
     size, unit, cap = (g.m, "edges", BRUTE_EDGE_CAP) if by_edges else (
@@ -498,7 +478,7 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
             stack.append((c2, mask))
     sol = Solution.of_vertices(picked)
     if sol.value != value:
-        raise AssertionError("DP traceback value mismatch")
+        raise InternalInvariantViolation("DP traceback value mismatch")
     return sol
 
 

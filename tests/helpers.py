@@ -594,6 +594,68 @@ def reference_min_clique_cover(g: Graph) -> frozenset[frozenset[int]]:
     return best[0]
 
 
+def reference_min_eds(g: Graph) -> frozenset[frozenset[int]]:
+    """The exhaustive edge dominating set search of its own, kept as the
+    reference for the cover search ``brute_force_solve`` runs."""
+    edges = [frozenset(e) for e in g.edges()]
+    if not edges:
+        return frozenset()
+    greedy: list[frozenset[int]] = []
+    used: set[int] = set()
+    for e in edges:
+        if not (e & used):
+            greedy.append(e)
+            used |= e
+    best: list = [frozenset(greedy), len(greedy)]
+    incident = {v: [e for e in edges if v in e] for v in g.vertices}
+    stack: list[tuple[frozenset[int], ...]] = [()]
+    while stack:  # depth first, the next branch on top
+        chosen = stack.pop()
+        if len(chosen) >= best[1]:
+            continue
+        covered = {v for e in chosen for v in e}
+        target = None
+        for e in edges:
+            if not (e & covered):
+                target = e
+                break
+        if target is None:
+            best[0], best[1] = frozenset(chosen), len(chosen)
+            continue
+        cands: list[frozenset[int]] = []
+        for v in sorted(target):
+            for f in incident[v]:
+                if f not in cands:
+                    cands.append(f)
+        stack.extend(chosen + (f,) for f in reversed(cands))
+    return best[0]
+
+
+def reference_max_etp(g: Graph) -> frozenset[frozenset[int]]:
+    """The exhaustive triangle packing search of its own, kept as the
+    reference for the independent-set search ``brute_force_solve`` runs."""
+    tris = list(g.triangles())
+    tri_edges = [
+        (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))) for a, b, c in tris
+    ]
+    best: list = [frozenset(), 0]
+    stack: list[tuple[int, frozenset, tuple[int, ...]]] = [(0, frozenset(), ())]
+    while stack:  # depth first, the next branch on top
+        idx, used, chosen = stack.pop()
+        if len(chosen) + (len(tris) - idx) <= best[1]:
+            continue
+        if idx == len(tris):
+            if len(chosen) > best[1]:
+                best[0] = frozenset(frozenset(tris[i]) for i in chosen)
+                best[1] = len(chosen)
+            continue
+        e1, e2, e3 = tri_edges[idx]
+        stack.append((idx + 1, used, chosen))
+        if e1 not in used and e2 not in used and e3 not in used:
+            stack.append((idx + 1, used | {e1, e2, e3}, chosen + (idx,)))
+    return best[0]
+
+
 def reference_degeneracy_order(g: Graph) -> tuple[list[int], int]:
     """The bucket-scan min-degree order and the degeneracy, kept as the
     reference for ``approx._min_degree_order``: each pick is ``min`` of the
@@ -662,8 +724,8 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
     stack of ``reference_levels`` with its own graph G - V_t and its own
     decomposition rebuilt by ``reference_restrict``, and phi runs in full on
     each node's induced local graph, except where the level's local size and
-    width put the low end of ``phi_range`` over the limit: such a node is
-    measured by the high end. For maximization it still splits a join's phi
+    width put ``phi_floor`` over the limit: such a node is measured by its
+    size. For maximization it still splits a join's phi
     solution between the children to pick one, which the engine leaves to
     the descent. Returns the run's report."""
     cfg = KernelConfig(eps, oracle, threshold_scale)
@@ -685,9 +747,9 @@ def reference_friendly_turing(g: Graph, td, eps: float, problem, oracle, thresho
             return problem.phi_approx(cur_g.induced_subgraph(idx.local_vertices(t)))
 
         def measure(t):
-            lo, hi = problem.phi_range(idx.local_size[t], ell)
-            if lo > limit:
-                return hi, None
+            size = idx.local_size[t]
+            if problem.phi_floor and problem.phi_floor(size, ell) > limit:
+                return size, None
             sol = phi(t)
             return sol.value, sol
 

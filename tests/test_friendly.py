@@ -206,7 +206,7 @@ def test_find_split_node_node_branch_is():
 
 
 def test_friendly_is_on_a_single_edge_and_an_empty_remainder():
-    # the remainder's width reaches -1 here, where is's bracket divides by width + 1
+    # the remainder's width reaches -1 here, where is's floor divides by width + 1
     g = Graph([0, 1], [(0, 1)])
     td = heuristic_td(g)
     rep = approx_friendly_turing(g, td, 1.0, REG["is"], exact_dp_oracle(), 0.05)

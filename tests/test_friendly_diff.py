@@ -4,8 +4,8 @@ The engine runs its whole split chain on a view of the input's nice
 decomposition, with phi cached per node and merged from a join's two
 sides. The reference in ``helpers`` rebuilds each level's graph and
 decomposition and measures phi in full on each node's own set. Both skip
-phi on a node whose local size puts the low end of ``phi_range`` over the
-window, and measure it by the high end. On random partial k-trees
+phi on a node whose local size puts ``phi_floor`` over the window, and
+measure it by that size. On random partial k-trees
 (k <= 3, n <= 120) at threshold scales 1, 0.1 and 0.01 both must give the
 same report, or fail with the same error (exhaustive search refuses
 queries over its cap). The H-packing problems, whose phi tries every

@@ -503,6 +503,20 @@ def test_no_problem_name_is_tested_outside_the_record_tables():
     assert tests == []
 
 
+def test_the_package_holds_no_assert():
+    """``cli.main`` maps no ``AssertionError`` to an exit code, and
+    ``python -O`` drops assert statements: a check in the package raises
+    one of its own errors (``InternalInvariantViolation`` for a case the
+    analysis rules out), so neither an ``assert`` statement nor an
+    ``AssertionError`` may appear in ``src/atk``."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "atk").glob("*.py")):
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "AssertionError"]
+    assert found == []
+
+
 def test_every_problem_record_has_one_exhaustive_search():
     assert set(SEARCHES) == set(RECORDS)
     assert {kind.record for kind in KINDS.values()} <= set(RECORDS.values())

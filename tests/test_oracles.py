@@ -42,8 +42,10 @@ from helpers import (
     edgeless_graph,
     gnp_graph,
     path_graph,
+    reference_max_etp,
     reference_min_clique_cover,
     reference_min_ecc,
+    reference_min_eds,
     triangle_chain,
 )
 
@@ -121,15 +123,20 @@ def test_brute_against_enumeration_random():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, BRUTE_VERTEX_CAP - 4), st.floats(0.1, 1.0),
        st.booleans())
-def test_clique_family_search_matches_the_two_searches(seed, n, p, ktree):
-    # ecc and cc share one exhaustive search, which must find the very
-    # families the two searches it replaced found
+def test_the_two_searches_match_the_searches_they_replaced(seed, n, p, ktree):
+    # ecc, cc and eds share one cover search, which must find the very
+    # families their own searches found; etp runs the independent-set
+    # search, which must find a packing as large as its own search did
     rng = random.Random(seed)
     k = rng.randint(1, 3)
     g = gen_partial_ktree(n + k + 1, k, p, seed)[0] if ktree else gnp_graph(rng, n, p / 2)
     assert brute_force_solve(CLIQUE_COVER, g).payload == reference_min_clique_cover(g)
+    assert brute_force_solve(EDS, g).payload == reference_min_eds(g)
     if g.m <= BRUTE_EDGE_CAP:
         assert brute_force_solve(ECC, g).payload == reference_min_ecc(g)
+        packing = brute_force_solve(ETP, g)
+        assert packing.value == len(reference_max_etp(g))
+        assert is_feasible(ETP, g, packing)
 
 
 def test_brute_solutions_feasible_across_kinds():

@@ -3,8 +3,9 @@ of the input graph.
 
 Each must equal itself on the induced subgraph G[within]. The min-degree
 order must still match the bucket reference in ``helpers``. Every built-in
-friendly problem's ``phi_range`` must bracket its phi on any live local set
-of a ``Remainder``, before and after cuts, at the view's width. The phi of
+friendly problem's phi must lie between its ``phi_floor`` (0 where it
+declares none) and the size of any live local set of a ``Remainder``,
+before and after cuts, at the view's width. The phi of
 every built-in friendly problem must be additive over two vertex sets with
 no edge between them, as the friendly engine's split search relies on: the
 view's one measure walk (``Remainder.additive``) must give every live node
@@ -100,7 +101,7 @@ def _view_nodes(rest):
     st.integers(0, 10_000),
     st.integers(0, 4),
 )
-def test_phi_range_brackets_phi_on_every_live_local_set(name, k, extra, p, seed, cuts):
+def test_phi_lies_between_its_floor_and_the_size_of_every_live_local_set(name, k, extra, p, seed, cuts):
     problem = builtin_instances()[name]
     g, td = gen_partial_ktree(k + 1 + extra, k, p, seed)
     rest = Remainder(g, make_nice(g, td))
@@ -111,8 +112,8 @@ def test_phi_range_brackets_phi_on_every_live_local_set(name, k, extra, p, seed,
         for t in nodes:
             local = rest.local(t)
             assert rest.live_local[t] == len(local)
-            lo, hi = problem.phi_range(len(local), width)
-            assert lo <= problem.phi_approx(g, local).value <= hi, (t, len(local), width)
+            floor = problem.phi_floor(len(local), width) if problem.phi_floor else 0
+            assert floor <= problem.phi_approx(g, local).value <= len(local), (t, len(local), width)
         if round_ < cuts:  # cut V_t, or its local set only as ecc does
             t = rng.choice(nodes)
             bag = rest.ntd.bags[t] & rest.live if rng.random() < 0.5 else set()
