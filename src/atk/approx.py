@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .graph import Graph
-from .problems import CVC, FVS, Solution, contains_pattern, h_packing, is_feasible
+from .problems import CVC, FVS, Solution, h_packing, is_feasible, pattern_copies
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +346,13 @@ def fvs_2approx(g: Graph) -> Solution:
 
 
 def maximal_h_packing(g: Graph, h: Graph) -> Solution:
-    """Greedy maximal family of vertex-disjoint copies of a small pattern.
-
-    Copies are found by exhaustive subgraph-isomorphism over vertex tuples;
-    the pattern is capped at 4 vertices and must be connected.
-    """
+    """A greedy maximal family of vertex-disjoint copies of a connected pattern
+    of at most 4 vertices: one pass over its ``pattern_copies`` in order."""
     h_packing(h)  # rejects patterns that are empty, too large or disconnected
     used: set[int] = set()
     fam: list[frozenset[int]] = []
-    for combo in combinations(g.vertices, h.n):
-        cs = frozenset(combo)
-        if cs & used:
-            continue
-        if contains_pattern(g, cs, h):
+    for cs in pattern_copies(g, h):
+        if not cs & used:
             fam.append(cs)
             used |= cs
     return Solution.of_family(fam)

@@ -19,7 +19,7 @@ from typing import Callable
 from .approx import greedy_matching
 from .errors import InternalInvariantViolation, OracleRefused
 from .graph import Graph
-from .problems import ECC, ProblemKind, Solution, contains_pattern
+from .problems import ECC, ProblemKind, Solution, pattern_copies
 from .treedecomp import (
     FORGET,
     INTRODUCE,
@@ -328,14 +328,11 @@ def _triangle_packing(g: Graph) -> Solution:
 
 
 def _max_hpacking(g: Graph, pattern: Graph) -> frozenset[frozenset[int]]:
+    """The most vertex-disjoint ``pattern_copies``: each vertex in order is left
+    out or covered by one of its copies, until too few free vertices remain."""
     k = pattern.n
-    copies = [
-        frozenset(c)
-        for c in combinations(g.vertices, k)
-        if contains_pattern(g, frozenset(c), pattern)
-    ]
     by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in g.vertices}
-    for c in copies:
+    for c in pattern_copies(g, pattern):
         for v in c:
             by_vertex[v].append(c)
     order = g.vertices

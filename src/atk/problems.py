@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterable
 
 from .graph import Graph
@@ -78,17 +77,26 @@ class Solution:
         return Solution(payload, len(payload))
 
 
-def contains_pattern(g: Graph, vs: frozenset[int], pattern: Graph) -> bool:
-    """True if g[vs] contains ``pattern`` as a (not necessarily induced) subgraph."""
-    if len(vs) != pattern.n:
-        return False
-    slots = sorted(vs)
-    pat = pattern.vertices
-    for perm in permutations(slots):
-        assign = dict(zip(pat, perm))
-        if all(g.has_edge(assign[a], assign[b]) for a, b in pattern.edges()):
-            return True
-    return False
+def pattern_copies(g: Graph, pattern: Graph) -> list[frozenset[int]]:
+    """The vertex sets of g holding a copy of the connected ``pattern`` (not
+    necessarily induced), each once, by sorted tuple. The pattern is placed
+    breadth first, each image after the first a neighbour of an earlier one:
+    adjacency listing after Chiba and Nishizeki (SIAM J. Comput. 1985)."""
+    order = [pattern.vertices[0]]
+    for a in order:  # breadth first: the list grows as it is read
+        order.extend(sorted(pattern.neighbors(a) - set(order)))
+    back = [[j for j in range(i) if pattern.has_edge(v, order[j])] for i, v in enumerate(order)]
+    found: set[frozenset[int]] = set()
+    stack = [(v,) for v in g.vertices]
+    while stack:  # a partial image of ``order``
+        images = stack.pop()
+        if len(images) == len(order):
+            found.add(frozenset(images))
+            continue
+        first, *rest = back[len(images)]
+        stack.extend(images + (w,) for w in g.neighbors(images[first])
+                     if w not in images and all(g.has_edge(w, images[j]) for j in rest))
+    return sorted(found, key=sorted)
 
 
 def _vc_feasible(kind: ProblemKind, g: Graph, payload: frozenset) -> bool:
@@ -151,7 +159,7 @@ def _hpack_feasible(kind: ProblemKind, g: Graph, payload: frozenset) -> bool:
     for copy in map(frozenset, payload):
         if copy & used or not all(map(g.has_vertex, copy)):
             return False
-        if not contains_pattern(g, copy, kind.pattern):
+        if copy not in pattern_copies(g.induced_subgraph(copy), kind.pattern):
             return False
         used |= copy
     return True

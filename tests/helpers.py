@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
+import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 from atk.errors import InternalInvariantViolation
 from atk.graph import Graph, _reach
@@ -17,7 +21,7 @@ from atk.kernels import (
     _query,
     solve_etp_small,
 )
-from atk.oracles import _maximal_cliques, brute_force_solve
+from atk.oracles import Oracle, _maximal_cliques, brute_force_solve
 from atk.problems import ECC, ETP, Solution, is_minimization
 from atk.treedecomp import (
     FORGET,
@@ -406,6 +410,16 @@ def reference_etp_feasible(g: Graph, payload) -> bool:
     return all(len(s & t) <= 1 for s, t in combinations(payload, 2))
 
 
+def reference_pattern_copies(g: Graph, pattern: Graph) -> list[frozenset[int]]:
+    """Every ``pattern.n``-subset of g, in ``combinations`` order, that holds
+    the pattern under some assignment of its vertices: the scan kept as the
+    reference for ``problems.pattern_copies``."""
+    edges = list(pattern.edges())
+    return [frozenset(c) for c in combinations(g.vertices, pattern.n)
+            if any(all(g.has_edge(at[a], at[b]) for a, b in edges)
+                   for at in (dict(zip(pattern.vertices, p)) for p in permutations(c)))]
+
+
 def reference_hpack_feasible(g: Graph, payload, pattern: Graph) -> bool:
     """Pairwise disjoint vertex sets of g, each inducing a graph that has
     ``pattern`` as a subgraph by networkx's ``subgraph_is_monomorphic``,
@@ -417,6 +431,63 @@ def reference_hpack_feasible(g: Graph, payload, pattern: Graph) -> bool:
         if not GraphMatcher(nxg.subgraph(copy), nxh).subgraph_is_monomorphic():
             return False
     return all(not (s & t) for s, t in combinations(payload, 2))
+
+
+def monomorphic_copies(g: Graph, pattern: Graph) -> list[frozenset[int]]:
+    """The vertex sets of g holding a copy of ``pattern``, by networkx's
+    subgraph monomorphisms, in the order of their sorted tuples."""
+    matcher = GraphMatcher(to_networkx(g), to_networkx(pattern))
+    return sorted({frozenset(m) for m in matcher.subgraph_monomorphisms_iter()}, key=sorted)
+
+
+TRIANGLE = Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+
+
+def milp_oracle() -> Oracle:
+    """An exact oracle with no size cap for is, vc, etp, eds and hpack:*: a
+    0/1 program per query, solved by scipy's ``milp`` (HiGHS). It picks items
+    (vertices, edges, triangles or pattern copies) under one row per element
+    (an edge, or a vertex for hpack) over the items that touch it: at least
+    one for the minimizations vc and eds, at most one for the rest. Triangles
+    and copies come from networkx, not from the code under test."""
+
+    def fn(kind, g, td):
+        nxg = to_networkx(g)
+        at = {v: [frozenset(e) for e in nxg.edges(v)] for v in nxg}
+        if kind.name in ("is", "vc"):  # a vertex touches its edges
+            items = list(nxg)
+            touches = [at[v] for v in items]
+        elif kind.name == "eds":  # an edge touches every edge at its ends
+            items = [frozenset(e) for e in nxg.edges()]
+            touches = [[f for v in e for f in at[v]] for e in items]
+        elif kind.name == "etp":  # a triangle touches its three edges
+            items = monomorphic_copies(g, TRIANGLE)
+            touches = [[frozenset(p) for p in combinations(t, 2)] for t in items]
+        elif kind.name == "hpack":  # a copy touches its vertices
+            items = monomorphic_copies(g, kind.pattern)
+            touches = items
+        else:
+            raise ValueError(f"the MILP oracle does not answer {kind.name}")
+        minimize = kind.name in ("vc", "eds")
+        rows: dict = {}
+        cells = [(rows.setdefault(x, len(rows)), j)
+                 for j, xs in enumerate(touches) for x in set(xs)]
+        constraints = []
+        if rows:
+            a = coo_array((np.ones(len(cells)), tuple(zip(*cells))), shape=(len(rows), len(items)))
+            constraints.append(LinearConstraint(a, *((1, np.inf) if minimize else (-np.inf, 1))))
+        chosen = []
+        if items:
+            res = milp(np.full(len(items), 1.0 if minimize else -1.0), constraints=constraints,
+                       integrality=np.ones(len(items)), bounds=Bounds(0, 1))
+            if res.status != 0:
+                raise RuntimeError(f"milp failed on {kind.name}: {res.message}")
+            chosen = [x for x, val in zip(items, res.x) if val > 0.5]
+        if kind.name in ("is", "vc"):
+            return Solution.of_vertices(chosen)
+        return Solution.of_family(chosen)
+
+    return Oracle("milp", 1.0, math.inf, fn)
 
 
 def subtree_nodes(ntd, t: int) -> list[int]:

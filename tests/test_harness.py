@@ -517,6 +517,25 @@ def test_the_package_holds_no_assert():
     assert found == []
 
 
+def test_the_package_scans_no_vertex_subsets():
+    """Copies of a pattern are listed from adjacency, by
+    ``problems.pattern_copies``: no module in ``src/atk`` imports
+    ``permutations`` or runs ``combinations`` over a graph's vertices, the
+    O(n^|H|) scans that it replaced."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "atk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "combinations"
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(alias.name.endswith("permutations") for alias in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "permutations"
+                    or called and node.args and isinstance(node.args[0], ast.Attribute)
+                    and node.args[0].attr == "vertices"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_problem_record_has_one_exhaustive_search():
     assert set(SEARCHES) == set(RECORDS)
     assert {kind.record for kind in KINDS.values()} <= set(RECORDS.values())

@@ -1,6 +1,6 @@
 """Differential tests against networkx, an independent implementation.
 
-Components, pattern containment, the feedback vertex set check, the two
+Components, pattern copies, the feedback vertex set check, the two
 matching bounds of vertex cover and the min-degree decomposition width are
 compared on random graphs. networkx is used here only; ``atk`` itself has
 no dependencies.
@@ -12,19 +12,25 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.approximation import treewidth_min_degree
-from networkx.algorithms.isomorphism import GraphMatcher
 
 from atk.approx import nt_reduce, vc_2approx
 from atk.generate import gen_partial_ktree
 from atk.graph import Graph
-from atk.problems import FVS, Solution, contains_pattern, is_feasible
+from atk.problems import FVS, Solution, is_feasible, pattern_copies
 from atk.treedecomp import heuristic_td, validate
-from helpers import gnp_graph
+from helpers import gnp_graph, monomorphic_copies, reference_pattern_copies
 
-PATTERNS = {
+CONNECTED_PATTERNS = {  # every connected graph on at most 4 vertices, up to isomorphism
+    "k1": Graph([0]),
     "k2": Graph([0, 1], [(0, 1)]),
-    "k3": Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]),
     "p3": Graph([0, 1, 2], [(0, 1), (1, 2)]),
+    "k3": Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]),
+    "p4": Graph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)]),
+    "star": Graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)]),
+    "c4": Graph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "paw": Graph([0, 1, 2, 3], [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "diamond": Graph([0, 1, 2, 3], [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    "k4": Graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
 }
 
 
@@ -50,15 +56,13 @@ def test_connected_components_match_networkx(g):
     assert [min(c) for c in ours] == sorted(min(c) for c in ours)
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs(max_n=8), st.sampled_from(sorted(PATTERNS)), st.integers(0, 10_000))
-def test_contains_pattern_matches_subgraph_monomorphism(g, name, salt):
-    pattern = PATTERNS[name]
-    if g.n < pattern.n:
-        return
-    vs = frozenset(random.Random(salt).sample(g.vertices, pattern.n))
-    matcher = GraphMatcher(_nx(g.induced_subgraph(vs)), _nx(pattern))
-    assert contains_pattern(g, vs, pattern) == matcher.subgraph_is_monomorphic()
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=12), st.sampled_from(sorted(CONNECTED_PATTERNS)))
+def test_pattern_copies_match_subgraph_monomorphisms(g, name):
+    pattern = CONNECTED_PATTERNS[name]
+    copies = pattern_copies(g, pattern)
+    assert copies == monomorphic_copies(g, pattern)
+    assert copies == reference_pattern_copies(g, pattern)
 
 
 @settings(max_examples=150, deadline=None)
