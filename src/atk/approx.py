@@ -24,16 +24,12 @@ from .problems import CVC, FVS, Solution, h_packing, is_feasible, pattern_copies
 
 
 def greedy_matching(
-    g: Graph,
-    within: frozenset[int] | None = None,
-    stop_above: float | None = None,
-) -> tuple[int, frozenset[int] | None, list[frozenset[int]] | None]:
+    g: Graph, within: frozenset[int] | None = None
+) -> tuple[int, frozenset[int], list[frozenset[int]]]:
     """Greedy maximal matching on g (restricted to ``within`` if given).
 
     Returns (cover_value, cover, matched_edges) where cover takes both
-    endpoints of every matched edge. With ``stop_above`` set, the scan
-    aborts once the cover provably exceeds it and returns (value, None,
-    None); the partial value is then only a certificate of excess.
+    endpoints of every matched edge.
     """
     matched: set[int] = set()
     edges: list[frozenset[int]] = []
@@ -50,8 +46,6 @@ def greedy_matching(
             matched.add(v)
             edges.append(frozenset((u, v)))
             break
-        if stop_above is not None and 2 * len(edges) > stop_above:
-            return 2 * len(edges), None, None
     return 2 * len(edges), frozenset(matched), edges
 
 

@@ -41,7 +41,6 @@ from .graph import Graph, _components
 from .oracles import Oracle, audited
 from .problems import CVC, ECC, ETP, IS, VC, ProblemKind, Solution, is_feasible
 from .treedecomp import (
-    FORGET,
     NiceTreeDecomposition,
     Remainder,
     SubconnectedDecomposition,
@@ -232,23 +231,23 @@ def _window_pass(
     taken: set[int] = set()  # nodes of earlier pieces' decompositions
     deleted: set[int] = set()
     parts: list[frozenset] = []
-    children, kinds, pivots = ntd.children, ntd.kinds, ntd.pivots
+    children, pivots, bags = ntd.children, ntd.pivots, ntd.bags
 
     def measure(c: int) -> int:
         return len(state[c][1 if matching else 0])
 
     def cut(c: int) -> None:
-        parts.append(solve(g.induced_subgraph(state[c][0]), ntd, (c, taken), ntd.bags[c]))
-        deleted.update(ntd.bags[c])
+        parts.append(solve(g.induced_subgraph(state[c][0]), ntd, (c, taken), bags[c]))
+        deleted.update(bags[c])
 
     for t in ntd.postorder():
         kids = children[t]
-        v = pivots[t] if kinds[t] == FORGET and pivots[t] not in deleted else None
         if not kids:
             state[t] = (set(), set())
             continue
-        if v is None and len(kids) == 1:  # an introduce, or a forget of a deleted vertex:
-            state[t], state[kids[0]] = state[kids[0]], None  # nothing changes, so no cut
+        v = pivots[t]  # None at a join
+        if len(kids) == 1 and (v in bags[t] or v in deleted):  # an introduce, or a forget of
+            state[t], state[kids[0]] = state[kids[0]], None  # a deleted vertex, cuts nothing
             continue
         w = None  # v's partner in the matching, among its child's live set
         if v is not None and matching:
@@ -259,7 +258,8 @@ def _window_pass(
         if grown > limit:
             if matching:
                 pool = set().union(*(state[c][0] for c in kids), [v] if v is not None else [])
-                _, fits, _ = greedy_matching(g, pool, limit)
+                value, cover, _ = greedy_matching(g, pool)
+                fits = cover if value <= limit else None
             if fits is None:
                 c = min(kids, key=lambda c: (-measure(c), c))
                 cut(c)

@@ -20,15 +20,7 @@ from .approx import greedy_matching
 from .errors import InternalInvariantViolation, OracleRefused
 from .graph import Graph
 from .problems import ECC, ProblemKind, Solution, pattern_copies
-from .treedecomp import (
-    FORGET,
-    INTRODUCE,
-    LEAF,
-    NiceTreeDecomposition,
-    heuristic_td,
-    make_nice,
-    validate,
-)
+from .treedecomp import NiceTreeDecomposition, heuristic_td, make_nice, validate
 
 BRUTE_VERTEX_CAP = 18
 BRUTE_EDGE_CAP = 30
@@ -412,14 +404,23 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     maximize = not kind.record.minimize
     tables: list[dict[frozenset[int], int]] = [dict() for _ in range(ntd.n_nodes)]
     forget_choice: list[dict[frozenset[int], frozenset[int]]] = [dict() for _ in range(ntd.n_nodes)]
+    children, pivots, bags = ntd.children, ntd.pivots, ntd.bags
     for t in order:
-        node_kind = ntd.kinds[t]
-        if node_kind == LEAF:
+        kids = children[t]
+        if not kids:
             tables[t] = {frozenset(): 0}
-        elif node_kind == INTRODUCE:
-            c = ntd.children[t][0]
-            v = ntd.pivots[t]
-            nv = g.neighbors(v) & ntd.bags[c]
+        elif len(kids) == 2:
+            c1, c2 = kids
+            tab = {}
+            t2 = tables[c2]
+            for mask, val in tables[c1].items():
+                other = t2.get(mask)
+                if other is not None:
+                    tab[mask] = val + other - len(mask)
+            tables[t] = tab
+        elif (v := pivots[t]) in bags[t]:  # an introduce
+            c = kids[0]
+            nv = g.neighbors(v) & bags[c]
             tab: dict[frozenset[int], int] = {}
             for mask, val in tables[c].items():
                 # v excluded: fine for IS; for VC its bag edges need cover.
@@ -430,9 +431,8 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
                     tab[mask | {v}] = val + 1
             tables[t] = tab
             tables[c] = None  # free
-        elif node_kind == FORGET:
-            c = ntd.children[t][0]
-            v = ntd.pivots[t]
+        else:  # a forget
+            c = kids[0]
             tab = {}
             choice = {}
             for mask, val in tables[c].items():
@@ -444,15 +444,6 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
             tables[t] = tab
             forget_choice[t] = choice
             tables[c] = None
-        else:  # JOIN
-            c1, c2 = ntd.children[t]
-            tab = {}
-            t2 = tables[c2]
-            for mask, val in tables[c1].items():
-                other = t2.get(mask)
-                if other is not None:
-                    tab[mask] = val + other - len(mask)
-            tables[t] = tab
     root_table = tables[ntd.root]
     value = root_table[frozenset()]
     # Traceback: the union of chosen bag subsets along consistent masks.
@@ -461,18 +452,13 @@ def td_dp_solve(kind: ProblemKind, g: Graph, ntd: NiceTreeDecomposition) -> Solu
     while stack:
         t, mask = stack.pop()
         picked |= mask
-        node_kind = ntd.kinds[t]
-        if node_kind == LEAF:
-            continue
-        if node_kind == INTRODUCE:
-            v = ntd.pivots[t]
-            stack.append((ntd.children[t][0], mask - {v}))
-        elif node_kind == FORGET:
-            stack.append((ntd.children[t][0], forget_choice[t][mask]))
-        else:
-            c1, c2 = ntd.children[t]
-            stack.append((c1, mask))
-            stack.append((c2, mask))
+        kids = children[t]
+        if len(kids) == 2:
+            stack.append((kids[0], mask))
+            stack.append((kids[1], mask))
+        elif kids:  # an introduce drops its pivot, a forget takes its recorded choice
+            v = pivots[t]
+            stack.append((kids[0], mask - {v} if v in bags[t] else forget_choice[t][mask]))
     sol = Solution.of_vertices(picked)
     if sol.value != value:
         raise InternalInvariantViolation("DP traceback value mismatch")

@@ -161,25 +161,21 @@ def validate(g: Graph, td) -> ValidationReport:
 # Nice tree decompositions
 # ---------------------------------------------------------------------------
 
-LEAF = "leaf"
-INTRODUCE = "introduce"
-FORGET = "forget"
-JOIN = "join"
-
-
 class NiceTreeDecomposition:
-    """Rooted decomposition with typed nodes and empty root/leaf bags."""
+    """Rooted decomposition with empty root/leaf bags, whose node kinds
+    follow from its shape: a node with no child is a leaf, one with two
+    children a join (neither has a pivot), and a one-child node an
+    introduce of its pivot when the pivot is in its own bag, a forget when
+    it is in its child's bag only."""
 
     def __init__(
         self,
         bags: list[frozenset[int]],
-        kinds: list[str],
         pivots: list[int | None],
         children: list[tuple[int, ...]],
         root: int,
     ):
         self.bags = bags
-        self.kinds = kinds
         self.pivots = pivots
         self.children = children
         self.root = root
@@ -223,7 +219,7 @@ class NiceTreeDecomposition:
         """
         start = self.root if t is None else t
         skip = () if taken is None else taken
-        children, pivots, kinds, bags = self.children, self.pivots, self.kinds, self.bags
+        children, pivots, bags = self.children, self.pivots, self.bags
         order = []  # parents before children
         stack = [start]
         while stack:
@@ -235,7 +231,7 @@ class NiceTreeDecomposition:
         if taken is not None:
             taken.update(order)
         part_of = {v: i for i, part in enumerate(parts) for v in part}
-        out = [([], [], [], []) for _ in parts]  # each part's bags, kinds, pivots, children
+        out = [([], [], []) for _ in parts]  # each part's bags, pivots, children
         pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}, for a later parent
         last, tops = None, {}  # the node walked last and its map
         for s in reversed(order):  # a post-order: a node comes right after its last kept child
@@ -247,10 +243,9 @@ class NiceTreeDecomposition:
                     if top is None:  # v's introduce above a new leaf
                         top = _chain(out[i], None, _EMPTY, frozenset((v,)))
                     else:  # add or drop v; s's own bag if its child's was whole
-                        nb, nk, np_, nc = out[i]
+                        nb, np_, nc = out[i]
                         cut = nb[top]
                         nb.append(bags[s] if len(cut) == len(bags[last]) else cut ^ {v})
-                        nk.append(kinds[s])
                         np_.append(v)
                         nc.append((top,))
                         top = len(nb) - 1
@@ -267,7 +262,7 @@ class NiceTreeDecomposition:
                     for i, top in other.items():
                         if i in tops:
                             pair = (tops[i], top) if big else (top, tops[i])
-                            top = _node(out[i], out[i][0][top], JOIN, None, pair)
+                            top = _node(out[i], out[i][0][top], None, pair)
                         tops[i] = top
                 else:  # a leaf, or a node with a taken child: the cut bag grows from a leaf
                     for v in bags[s]:
@@ -298,63 +293,51 @@ class NiceTreeDecomposition:
         order = self.postorder() if one_parent_each else []
         if len(order) != self.n_nodes:
             return [], ["children do not form a tree below the root"]
-        bags, out = self.bags, []
+        bags, pivots, out = self.bags, self.pivots, []
         if bags[self.root]:
             out.append("root bag not empty")
-        for t, (kind, kids, v) in enumerate(zip(self.kinds, self.children, self.pivots)):
-            if kind == LEAF:
-                if kids:
-                    out.append(f"leaf {t} has children")
-                if bags[t]:
-                    out.append(f"leaf {t} has a non-empty bag")
-            elif kind == JOIN:
-                if len(kids) != 2 or any(bags[c] != bags[t] for c in kids):
-                    out.append(f"join {t} lacks two equal-bag children")
-            elif kind == INTRODUCE or kind == FORGET:  # the larger bag is the smaller one and v
-                below = bags[kids[0]] if len(kids) == 1 else None
-                big, small = (bags[t], below) if kind == INTRODUCE else (below, bags[t])
-                if (below is None or v not in big or v in small
-                        or len(big) != len(small) + 1 or not small < big):
-                    out.append(f"{kind} {t} inconsistent")
+        for t, kids in enumerate(self.children):
+            if not kids:
+                if bags[t] or pivots[t] is not None:
+                    out.append(f"leaf {t} has a non-empty bag or a pivot")
+            elif len(kids) == 1:  # the larger bag, the one holding v, is the smaller one and v
+                v, bag, below = pivots[t], bags[t], bags[kids[0]]
+                big, small = (bag, below) if v in bag else (below, bag)
+                if v not in big or v in small or len(big) != len(small) + 1 or not small < big:
+                    out.append(f"node {t} neither introduces nor forgets its pivot")
+            elif len(kids) == 2:
+                if bags[kids[0]] != bags[t] or bags[kids[1]] != bags[t] or pivots[t] is not None:
+                    out.append(f"join {t} has a pivot or lacks two equal-bag children")
             else:
-                out.append(f"unknown kind at {t}")
+                out.append(f"node {t} has more than two children")
         return order, out
 
 
 _EMPTY: frozenset[int] = frozenset()
 
 
-def _node(tree: tuple[list, list, list, list], bag, kind: str, pivot, kids: tuple) -> int:
-    """Append a node to ``tree``, its bags, kinds, pivots and children lists."""
+def _node(tree: tuple[list, list, list], bag, pivot, kids: tuple) -> int:
+    """Append a node to ``tree``, its bags, pivots and children lists."""
     tree[0].append(bag)
-    tree[1].append(kind)
-    tree[2].append(pivot)
-    tree[3].append(kids)
+    tree[1].append(pivot)
+    tree[2].append(kids)
     return len(tree[0]) - 1
 
 
-def _chain(tree: tuple[list, list, list, list], cur: int | None, have: frozenset[int],
+def _chain(tree: tuple[list, list, list], cur: int | None, have: frozenset[int],
            target: frozenset[int]) -> int:
     """Append to ``tree`` the forgets, then the introduces, each in vertex
     order, that lead from node ``cur`` with bag ``have`` up to ``target``,
     starting from a new leaf when ``cur`` is None; returns the top node."""
-    bags, kinds, pivots, children = tree
+    bags, pivots, children = tree
     if cur is None:
-        cur = _node(tree, _EMPTY, LEAF, None, ())
-    gone, new = have - target, target - have
-    for v in gone if len(gone) < 2 else sorted(gone):
-        have = have - {v}
+        cur = _node(tree, _EMPTY, None, ())
+    gone, new = have - target, target - have  # sorted unless each holds at most one vertex
+    for v in [*gone, *new] if len(gone) < 2 and len(new) < 2 else sorted(gone) + sorted(new):
+        have = have ^ {v}
         children.append((cur,))
         cur = len(bags)
         bags.append(have)
-        kinds.append(FORGET)
-        pivots.append(v)
-    for v in new if len(new) < 2 else sorted(new):
-        have = have | {v}
-        children.append((cur,))
-        cur = len(bags)
-        bags.append(have)
-        kinds.append(INTRODUCE)
         pivots.append(v)
     return cur
 
@@ -408,7 +391,7 @@ def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
         for s in reversed(kids):
             dfs_order.append(s)
             stack.append((s, t))
-    tree: tuple[list, list, list, list] = ([], [], [], [])  # bags, kinds, pivots, children
+    tree: tuple[list, list, list] = ([], [], [])  # bags, pivots, children
     tops: dict[int, int] = {}
     for t in reversed(dfs_order):
         bag = bags[t]
@@ -421,7 +404,7 @@ def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
             continue
         while len(lifted) > 1:  # binarize: join the last two
             right = lifted.pop()
-            lifted.append(_node(tree, bag, JOIN, None, (lifted.pop(), right)))
+            lifted.append(_node(tree, bag, None, (lifted.pop(), right)))
         tops[t] = lifted[0]
     top = _chain(tree, tops[root], tree[0][tops[root]], _EMPTY)
     return NiceTreeDecomposition(*tree, top)
@@ -459,11 +442,12 @@ class Remainder:
         self.root = ntd.root  # descend reads it and children
         n = ntd.n_nodes
         self.forgotten, self.begin, self.end = forgotten, begin, end = [], [0] * n, [0] * n
+        children, pivots, bags = ntd.children, ntd.pivots, ntd.bags
         for t in ntd.postorder():
-            kids = ntd.children[t]
+            kids = children[t]
             begin[t] = begin[kids[0]] if kids else len(forgotten)
-            if ntd.kinds[t] == FORGET:
-                forgotten.append(ntd.pivots[t])
+            if (v := pivots[t]) is not None and v not in bags[t]:  # a forget
+                forgotten.append(v)
             end[t] = len(forgotten)
         self.live = set(g.vertices)
         self.taken: set[int] = set()

@@ -24,10 +24,6 @@ from atk.kernels import (
 from atk.oracles import Oracle, _maximal_cliques, brute_force_solve
 from atk.problems import ECC, ETP, Solution, is_minimization
 from atk.treedecomp import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
     ValidationReport,
@@ -96,20 +92,33 @@ def restricted(td: TreeDecomposition, keep: frozenset[int]) -> TreeDecomposition
     return TreeDecomposition({t: b & keep for t, b in td.bags.items()}, td.tree_edges, root=td.root)
 
 
+def node_kind(ntd: NiceTreeDecomposition, t: int) -> str:
+    """The kind of node t, read from its shape: a leaf has no child, a join
+    two, and a one-child node introduces its pivot when the pivot is in its
+    own bag and forgets it otherwise."""
+    kids = ntd.children[t]
+    if len(kids) != 1:
+        return "join" if kids else "leaf"
+    return "introduce" if ntd.pivots[t] in ntd.bags[t] else "forget"
+
+
 class _NiceBuilder:
     """The node-at-a-time nice tree builder, kept as the reference for the
-    build loops of ``make_nice`` and ``NiceTreeDecomposition.restrict``."""
+    build loops of ``make_nice`` and ``NiceTreeDecomposition.restrict``. It
+    labels every node with the kind it means to build; ``tree`` hands the
+    labels on as the tree's ``labels``, for tests to check against the
+    kinds the shape gives."""
 
     def __init__(self):
         self.bags: list[frozenset[int]] = []
-        self.kinds: list[str] = []
+        self.labels: list[str] = []
         self.pivots: list[int | None] = []
         self.children: list[tuple[int, ...]] = []
 
     def add(self, bag: frozenset[int], kind: str, pivot: int | None = None,
             children: tuple[int, ...] = ()) -> int:
         self.bags.append(bag)
-        self.kinds.append(kind)
+        self.labels.append(kind)
         self.pivots.append(pivot)
         self.children.append(children)
         return len(self.bags) - 1
@@ -119,16 +128,21 @@ class _NiceBuilder:
         cur = node
         bag = self.bags[cur]
         for v in sorted(bag - target):
-            cur = self.add(bag - {v}, FORGET, v, (cur,))
+            cur = self.add(bag - {v}, "forget", v, (cur,))
             bag = self.bags[cur]
         for v in sorted(target - bag):
-            cur = self.add(bag | {v}, INTRODUCE, v, (cur,))
+            cur = self.add(bag | {v}, "introduce", v, (cur,))
             bag = self.bags[cur]
         return cur
 
     def leaf_chain(self, target: frozenset[int]) -> int:
-        cur = self.add(frozenset(), LEAF)
+        cur = self.add(frozenset(), "leaf")
         return self.chain_up(cur, target)
+
+    def tree(self, root: int) -> NiceTreeDecomposition:
+        ntd = NiceTreeDecomposition(self.bags, self.pivots, self.children, root)
+        ntd.labels = self.labels
+        return ntd
 
 
 def reference_make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -161,10 +175,10 @@ def reference_make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecompositio
         while len(lifted) > 1:
             right = lifted.pop()
             left = lifted.pop()
-            lifted.append(builder.add(bag, JOIN, None, (left, right)))
+            lifted.append(builder.add(bag, "join", None, (left, right)))
         tops[t] = lifted[0]
     top = builder.chain_up(tops[root], frozenset())
-    return NiceTreeDecomposition(builder.bags, builder.kinds, builder.pivots, builder.children, top)
+    return builder.tree(top)
 
 
 def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
@@ -194,14 +208,14 @@ def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
         if not kids:
             top[s] = out.leaf_chain(bag) if bag else None
         elif len(kids) == 2:
-            top[s] = out.add(bag, JOIN, None, tuple(kids))
+            top[s] = out.add(bag, "join", None, tuple(kids))
         elif out.bags[kids[0]] == bag:
             top[s] = kids[0]
         else:
-            top[s] = out.add(bag, ntd.kinds[s], ntd.pivots[s], (kids[0],))
+            top[s] = out.add(bag, node_kind(ntd, s), ntd.pivots[s], (kids[0],))
     root = top[start]
     root = out.leaf_chain(frozenset()) if root is None else out.chain_up(root, frozenset())
-    return NiceTreeDecomposition(out.bags, out.kinds, out.pivots, out.children, root)
+    return out.tree(root)
 
 
 def reference_restrict_walk(ntd: NiceTreeDecomposition, parts: list[frozenset[int]],
@@ -233,7 +247,7 @@ def reference_restrict_walk(ntd: NiceTreeDecomposition, parts: list[frozenset[in
             for i, top in other.items():
                 if i in tops:
                     pair = (tops[i], top) if big else (top, tops[i])
-                    top = out[i].add(out[i].bags[top], JOIN, None, pair)
+                    top = out[i].add(out[i].bags[top], "join", None, pair)
                 tops[i] = top
         if len(below) < len(kids) or not kids:  # the cut bag grows from a leaf
             for v in ntd.bags[s]:
@@ -244,12 +258,12 @@ def reference_restrict_walk(ntd: NiceTreeDecomposition, parts: list[frozenset[in
             if top is None:
                 tops[i] = b.leaf_chain(frozenset((v,)))
             else:  # an introduce adds v, a forget drops it
-                tops[i] = b.add(b.bags[top] ^ {v}, ntd.kinds[s], v, (top,))
+                tops[i] = b.add(b.bags[top] ^ {v}, node_kind(ntd, s), v, (top,))
         pending[s] = tops
     tops, trees = pending[start], []
     for i, b in enumerate(out):
         root = b.chain_up(tops[i], frozenset()) if i in tops else b.leaf_chain(frozenset())
-        trees.append(NiceTreeDecomposition(b.bags, b.kinds, b.pivots, b.children, root))
+        trees.append(b.tree(root))
     return trees
 
 
@@ -444,12 +458,13 @@ TRIANGLE = Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
 
 
 def milp_oracle() -> Oracle:
-    """An exact oracle with no size cap for is, vc, etp, eds and hpack:*: a
-    0/1 program per query, solved by scipy's ``milp`` (HiGHS). It picks items
-    (vertices, edges, triangles or pattern copies) under one row per element
-    (an edge, or a vertex for hpack) over the items that touch it: at least
-    one for the minimizations vc and eds, at most one for the rest. Triangles
-    and copies come from networkx, not from the code under test."""
+    """An exact oracle with no size cap for is, vc, etp, eds, ecc, cc and
+    hpack:*: a 0/1 program per query, solved by scipy's ``milp`` (HiGHS). It
+    picks items (vertices, edges, triangles, maximal cliques or pattern
+    copies) under one row per element (an edge, or a vertex for cc and
+    hpack) over the items that touch it: at least one for the minimizations
+    vc, eds, ecc and cc, at most one for the rest. Triangles, cliques and
+    copies come from networkx, not from the code under test."""
 
     def fn(kind, g, td):
         nxg = to_networkx(g)
@@ -466,9 +481,15 @@ def milp_oracle() -> Oracle:
         elif kind.name == "hpack":  # a copy touches its vertices
             items = monomorphic_copies(g, kind.pattern)
             touches = items
+        elif kind.name == "ecc":  # a maximal clique with an edge touches its edges
+            items = [frozenset(c) for c in nx.find_cliques(nxg) if len(c) > 1]
+            touches = [[frozenset(p) for p in combinations(c, 2)] for c in items]
+        elif kind.name == "cc":  # a maximal clique touches its vertices
+            items = [frozenset(c) for c in nx.find_cliques(nxg)]
+            touches = items
         else:
             raise ValueError(f"the MILP oracle does not answer {kind.name}")
-        minimize = kind.name in ("vc", "eds")
+        minimize = kind.name in ("vc", "eds", "ecc", "cc")
         rows: dict = {}
         cells = [(rows.setdefault(x, len(rows)), j)
                  for j, xs in enumerate(touches) for x in set(xs)]
@@ -508,7 +529,7 @@ class SubtreeIndex:
         for t in ntd.postorder():
             kids = ntd.children[t]
             begin[t] = begin[kids[0]] if kids else len(forgotten)
-            if ntd.kinds[t] == FORGET:
+            if node_kind(ntd, t) == "forget":
                 forgotten.append(ntd.pivots[t])
             end[t] = len(forgotten)
         self.local_size = [e - b for b, e in zip(begin, end)]
@@ -539,7 +560,7 @@ def reference_descend(g: Graph, ntd, measure, limit: float, floor: float = 0.0):
         if not kids:
             raise InternalInvariantViolation("leaf reached above the window")
         if len(kids) == 1:
-            if ntd.kinds[node] == FORGET:
+            if node_kind(ntd, node) == "forget":
                 local.discard(ntd.pivots[node])
             node = kids[0]
             continue
@@ -581,7 +602,7 @@ def reference_window_pass(g: Graph, ntd, limit: float, matching: bool, solve):
 
     for t in ntd.postorder():
         kids = ntd.children[t]
-        v = ntd.pivots[t] if ntd.kinds[t] == FORGET and ntd.pivots[t] not in deleted else None
+        v = ntd.pivots[t] if node_kind(ntd, t) == "forget" and ntd.pivots[t] not in deleted else None
         w = None
         if v is not None and matching:
             live, mate = state[kids[0]]
@@ -591,7 +612,8 @@ def reference_window_pass(g: Graph, ntd, limit: float, matching: bool, solve):
         if grown > limit:
             if matching:
                 pool = set().union(*(state[c][0] for c in kids), [v] if v is not None else [])
-                _, fits, _ = greedy_matching(g, pool, limit)
+                value, cover, _ = greedy_matching(g, pool)
+                fits = cover if value <= limit else None
             if fits is None:
                 c = min(kids, key=lambda c: (-measure(c), c))
                 cut(c)

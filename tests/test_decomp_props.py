@@ -3,7 +3,10 @@ decompositions and the descent walk.
 
 ``make_nice`` must build the tree of the node-at-a-time reference in
 ``helpers``, node ids included, on partial k-trees and on decompositions
-padded with nested neighbouring bags and nodes of high degree.
+padded with nested neighbouring bags and nodes of high degree, and every
+node's kind, as its shape gives it, must be the kind the reference built.
+A tree from ``make_nice`` or ``restrict`` with one node corrupted must be
+reported by the nice-form checker and refused by the treewidth DP.
 
 ``validate`` is checked against the BFS-per-trace reference in ``helpers``
 on generated decompositions, intact and corrupted; ``restrict`` must cut
@@ -26,6 +29,7 @@ decomposition of the contracted graph.
 import random
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +37,8 @@ from atk.approx import degeneracy_is, greedy_matching, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
+from atk.oracles import td_dp_solve
+from atk.problems import VC
 from atk.treedecomp import (
     NiceTreeDecomposition,
     Remainder,
@@ -44,6 +50,7 @@ from atk.treedecomp import (
     validate,
 )
 from helpers import (
+    node_kind,
     reference_cut_and_contract,
     reference_descend,
     reference_make_nice,
@@ -118,7 +125,7 @@ def test_validate_nice_matches_reference(inst, corrupt, salt):
         t = rng.randrange(ntd.n_nodes)
         if bags[t]:
             bags[t] = bags[t] - {rng.choice(sorted(bags[t]))}
-        ntd = NiceTreeDecomposition(bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root)
+        ntd = NiceTreeDecomposition(bags, ntd.pivots, ntd.children, ntd.root)
     assert validate(g, ntd) == reference_validate(g, ntd.as_td())
 
 
@@ -162,10 +169,45 @@ def test_make_nice_matches_the_builder_reference(inst):
     g, td = inst
     ntd, ref = make_nice(g, td), reference_make_nice(g, td)
     assert ntd.bags == ref.bags
-    assert ntd.kinds == ref.kinds
+    assert [node_kind(ntd, t) for t in range(ntd.n_nodes)] == ref.labels
     assert ntd.pivots == ref.pivots
     assert ntd.children == ref.children
     assert ntd.root == ref.root
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.booleans(), st.sampled_from(("pivot", "stray-pivot", "add", "remove")),
+       st.integers(0, 10_000))
+def test_a_corrupted_nice_tree_is_refused(inst, restricted, how, salt):
+    # A nice tree from make_nice or restrict with one node changed: a
+    # one-child node's pivot replaced, a leaf or join given a pivot, or a
+    # vertex added to or removed from a bag. The node's shape then fits no
+    # kind, so the checker reports it and the DP refuses the tree before
+    # its shape dispatch runs.
+    g, td = inst
+    rng = random.Random(salt)
+    vertices, tree = g.vertices, make_nice(g, td)
+    if restricted:
+        piece = frozenset(v for v in vertices if rng.random() < 0.7) | {rng.choice(vertices)}
+        [tree] = tree.restrict([piece])
+        g = g.induced_subgraph(piece)
+    bags, pivots = list(tree.bags), list(tree.pivots)
+    if how == "pivot":
+        t = rng.choice([s for s, kids in enumerate(tree.children) if len(kids) == 1])
+        pivots[t] = rng.choice([u for u in vertices if u != pivots[t]])
+    elif how == "stray-pivot":
+        t = rng.choice([s for s, kids in enumerate(tree.children) if len(kids) != 1])
+        pivots[t] = rng.choice(vertices)
+    elif how == "add":
+        t = rng.choice([s for s, bag in enumerate(bags) if len(bag) < len(vertices)])
+        bags[t] = bags[t] | {rng.choice([u for u in vertices if u not in bags[t]])}
+    else:
+        t = rng.choice([s for s, bag in enumerate(bags) if bag])
+        bags[t] = bags[t] - {rng.choice(sorted(bags[t]))}
+    bad = NiceTreeDecomposition(bags, pivots, tree.children, tree.root)
+    assert bad.nice_violations()
+    with pytest.raises(ValueError, match="not a nice tree decomposition"):
+        td_dp_solve(VC, g, bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,7 +259,7 @@ def _nice_and_valid(g, ntd):
 
 
 def _shape(ntd):
-    return ntd.bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root
+    return ntd.bags, ntd.pivots, ntd.children, ntd.root
 
 
 @settings(max_examples=80, deadline=None)
@@ -387,7 +429,7 @@ def _query_orders(ntd, rng):
     nodes = list(range(ntd.n_nodes))
     rng.shuffle(nodes)
     flipped = [tuple(reversed(kids)) for kids in ntd.children]
-    mirror = NiceTreeDecomposition(ntd.bags, ntd.kinds, ntd.pivots, flipped, ntd.root)
+    mirror = NiceTreeDecomposition(ntd.bags, ntd.pivots, flipped, ntd.root)
     return [nodes, ntd.postorder(), subtree_nodes(ntd, ntd.root), subtree_nodes(mirror, ntd.root)]
 
 

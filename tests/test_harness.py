@@ -536,6 +536,18 @@ def test_the_package_scans_no_vertex_subsets():
     assert found == []
 
 
+def test_the_package_stores_no_node_kinds():
+    """A nice node's kind follows from its shape (``NiceTreeDecomposition``
+    says how), so no module in ``src/atk`` names one in a string: a stored
+    kind list would need such names to be built and read."""
+    kinds = {"leaf", "introduce", "forget", "join"}
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "atk").glob("*.py")):
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Constant) and node.value in kinds]
+    assert found == []
+
+
 def test_every_problem_record_has_one_exhaustive_search():
     assert set(SEARCHES) == set(RECORDS)
     assert {kind.record for kind in KINDS.values()} <= set(RECORDS.values())

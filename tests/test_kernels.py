@@ -33,10 +33,6 @@ from atk.oracles import (
 )
 from atk.problems import CVC, ECC, ETP, IS, VC, Solution, is_feasible
 from atk.treedecomp import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
     heuristic_td,
@@ -111,18 +107,16 @@ def test_window_pass_cuts_the_lower_id_on_a_tie_whatever_the_join_lists_first(ma
     # higher id first; each measures 2, together 4 > limit 3
     g = Graph([1, 2, 3, 4], [(1, 2), (3, 4)])
     e = frozenset()
-    bags, kinds, pivots, children = [], [], [], []
+    bags, pivots, children = [], [], []
     for a, b in ((1, 2), (3, 4)):
         base = len(bags)
         bags += [e, frozenset({a}), e, frozenset({b}), e]
-        kinds += [LEAF, INTRODUCE, FORGET, INTRODUCE, FORGET]
         pivots += [None, a, a, b, b]
         children += [(), (base,), (base + 1,), (base + 2,), (base + 3,)]
     bags.append(e)
-    kinds.append(JOIN)
     pivots.append(None)
     children.append((9, 4))
-    ntd = NiceTreeDecomposition(bags, kinds, pivots, children, 10)
+    ntd = NiceTreeDecomposition(bags, pivots, children, 10)
     assert not ntd.nice_violations()
     seen = []
 

@@ -117,7 +117,7 @@ def test_subtree_index_basics():
     assert rest.width == ntd.width
     for t in range(ntd.n_nodes):
         assert rest.live_local[t] == len(_v_set(rest, t) - ntd.bags[t])
-        if ntd.kinds[t] == "leaf":
+        if not ntd.children[t]:
             assert _v_set(rest, t) == set()
 
 
@@ -248,17 +248,17 @@ def test_heuristic_td_always_valid():
 
 def test_nice_violations_rejects_children_that_are_not_a_tree():
     empty = [frozenset()] * 3
-    twice = NiceTreeDecomposition(empty, ["join", "leaf", "leaf"], [None] * 3, [(1, 1), (), ()], 0)
-    detached = NiceTreeDecomposition(empty, ["leaf", "forget", "forget"], [None] * 3, [(), (2,), (1,)], 0)
+    twice = NiceTreeDecomposition(empty, [None] * 3, [(1, 1), (), ()], 0)
+    detached = NiceTreeDecomposition(empty, [None] * 3, [(), (2,), (1,)], 0)
     for bad in (twice, detached):
         assert bad.nice_violations() == ["children do not form a tree below the root"]
 
 
 def test_nice_violations_rejects_a_pivot_in_neither_bag():
     bags = [frozenset(), frozenset({1}), frozenset()]
-    introduce_2 = NiceTreeDecomposition(bags, ["leaf", "introduce", "forget"], [None, 2, 1], [(), (0,), (1,)], 2)
-    forget_3 = NiceTreeDecomposition(bags, ["leaf", "introduce", "forget"], [None, 1, 3], [(), (0,), (1,)], 2)
-    assert introduce_2.nice_violations() == ["introduce 1 inconsistent"]
-    assert forget_3.nice_violations() == ["forget 2 inconsistent"]
-    fine = NiceTreeDecomposition(bags, ["leaf", "introduce", "forget"], [None, 1, 1], [(), (0,), (1,)], 2)
+    introduce_2 = NiceTreeDecomposition(bags, [None, 2, 1], [(), (0,), (1,)], 2)
+    forget_3 = NiceTreeDecomposition(bags, [None, 1, 3], [(), (0,), (1,)], 2)
+    assert introduce_2.nice_violations() == ["node 1 neither introduces nor forgets its pivot"]
+    assert forget_3.nice_violations() == ["node 2 neither introduces nor forgets its pivot"]
+    fine = NiceTreeDecomposition(bags, [None, 1, 1], [(), (0,), (1,)], 2)
     assert fine.checked_postorder() == ([0, 1, 2], [])

@@ -23,7 +23,7 @@ from atk.kernels import KernelConfig, _window_pass, approx_is_turing, approx_vc_
 from atk.oracles import Oracle, exact_dp_oracle, td_dp_solve
 from atk.problems import IS, VC, is_feasible
 from atk.treedecomp import NiceTreeDecomposition, make_nice, validate
-from helpers import reference_restrict_walk, reference_window_pass, subtree_nodes
+from helpers import node_kind, reference_restrict_walk, reference_window_pass, subtree_nodes
 
 ENGINES = {"vc": (approx_vc_turing, VC), "is": (approx_is_turing, IS)}
 
@@ -49,7 +49,7 @@ def any_instances(draw):
 
 
 def _tree(ntd):
-    return ntd.bags, ntd.kinds, ntd.pivots, ntd.children, ntd.root
+    return ntd.bags, ntd.pivots, ntd.children, ntd.root
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,4 +163,6 @@ def test_restrict_matches_reference_walk(inst, seed):
     got = ntd.restrict(parts, t, mine)
     want = reference_restrict_walk(ntd, parts, t, theirs)
     assert [_tree(x) for x in got] == [_tree(x) for x in want]
+    for x, ref in zip(got, want):  # every node's shape gives the kind the reference built
+        assert [node_kind(x, s) for s in range(x.n_nodes)] == ref.labels
     assert mine == theirs
