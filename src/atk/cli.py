@@ -73,7 +73,7 @@ def compute_opt(problem: str, g: Graph, td: TreeDecomposition) -> float | None:
     where it answers the problem, the triangle-free identity OPT_ECC = |E|
     where it applies, exhaustive search under its caps otherwise."""
     kind = KINDS[problem]
-    if kind == ECC and not any(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()):
+    if kind == ECC and all(g.neighbors(u).isdisjoint(g.neighbors(v)) for u, v in g.edges()):
         return g.m
     try:
         if kind.record.exact_dp:

@@ -190,9 +190,14 @@ def _query(
     shrink g then). With ``cut`` = (t, taken), g is held by the subtree of
     t in ``td`` less ``taken``, and one ``restrict`` cuts the oracle's
     decomposition from it and takes its nodes, whether or not it queries.
+    An oracle that does not read decompositions gets None, and nothing is
+    cut for it: ``taken`` is read only by the restrict calls of such cuts,
+    and the views that share it take the nodes below a cut themselves.
     """
     red = ReducedInstance(g, lambda s: s) if kernel is None else kernel.reduce(g, budget)
-    if cut is not None:
+    if not oracle.reads_decomposition:
+        td = None
+    elif cut is not None:
         trees = td.restrict([] if red.graph is None else [red.graph.vertex_set], *cut)
         td = trees[0] if trees else None
     raw = None if red.graph is None else oracle.solve(kind, red.graph, td)
@@ -351,8 +356,9 @@ def approx_is_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunR
 def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> RunReport:
     """(1+eps)-approximate Turing kernel for edge clique cover.
 
-    Components are handled independently: one ``restrict`` cuts their
-    decompositions, and those within the base size are answered at once.
+    Components are handled independently: one ``restrict`` cuts the
+    decompositions of those over base(1) vertices (of all, for an oracle
+    that reads them), and those within the base size are answered at once.
     The split keeps the separator on both sides (the oracle sees G[V_t],
     the remainder keeps X_t), so queries have at most
     4(1+eps)/eps*(width+1)^4 + width+1 vertices. A larger component splits
@@ -361,6 +367,7 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     what is left is handled as components in turn, the first one next.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
+    reads = cfg.oracle.reads_decomposition
 
     def base(width):
         return 2.0 * (1 + eps) / eps * (width + 1) ** 4 * scale
@@ -371,16 +378,18 @@ def approx_ecc_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
 
         def settle(pieces):  # answer the pieces within the base size, stack the others
             big = []
-            for q, d in pieces:
-                if q.n <= base(d.width):
+            for q, d in pieces:  # no tree: within base(1), and so within base(width)
+                if d is None or q.n <= base(d.width):
                     parts.append(_query(ECC, q, d, cfg.oracle).payload)
                 else:
                     big.append((q, d))
             work.extend(reversed(big))
 
-        def components(cur_g, tree, comps, taken):
+        def components(cur_g, tree, comps, taken):  # a tree for each one that may chain or is read
             comps = [c for c in comps if len(c) > 1]  # an isolated vertex carries no edge
-            settle(zip(map(cur_g.induced_subgraph, comps), tree.restrict(comps, None, taken)))
+            cut = [c for c in comps if reads or len(c) > base(1)]
+            trees = dict(zip(cut, tree.restrict(cut, None, taken))) if cut else {}
+            settle((cur_g.induced_subgraph(c), trees.get(c)) for c in comps)
 
         def chain(cur_g, tree):  # split until what is left falls apart or fits; returns the cuts
             rest, lo, cuts = Remainder(cur_g, tree), max(base(tree.width), 1.0), 0
@@ -484,6 +493,7 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
     but the first, which packs G itself and so copies no graph.
     """
     eps, scale = cfg.epsilon, cfg.threshold_scale
+    reads = cfg.oracle.reads_decomposition
 
     def step(cur_g, ntd, flags):
         rest, parts = Remainder(cur_g, ntd), []
@@ -505,8 +515,10 @@ def approx_etp_turing(g: Graph, td: TreeDecomposition, cfg: KernelConfig) -> Run
             parts.append(solve_etp_small(local_graph(node), s3_t, cfg.oracle, flags).payload)
             rest.cut(node, rest.local(node))
             _, s3 = measure(ntd.root)  # the root's bag is empty: a packing of G[live]
-        live_g = cur_g.induced_subgraph(rest.live) if parts else cur_g
-        live_td = ntd.restrict([rest.live], None, rest.taken)[0] if parts else ntd
+        live_g, live_td = cur_g, ntd
+        if parts:
+            live_g = cur_g.induced_subgraph(rest.live)
+            live_td = ntd.restrict([rest.live], None, rest.taken)[0] if reads else None
         sol = solve_etp_small(live_g, s3, cfg.oracle, flags, live_td)
         return greedy_triangle_packing(cur_g, sol.payload.union(*parts)), len(parts)
 

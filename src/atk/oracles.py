@@ -3,7 +3,9 @@
 An oracle answers (kind, graph, decomposition) with a feasible solution
 whose value is within its declared ratio of optimal. The decomposition is
 None or a nice decomposition of the graph: the engines cut each query's
-from the nice decomposition of their step, so no oracle re-makes it.
+from the nice decomposition of their step, so no oracle re-makes it, and
+only for an oracle that declares it reads one (``reads_decomposition``);
+the exhaustive and triangle-free oracles do not, and get None.
 Exact reference oracles (exhaustive search; treewidth DP for VC/IS) and a
 lossiness injector live here, together with the per-run audit that makes
 query-size discipline observable.
@@ -61,14 +63,21 @@ class OracleAudit:
 
 
 class Oracle:
-    """A named solver with a declared approximation ratio and size cap."""
+    """A named solver with a declared approximation ratio and size cap.
+
+    ``reads_decomposition`` says whether ``fn`` reads the decomposition it
+    is handed; an oracle that does not is always handed None, so no engine
+    cuts a decomposition for it.
+    """
 
     def __init__(self, name: str, declared_ratio: float, size_cap: float,
-                 fn: Callable[[ProblemKind, Graph, object], Solution]):
+                 fn: Callable[[ProblemKind, Graph, object], Solution],
+                 reads_decomposition: bool = True):
         self.name = name
         self.declared_ratio = declared_ratio
         self.size_cap = size_cap
         self._fn = fn
+        self.reads_decomposition = reads_decomposition
 
     def solve(
         self, kind: ProblemKind, g: Graph, td: NiceTreeDecomposition | None = None
@@ -88,7 +97,8 @@ def audited(inner: Oracle) -> tuple[Oracle, OracleAudit]:
         audit.calls.append(QueryRecord(kind.name, g.n, g.m))
         return inner.solve(kind, g, td)
 
-    return Oracle(f"audited({inner.name})", inner.declared_ratio, inner.size_cap, fn), audit
+    return Oracle(f"audited({inner.name})", inner.declared_ratio, inner.size_cap, fn,
+                  inner.reads_decomposition), audit
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +511,8 @@ def lossy_wrap(inner: Oracle, target_c: float) -> Oracle:
             payload.add(extra)
         return Solution(frozenset(payload), len(payload))
 
-    return Oracle(f"lossy({target_c}, {inner.name})", target_c, inner.size_cap, fn)
+    return Oracle(f"lossy({target_c}, {inner.name})", target_c, inner.size_cap, fn,
+                  inner.reads_decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +521,8 @@ def lossy_wrap(inner: Oracle, target_c: float) -> Oracle:
 
 
 def exact_brute_oracle() -> Oracle:
-    return Oracle("exact-bf", 1.0, BRUTE_VERTEX_CAP, lambda kind, g, td: brute_force_solve(kind, g))
+    return Oracle("exact-bf", 1.0, BRUTE_VERTEX_CAP, lambda kind, g, td: brute_force_solve(kind, g),
+                  reads_decomposition=False)
 
 
 def exact_dp_oracle() -> Oracle:
@@ -528,9 +540,10 @@ def trianglefree_ecc_oracle() -> Oracle:
     def fn(kind, g, td):
         if kind != ECC:
             raise ValueError("this oracle answers ecc only")
-        for u, v in g.edges():
-            if g.neighbors(u) & g.neighbors(v):
+        edges, nbr = list(g.edges()), g.neighbors
+        for u, v in edges:
+            if not nbr(u).isdisjoint(nbr(v)):
                 raise OracleRefused("query graph contains a triangle")
-        return Solution.of_family(frozenset((u, v)) for u, v in g.edges())
+        return Solution.of_family(edges)
 
-    return Oracle("exact-tf-ecc", 1.0, math.inf, fn)
+    return Oracle("exact-tf-ecc", 1.0, math.inf, fn, reads_decomposition=False)

@@ -131,8 +131,8 @@ def _clique_cover_feasible(g: Graph, payload: frozenset, of_edges: bool) -> bool
     for c in payload:
         if not c:
             return False
-        for v in c:  # every other member of a clique is a neighbour of v
-            if not g.has_vertex(v) or c - g.neighbors(v) != {v}:
+        for v in c:  # every other member of a clique is a neighbour of v: c - N(v) = {v}
+            if not g.has_vertex(v) or len(c - g.neighbors(v)) != 1:
                 return False
             around.setdefault(v, set()).update(c)
     if not of_edges:

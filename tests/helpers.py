@@ -511,6 +511,13 @@ def milp_oracle() -> Oracle:
     return Oracle("milp", 1.0, math.inf, fn)
 
 
+def reading(oracle: Oracle) -> Oracle:
+    """``oracle`` declared as one that reads the decomposition it is handed,
+    so the engines cut a tree for each of its queries, as for ``exact-dp``."""
+    return Oracle(oracle.name, oracle.declared_ratio, oracle.size_cap, oracle.solve,
+                  reads_decomposition=True)
+
+
 def subtree_nodes(ntd, t: int) -> list[int]:
     """The subtree of ``t`` in a nice decomposition, parents before children."""
     return _preorder(ntd.children, t)

@@ -1,16 +1,18 @@
 """Property tests for the engines that split one piece per step.
 
-ecc on forests with the triangle-free oracle, etp and cvc with exhaustive
-search, and the friendly vc, is and cc run on random partial k-trees
-(k <= 3, n <= 60; n <= 18, the vertex cap, where queries go to exhaustive
-search, and k = 1 for cvc, whose guard splits no wider graph that small)
-at scale 1 and at two small scales, the smaller one so that etp and cvc
-split too. A run must return a feasible solution and run its engine's step
-once, on a nice decomposition valid for the input, and every tree
-``restrict`` cuts during the run must be nice and valid for G[part]. At
-scale 1 the audited query must stay within the declared bound where one is
-declared, and the value within 1+eps of ``cli.compute_opt`` where that
-finds the optimum.
+ecc on forests with the triangle-free oracle, etp, cvc and direct vc and
+is with exhaustive search, and the friendly vc, is and cc run on random
+partial k-trees (k <= 3, n <= 60; n <= 18, the vertex cap, where queries
+go to exhaustive search, and k = 1 for cvc, whose guard splits no wider
+graph that small) at scale 1 and at two small scales, the smaller one so
+that etp and cvc split too. A run must return a feasible solution and run
+its engine's step once, on a nice decomposition valid for the input, and
+every tree ``restrict`` cuts during the run must be nice and valid for
+G[part]. At scale 1 the audited query must stay within the declared bound
+where one is declared, and the value within 1+eps of ``cli.compute_opt``
+where that finds the optimum. The exhaustive and triangle-free oracles read
+no decomposition, so no query tree is cut for them; a run may wrap the
+oracle as one that reads it, which must not change the report.
 """
 
 from unittest import mock
@@ -24,12 +26,15 @@ from atk.cli import build_oracle, compute_opt
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.problems import CLIQUE_COVER, CVC, ECC, ETP, IS, VC, is_feasible, is_minimization
 from atk.treedecomp import NiceTreeDecomposition, validate
+from helpers import reading
 
 # name -> (engine, problem, kind, oracle, largest k, largest n, connected input)
 CASES = {
     "ecc": ("direct", "ecc", ECC, "exact-tf-ecc", 1, 60, False),
     "etp": ("direct", "etp", ETP, "exact-bf", 3, 18, False),
     "cvc": ("direct", "cvc", CVC, "exact-bf", 1, 18, True),
+    "vc": ("direct", "vc", VC, "exact-bf", 3, 18, False),
+    "is": ("direct", "is", IS, "exact-bf", 3, 18, False),
     "friendly-vc": ("friendly", "vc", VC, "exact-dp", 3, 60, False),
     "friendly-is": ("friendly", "is", IS, "exact-dp", 3, 60, False),
     "friendly-cc": ("friendly", "cc", CLIQUE_COVER, "exact-bf", 3, 18, False),
@@ -78,21 +83,27 @@ def _checking(steps, cut):
     return checking_drive
 
 
+def _run(engine, problem, g, td, eps, oracle, scale):
+    if engine == "direct":
+        run_engine = getattr(kernels, f"approx_{problem}_turing")
+        return run_engine(g, td, kernels.KernelConfig(eps, oracle, scale))
+    instance = friendly.builtin_instances()[problem]
+    return friendly.approx_friendly_turing(g, td, eps, instance, oracle, scale)
+
+
 @settings(max_examples=200, deadline=None)
-@given(runs(), st.sampled_from([1.0, 0.05, 0.01]), st.sampled_from([0.5, 1.0]))
-def test_split_engines_meet_the_guarantees(run, scale, eps):
+@given(runs(), st.sampled_from([1.0, 0.05, 0.01]), st.sampled_from([0.5, 1.0]), st.booleans())
+def test_split_engines_meet_the_guarantees(run, scale, eps, reader):
     name, (g, td) = run
     engine, problem, kind, oracle_name, *_ = CASES[name]
-    oracle = build_oracle(oracle_name, problem)
+    o = build_oracle(oracle_name, problem)
+    oracle = reading(o) if reader else o
     steps, cut = [], []
     drive = _checking(steps, cut)
     with mock.patch.object(kernels, "_drive", drive), mock.patch.object(friendly, "_drive", drive):
-        if engine == "direct":
-            run_engine = getattr(kernels, f"approx_{problem}_turing")
-            rep = run_engine(g, td, kernels.KernelConfig(eps, oracle, scale))
-        else:
-            instance = friendly.builtin_instances()[problem]
-            rep = friendly.approx_friendly_turing(g, td, eps, instance, oracle, scale)
+        rep = _run(engine, problem, g, td, eps, oracle, scale)
+    if reader:  # a tree cut for the oracle or not, the run is the same
+        assert rep.to_dict() == _run(engine, problem, g, td, eps, o, scale).to_dict()
     assert steps == [True]
     assert all(cut)
     assert is_feasible(kind, g, rep.solution)

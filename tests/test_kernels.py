@@ -22,8 +22,10 @@ from atk.kernels import (
 from atk.approx import ApproximateKernel, ReducedInstance, greedy_triangle_packing
 from atk.errors import InternalInvariantViolation
 from atk.friendly import approx_friendly_turing, builtin_instances
+from atk.cli import build_oracle
 from atk.oracles import (
     Oracle,
+    audited,
     brute_force_solve,
     exact_brute_oracle,
     exact_dp_oracle,
@@ -47,6 +49,7 @@ from helpers import (
     edgeless_graph,
     gnp_graph,
     path_graph,
+    reading,
     reference_subtree_vertices,
     restricted,
     star_graph,
@@ -605,12 +608,49 @@ def test_make_nice_runs_once_per_engine_run(monkeypatch):
             assert calls == {"make_nice": 1, "make_subconnected": 1}
 
 
+def test_oracles_declare_whether_they_read_a_decomposition():
+    # Only the treewidth DP reads the decomposition it is handed; wrappers
+    # pass the inner oracle's declaration on, and a custom oracle reads one.
+    names = ("exact-dp", "exact-bf", "exact-tf-ecc", "lossy:2")
+    assert [build_oracle(n, "vc").reads_decomposition for n in names] == [True, False, False, True]
+    assert not build_oracle("lossy:2", "etp").reads_decomposition
+    for inner in (exact_dp_oracle(), exact_brute_oracle(), trianglefree_ecc_oracle()):
+        assert audited(inner)[0].reads_decomposition == inner.reads_decomposition
+        assert lossy_wrap(inner, 2.0).reads_decomposition == inner.reads_decomposition
+    assert Oracle("custom", 1.0, 10, lambda kind, g, td: None).reads_decomposition
+
+
+def test_no_tree_is_cut_for_an_oracle_that_reads_none(monkeypatch):
+    # A query to an oracle that reads no decomposition cuts no tree, and
+    # ecc cuts trees only for the components that may chain: a component
+    # within base(1) vertices is within the base size of any tree of it.
+    cuts = []
+    restrict = NiceTreeDecomposition.restrict
+
+    def recorded(ntd, parts, t=None, taken=None):
+        cuts.append((t, [len(p) for p in parts]))
+        return restrict(ntd, parts, t, taken)
+
+    monkeypatch.setattr(NiceTreeDecomposition, "restrict", recorded)
+    rep = approx_vc_turing(
+        *gen_partial_ktree(60, 2, 0.9, seed=0), KernelConfig(0.5, exact_brute_oracle(), 0.1)
+    )
+    assert rep.recursion_depth > 1 and cuts == []
+    base1, depth = 2.0 * (1 + 0.5) / 0.5 * 2**4, 0
+    cfg = KernelConfig(0.5, trianglefree_ecc_oracle())
+    for seed in range(4):
+        depth += approx_ecc_turing(*gen_partial_ktree(750, 1, 0.8, seed), cfg).recursion_depth
+    assert depth > 4 and cuts
+    assert all(t is None and min(sizes) > base1 for t, sizes in cuts)
+
+
 def test_ecc_and_etp_build_one_view_per_chain(monkeypatch):
     # ecc and etp rebuilt their remainder at every cut: remove_vertices, a
     # whole-tree restrict and a fresh local-set index. A chain of cuts now
     # runs on one view of its decomposition and removes no vertex: etp runs
     # one chain, and ecc one per connected piece over its base size, whose
-    # queries all cut their trees with the taken set of the chain's view.
+    # queries all cut their trees with the taken set of the chain's view
+    # (for an oracle that reads its decomposition: others get no tree cut).
     import atk.kernels as kernels
 
     calls, chains = Counter(), []  # chains: the taken sets ecc's queries cut with
@@ -634,7 +674,8 @@ def test_ecc_and_etp_build_one_view_per_chain(monkeypatch):
     monkeypatch.setattr(Graph, "remove_vertices", counted_remove)
     monkeypatch.setattr(NiceTreeDecomposition, "restrict", counted_restrict)
     rep = approx_ecc_turing(
-        *gen_partial_ktree(300, 2, 0.5, seed=0), KernelConfig(0.5, exact_brute_oracle(), 0.01)
+        *gen_partial_ktree(300, 2, 0.5, seed=0),
+        KernelConfig(0.5, reading(exact_brute_oracle()), 0.01),
     )
     assert rep.recursion_depth > len(chains) > 1  # chains of cuts
     assert calls == {"views": len(chains)}
@@ -651,11 +692,14 @@ def test_each_ecc_fall_apart_costs_one_restrict(monkeypatch):
     # restrict cuts the trees of its components from the chain's own tree;
     # it used to cut the tree of G[live] first and then split that tree.
     # A chain ends at its root's query or in that one component cut, and
-    # one more cuts the components of the input.
+    # one more cuts the components of the input; a remainder with no edge
+    # left needs no tree. Each query cuts its own tree too, for an oracle
+    # that reads it.
     import atk.kernels as kernels
 
     calls = Counter()
     apart, view, restrict = kernels._apart, kernels.Remainder, NiceTreeDecomposition.restrict
+    components = kernels._components
 
     def counted_apart(*args):
         out = apart(*args)
@@ -666,6 +710,11 @@ def test_each_ecc_fall_apart_costs_one_restrict(monkeypatch):
         calls["chains"] += 1
         return view(*args)
 
+    def counted_components(*args):
+        out = components(*args)
+        calls["edgeless ends"] += all(len(c) == 1 for c in out)
+        return out
+
     def counted_restrict(ntd, parts, t=None, taken=None):
         calls["component cuts" if t is None else "queries"] += 1
         calls["root queries"] += t == ntd.root
@@ -673,12 +722,15 @@ def test_each_ecc_fall_apart_costs_one_restrict(monkeypatch):
 
     monkeypatch.setattr(kernels, "_apart", counted_apart)
     monkeypatch.setattr(kernels, "Remainder", counted_view)
+    monkeypatch.setattr(kernels, "_components", counted_components)
     monkeypatch.setattr(NiceTreeDecomposition, "restrict", counted_restrict)
     g, td = gen_partial_ktree(300, 2, 0.5, seed=0)
-    rep = approx_ecc_turing(g, td, KernelConfig(0.5, exact_brute_oracle(), 0.01))
+    rep = approx_ecc_turing(g, td, KernelConfig(0.5, reading(exact_brute_oracle()), 0.01))
     assert calls["fell apart"] > 1
     assert calls["queries"] == rep.recursion_depth
-    assert calls["component cuts"] == 1 + calls["chains"] - calls["root queries"]
+    assert calls["component cuts"] == (
+        1 + calls["chains"] - calls["root queries"] - calls["edgeless ends"]
+    )
 
 
 def test_cvc_validates_each_remainder_once(monkeypatch):
