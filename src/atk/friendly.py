@@ -227,9 +227,8 @@ def find_split_node(
     t, _, hint = descend(rest, measure, limit)
     local = rest.local(t)
     cut = (t, rest.taken)  # the query's decomposition comes straight from the input's
-    sol = _query(problem.kind, g.induced_subgraph(local), ntd, oracle, problem.psaks, budget, cut)
-    if not maximize:  # phi's own solution may be the better one
-        sol = min(sol, hint, key=lambda s: s.value)
+    sol = _query(problem.kind, g.induced_subgraph(local), ntd, oracle, problem.psaks, budget, cut,
+                 None if maximize else hint)  # phi's own solution may be the better one
     return (None if t == ntd.root else t), sol, local
 
 

@@ -179,30 +179,32 @@ def _query(
     kernel: ApproximateKernel | None = None,
     budget: float = math.inf,
     cut: tuple[int | None, set[int] | None] | None = None,
+    hint: Solution | None = None,
 ) -> Solution:
     """Solve g through the oracle, behind ``kernel`` if one is given, and
-    check the answer on g.
+    check the answer on g; return ``hint``, the caller's own solution of g,
+    where it is strictly better.
 
     The kernel reduces g to g itself, to an induced subgraph, or to no
     graph at all when it already has the answer; then no query is made and
     the lift gets None. ``td`` is None, or without ``cut`` a nice
     decomposition of g that the oracle gets as it is (so no kernel may
     shrink g then). With ``cut`` = (t, taken), g is held by the subtree of
-    t in ``td`` less ``taken``, and one ``restrict`` cuts the oracle's
-    decomposition from it and takes its nodes, whether or not it queries.
-    An oracle that does not read decompositions gets None, and nothing is
-    cut for it: ``taken`` is read only by the restrict calls of such cuts,
-    and the views that share it take the nodes below a cut themselves.
+    t in ``td`` less the subtrees of ``taken``, and one ``restrict`` cuts
+    the oracle's decomposition from it when there is a graph to query and
+    the oracle reads decompositions; one that does not gets None.
     """
     red = ReducedInstance(g, lambda s: s) if kernel is None else kernel.reduce(g, budget)
     if not oracle.reads_decomposition:
         td = None
-    elif cut is not None:
-        trees = td.restrict([] if red.graph is None else [red.graph.vertex_set], *cut)
-        td = trees[0] if trees else None
+    elif cut is not None and red.graph is not None:
+        td = td.restrict([red.graph.vertex_set], *cut)[0]
     raw = None if red.graph is None else oracle.solve(kind, red.graph, td)
     sol = red.lift(raw)
     _assert_feasible(kind, g, sol, f"{kind.name} oracle answer")
+    if hint is not None and (hint.value < sol.value if kind.record.minimize
+                             else hint.value > sol.value):
+        return hint
     return sol
 
 
@@ -230,10 +232,11 @@ def _window_pass(
     child c (ties to the lower id) unless, with ``matching``, the sorted
     greedy matching of its live set fits; so a cut piece measures over
     limit/2 - 2. A cut solves G[L_c] by ``solve(piece, ntd, (c, taken),
-    X_c)``, which takes c's untaken subtree, and deletes X_c; the root's
-    live set is the last piece."""
+    X_c)``, whose query cuts its decomposition from c's subtree less the
+    earlier pieces', then takes c and deletes X_c; the root's live set is
+    the last piece."""
     state: list = [None] * ntd.n_nodes  # (live set, matched set) of pending nodes
-    taken: set[int] = set()  # nodes of earlier pieces' decompositions
+    taken: set[int] = set()  # the roots of earlier pieces' subtrees
     deleted: set[int] = set()
     parts: list[frozenset] = []
     children, pivots, bags = ntd.children, ntd.pivots, ntd.bags
@@ -243,6 +246,7 @@ def _window_pass(
 
     def cut(c: int) -> None:
         parts.append(solve(g.induced_subgraph(state[c][0]), ntd, (c, taken), bags[c]))
+        taken.add(c)
         deleted.update(bags[c])
 
     for t in ntd.postorder():
@@ -464,8 +468,7 @@ def solve_etp_small(
     """
     if g.n <= oracle.size_cap:
         try:
-            sol = _query(ETP, g, td, oracle)
-            return sol if sol.value >= s3.value else s3
+            return _query(ETP, g, td, oracle, hint=s3)
         except OracleRefused:
             pass
     flags.add("etp-kernel-refusal-3approx-fallback")
@@ -553,15 +556,7 @@ def cvc_obtain_approx(
     s2 = cvc_2approx(g) if g.m else Solution.of_vertices(())
     if s2.value > 200.0 * width * width / delta * threshold_scale:
         return None
-    return s2 if oracle is None else _cvc_better(g, s2, oracle)
-
-
-def _cvc_better(g: Graph, s2: Solution, oracle: Oracle) -> Solution:
-    """The smaller of the oracle's connected cover of g and ``s2``, g's 2-approximation."""
-    if not g.m:
-        return s2
-    sol = _query(CVC, g, None, oracle)
-    return sol if sol.value <= s2.value else s2
+    return _query(CVC, g, None, oracle, hint=s2) if oracle is not None and g.m else s2
 
 
 def _contract_local(g: Graph, x_t: frozenset[int], v_set: frozenset[int]) -> Graph:
@@ -604,7 +599,7 @@ def find_cvc_split_node(
             pieces.append((c, contracted, s2))
         else:
             break
-    results = [(c, _cvc_better(q, s2, oracle)) for c, q, s2 in pieces]
+    results = [(c, _query(CVC, q, None, oracle, hint=s2) if q.m else s2) for c, q, s2 in pieces]
     qualifying = [(c, sol) for c, sol in results if sol.value >= min_size]
     if qualifying:
         c, sol = max(qualifying, key=lambda p: (p[1].value, -p[0]))

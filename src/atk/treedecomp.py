@@ -197,9 +197,9 @@ class NiceTreeDecomposition:
         self, parts: list[frozenset[int]], t: int | None = None, taken: set[int] | None = None
     ) -> list["NiceTreeDecomposition"]:
         """One nice decomposition per set of the disjoint vertex sets
-        ``parts``: the subtree of ``t`` (default: the root) without the nodes
-        in ``taken`` (to which its nodes are added), with every bag cut down
-        to the part, in one post-order walk.
+        ``parts``: the subtree of ``t`` (default: the root) without the
+        subtrees of the nodes in ``taken``, with every bag cut down to the
+        part, in one post-order walk.
 
         A node hands up the top of each part met below it. An introduce or
         forget with a kept child updates only its pivot's part in the map
@@ -214,8 +214,8 @@ class NiceTreeDecomposition:
         whenever every vertex of the part occurs in a kept node: its trace
         stays connected, and two adjacent vertices share a kept bag by the
         Helly property of subtrees. Query pieces meet this, components do,
-        and so do remainders cut from the root with ``taken`` the nodes
-        strictly below t (X_t kept) or the subtree of t (V_t removed).
+        and so do remainders cut from the root with t's children in
+        ``taken`` (X_t kept) or t (V_t removed).
         """
         start = self.root if t is None else t
         skip = () if taken is None else taken
@@ -228,8 +228,6 @@ class NiceTreeDecomposition:
             for c in children[s]:
                 if c not in skip:
                     stack.append(c)
-        if taken is not None:
-            taken.update(order)
         part_of = {v: i for i, part in enumerate(parts) for v in part}
         out = [([], [], []) for _ in parts]  # each part's bags, pivots, children
         pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}, for a later parent
@@ -426,14 +424,14 @@ class Remainder:
     in post-order each local set is one slice, ``forgotten[begin[t]:end[t]]``.
 
     A cut at t removes live vertices (t's live local set, and its live bag
-    too where the caller drops X_t) and takes the nodes strictly below t; the
-    remainder's decomposition is the tree ``ntd.restrict([live], None, taken)``
-    would build. ``descend`` walks the view itself, with the input's node
-    ids, through the live children: untaken ones with a live vertex in
-    their bag or local set, whose sizes are kept current. A cut changes the
-    local sets of t and its ancestors only, and drops their entries and
-    those of the nodes it takes from ``cache``, which ``additive`` alone
-    fills; so ``cache`` holds measures of untaken nodes only, and a view
+    too where the caller drops X_t) and adds t's children to ``taken``, the
+    roots of the subtrees cuts removed; the remainder's decomposition is the
+    tree ``ntd.restrict([live], None, taken)`` would build. ``descend`` walks
+    the view itself, with the input's node ids, through the live children:
+    untaken ones with a live vertex in their bag or local set, whose sizes
+    are kept current. A cut changes the local sets of t and its ancestors
+    only, and drops their entries from ``cache``, which ``additive`` alone
+    fills; entries below t stay, out of every walk's reach, and a view
     serves one measure.
     """
 
@@ -460,7 +458,6 @@ class Remainder:
             for v in bag:
                 self.occurs[v].append(t)
         self.cache: dict[int, object] = {}
-        self.cut_at: set[int] = set()  # the nodes cut so far; the nodes below them are taken
 
     children = property(lambda self: self)  # the view, stored nowhere, so no cycle
 
@@ -487,7 +484,7 @@ class Remainder:
         live children the union of theirs (no edge joins its two sides), and
         any other node s ``solve(s)``. The walk goes below neither a cached
         node nor one it solves. Children are read through the view only, as a
-        taken node keeps a stale size."""
+        node below a cut keeps a stale size and cache entry."""
         cache, size = self.cache, self.live_local
         order, stack = [], [t]
         while stack:  # parents before children
@@ -508,10 +505,10 @@ class Remainder:
 
     def cut(self, t: int, removed) -> None:
         """Remove the live vertices ``removed``, t's live local set with or
-        without its live bag, and take the nodes strictly below t, whether or
-        not a query's ``restrict`` has taken t's subtree already."""
+        without its live bag, and take t's children, so the nodes below t
+        drop out of the view."""
         self.live -= removed
-        bag, top, at_top, taken = self.live_bag, self.top, self.at_top, self.taken
+        bag, top, at_top = self.live_bag, self.top, self.at_top
         for v in removed:
             for s in self.occurs[v]:
                 if bag[s] == top:
@@ -521,15 +518,7 @@ class Remainder:
             top = max(bag)
             at_top = bag.count(top)
         self.top, self.at_top = top, at_top
-        taken.discard(t)
-        stack = [] if t in self.cut_at else [t]  # an earlier cut took t's subtree and its entries
-        self.cut_at.add(t)
-        while stack:
-            for c in self.ntd.children[stack.pop()]:
-                taken.add(c)
-                self.cache.pop(c, None)
-                if c not in self.cut_at:
-                    stack.append(c)
+        self.taken.update(self.ntd.children[t])
         while t is not None:  # t's and its ancestors' local sets lose removed less their bags
             self.live_local[t] -= len(removed) - len(removed & self.ntd.bags[t])
             self.cache.pop(t, None)

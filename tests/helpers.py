@@ -185,8 +185,8 @@ def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
                        taken: set[int] | None = None) -> NiceTreeDecomposition:
     """The bag-intersection cut, kept as the reference for
     ``NiceTreeDecomposition.restrict``: the subtree of ``t`` (default: the
-    root) without the nodes in ``taken`` (to which its nodes are added),
-    with every bag cut down to ``keep``. A node whose cut bag equals its
+    root) without the subtrees of the nodes in ``taken``, with every bag
+    cut down to ``keep``. A node whose cut bag equals its
     child's is skipped, a subtree holding no vertex of ``keep`` adds no
     node, a node left without children grows from a leaf chain, and the
     top forgets up to an empty root."""
@@ -198,8 +198,6 @@ def reference_restrict(ntd: NiceTreeDecomposition, keep, t: int | None = None,
         s = stack.pop()
         order.append(s)
         stack.extend(c for c in ntd.children[s] if c not in skip)
-    if taken is not None:
-        taken.update(order)
     out = _NiceBuilder()
     top: dict[int, int | None] = {}  # node -> its cut subtree's top, if any
     for s in reversed(order):
@@ -223,7 +221,7 @@ def reference_restrict_walk(ntd: NiceTreeDecomposition, parts: list[frozenset[in
                             taken: set[int] | None = None) -> list[NiceTreeDecomposition]:
     """The multi-part walk that built a list of its children's maps at every
     node, kept as the reference for ``NiceTreeDecomposition.restrict``: it
-    must give the same trees, node ids included, and take the same nodes."""
+    must give the same trees, node ids included."""
     start = ntd.root if t is None else t
     skip = () if taken is None else taken
     order = []  # parents before children
@@ -232,8 +230,6 @@ def reference_restrict_walk(ntd: NiceTreeDecomposition, parts: list[frozenset[in
         s = stack.pop()
         order.append(s)
         stack.extend(c for c in ntd.children[s] if c not in skip)
-    if taken is not None:
-        taken.update(order)
     part_of = {v: i for i, part in enumerate(parts) for v in part}
     out = [_NiceBuilder() for _ in parts]
     pending: dict[int, dict[int, int]] = {}  # node -> {part: its top}
@@ -600,6 +596,7 @@ def reference_window_pass(g: Graph, ntd, limit: float, matching: bool, solve):
 
     def cut(c: int) -> None:
         parts.append(solve(g.induced_subgraph(state[c][0]), ntd, (c, taken), ntd.bags[c]))
+        taken.add(c)
         deleted.update(ntd.bags[c])
 
     def unite(x: set[int], y: set[int]) -> set[int]:

@@ -16,7 +16,10 @@ and of both remainder shapes, the engines' view of the input
 shape as ``restrict`` builds it, every join must list its lower-id child
 first, and ``restrict`` must cut each component and any disjoint parts,
 from any node and with any nodes taken, exactly as the bag-intersection
-reference in ``helpers`` cuts each part alone. A fresh view must give
+reference in ``helpers`` cuts each part alone. ``restrict`` must leave
+its arguments as they were and build from the roots of removed subtrees
+the trees it builds with those subtrees whole in ``taken``, and a view's
+cut must take exactly its node's children. A fresh view must give
 every node's local set exactly, whatever order the nodes are asked in, and
 ``descend`` must stop where the reference walk in ``helpers`` stops.
 Restricting a piece's tree to a subset builds the tree one ``restrict``
@@ -249,9 +252,7 @@ def test_restrict_cuts_a_nice_decomposition_of_its_piece(inst, keep_kind, with_t
     assert validate(g.induced_subgraph(keep), piece).valid
     for u, kids in enumerate(piece.children):  # every introduce and forget changes its bag
         assert len(kids) != 1 or piece.bags[u] != piece.bags[kids[0]]
-    if with_taken:
-        visited = set(subtree_nodes(ntd, start)) - before
-        assert taken == before | visited
+    assert taken == before
 
 
 def _nice_and_valid(g, ntd):
@@ -286,7 +287,7 @@ def test_nice_split_components_cuts_each_component(inst, salt):
 def test_restrict_matches_the_bag_intersection_reference(inst, n_parts, at_root, p_taken, salt):
     # Random disjoint parts (a vertex may be in none), a random start node
     # and random taken nodes: every part's tree is the reference's, node for
-    # node, and both walks take the same nodes.
+    # node, and neither walk changes the taken set.
     g, td = inst
     ntd = make_nice(g, td)
     rng = random.Random(salt)
@@ -301,7 +302,7 @@ def test_restrict_matches_the_bag_intersection_reference(inst, n_parts, at_root,
         ref_taken = set(before)
         assert _shape(tree) == _shape(reference_restrict(ntd, part, t, ref_taken))
         assert tree.nice_violations() == []
-        assert taken == ref_taken
+        assert taken == ref_taken == before
     assert [_shape(tree) for tree in ntd.restrict(parts, t)] == [
         _shape(reference_restrict(ntd, part, t)) for part in parts
     ]
@@ -314,8 +315,8 @@ def test_restrict_of_a_restrict_is_one_restrict_from_the_input(
 ):
     # A query's decomposition is cut once, from the input's: for keep a
     # subset of piece, restricting the piece's tree to keep builds the same
-    # tree, ids included, as restricting the input's to keep, and both take
-    # the same nodes.
+    # tree, ids included, as restricting the input's to keep, and neither
+    # takes a node.
     g, td = inst
     ntd = make_nice(g, td)
     rng = random.Random(salt)
@@ -332,7 +333,7 @@ def test_restrict_of_a_restrict_is_one_restrict_from_the_input(
     [piece_td] = ntd.restrict([piece], t, twice)
     [chained] = piece_td.restrict([keep])
     assert _shape(direct) == _shape(chained)
-    assert once == twice
+    assert once == twice == before
 
 
 def _match_view(rest, g, cut):
@@ -370,9 +371,10 @@ def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt
     # A remainder is cut from its piece's decomposition from the root: with
     # X_t kept (ecc, etp), taken is the nodes strictly below t; with V_t
     # removed (friendly), the subtree of t. Levels chain. The engines keep
-    # their remainders as one view of the input instead; on any chain the
-    # view must show each level's tree, with its width, and restrict from
-    # the input must build that tree exactly.
+    # their remainders as one view of the input instead, whose cuts take
+    # only the cut node's children; on any chain the view must show each
+    # level's tree, with its width, and restrict from the input must build
+    # that tree exactly.
     g, ntd = inst[0], make_nice(*inst)
     rng = random.Random(salt)
     view = Remainder(g, ntd)
@@ -386,7 +388,7 @@ def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt
         local = view.local(s)
         idx = Remainder(g, ntd)
         assert local == idx.local(t)
-        if rng.random() < 0.5:  # a query's cut takes s's subtree; etp's takes none
+        if rng.random() < 0.5:  # a query's cut, which takes nothing; etp's makes none
             view.ntd.restrict([local], s, view.taken)
         subtree = subtree_nodes(ntd, t)
         if keep_bag:
@@ -402,8 +404,65 @@ def test_remainders_are_nice_decompositions_of_their_graph(inst, keep_bags, salt
         assert _nice_and_valid(g, ntd)
         assert view.live == g.vertex_set
         assert view.width == ntd.width == max(view.live_bag) - 1
-        assert _shape(view.ntd.restrict([view.live], None, set(view.taken))[0]) == _shape(ntd)
+        assert _shape(view.ntd.restrict([view.live], None, view.taken)[0]) == _shape(ntd)
     _match_view(view, g, ntd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.integers(1, 3), st.floats(0.0, 0.2), st.integers(0, 10_000))
+def test_restrict_leaves_its_arguments_as_they_were(inst, n_parts, p_taken, salt):
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(salt)
+    parts = [frozenset(v for v in g.vertices if rng.randrange(n_parts + 1) == i)
+             for i in range(n_parts)]
+    taken = {s for s in range(ntd.n_nodes) if rng.random() < p_taken}
+    want_parts, want_taken = list(parts), set(taken)
+    for t in (rng.randrange(ntd.n_nodes), None):
+        ntd.restrict(parts, t, taken)
+        assert parts == want_parts and taken == want_taken
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.integers(1, 3), st.floats(0.0, 0.2), st.integers(0, 10_000))
+def test_taking_the_roots_of_removed_subtrees_is_taking_the_subtrees(inst, n_parts, p_root, salt):
+    # A cut records the roots of the subtrees it removes; restrict must build
+    # from them the trees it builds with every node of those subtrees taken,
+    # node for node, over a chain of calls sharing the one set of roots, each
+    # from a node outside them (the root last, as a remainder is cut).
+    g, td = inst
+    ntd = make_nice(g, td)
+    rng = random.Random(salt)
+    parts = [frozenset(v for v in g.vertices if rng.randrange(n_parts + 1) == i)
+             for i in range(n_parts)]
+    roots = {s for s in range(ntd.n_nodes) if rng.random() < p_root}
+    whole = set().union(*(subtree_nodes(ntd, s) for s in roots))
+    if ntd.root in whole:
+        return
+    starts = [s for s in range(ntd.n_nodes) if s not in whole]
+    for t in (rng.choice(starts), rng.choice(starts), None):
+        got = ntd.restrict(parts, t, roots)
+        assert [_shape(x) for x in got] == [_shape(x) for x in ntd.restrict(parts, t, set(whole))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.lists(st.booleans(), min_size=1, max_size=4), st.integers(0, 10_000))
+def test_a_cut_takes_exactly_the_children_of_its_node(inst, keep_bags, salt):
+    g, ntd = inst[0], make_nice(*inst)
+    rng = random.Random(salt)
+    view = Remainder(g, ntd)
+    for keep_bag in keep_bags:
+        nodes, stack = [], [view.root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(view[nodes[-1]])
+        if len(nodes) == 1:
+            break
+        t = rng.choice(nodes[1:])
+        removed = view.local(t) | (set() if keep_bag else ntd.bags[t] & view.live)
+        before = set(view.taken)
+        view.cut(t, removed)
+        assert view.taken == before | set(ntd.children[t])
 
 
 @settings(max_examples=80, deadline=None)

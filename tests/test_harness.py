@@ -548,6 +548,38 @@ def test_the_package_stores_no_node_kinds():
     assert found == []
 
 
+def _writes_to_taken(tree, scope=()):
+    """(line, enclosing class and function names) of every call of ``add``,
+    ``update``, ``discard`` or ``clear`` on a ``taken`` name or attribute,
+    and of every augmented assignment to one, under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (node.name,)
+        target = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("add", "update", "discard", "clear"):
+            target = node.func.value
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+        if getattr(target, "id", getattr(target, "attr", None)) == "taken":
+            yield node.lineno, scope
+        yield from _writes_to_taken(node, inner)
+
+
+def test_only_the_walks_that_cut_write_the_taken_set():
+    """A cut is recorded once, by the walk that makes it: the window pass
+    takes each node it cuts, and ``Remainder.cut`` takes the children of
+    its node. Nothing else in ``src/atk`` writes a ``taken`` set, so
+    ``restrict`` and ``_query`` only read one."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "atk").glob("*.py")):
+        writes = _writes_to_taken(ast.parse(path.read_text()))
+        found += [f"{path.name}:{line}" for line, scope in writes
+                  if "_window_pass" not in scope and scope[-2:] != ("Remainder", "cut")]
+    assert found == []
+
+
 def test_every_problem_record_has_one_exhaustive_search():
     assert set(SEARCHES) == set(RECORDS)
     assert {kind.record for kind in KINDS.values()} <= set(RECORDS.values())

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from unittest import mock
 
 import pytest
 
+from atk import kernels
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.graph import Graph
 from atk.kernels import (
@@ -192,13 +194,13 @@ def test_vc_query_decompositions_are_sized_by_their_piece(n):
 @pytest.mark.parametrize("engine, p, scale", [("direct", 0.9, 1.0), ("direct", 0.3, 0.1),
                                               ("friendly", 0.9, 1.0)])
 def test_vc_cuts_each_query_decomposition_once_from_the_input(engine, p, scale):
-    # Every restrict call cuts the run's input nice decomposition, one per
-    # piece: the cuts, then the root's piece. A call with no part is a piece
-    # the kernel answered without a query (at scale 0.1 some are); the
-    # others are the queries.
+    # Every piece goes through one _query with its cut: the cuts, then the
+    # root's piece. A query cuts its tree from the run's input nice
+    # decomposition with one restrict call; a piece the kernel answers
+    # without a query (at scale 0.1 some are) cuts no tree.
     g, td = gen_partial_ktree(600, 3, p, seed=7)
-    made, calls = [], []
-    nice, restrict = make_nice, NiceTreeDecomposition.restrict
+    made, calls, pieces = [], [], []
+    nice, restrict, query = make_nice, NiceTreeDecomposition.restrict, kernels._query
 
     def recording(*args):
         made.append(nice(*args))
@@ -208,8 +210,15 @@ def test_vc_cuts_each_query_decomposition_once_from_the_input(engine, p, scale):
         calls.append((ntd, len(parts), t))
         return restrict(ntd, parts, t, taken)
 
+    def piece(kind, q, q_td, oracle, kernel=None, budget=math.inf, cut=None, hint=None):
+        before = len(calls)
+        sol = query(kind, q, q_td, oracle, kernel, budget, cut, hint)
+        pieces.append((cut[0], calls[before:]))
+        return sol
+
     with mock.patch("atk.kernels.make_nice", recording), \
-            mock.patch.object(NiceTreeDecomposition, "restrict", counting):
+            mock.patch.object(NiceTreeDecomposition, "restrict", counting), \
+            mock.patch("atk.kernels._query", piece), mock.patch("atk.friendly._query", piece):
         if engine == "direct":
             rep = approx_vc_turing(g, td, KernelConfig(0.5, exact_dp_oracle(), scale))
         else:
@@ -218,9 +227,10 @@ def test_vc_cuts_each_query_decomposition_once_from_the_input(engine, p, scale):
     [ntd] = made
     assert all(cut is ntd for cut, _, _ in calls)
     assert rep.recursion_depth > 0
-    assert [t == ntd.root for _, _, t in calls] == [False] * rep.recursion_depth + [True]
-    assert sum(n_parts for _, n_parts, _ in calls) == rep.oracle_calls
-    assert (scale < 1) == (rep.oracle_calls < len(calls))
+    assert [t == ntd.root for t, _ in pieces] == [False] * rep.recursion_depth + [True]
+    assert all(cut in ([], [(ntd, 1, t)]) for t, cut in pieces)
+    assert len(calls) == rep.oracle_calls
+    assert (scale < 1) == (rep.oracle_calls < len(pieces))
 
 
 def test_vc_engine_rejects_invalid_td():

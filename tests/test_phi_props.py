@@ -9,8 +9,9 @@ before and after cuts, at the view's width. The phi of
 every built-in friendly problem must be additive over two vertex sets with
 no edge between them, as the friendly engine's split search relies on: the
 view's one measure walk (``Remainder.additive``) must give every live node
-the answer a fresh phi gives on its live local set, and leave in the view's
-cache only untaken nodes with such answers. The same walk measures etp's
+the answer a fresh phi gives on its live local set, and hold such an
+answer for every cached node outside the subtrees cuts removed, which no
+view walk reaches. The same walk measures etp's
 nodes by the greedy triangle packing of their local packing graphs, under
 etp's cuts, which keep the cut node's bag.
 """
@@ -92,6 +93,22 @@ def _view_nodes(rest):
     return out
 
 
+def _removed(rest, s):
+    """Whether s lies in the subtree of a taken node, which a cut removed."""
+    while s is not None and s not in rest.taken:
+        s = rest.ntd.parent[s]
+    return s is not None
+
+
+def _check_cache(rest, nodes, fresh):
+    """Every node the view reaches is outside the removed subtrees, and every
+    cached node outside them holds the fresh answer ``fresh(s)``."""
+    assert not any(_removed(rest, s) for s in nodes)
+    for s, sol in rest.cache.items():
+        if not _removed(rest, s):
+            assert sol == fresh(s), s
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(sorted(builtin_instances())),
@@ -148,13 +165,11 @@ def test_additive_phi_of_every_live_node_is_a_fresh_phi(name, k, extra, p, seed,
         nodes = _view_nodes(rest)
         for t in rng.sample(nodes, len(nodes)):  # any order, over what earlier walks and cuts cached
             assert rest.additive(t, lambda s: phi(rest.local(s))) == phi(rest.local(t)), t
-        for s, sol in rest.cache.items():
-            assert s not in rest.taken, s
-            assert sol == phi(rest.local(s)), s
+        _check_cache(rest, nodes, lambda s: phi(rest.local(s)))
         if round_ < cuts:  # a friendly cut: V_t leaves with t's live bag
             t = rng.choice(nodes)
             v_t = rest.local(t) | (rest.ntd.bags[t] & rest.live)
-            if rng.random() < 0.5:  # as a query does, whose restrict takes t's subtree first
+            if rng.random() < 0.5:  # as a query does, whose restrict cuts t's subtree first
                 rest.ntd.restrict([frozenset(v_t)], t, rest.taken)
             rest.cut(t, v_t)
 
@@ -176,9 +191,7 @@ def test_additive_packing_of_every_live_node_is_a_fresh_packing(extra, p, seed, 
         nodes = _view_nodes(rest)
         for t in rng.sample(nodes, len(nodes)):  # any order, over what earlier walks and cuts cached
             assert rest.additive(t, packing) == packing(t), t
-        for s, sol in rest.cache.items():
-            assert s not in rest.taken, s
-            assert sol == packing(s), s
+        _check_cache(rest, nodes, packing)
         if round_ < cuts:  # an etp cut: t's live local set leaves, its bag stays
             t = rng.choice(nodes)
             rest.cut(t, rest.local(t))

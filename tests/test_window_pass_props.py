@@ -9,7 +9,8 @@ value within 1+eps of the optimum ``td_dp_solve`` finds.
 Two differential tests hold the pass and ``NiceTreeDecomposition.restrict``
 to the walks kept in ``helpers``, which built fresh sets or lists at every
 node: the pass must make the same cuts in the same order and take the same
-nodes, and ``restrict`` must build the same trees, node ids included.
+nodes, and ``restrict`` must build the same trees, node ids included,
+leaving the taken set as it was.
 """
 
 import random
@@ -18,6 +19,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atk import kernels
 from atk.generate import gen_connected_partial_ktree, gen_partial_ktree
 from atk.kernels import KernelConfig, _window_pass, approx_is_turing, approx_vc_turing
 from atk.oracles import Oracle, exact_dp_oracle, td_dp_solve
@@ -71,15 +73,15 @@ def test_window_pass_meets_the_guarantees(inst, problem, scale, eps):
         return inner.solve(k, q, q_td)
 
     cuts = []
-    restrict = NiceTreeDecomposition.restrict
+    query = kernels._query
 
-    def counting(ntd, parts, t=None, taken=None):
-        if taken is not None and t != ntd.root:  # the root's piece is the last query, not a cut
-            cuts.append(t)
-        return restrict(ntd, parts, t, taken)
+    def counting(kind, q, ntd, *args, cut=None, **kwargs):
+        if cut is not None and cut[0] != ntd.root:  # the root's piece is the last, not a cut
+            cuts.append(cut[0])
+        return query(kind, q, ntd, *args, cut=cut, **kwargs)
 
     oracle = Oracle("checking", 1.0, inner.size_cap, checking)
-    with mock.patch.object(NiceTreeDecomposition, "restrict", counting):
+    with mock.patch.object(kernels, "_query", counting):
         rep = engine(g, td, KernelConfig(eps, oracle, scale))
     assert is_feasible(kind, g, rep.solution)
     assert not invalid
@@ -165,4 +167,4 @@ def test_restrict_matches_reference_walk(inst, seed):
     assert [_tree(x) for x in got] == [_tree(x) for x in want]
     for x, ref in zip(got, want):  # every node's shape gives the kind the reference built
         assert [node_kind(x, s) for s in range(x.n_nodes)] == ref.labels
-    assert mine == theirs
+    assert mine == theirs == taken
